@@ -13,7 +13,7 @@ import numpy as np
 from .bench import ExperimentRecord, aggregate, make_model, run_experiment
 from .domain import Role, SampleSet, fit_domain_box, scale
 from .estimators import Method
-from .selection import DEFAULT_SIGMA2_MULTIPLIERS, CvPlan
+from .selection import DEFAULT_SIGMA2_MULTIPLIERS, CvPlan, SelectionError, cross_validate
 
 DEFAULT_MODELS = [1, 2, 3, 4, 5, 6, 7]
 DEFAULT_METHODS = ["dre-v", "dre-vk-ink", "dre-vk-rbf", "ulsif"]
@@ -257,14 +257,23 @@ def _load_points(path: str) -> np.ndarray:
     return pts
 
 
+def _load_sample(path: str, role: Role) -> SampleSet:
+    try:
+        return SampleSet(_load_points(path), role)
+    except ValueError as exc:  # unparsable text or non-finite points
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def fit_command(args) -> int:
-    num = SampleSet(_load_points(args.numerator), Role.NUMERATOR)
-    den = SampleSet(_load_points(args.denominator), Role.DENOMINATOR)
+    num = _load_sample(args.numerator, Role.NUMERATOR)
+    den = _load_sample(args.denominator, Role.DENOMINATOR)
+    smallest = min(num.size, den.size)
+    if not 2 <= args.folds <= smallest:
+        raise ConfigError(f"--folds must be from 2 to the smaller sample size {smallest}, "
+                          f"got {args.folds}")
     box = fit_domain_box(num, den, margin=args.margin)
     s = scale(num, den, box)
     plan = CvPlan(k=args.folds, seed=args.seed)
-    from .selection import cross_validate
-
     report = cross_validate(s, Method(args.method), plan)
     weights = report.estimate.predict(den.points)
     np.savetxt(args.out, weights)
@@ -399,7 +408,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             return fit_command(args)
         return validate_command(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,7 +78,8 @@ class RatioEstimate:
         return self.predict_scaled(self.box.transform(points))
 
 
-def _rhs(vm: VMatrices, s: ScaledSamples) -> np.ndarray:
+def v_rhs(vm: VMatrices, s: ScaledSamples) -> np.ndarray:
+    """(n/ell) V' 1, the right-hand side of the V-matrix systems."""
     return (s.n / s.ell) * (vm.v_dn @ np.ones(s.ell))
 
 
@@ -91,7 +92,7 @@ def fit_dre_v(s: ScaledSamples, gamma: float, nonneg: bool = False) -> RatioEsti
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     vm = build_v_matrices(s)
-    b = _rhs(vm, s)
+    b = v_rhs(vm, s)
     if nonneg:
         A = vm.v_dd + (gamma / s.n) * np.eye(s.n)
         report = solve_nonneg(A, b)
@@ -100,27 +101,35 @@ def fit_dre_v(s: ScaledSamples, gamma: float, nonneg: bool = False) -> RatioEsti
     return RatioEstimate(Variant.POINT_VALUES, report.solution, s.x_prime, s.box, gamma)
 
 
-def fit_dre_v_expansion(s: ScaledSamples, gamma: float) -> RatioEstimate:
+def fit_dre_v_expansion(s: ScaledSamples, gamma: float,
+                        vm: VMatrices | None = None) -> RatioEstimate:
     """Cross-validation form of fit_dre_v: coefficients alpha with
     alpha = (n/ell)(V''V'' + (gamma/n)V'')^-1 V' 1, so that the estimate
     r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and
     coincides with fit_dre_v at the fit points.
+
+    `vm`, when given, must be build_v_matrices(s); it saves rebuilding it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    vm = build_v_matrices(s)
-    b = _rhs(vm, s)
+    vm = build_v_matrices(s) if vm is None else vm
+    b = v_rhs(vm, s)
     report = solve_psd_pencil(vm.v_dd, gamma / s.n, b, context=f"gamma={gamma}")
     return RatioEstimate(Variant.V_EXPANSION, report.solution, s.x_prime, s.box, gamma)
 
 
-def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
-    """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`."""
+def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float,
+               vm: VMatrices | None = None, K: np.ndarray | None = None) -> RatioEstimate:
+    """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`.
+
+    `vm` and `K`, when given, must be build_v_matrices(s) and the Gram matrix
+    of s.x_prime under `spec`; they save rebuilding them.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    vm = build_v_matrices(s)
-    K = cross_gram(spec, s.x_prime, s.x_prime)
-    b = _rhs(vm, s)
+    vm = build_v_matrices(s) if vm is None else vm
+    K = cross_gram(spec, s.x_prime, s.x_prime) if K is None else K
+    b = v_rhs(vm, s)
     # V''K is generally non-symmetric; the general LU path handles it
     report = solve_regularized(vm.v_dd @ K, gamma, b, context=f"gamma={gamma}")
     return RatioEstimate(Variant.KERNEL_EXPANSION, report.solution, s.x_prime, s.box, gamma, spec)
@@ -133,6 +142,11 @@ def rect_identity_ones(n: int, ell: int) -> np.ndarray:
     return v
 
 
+def ulsif_rhs(s: ScaledSamples, K: np.ndarray) -> np.ndarray:
+    """(n/ell) K itilde, the right-hand side of the uLSIF-like system."""
+    return (s.n / s.ell) * (K @ rect_identity_ones(s.n, s.ell))
+
+
 def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
     """Baseline with identity matrices in place of the V-matrices and ridge
     regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde.
@@ -140,7 +154,7 @@ def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEst
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     K = cross_gram(spec, s.x_prime, s.x_prime)
-    b = (s.n / s.ell) * (K @ rect_identity_ones(s.n, s.ell))
+    b = ulsif_rhs(s, K)
     report = solve_regularized(K @ K, gamma, b, context=f"gamma={gamma}")
     return RatioEstimate(Variant.KERNEL_EXPANSION, report.solution, s.x_prime, s.box, gamma, spec)
 

@@ -11,16 +11,21 @@ from .domain import ScaledSamples
 from .estimators import (
     Method,
     RatioEstimate,
-    Variant,
     fit_dre_v_expansion,
     fit_dre_vk,
     fit_ulsif_like,
     kernel_spec_for,
-    rect_identity_ones,
+    ulsif_rhs,
+    v_rhs,
 )
 from .kernels import cross_gram
-from .solve import PsdPencilSolver, SingularSystemError, solve_regularized
-from .vmatrix import build_v_matrices
+from .solve import (
+    PsdPencilSolver,
+    SingularSystemError,
+    solve_regularized,
+    solve_ridge_square_many,
+)
+from .vmatrix import VMatrices, build_v_matrices, cross_v
 
 DEFAULT_SIGMA2_MULTIPLIERS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -122,14 +127,7 @@ def make_folds(n: int, ell: int, k: int, seed: int):
     return num_folds, den_folds
 
 
-def ls_criterion(est: RatioEstimate, holdout_num, holdout_den, n_over_l: float) -> float:
-    """Least-squares criterion 0.5 sum r(z')^2 - (n/ell) sum r(z) on scaled holdout points."""
-    pred_den = est.predict_scaled(holdout_den)
-    pred_num = est.predict_scaled(holdout_num)
-    return float(0.5 * np.sum(pred_den**2) - n_over_l * np.sum(pred_num))
-
-
-def _gamma_scale(method: Method, s: ScaledSamples, sigma2) -> float:
+def _gamma_scale(method: Method, s: ScaledSamples, vm: VMatrices | None, K) -> float:
     """Mean eigenvalue tr(M)/n of the method's full-data system matrix M.
 
     For the point-value fit the ridge enters as gamma/n, so the scale is
@@ -137,61 +135,71 @@ def _gamma_scale(method: Method, s: ScaledSamples, sigma2) -> float:
     kernel fits M is V''K or KK with the ridge applied directly.
     """
     if method is Method.DRE_V:
-        scale = float(np.trace(build_v_matrices(s).v_dd))
+        scale = float(np.trace(vm.v_dd))
+    elif method is Method.ULSIF_LIKE:
+        scale = float(np.sum(K * K)) / s.n
     else:
-        spec = kernel_spec_for(method, s.d, sigma2)
-        K = cross_gram(spec, s.x_prime, s.x_prime)
-        if method is Method.ULSIF_LIKE:
-            scale = float(np.sum(K * K)) / s.n
-        else:
-            vdd = build_v_matrices(s).v_dd
-            scale = float(np.sum(vdd * K)) / s.n  # tr(V''K), both symmetric
+        scale = float(np.sum(vm.v_dd * K)) / s.n  # tr(V''K), both symmetric
     if not np.isfinite(scale) or scale <= 0.0:
         return 1.0
     return scale
 
 
-def _fold_fit(method, sub, gamma, sigma2, cache):
-    """Fit one candidate on a training fold, reusing fold-level matrices in `cache`."""
-    if method is Method.DRE_V:
-        if "pencil" not in cache:
-            vm = build_v_matrices(sub)
-            cache["pencil"] = PsdPencilSolver(vm.v_dd)
-            cache["rhs"] = (sub.n / sub.ell) * (vm.v_dn @ np.ones(sub.ell))
-        rep = cache["pencil"].solve(gamma / sub.n, cache["rhs"], context=f"gamma={gamma}")
-        return RatioEstimate(Variant.V_EXPANSION, rep.solution, sub.x_prime, sub.box, gamma)
+def _gram(method: Method, s: ScaledSamples, sigma2):
+    """Kernel Gram matrix of the denominator points, or None for DRE-V."""
+    spec = kernel_spec_for(method, s.d, sigma2)
+    return None if spec is None else cross_gram(spec, s.x_prime, s.x_prime)
 
-    spec = kernel_spec_for(method, sub.d, sigma2)
-    key = ("K", sigma2)
-    if key not in cache:
-        cache[key] = cross_gram(spec, sub.x_prime, sub.x_prime)
-    K = cache[key]
+
+def _solve_all(method: Method, sub: ScaledSamples, vm: VMatrices | None, K, gammas):
+    """Fold-fit coefficients for every gamma as the columns of an n x G matrix,
+    and per gamma None or the message of its failed residual check."""
+    contexts = [f"gamma={g}" for g in gammas]
+    if method is Method.DRE_V:
+        return PsdPencilSolver(vm.v_dd).solve_many(gammas / sub.n, v_rhs(vm, sub), contexts)
     if method is Method.ULSIF_LIKE:
-        mkey = ("KK", sigma2)
-        if mkey not in cache:
-            cache[mkey] = (K @ K, (sub.n / sub.ell) * (K @ rect_identity_ones(sub.n, sub.ell)))
-        M, b = cache[mkey]
-        rep = solve_regularized(M, gamma, b, context=f"gamma={gamma}")
-        return RatioEstimate(Variant.KERNEL_EXPANSION, rep.solution, sub.x_prime, sub.box, gamma, spec)
-
-    if "vm" not in cache:
-        vm = build_v_matrices(sub)
-        cache["vm"] = vm
-        cache["rhs"] = (sub.n / sub.ell) * (vm.v_dn @ np.ones(sub.ell))
-    mkey = ("VK", sigma2)
-    if mkey not in cache:
-        cache[mkey] = cache["vm"].v_dd @ K
-    rep = solve_regularized(cache[mkey], gamma, cache["rhs"], context=f"gamma={gamma}")
-    return RatioEstimate(Variant.KERNEL_EXPANSION, rep.solution, sub.x_prime, sub.box, gamma, spec)
+        return solve_ridge_square_many(K, gammas, ulsif_rhs(sub, K), contexts)
+    # V''K is not symmetric: one LU per gamma (see cross_validate)
+    M = vm.v_dd @ K
+    b = v_rhs(vm, sub)
+    coef = np.zeros((sub.n, len(gammas)))
+    errors = [None] * len(gammas)
+    for j, (gamma, context) in enumerate(zip(gammas, contexts)):
+        try:
+            coef[:, j] = solve_regularized(M, gamma, b, context=context).solution
+        except SingularSystemError as exc:
+            errors[j] = str(exc)
+    return coef, errors
 
 
-def _final_fit(method, s, gamma, sigma2) -> RatioEstimate:
+def _fold_criteria(method, sub, vm, sigma2, gammas, hold_num, hold_den, n_over_l):
+    """Least-squares criterion 0.5 sum r(z')^2 - (n/ell) sum r(z) on the holdout
+    points for every gamma of one (fold, sigma2), and per gamma None or its
+    failure message.
+
+    The Gram matrix and the two holdout matrices live only for this call, so
+    one (fold, sigma2) system is held at a time.
+    """
+    coef, errors = _solve_all(method, sub, vm, _gram(method, sub, sigma2), gammas)
+    spec = kernel_spec_for(method, sub.d, sigma2)
+    if spec is None:
+        pred_den = cross_v(hold_den, sub.x_prime) @ coef
+        pred_num = cross_v(hold_num, sub.x_prime) @ coef
+    else:
+        pred_den = cross_gram(spec, hold_den, sub.x_prime) @ coef
+        pred_num = cross_gram(spec, hold_num, sub.x_prime) @ coef
+    return 0.5 * np.sum(pred_den**2, axis=0) - n_over_l * np.sum(pred_num, axis=0), errors
+
+
+def _final_fit(method, s, vm, K, gamma, sigma2) -> RatioEstimate:
+    """Refit on all data with the solvers of the fit_* functions, reusing the
+    full-data V-matrices and, when given, the Gram matrix."""
     if method is Method.DRE_V:
-        return fit_dre_v_expansion(s, gamma)
+        return fit_dre_v_expansion(s, gamma, vm=vm)
     spec = kernel_spec_for(method, s.d, sigma2)
     if method is Method.ULSIF_LIKE:
         return fit_ulsif_like(s, spec, gamma)
-    return fit_dre_vk(s, spec, gamma)
+    return fit_dre_vk(s, spec, gamma, vm=vm, K=K)
 
 
 def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
@@ -199,7 +207,30 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
 
     The fold criterion sums are deterministic given the plan seed; ties are
     broken toward the larger gamma. Candidates whose solve fails on any fold
-    are recorded and excluded from selection.
+    are recorded and excluded from selection; every accepted fold solution
+    passes the residual check of `solve`.
+
+    Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
+
+    * once per draw: the full-data V-matrices (all but uLSIF), shared by the
+      gamma scaling and the refit, and for INK the full-data Gram matrix,
+      shared the same way; with RBF one full-data Gram per sigma2 for the
+      scaling and one more at the selected sigma2 for the refit.
+    * once per fold: the training V-matrices (all but uLSIF).
+    * once per (fold, sigma2): the training Gram matrix; one factorisation
+      where it serves every gamma (DRE-V: eigh of V'' for the pencil
+      V''V'' + (gamma/n) V''; uLSIF: eigh of K, which makes KK + gamma I
+      diagonal); the two holdout matrices K(holdout, centres) (cross_v for
+      DRE-V); and one product of each with the n x G coefficient matrix,
+      which scores every gamma.
+    * once per (fold, sigma2, gamma): for DRE-VK only, an LU of V''K + gamma I.
+      V''K is not symmetric, and a Hessenberg reduction shared by all shifts
+      measured slower than G LUs for G = 15 up to n = 400 (7.1 ms against
+      4.9 ms at n = 160, 49.9 ms against 43.0 ms at n = 400); it would pay
+      only from about n = 640.
+
+    The refit solves as the fit_* functions do (LU, or the pencil for
+    DRE-V), so a draw's estimate depends on CV only through the selection.
     """
     if plan.k > min(s.n, s.ell):
         raise ValueError(f"k={plan.k} exceeds min(n, ell)={min(s.n, s.ell)}")
@@ -214,11 +245,18 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     else:
         sigma2_values = [None]
 
-    scales = {s2: _gamma_scale(method, s, s2) if plan.scale_gamma else 1.0
-              for s2 in sigma2_values}
-    pairs = [(float(g) * scales[s2], s2) for s2 in sigma2_values for g in plan.gamma_grid]
-    totals = {p: 0.0 for p in pairs}
-    errors = {p: None for p in pairs}
+    full_vm = None if method is Method.ULSIF_LIKE else build_v_matrices(s)
+    # the INK Gram matrix has no sigma2, so the scaling and the refit share it
+    full_K = _gram(method, s, None) if method is Method.DRE_VK_INK else None
+    gammas = []
+    for s2 in sigma2_values:
+        scale = 1.0
+        if plan.scale_gamma:
+            K = _gram(method, s, s2) if uses_rbf else full_K
+            scale = _gamma_scale(method, s, full_vm, K)
+        gammas.append(plan.gamma_grid * scale)
+    totals = np.zeros((len(sigma2_values), plan.gamma_grid.size))
+    errors = [[None] * plan.gamma_grid.size for _ in sigma2_values]
 
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     n_over_l = s.n / s.ell
@@ -226,25 +264,26 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     all_den = np.arange(s.n)
 
     for num_hold, den_hold in zip(num_folds, den_folds):
-        num_train = np.setdiff1d(all_num, num_hold)
-        den_train = np.setdiff1d(all_den, den_hold)
-        sub = s.subset(num_train, den_train)
-        hold_num = s.x[num_hold]
-        hold_den = s.x_prime[den_hold]
-        cache = {}
-        for pair in pairs:
-            if errors[pair] is not None:
+        sub = s.subset(np.setdiff1d(all_num, num_hold), np.setdiff1d(all_den, den_hold))
+        vm = None if method is Method.ULSIF_LIKE else build_v_matrices(sub)
+        for i, s2 in enumerate(sigma2_values):
+            live = [j for j, err in enumerate(errors[i]) if err is None]
+            if not live:
                 continue
-            gamma, sigma2 = pair
-            try:
-                est = _fold_fit(method, sub, gamma, sigma2, cache)
-                totals[pair] += ls_criterion(est, hold_num, hold_den, n_over_l)
-            except SingularSystemError as exc:
-                errors[pair] = str(exc)
+            crit, errs = _fold_criteria(method, sub, vm, s2, gammas[i][live],
+                                        s.x[num_hold], s.x_prime[den_hold], n_over_l)
+            for j, c, err in zip(live, crit, errs):
+                if err is None:
+                    totals[i, j] += c
+                else:
+                    errors[i][j] = err
+        del vm  # drop this fold's V-matrices before the next fold builds its own
 
     candidates = [
-        Candidate(g, s2, totals[(g, s2)] if errors[(g, s2)] is None else np.nan, errors[(g, s2)])
-        for (g, s2) in pairs
+        Candidate(float(g), s2, float(totals[i, j]) if errors[i][j] is None else np.nan,
+                  errors[i][j])
+        for i, s2 in enumerate(sigma2_values)
+        for j, g in enumerate(gammas[i])
     ]
     valid = [c for c in candidates if c.ok]
     if not valid:
@@ -258,7 +297,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         ):
             best = cand
 
-    estimate = _final_fit(method, s, best.gamma, best.sigma2)
+    estimate = _final_fit(method, s, full_vm, full_K, best.gamma, best.sigma2)
     return CvReport(
         method=method,
         candidates=candidates,

@@ -1,7 +1,9 @@
 """Dense solvers for the regularized normal systems.
 
 All accepted direct solutions are verified by substitution against the
-residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||).
+residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The batched solvers
+(PsdPencilSolver.solve_many, solve_ridge_square_many) solve one system for
+many shifts from one eigendecomposition and check every column the same way.
 """
 
 from __future__ import annotations
@@ -39,6 +41,31 @@ def _check_square(A: np.ndarray, b: np.ndarray):
         raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
 
 
+def _residual_bound(b: np.ndarray) -> float:
+    return RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
+
+
+def _failure(what: str, context: str, res_norm: float, bound: float) -> str:
+    where = f" ({context})" if context else ""
+    return f"{what}{where}: residual {res_norm:.3e} > {bound:.3e}"
+
+
+def _column_errors(what: str, X: np.ndarray, res_norms: np.ndarray, bound: float,
+                   contexts) -> list:
+    """None for each column of X that passes the residual check, else its failure message."""
+    ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
+    return [None if good else _failure(what, ctx, r, bound)
+            for good, r, ctx in zip(ok, res_norms, contexts)]
+
+
+def _shifted_residual(lhs: np.ndarray, shift: float, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - (lhs + shift * I) x."""
+    res = b - lhs @ x
+    if shift:
+        res -= shift * x
+    return res
+
+
 def solve_regularized(A, ridge: float, b, ridge_matrix=None, context: str = "") -> SolveReport:
     """Solve (A + ridge * R) x = b with R the identity or a given matrix.
 
@@ -52,34 +79,41 @@ def solve_regularized(A, ridge: float, b, ridge_matrix=None, context: str = "") 
         raise ValueError("ridge must be nonnegative")
     m = A.shape[0]
     if ridge_matrix is None:
-        M = A + ridge * np.eye(m)
+        # one Fortran-ordered copy, which LAPACK factorises in place; the
+        # residual is then taken against A and the ridge
+        M = np.array(A, order="F")
+        M[np.diag_indices(m)] += ridge
+        lhs, shift = A, ridge
     else:
         R = np.asarray(ridge_matrix, dtype=float)
         if R.shape != A.shape:
             raise ValueError("ridge_matrix must match the shape of A")
         M = A + ridge * R
+        lhs, shift = M, 0.0
 
-    bound = RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
+    bound = _residual_bound(b)
     try:
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
+        # only the private copy may be overwritten: a given ridge_matrix keeps M for the residual
+        lu, piv = scipy.linalg.lu_factor(M, overwrite_a=M is not lhs, check_finite=False)
         x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
         for _ in range(3):
-            res = b - M @ x
+            res = _shifted_residual(lhs, shift, x, b)
             res_norm = float(np.linalg.norm(res))
             if not np.isfinite(res_norm) or res_norm <= bound:
                 break
             x = x + scipy.linalg.lu_solve((lu, piv), res, check_finite=False)
-        res_norm = float(np.linalg.norm(M @ x - b))
+        res_norm = float(np.linalg.norm(_shifted_residual(lhs, shift, x, b)))
     except scipy.linalg.LinAlgError:
         res_norm = np.inf
         x = np.full(m, np.nan)
 
     if not np.isfinite(res_norm) or not np.all(np.isfinite(x)) or res_norm > bound:
-        where = f" ({context})" if context else ""
         raise SingularSystemError(
-            f"system singular to working precision{where}: residual {res_norm:.3e} > {bound:.3e}"
-        )
+            _failure("system singular to working precision", context, res_norm, bound))
     return SolveReport(x, res_norm, SolveMethod.DIRECT)
+
+
+_PENCIL_FAILURE = "pencil system inconsistent"
 
 
 class PsdPencilSolver:
@@ -117,18 +151,67 @@ class PsdPencilSolver:
         x = self._Q @ inv
         Sx = self._S @ x
         res_norm = float(np.linalg.norm(self._S @ Sx + c * Sx - b))
-        bound = RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
+        bound = _residual_bound(b)
         if not np.isfinite(res_norm) or res_norm > bound:
-            where = f" ({context})" if context else ""
-            raise SingularSystemError(
-                f"pencil system inconsistent{where}: residual {res_norm:.3e} > {bound:.3e}"
-            )
+            raise SingularSystemError(_failure(_PENCIL_FAILURE, context, res_norm, bound))
         return SolveReport(x, res_norm, SolveMethod.EIG_PENCIL)
+
+    def solve_many(self, cs, b, contexts) -> tuple[np.ndarray, list]:
+        """solve() for every shift in `cs` at once.
+
+        Returns the n x G matrix whose column j solves the system at cs[j],
+        and per column None or, when that column fails the residual check,
+        the message solve() would raise with contexts[j].
+        """
+        b = np.asarray(b, dtype=float)
+        cs = np.asarray(cs, dtype=float)
+        if b.shape != (self._S.shape[0],):
+            raise ValueError("b length mismatch")
+        if np.any(cs < 0):
+            raise ValueError("c must be nonnegative")
+        w = self._w[:, None]
+        null = self._null[:, None]
+        coef = (self._Q.T @ b)[:, None]
+        X = self._Q @ np.where(null, 0.0, coef / np.where(null, 1.0, w * (w + cs)))
+        SX = self._S @ X
+        res_norms = np.linalg.norm(self._S @ SX + SX * cs - b[:, None], axis=0)
+        return X, _column_errors(_PENCIL_FAILURE, X, res_norms, _residual_bound(b), contexts)
 
 
 def solve_psd_pencil(S, c: float, b, context: str = "") -> SolveReport:
     """One-shot interface to PsdPencilSolver."""
     return PsdPencilSolver(S).solve(c, b, context=context)
+
+
+def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
+    """Solve (K @ K + gamma I) x = b for every gamma, K symmetric.
+
+    One eigendecomposition K = Q diag(w) Q' makes every system diagonal,
+    K K + gamma I = Q diag(w^2 + gamma) Q', so each gamma costs matrix
+    products instead of a factorisation, and K @ K is never formed. Columns
+    whose residual misses the bound are refined up to twice with the same
+    factors. Returns the n x G solutions and per column None or the failure
+    message that solve_regularized would raise with contexts[j].
+    """
+    K = np.asarray(K, dtype=float)
+    b = np.asarray(b, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    _check_square(K, b)
+    if np.any(gammas < 0):
+        raise ValueError("ridge must be nonnegative")
+    w, Q = scipy.linalg.eigh(K, check_finite=False)
+    denom = w[:, None] ** 2 + gammas
+    X = Q @ ((Q.T @ b)[:, None] / denom)
+    bound = _residual_bound(b)
+    for refinement in range(3):
+        R = b[:, None] - (K @ (K @ X) + X * gammas)
+        res_norms = np.linalg.norm(R, axis=0)
+        bad = ~(res_norms <= bound)
+        if refinement == 2 or not bad.any():
+            break
+        X[:, bad] += Q @ ((Q.T @ R[:, bad]) / denom[:, bad])
+    return X, _column_errors("system singular to working precision", X, res_norms, bound,
+                             contexts)
 
 
 def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10, callback=None) -> SolveReport:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from vratio import cli
 from vratio.bench import ExperimentRecord
 from vratio.cli import (
     ConfigError,
@@ -14,6 +15,7 @@ from vratio.cli import (
     write_csv,
 )
 from vratio.estimators import Method
+from vratio.selection import SelectionError
 
 
 def test_parse_config_defaults():
@@ -154,6 +156,39 @@ def test_fit_command(tmp_path, capsys):
     assert weights.shape == (40,)
     assert np.all(np.isfinite(weights))
     assert "selected gamma" in capsys.readouterr().out
+
+
+def write_fit_inputs(tmp_path, num_text, den_text):
+    num, den = tmp_path / "num.txt", tmp_path / "den.txt"
+    num.write_text(num_text)
+    den.write_text(den_text)
+    return [str(num), str(den), "--out", str(tmp_path / "w.txt")]
+
+
+def assert_reported_error(capsys, code, fragment):
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_fit_command_rejects_non_finite_points(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "0.1\nnan\n0.3\n", "0.2\n0.4\n0.5\n")
+    assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]), "finite")
+
+
+def test_fit_command_rejects_more_folds_than_points(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n", "0.2\n0.4\n0.5\n")
+    assert_reported_error(capsys, main(["fit", *paths]), "--folds")
+
+
+def test_fit_command_reports_selection_error(tmp_path, capsys, monkeypatch):
+    def all_failed(*args, **kwargs):
+        raise SelectionError("all 15 candidates failed to solve")
+
+    monkeypatch.setattr(cli, "cross_validate", all_failed)
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]), "candidates failed")
 
 
 def test_validate_command(capsys):

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from vratio import selection
+from vratio import selection, solve
 from vratio.domain import DomainBox, ScaledSamples
-from vratio.estimators import Method, fit_dre_v
+from vratio.estimators import (
+    Method,
+    fit_dre_v_expansion,
+    fit_dre_vk,
+    fit_ulsif_like,
+    kernel_spec_for,
+)
+from vratio.kernels import cross_gram
 from vratio.selection import (
     CvPlan,
     SelectionError,
     cross_validate,
     default_gamma_grid,
     default_sigma2_grid,
-    ls_criterion,
     make_folds,
     median_sigma2,
 )
+from vratio.solve import SingularSystemError
 from vratio.vmatrix import build_v_matrices
 
 
@@ -81,16 +89,6 @@ def test_make_folds_rejects_too_many_folds():
         make_folds(3, 10, 4, seed=0)
 
 
-def test_ls_criterion_hand_computed():
-    rng = np.random.default_rng(50)
-    s = unit_samples(rng, 10, 10, 1)
-    est = fit_dre_v(s, 0.1)
-    # point-values estimate: use the fit points themselves as holdout
-    val = ls_criterion(est, s.x_prime, s.x_prime, 1.0)
-    r = est.coef
-    assert val == pytest.approx(0.5 * np.sum(r**2) - np.sum(r))
-
-
 def test_cross_validate_report_structure():
     rng = np.random.default_rng(51)
     s = unit_samples(rng, 40, 40, 1)
@@ -148,12 +146,11 @@ def test_cross_validate_all_failures_raise(monkeypatch):
     rng = np.random.default_rng(56)
     s = unit_samples(rng, 20, 20, 1)
 
-    def boom(*args, **kwargs):
-        raise selection.SingularSystemError("forced failure")
-
-    monkeypatch.setattr(selection, "_fold_fit", boom)
-    with pytest.raises(SelectionError):
-        cross_validate(s, Method.DRE_V, CvPlan(k=4))
+    # a negative bound fails every residual check, batched or not
+    monkeypatch.setattr(solve, "RESIDUAL_RTOL", -1.0)
+    for method in Method:
+        with pytest.raises(SelectionError, match="residual"):
+            cross_validate(s, method, CvPlan(k=4, sigma2_grid=np.array([0.5])))
 
 
 def test_cross_validate_too_few_points_for_folds():
@@ -161,3 +158,119 @@ def test_cross_validate_too_few_points_for_folds():
     s = unit_samples(rng, 3, 20, 1)
     with pytest.raises(ValueError):
         cross_validate(s, Method.DRE_V, CvPlan(k=5))
+
+
+def naive_cv(s, method, plan, sigma2_values):
+    """Every candidate scored the slow way: the public fit_* function on each
+    training fold, then the least-squares criterion on its holdout.
+
+    Returns {(gamma, sigma2): criterion, or None if a fold's solve failed}.
+    """
+    vdd = build_v_matrices(s).v_dd
+    num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
+    out = {}
+    for s2 in sigma2_values:
+        spec = kernel_spec_for(method, s.d, s2)
+        if method is Method.DRE_V:
+            scale = np.trace(vdd)
+        else:
+            K = cross_gram(spec, s.x_prime, s.x_prime)
+            scale = np.sum(K * K) / s.n if method is Method.ULSIF_LIKE else np.sum(vdd * K) / s.n
+        for g in plan.gamma_grid:
+            gamma = float(g) * float(scale)
+            total = 0.0
+            for num_hold, den_hold in zip(num_folds, den_folds):
+                sub = s.subset(np.setdiff1d(np.arange(s.ell), num_hold),
+                               np.setdiff1d(np.arange(s.n), den_hold))
+                try:
+                    if method is Method.DRE_V:
+                        est = fit_dre_v_expansion(sub, gamma)
+                    elif method is Method.ULSIF_LIKE:
+                        est = fit_ulsif_like(sub, spec, gamma)
+                    else:
+                        est = fit_dre_vk(sub, spec, gamma)
+                except SingularSystemError:
+                    total = None
+                    break
+                r_den = est.predict_scaled(s.x_prime[den_hold])
+                r_num = est.predict_scaled(s.x[num_hold])
+                total += 0.5 * np.sum(r_den**2) - (s.n / s.ell) * np.sum(r_num)
+            out[(gamma, s2)] = total
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("method", list(Method))
+def test_cross_validate_matches_naive_per_candidate_fits(method, d):
+    rng = np.random.default_rng(60 + d)
+    s = unit_samples(rng, 36, 30, d)
+    sigma2_values = [0.2, 1.0] if method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE) else [None]
+    plan = CvPlan(k=3, seed=4, sigma2_grid=None if sigma2_values == [None] else sigma2_values)
+    report = cross_validate(s, method, plan)
+    naive = naive_cv(s, method, plan, sigma2_values)
+
+    assert len(report.candidates) == len(naive)
+    for cand, ((gamma, s2), want) in zip(report.candidates, naive.items()):
+        assert cand.gamma == pytest.approx(gamma, rel=1e-12)
+        assert cand.sigma2 == s2
+        assert cand.ok == (want is not None)
+        if want is not None:
+            assert cand.criterion == pytest.approx(want, rel=1e-8, abs=0.0)
+    ok = [(c, k) for c, k in zip(report.candidates, naive) if naive[k] is not None]
+    best = min(ok, key=lambda ck: (naive[ck[1]], -ck[1][0]))[0]
+    assert (report.selected_gamma, report.selected_sigma2) == (best.gamma, best.sigma2)
+
+
+class CallCounter:
+    """Counts calls of the functions it wraps, keyed by a label per call."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def wrap(self, fn, label):
+        def counted(*args, **kwargs):
+            key = label(*args)
+            self.counts[key] = self.counts.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_cross_validate_work_counts(method, monkeypatch):
+    """Factorisations and matrix builds per cross_validate call, by formula."""
+    n, k, G = 24, 3, 4
+    rng = np.random.default_rng(61)
+    s = unit_samples(rng, n, n, 2)
+    rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
+    S = 2 if rbf else 1
+    plan = CvPlan(k=k, gamma_grid=np.logspace(-3, 0, G), sigma2_grid=[0.3, 1.0])
+
+    counter = CallCounter()
+    for name in ("lu_factor", "eigh"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            counter.wrap(getattr(scipy.linalg, name), lambda *a, name=name: name))
+
+    def matrix_kind(rows, cols):
+        # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
+        return {(8, 16): "holdout", (16, 16): "train", (24, 24): "full"}[(len(rows), len(cols))]
+
+    monkeypatch.setattr(selection, "cross_gram", counter.wrap(
+        selection.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
+    monkeypatch.setattr(selection, "cross_v", counter.wrap(
+        selection.cross_v, lambda rows, cols: ("v", matrix_kind(rows, cols))))
+    report = cross_validate(s, method, plan)
+    assert report.failures == 0
+
+    if method is Method.DRE_V:
+        # one pencil eigh per fold plus the refit's; holdouts by cross_v
+        want = {"eigh": k + 1, ("v", "holdout"): 2 * k}
+    elif method is Method.ULSIF_LIKE:
+        # one eigh of K per (fold, sigma2) serves every gamma; only the refit uses LU
+        want = {"eigh": k * S, "lu_factor": 1, ("gram", "full"): S,
+                ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
+    else:
+        # one LU per (fold, sigma2, gamma) plus the refit's; the INK Gram of
+        # the full data is shared by the gamma scaling and the refit
+        want = {"lu_factor": k * S * G + 1, ("gram", "full"): S,
+                ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
+    assert counter.counts == want

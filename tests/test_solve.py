@@ -9,6 +9,7 @@ from vratio.solve import (
     solve_nonneg,
     solve_psd_pencil,
     solve_regularized,
+    solve_ridge_square_many,
 )
 
 
@@ -86,6 +87,53 @@ def test_pencil_solver_inconsistent_rhs_raises():
 def test_pencil_solver_requires_symmetry():
     with pytest.raises(ValueError):
         PsdPencilSolver(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+def test_pencil_solve_many_matches_solve():
+    rng = np.random.default_rng(23)
+    S = random_psd(rng, 7)
+    b = rng.normal(size=7)
+    cs = np.array([1e-6, 0.1, 10.0])
+    solver = PsdPencilSolver(S)
+    X, errors = solver.solve_many(cs, b, [f"c={c}" for c in cs])
+    assert errors == [None, None, None]
+    for j, c in enumerate(cs):
+        assert np.allclose(X[:, j], solver.solve(c, b).solution, rtol=1e-10, atol=1e-12)
+
+
+def test_pencil_solve_many_reports_each_failure_as_solve_raises():
+    solver = PsdPencilSolver(np.diag([1.0, 0.0]))
+    b = np.array([1.0, 1.0])  # not in the range of S
+    _, errors = solver.solve_many(np.array([0.5, 2.0]), b, ["c=0.5", "c=2"])
+    for c, err in zip((0.5, 2.0), errors):
+        with pytest.raises(SingularSystemError) as exc:
+            solver.solve(c, b, context=f"c={c:g}")
+        assert err == str(exc.value)
+
+
+def test_solve_ridge_square_many_matches_lu():
+    rng = np.random.default_rng(24)
+    for rank in (6, 3):  # full rank and rank-deficient K
+        G = rng.normal(size=(6, rank))
+        K = G @ G.T
+        b = rng.normal(size=6)
+        gammas = np.array([1e-4, 1e-2, 1.0])
+        X, errors = solve_ridge_square_many(K, gammas, b, ["a", "b", "c"])
+        assert errors == [None, None, None]
+        for j, gamma in enumerate(gammas):
+            want = solve_regularized(K @ K, gamma, b).solution
+            assert np.allclose(X[:, j], want, rtol=1e-8, atol=1e-10)
+            assert np.linalg.norm((K @ K + gamma * np.eye(6)) @ X[:, j] - b) <= (
+                RESIDUAL_RTOL * (1.0 + np.linalg.norm(b)))
+
+
+def test_solve_ridge_square_many_flags_singular_columns():
+    K = np.diag([1.0, 0.0])
+    b = np.array([1.0, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, errors = solve_ridge_square_many(K, np.array([0.0, 1.0]), b, ["gamma=0", "gamma=1"])
+    assert errors[1] is None
+    assert errors[0].startswith("system singular to working precision (gamma=0)")
 
 
 def active_set_oracle(A, b):
