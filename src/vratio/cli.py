@@ -179,6 +179,7 @@ def _record_rows(records: list[ExperimentRecord]):
             "" if rec.sigma2 is None else repr(rec.sigma2),
             "" if rec.nrmse is None else repr(rec.nrmse),
             rec.status,
+            rec.message,
         ]
 
 
@@ -187,7 +188,7 @@ def write_csv(path: str, records: list[ExperimentRecord]):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["model", "m", "method", "draw", "seed", "gamma_selected",
-             "sigma2_selected", "nrmse", "status"]
+             "sigma2_selected", "nrmse", "status", "message"]
         )
         writer.writerows(_record_rows(records))
 

@@ -60,12 +60,32 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
         return np.exp(-sq / (2.0 * spec.sigma2))
     if np.any(rp < 0) or np.any(cp < 0):
         raise ValueError("INK-spline inputs must be nonnegative")
-    out = np.ones((rp.shape[0], cp.shape[0]))
+    # each coordinate's factor ((1 + xy) + (0.5 |x - y|) mn^2) + mn^3 / 3 is
+    # built in work buffers with the operations of the closed form in ink1, so
+    # the result is exactly that of evaluating it elementwise; the first
+    # coordinate's factor is built in `out` itself (1.0 * v == v)
+    out = np.empty((rp.shape[0], cp.shape[0]))
+    mn = np.empty_like(out)
+    half_gap = np.empty_like(out)
+    acc = out if spec.d == 1 else np.empty_like(out)
     for k in range(spec.d):
-        xk = rp[:, k]
-        yk = cp[:, k]
-        mn = np.minimum.outer(xk, yk)
-        out *= 1.0 + np.outer(xk, yk) + 0.5 * np.abs(xk[:, None] - yk[None, :]) * mn**2 + mn**3 / 3.0
+        xk = rp[:, k, None]
+        yk = cp[None, :, k]
+        term = out if k == 0 else acc
+        np.minimum(xk, yk, out=mn)
+        np.subtract(xk, yk, out=half_gap)
+        np.abs(half_gap, out=half_gap)
+        half_gap *= 0.5
+        np.square(mn, out=term)
+        half_gap *= term  # (0.5 |x - y|) mn^2
+        np.multiply(xk, yk, out=term)
+        term += 1.0
+        term += half_gap
+        np.power(mn, 3.0, out=half_gap)
+        half_gap /= 3.0
+        term += half_gap
+        if k:
+            out *= term
     return out
 
 

@@ -19,9 +19,11 @@ from .estimators import (
     v_rhs,
 )
 from .kernels import cross_gram
-from .solve import (
+# solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
+from .solve import (  # noqa: F401
     PsdPencilSolver,
-    SingularSystemError,
+    pivoted_cholesky,
+    solve_product_ridge_many,
     solve_regularized,
     solve_ridge_square_many,
 )
@@ -151,28 +153,28 @@ def _gram(method: Method, s: ScaledSamples, sigma2):
     return None if spec is None else cross_gram(spec, s.x_prime, s.x_prime)
 
 
-def _solve_all(method: Method, sub: ScaledSamples, vm: VMatrices | None, K, gammas):
+def _factor_v(method: Method, vm: VMatrices | None):
+    """The fold's factorisation of V'' shared by every sigma2 and gamma: the
+    pencil eigh for DRE-V, a pivoted Cholesky for DRE-VK, None for uLSIF."""
+    if method is Method.DRE_V:
+        return PsdPencilSolver(vm.v_dd)
+    if method is Method.ULSIF_LIKE:
+        return None
+    return pivoted_cholesky(vm.v_dd)
+
+
+def _solve_all(method: Method, sub: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
     """Fold-fit coefficients for every gamma as the columns of an n x G matrix,
     and per gamma None or the message of its failed residual check."""
     contexts = [f"gamma={g}" for g in gammas]
     if method is Method.DRE_V:
-        return PsdPencilSolver(vm.v_dd).solve_many(gammas / sub.n, v_rhs(vm, sub), contexts)
+        return factor.solve_many(gammas / sub.n, v_rhs(vm, sub), contexts)
     if method is Method.ULSIF_LIKE:
         return solve_ridge_square_many(K, gammas, ulsif_rhs(sub, K), contexts)
-    # V''K is not symmetric: one LU per gamma (see cross_validate)
-    M = vm.v_dd @ K
-    b = v_rhs(vm, sub)
-    coef = np.zeros((sub.n, len(gammas)))
-    errors = [None] * len(gammas)
-    for j, (gamma, context) in enumerate(zip(gammas, contexts)):
-        try:
-            coef[:, j] = solve_regularized(M, gamma, b, context=context).solution
-        except SingularSystemError as exc:
-            errors[j] = str(exc)
-    return coef, errors
+    return solve_product_ridge_many(factor, K, gammas, v_rhs(vm, sub), contexts)
 
 
-def _fold_criteria(method, sub, vm, sigma2, gammas, hold_num, hold_den, n_over_l):
+def _fold_criteria(method, sub, vm, factor, sigma2, gammas, hold_num, hold_den, n_over_l):
     """Least-squares criterion 0.5 sum r(z')^2 - (n/ell) sum r(z) on the holdout
     points for every gamma of one (fold, sigma2), and per gamma None or its
     failure message.
@@ -180,7 +182,7 @@ def _fold_criteria(method, sub, vm, sigma2, gammas, hold_num, hold_den, n_over_l
     The Gram matrix and the two holdout matrices live only for this call, so
     one (fold, sigma2) system is held at a time.
     """
-    coef, errors = _solve_all(method, sub, vm, _gram(method, sub, sigma2), gammas)
+    coef, errors = _solve_all(method, sub, vm, factor, _gram(method, sub, sigma2), gammas)
     spec = kernel_spec_for(method, sub.d, sigma2)
     if spec is None:
         pred_den = cross_v(hold_den, sub.x_prime) @ coef
@@ -216,18 +218,21 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       gamma scaling and the refit, and for INK the full-data Gram matrix,
       shared the same way; with RBF one full-data Gram per sigma2 for the
       scaling and one more at the selected sigma2 for the refit.
-    * once per fold: the training V-matrices (all but uLSIF).
-    * once per (fold, sigma2): the training Gram matrix; one factorisation
-      where it serves every gamma (DRE-V: eigh of V'' for the pencil
-      V''V'' + (gamma/n) V''; uLSIF: eigh of K, which makes KK + gamma I
-      diagonal); the two holdout matrices K(holdout, centres) (cross_v for
-      DRE-V); and one product of each with the n x G coefficient matrix,
-      which scores every gamma.
-    * once per (fold, sigma2, gamma): for DRE-VK only, an LU of V''K + gamma I.
-      V''K is not symmetric, and a Hessenberg reduction shared by all shifts
-      measured slower than G LUs for G = 15 up to n = 400 (7.1 ms against
-      4.9 ms at n = 160, 49.9 ms against 43.0 ms at n = 400); it would pay
-      only from about n = 640.
+    * once per fold: the training V-matrices (all but uLSIF) and the
+      factorisation of V'' that every sigma2 and gamma share: DRE-V the eigh
+      of V'' for the pencil V''V'' + (gamma/n) V''; DRE-VK a pivoted
+      Cholesky V'' = W W' (dpstrf), which drops the zero rows of points on
+      the box's upper face and the repeated rows of ties.
+    * once per (fold, sigma2): the training Gram matrix; one eigh where it
+      serves every gamma (uLSIF: eigh of K, which makes KK + gamma I
+      diagonal; DRE-VK: eigh of W'KW, to which the non-symmetric V''K is
+      similar, so V''K + gamma I is solved for every gamma by products); the
+      two holdout matrices K(holdout, centres) (cross_v for DRE-V); and one
+      product of each with the n x G coefficient matrix, which scores every
+      gamma.
+    * per (fold, sigma2, gamma): nothing but products. A DRE-VK column that
+      misses the residual bound after two refinement steps is retried by an
+      LU of V''K + gamma I, and fails only if that fails too.
 
     The refit solves as the fit_* functions do (LU, or the pencil for
     DRE-V), so a draw's estimate depends on CV only through the selection.
@@ -266,18 +271,20 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     for num_hold, den_hold in zip(num_folds, den_folds):
         sub = s.subset(np.setdiff1d(all_num, num_hold), np.setdiff1d(all_den, den_hold))
         vm = None if method is Method.ULSIF_LIKE else build_v_matrices(sub)
+        factor = _factor_v(method, vm)
         for i, s2 in enumerate(sigma2_values):
             live = [j for j, err in enumerate(errors[i]) if err is None]
             if not live:
                 continue
-            crit, errs = _fold_criteria(method, sub, vm, s2, gammas[i][live],
+            crit, errs = _fold_criteria(method, sub, vm, factor, s2, gammas[i][live],
                                         s.x[num_hold], s.x_prime[den_hold], n_over_l)
             for j, c, err in zip(live, crit, errs):
                 if err is None:
                     totals[i, j] += c
                 else:
                     errors[i][j] = err
-        del vm  # drop this fold's V-matrices before the next fold builds its own
+        # drop this fold's V-matrices and factor before the next fold builds its own
+        del vm, factor
 
     candidates = [
         Candidate(float(g), s2, float(totals[i, j]) if errors[i][j] is None else np.nan,

@@ -2,8 +2,14 @@
 
 All accepted direct solutions are verified by substitution against the
 residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The batched solvers
-(PsdPencilSolver.solve_many, solve_ridge_square_many) solve one system for
-many shifts from one eigendecomposition and check every column the same way.
+solve one system for many shifts from one symmetric eigendecomposition and
+check every column the same way:
+
+* PsdPencilSolver.solve_many: (S S + c S) x = b, from eigh(S);
+* solve_ridge_square_many: (K K + gamma I) x = b, from eigh(K);
+* solve_product_ridge_many: (A K + gamma I) x = b with A = W W' from
+  pivoted_cholesky, from eigh(W' K W); columns that still miss the bound
+  after refinement are retried by solve_regularized's LU.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ def _column_errors(what: str, X: np.ndarray, res_norms: np.ndarray, bound: float
             for good, r, ctx in zip(ok, res_norms, contexts)]
 
 
+_SINGULAR_FAILURE = "system singular to working precision"
+
+
 def _shifted_residual(lhs: np.ndarray, shift: float, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b - (lhs + shift * I) x."""
     res = b - lhs @ x
@@ -66,8 +75,8 @@ def _shifted_residual(lhs: np.ndarray, shift: float, x: np.ndarray, b: np.ndarra
     return res
 
 
-def solve_regularized(A, ridge: float, b, ridge_matrix=None, context: str = "") -> SolveReport:
-    """Solve (A + ridge * R) x = b with R the identity or a given matrix.
+def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
+    """Solve (A + ridge * I) x = b.
 
     Uses an LU factorization with iterative refinement; raises
     SingularSystemError when the substitution check cannot be met.
@@ -78,38 +87,29 @@ def solve_regularized(A, ridge: float, b, ridge_matrix=None, context: str = "") 
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     m = A.shape[0]
-    if ridge_matrix is None:
-        # one Fortran-ordered copy, which LAPACK factorises in place; the
-        # residual is then taken against A and the ridge
-        M = np.array(A, order="F")
-        M[np.diag_indices(m)] += ridge
-        lhs, shift = A, ridge
-    else:
-        R = np.asarray(ridge_matrix, dtype=float)
-        if R.shape != A.shape:
-            raise ValueError("ridge_matrix must match the shape of A")
-        M = A + ridge * R
-        lhs, shift = M, 0.0
+    # one Fortran-ordered copy, which LAPACK factorises in place; the
+    # residual is then taken against A and the ridge
+    M = np.array(A, order="F")
+    M[np.diag_indices(m)] += ridge
 
     bound = _residual_bound(b)
     try:
-        # only the private copy may be overwritten: a given ridge_matrix keeps M for the residual
-        lu, piv = scipy.linalg.lu_factor(M, overwrite_a=M is not lhs, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
         x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
         for _ in range(3):
-            res = _shifted_residual(lhs, shift, x, b)
+            res = _shifted_residual(A, ridge, x, b)
             res_norm = float(np.linalg.norm(res))
             if not np.isfinite(res_norm) or res_norm <= bound:
                 break
             x = x + scipy.linalg.lu_solve((lu, piv), res, check_finite=False)
-        res_norm = float(np.linalg.norm(_shifted_residual(lhs, shift, x, b)))
+        res_norm = float(np.linalg.norm(_shifted_residual(A, ridge, x, b)))
     except scipy.linalg.LinAlgError:
         res_norm = np.inf
         x = np.full(m, np.nan)
 
     if not np.isfinite(res_norm) or not np.all(np.isfinite(x)) or res_norm > bound:
         raise SingularSystemError(
-            _failure("system singular to working precision", context, res_norm, bound))
+            _failure(_SINGULAR_FAILURE, context, res_norm, bound))
     return SolveReport(x, res_norm, SolveMethod.DIRECT)
 
 
@@ -210,8 +210,120 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
         if refinement == 2 or not bad.any():
             break
         X[:, bad] += Q @ ((Q.T @ R[:, bad]) / denom[:, bad])
-    return X, _column_errors("system singular to working precision", X, res_norms, bound,
-                             contexts)
+    return X, _column_errors(_SINGULAR_FAILURE, X, res_norms, bound, contexts)
+
+
+@dataclass(frozen=True)
+class PivotedCholesky:
+    """A = W W' for a symmetric PSD matrix A, with W = P L[:, :rank].
+
+    `L` is n x n lower triangular with the columns from `rank` on zero and
+    `perm` holds P as indices: (P' A P) = A[perm][:, perm] = L L'. `matrix` is
+    A itself, kept for the residual checks.
+    """
+
+    matrix: np.ndarray
+    L: np.ndarray
+    perm: np.ndarray
+    rank: int
+
+    def range_coords(self, B: np.ndarray) -> np.ndarray:
+        """Coordinates C with W C = B for columns B in the range of A:
+        L[:r, :r] C = (P' B)[:r]."""
+        r = self.rank
+        return scipy.linalg.solve_triangular(self.L[:r, :r], B[self.perm[:r]], lower=True,
+                                             check_finite=False)
+
+    def expand(self, Y: np.ndarray) -> np.ndarray:
+        """W Y for an r x G matrix Y."""
+        X = np.empty((self.L.shape[0], Y.shape[1]))
+        X[self.perm] = self.L[:, : self.rank] @ Y
+        return X
+
+
+def pivoted_cholesky(A) -> PivotedCholesky:
+    """Rank-revealing Cholesky factor of a symmetric PSD matrix (LAPACK dpstrf).
+
+    Pivoting stops once the remaining diagonal falls below LAPACK's default
+    tolerance n * eps * max(diag A), so zero rows and repeated rows of A
+    (points on the box's upper face, ties) drop out of W.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("A must be a square matrix")
+    n = A.shape[0]
+    L, piv, rank, info = scipy.linalg.lapack.dpstrf(A, lower=1)
+    if info < 0:
+        raise ValueError(f"dpstrf: illegal value in argument {-info}")
+    L[~np.tri(n, dtype=bool)] = 0.0  # dpstrf leaves the input in the strict upper triangle
+    L[rank:, rank:] = 0.0  # the trailing Schur complement, below the tolerance
+    return PivotedCholesky(A, L, piv - 1, int(rank))
+
+
+def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
+                             contexts) -> tuple[np.ndarray, list]:
+    """Solve (A K + gamma I) x = b for every gamma, with A = W W' given by
+    `factor`, K symmetric PSD and b in the range of A.
+
+    A K is not symmetric, but it is similar to the symmetric S = W' K W
+    (Golub & Van Loan, Matrix Computations, 8.7). With S = U diag(s) U' and
+    W c = b, x = W U diag(1 / (s + gamma)) U' c solves every system:
+    (A K + gamma I) x = W U (diag(s) + gamma) diag(1 / (s + gamma)) U' c = b.
+    A K has real eigenvalues >= 0, so for gamma > 0 this is the unique
+    solution. One eigh of S serves all gammas.
+
+    Columns whose residual misses the bound are refined up to twice with the
+    same factors; a column that still misses it is solved again by
+    solve_regularized on A K, and fails only if that fails too. Returns the
+    n x G solutions and per column None or the message solve_regularized
+    raised with contexts[j].
+    """
+    A = factor.matrix
+    K = np.asarray(K, dtype=float)
+    b = np.asarray(b, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    _check_square(K, b)
+    if K.shape != A.shape:
+        raise ValueError("K must match the shape of the factored matrix")
+    if np.any(gammas < 0):
+        raise ValueError("ridge must be nonnegative")
+    r, perm, L = factor.rank, factor.perm, factor.L
+
+    # S = L' (P' K P) L in place: a Fortran-ordered P' K P (the transpose of a
+    # C-ordered copy of K'[perm][:, perm]) and two triangular products
+    S = K.T[np.ix_(perm, perm)].T
+    S = scipy.linalg.blas.dtrmm(1.0, L, S, side=1, lower=1, overwrite_b=1)
+    S = scipy.linalg.blas.dtrmm(1.0, L, S, lower=1, trans_a=1, overwrite_b=1)
+    if r < S.shape[0]:
+        S = S[:r, :r].copy(order="F")
+    s, U = scipy.linalg.eigh(S, overwrite_a=True, check_finite=False)
+    del S
+    denom = np.clip(s, 0.0, None)[:, None] + gammas
+
+    def solve(B, denom):
+        return factor.expand(U @ ((U.T @ factor.range_coords(B)) / denom))
+
+    X = solve(b[:, None], denom)
+    bound = _residual_bound(b)
+    for refinement in range(3):
+        R = b[:, None] - (A @ (K @ X) + X * gammas)
+        res_norms = np.linalg.norm(R, axis=0)
+        bad = ~(res_norms <= bound)
+        if refinement == 2 or not bad.any():
+            break
+        X[:, bad] += solve(R[:, bad], denom[:, bad])
+    errors = _column_errors(_SINGULAR_FAILURE, X, res_norms, bound, contexts)
+
+    retry = [j for j, err in enumerate(errors) if err is not None]
+    if retry:
+        AK = A @ K
+        for j in retry:
+            try:
+                X[:, j] = solve_regularized(AK, float(gammas[j]), b, context=contexts[j]).solution
+                errors[j] = None
+            except SingularSystemError as exc:
+                errors[j] = str(exc)
+    return X, errors
 
 
 def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10, callback=None) -> SolveReport:

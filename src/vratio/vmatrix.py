@@ -50,9 +50,16 @@ def cross_v(rows, cols, u=None) -> np.ndarray:
     uu = _resolve_u(rp.shape[1], u)
     if np.any(rp > uu) or np.any(cp > uu):
         raise VDomainError("a point coordinate exceeds u")
-    out = np.ones((rp.shape[0], cp.shape[0]))
+    # the first coordinate's factor is built in `out` itself (1.0 * v == v),
+    # the others in one reused buffer
+    out = np.empty((rp.shape[0], cp.shape[0]))
+    buf = out if rp.shape[1] == 1 else np.empty_like(out)
     for k in range(rp.shape[1]):
-        out *= uu[k] - np.maximum.outer(rp[:, k], cp[:, k])
+        term = out if k == 0 else buf
+        np.maximum(rp[:, k, None], cp[None, :, k], out=term)
+        np.subtract(uu[k], term, out=term)
+        if k:
+            out *= term
     return out
 
 

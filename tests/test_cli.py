@@ -1,10 +1,11 @@
+import csv
 import io
 import json
 
 import numpy as np
 import pytest
 
-from vratio import cli
+from vratio import bench, cli
 from vratio.bench import ExperimentRecord
 from vratio.cli import (
     ConfigError,
@@ -78,14 +79,15 @@ def test_gamma_grid_from_config():
 def test_write_csv_exact_layout(tmp_path):
     records = [
         ExperimentRecord(2, 50, Method.DRE_V, 1, 11, 0.5, None, 0.25, "ok"),
-        ExperimentRecord(2, 50, Method.DRE_V, 0, 10, None, None, None, "failed", "boom"),
+        ExperimentRecord(2, 50, Method.DRE_V, 0, 10, None, None, None, "failed",
+                         "SelectionError: all 15 candidates failed, e.g. gamma=1"),
     ]
     path = tmp_path / "out.csv"
     write_csv(str(path), records)
     expected = (
-        "model,m,method,draw,seed,gamma_selected,sigma2_selected,nrmse,status\n"
-        "2,50,dre-v,0,10,,,,failed\n"
-        "2,50,dre-v,1,11,0.5,,0.25,ok\n"
+        "model,m,method,draw,seed,gamma_selected,sigma2_selected,nrmse,status,message\n"
+        '2,50,dre-v,0,10,,,,failed,"SelectionError: all 15 candidates failed, e.g. gamma=1"\n'
+        "2,50,dre-v,1,11,0.5,,0.25,ok,\n"
     )
     assert path.read_text() == expected
 
@@ -117,13 +119,28 @@ def test_run_end_to_end_and_deterministic(tmp_path, capsys):
     b = (tmp_path / "b.csv").read_bytes()
     assert a == b
     rows = a.decode().strip().splitlines()
-    assert rows[0] == "model,m,method,draw,seed,gamma_selected,sigma2_selected,nrmse,status"
+    assert rows[0] == (
+        "model,m,method,draw,seed,gamma_selected,sigma2_selected,nrmse,status,message")
     assert len(rows) == 1 + 2 * 2  # two methods x two draws
     payload = json.loads((tmp_path / "a.json").read_text())
     assert {c["method"] for c in payload["cells"]} == {"dre-v", "ulsif"}
     # the config echo parses back to the run's settings
     echoed = parse_config(payload["config"])
     assert echoed.models == [2] and echoed.sizes == [40] and echoed.draws == 2
+
+
+def test_run_writes_failure_message_to_csv(tmp_path, capsys, monkeypatch):
+    def all_failed(s, method, plan):
+        raise SelectionError(f"all 15 candidates failed to solve ({method.value})")
+
+    monkeypatch.setattr(bench, "cross_validate", all_failed)
+    assert main(run_args(tmp_path, "f")) == 1
+    capsys.readouterr()
+    with open(tmp_path / "f.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["failed"] * 4
+    assert {r["message"] for r in rows} == {
+        f"SelectionError: all 15 candidates failed to solve ({m})" for m in ("dre-v", "ulsif")}
 
 
 def test_run_reads_config_file(tmp_path, capsys):

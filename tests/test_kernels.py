@@ -6,6 +6,27 @@ from scipy.integrate import quad
 from vratio.kernels import KernelKind, KernelSpec, cross_gram, gram, ink1, kernel_eval
 
 
+def ink_gram_reference(rows, cols):
+    """The INK Gram matrix as one expression per coordinate, with temporaries."""
+    out = np.ones((rows.shape[0], cols.shape[0]))
+    for k in range(rows.shape[1]):
+        xk = rows[:, k]
+        yk = cols[:, k]
+        mn = np.minimum.outer(xk, yk)
+        out *= 1.0 + np.outer(xk, yk) + 0.5 * np.abs(xk[:, None] - yk[None, :]) * mn**2 + mn**3 / 3.0
+    return out
+
+
+def points_with_ties_and_faces(rng, n, d):
+    pts = rng.random((n, d))
+    pts[n // 2:n // 2 + 5] = pts[:5]
+    pts[7, 0] = 0.0
+    pts[9, -1] = 1.0
+    pts[11] = 0.0
+    pts[13] = 1.0
+    return pts
+
+
 def ink1_integral(x, y):
     """Defining integral of the linear spline kernel with knots spread over
     [0, min(x, y)], plus the constant and linear terms."""
@@ -103,3 +124,13 @@ def test_ink_gram_rejects_negative_coordinates():
     spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d=1)
     with pytest.raises(ValueError):
         cross_gram(spec, np.array([[-0.2]]), np.array([[0.5]]))
+
+
+@pytest.mark.parametrize("d", [1, 20])
+def test_ink_cross_gram_equals_reference_exactly(d):
+    rng = np.random.default_rng(40 + d)
+    rows = points_with_ties_and_faces(rng, 31, d)
+    cols = np.vstack([points_with_ties_and_faces(rng, 24, d), rows[:6]])
+    spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d)
+    assert np.array_equal(cross_gram(spec, rows, cols), ink_gram_reference(rows, cols))
+    assert np.array_equal(cross_gram(spec, rows, rows), ink_gram_reference(rows, rows))

@@ -249,6 +249,8 @@ def test_cross_validate_work_counts(method, monkeypatch):
     for name in ("lu_factor", "eigh"):
         monkeypatch.setattr(scipy.linalg, name,
                             counter.wrap(getattr(scipy.linalg, name), lambda *a, name=name: name))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf",
+                        counter.wrap(scipy.linalg.lapack.dpstrf, lambda *a: "dpstrf"))
 
     def matrix_kind(rows, cols):
         # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
@@ -269,8 +271,9 @@ def test_cross_validate_work_counts(method, monkeypatch):
         want = {"eigh": k * S, "lu_factor": 1, ("gram", "full"): S,
                 ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
     else:
-        # one LU per (fold, sigma2, gamma) plus the refit's; the INK Gram of
-        # the full data is shared by the gamma scaling and the refit
-        want = {"lu_factor": k * S * G + 1, ("gram", "full"): S,
+        # one pivoted Cholesky of V'' per fold and one eigh of W'KW per
+        # (fold, sigma2) serve every gamma; only the refit uses LU. The INK
+        # Gram of the full data is shared by the gamma scaling and the refit
+        want = {"dpstrf": k, "eigh": k * S, "lu_factor": 1, ("gram", "full"): S,
                 ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
     assert counter.counts == want

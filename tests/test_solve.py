@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from vratio import solve
+from vratio.kernels import KernelKind, KernelSpec, cross_gram
 from vratio.solve import (
     RESIDUAL_RTOL,
     PsdPencilSolver,
     SingularSystemError,
     SolveMethod,
+    pivoted_cholesky,
     solve_nonneg,
+    solve_product_ridge_many,
     solve_psd_pencil,
     solve_regularized,
     solve_ridge_square_many,
 )
+from vratio.vmatrix import cross_v
 
 
 def random_psd(rng, n, ridge=0.1):
@@ -30,15 +36,6 @@ def test_solve_regularized_matches_reference():
         assert np.allclose(rep.solution, expected, atol=1e-8)
         assert rep.method is SolveMethod.DIRECT
         assert rep.residual_norm <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
-
-
-def test_solve_regularized_custom_ridge_matrix():
-    rng = np.random.default_rng(21)
-    A = random_psd(rng, 5)
-    R = random_psd(rng, 5)
-    b = rng.normal(size=5)
-    rep = solve_regularized(A, 0.3, b, ridge_matrix=R)
-    assert np.allclose((A + 0.3 * R) @ rep.solution, b, atol=1e-8)
 
 
 def test_solve_regularized_singular_raises():
@@ -134,6 +131,108 @@ def test_solve_ridge_square_many_flags_singular_columns():
         _, errors = solve_ridge_square_many(K, np.array([0.0, 1.0]), b, ["gamma=0", "gamma=1"])
     assert errors[1] is None
     assert errors[0].startswith("system singular to working precision (gamma=0)")
+
+
+def product_system(x_den, x_num, spec):
+    """V'', K and the DRE-VK right-hand side (n/ell) V' 1 of scaled points."""
+    V = cross_v(x_den, x_den)
+    K = cross_gram(spec, x_den, x_den)
+    b = len(x_den) / len(x_num) * cross_v(x_den, x_num).sum(axis=1)
+    gammas = np.logspace(-5.0, 1.0, 15) * np.sum(V * K) / len(x_den)
+    return V, K, b, gammas
+
+
+def product_cases():
+    rng = np.random.default_rng(25)
+    ties = rng.random((40, 1))
+    ties[20:30] = ties[:10]
+    on_face = rng.random((40, 1))
+    on_face[7] = 1.0  # a zero row of V''
+    flat = rng.random((40, 1))
+    return {
+        "1d-ties": (ties, rng.random((30, 1)), KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1)),
+        "1d-point-at-1": (on_face, rng.random((30, 1)), KernelSpec(KernelKind.RBF, 1, 0.1)),
+        # a wide RBF on 1-D points: K is numerically rank-deficient
+        "1d-rank-deficient-rbf": (flat, rng.random((30, 1)), KernelSpec(KernelKind.RBF, 1, 50.0)),
+        "3d": (rng.random((40, 3)), rng.random((30, 3)), KernelSpec(KernelKind.RBF, 3, 0.5)),
+    }
+
+
+def count_lu_factor(monkeypatch) -> list:
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+    monkeypatch.setattr(scipy.linalg, "lu_factor",
+                        lambda *a, **kw: calls.append(1) or lu_factor(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("case", list(product_cases()))
+def test_solve_product_ridge_many_matches_lu(case, monkeypatch):
+    x_den, x_num, spec = product_cases()[case]
+    V, K, b, gammas = product_system(x_den, x_num, spec)
+    if case == "1d-rank-deficient-rbf":
+        assert np.linalg.matrix_rank(K) < K.shape[0]
+    factor = pivoted_cholesky(V)
+    if case in ("1d-ties", "1d-point-at-1"):
+        assert factor.rank < V.shape[0]
+    lu_calls = count_lu_factor(monkeypatch)
+    X, errors = solve_product_ridge_many(factor, K, gammas, b, [f"gamma={g}" for g in gammas])
+    assert errors == [None] * len(gammas)
+    assert lu_calls == []  # every column passed from the eigendecomposition, no LU retry
+    M = V @ K
+    for j, gamma in enumerate(gammas):
+        want = solve_regularized(M, gamma, b).solution
+        assert np.linalg.norm(X[:, j] - want) <= 1e-8 * np.linalg.norm(want)
+        assert np.linalg.norm(M @ X[:, j] + gamma * X[:, j] - b) <= (
+            RESIDUAL_RTOL * (1.0 + np.linalg.norm(b)))
+
+
+def test_pivoted_cholesky_factors_psd_matrix():
+    rng = np.random.default_rng(26)
+    x = rng.random((30, 1))
+    x[10:15] = x[:5]
+    x[25] = 1.0
+    V = cross_v(x, x)
+    f = pivoted_cholesky(V)
+    W = np.empty((30, f.rank))
+    W[f.perm] = f.L[:, : f.rank]
+    assert f.rank == 30 - 5 - 1  # five ties and one zero row drop out
+    assert np.allclose(W @ W.T, V, rtol=0.0, atol=1e-14)
+
+
+def test_solve_product_ridge_many_failure_matches_solve_regularized(monkeypatch):
+    x_den, x_num, spec = product_cases()["3d"]
+    V, K, b, gammas = product_system(x_den, x_num, spec)
+    gammas = gammas[:3]
+    contexts = [f"gamma={g}" for g in gammas]
+    factor = pivoted_cholesky(V)
+    lu_calls = count_lu_factor(monkeypatch)
+    monkeypatch.setattr(solve, "RESIDUAL_RTOL", -1.0)  # no residual can pass
+    _, errors = solve_product_ridge_many(factor, K, gammas, b, contexts)
+    assert len(lu_calls) == len(gammas)  # each failing column was retried by LU
+    for gamma, context, err in zip(gammas, contexts, errors):
+        with pytest.raises(SingularSystemError) as exc:
+            solve_regularized(V @ K, gamma, b, context=context)
+        assert err == str(exc.value)
+
+
+def test_solve_product_ridge_many_lu_retry_rescues_column(monkeypatch):
+    x_den, x_num, spec = product_cases()["3d"]
+    V, K, b, gammas = product_system(x_den, x_num, spec)
+    factor = pivoted_cholesky(V)
+    eigh = scipy.linalg.eigh
+
+    def wrong_eigh(*args, **kwargs):
+        s, U = eigh(*args, **kwargs)
+        return 2.0 * s, U  # refinement with these factors cannot reach the bound
+
+    monkeypatch.setattr(scipy.linalg, "eigh", wrong_eigh)
+    lu_calls = count_lu_factor(monkeypatch)
+    X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
+    assert errors == [None] * len(gammas)
+    assert len(lu_calls) == len(gammas)
+    for j, gamma in enumerate(gammas):
+        assert np.array_equal(X[:, j], solve_regularized(V @ K, gamma, b).solution)
 
 
 def active_set_oracle(A, b):

@@ -4,13 +4,31 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vratio.domain import DomainBox, ScaledSamples
+from vratio.domain import DimensionMismatchError, DomainBox, ScaledSamples
 from vratio.vmatrix import VDomainError, build_v_matrices, cross_v, l2_residual, v_entry
 
 
 def unit_samples(rng, n, ell, d):
     box = DomainBox(np.zeros(d), np.ones(d))
     return ScaledSamples(rng.random((n, d)), rng.random((ell, d)), box)
+
+
+def cross_v_reference(rows, cols):
+    """The V-matrix on the unit box as one expression per coordinate."""
+    out = np.ones((rows.shape[0], cols.shape[0]))
+    for k in range(rows.shape[1]):
+        out *= 1.0 - np.maximum.outer(rows[:, k], cols[:, k])
+    return out
+
+
+def points_with_ties_and_faces(rng, n, d):
+    pts = rng.random((n, d))
+    pts[n // 2:n // 2 + 5] = pts[:5]
+    pts[7, 0] = 0.0
+    pts[9, -1] = 1.0
+    pts[11] = 0.0
+    pts[13] = 1.0
+    return pts
 
 
 def test_v_entry_1d():
@@ -130,3 +148,19 @@ def test_l2_residual_length_check():
     s = unit_samples(rng, 4, 3, 1)
     with pytest.raises(ValueError):
         l2_residual(s, np.ones(5))
+
+
+@pytest.mark.parametrize("d", [1, 20])
+def test_cross_v_equals_reference_exactly(d):
+    rng = np.random.default_rng(50 + d)
+    rows = points_with_ties_and_faces(rng, 31, d)
+    cols = np.vstack([points_with_ties_and_faces(rng, 24, d), rows[:6]])
+    assert np.array_equal(cross_v(rows, cols), cross_v_reference(rows, cols))
+    assert np.array_equal(cross_v(rows, rows), cross_v_reference(rows, rows))
+
+
+def test_cross_v_input_checks():
+    with pytest.raises(VDomainError):
+        cross_v(np.array([[1.5]]), np.array([[0.5]]))
+    with pytest.raises(DimensionMismatchError):
+        cross_v(np.zeros((2, 2)), np.zeros((2, 3)))
