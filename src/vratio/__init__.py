@@ -16,36 +16,27 @@ from .bench import (
     sample_model,
     true_ratio,
 )
-from .domain import (
-    DomainBox,
-    Role,
-    SampleSet,
-    ScaledSamples,
-    ecdf_eval,
-    fit_domain_box,
-    scale,
-)
+from .domain import DomainBox, SampleSet, ScaledSamples, fit_domain_box, scale
 from .estimators import (
     Method,
     RatioEstimate,
-    Variant,
+    dre_v_nonneg_values,
     fit_dre_v,
-    fit_dre_v_expansion,
     fit_dre_vk,
     fit_ulsif_like,
 )
-from .kernels import KernelKind, KernelSpec, cross_gram, gram, ink1, kernel_eval
+from .kernels import KernelKind, KernelSpec, cross_gram
 from .selection import CvPlan, CvReport, cross_validate, default_gamma_grid, make_folds
-from .solve import SolveReport, solve_nonneg, solve_psd_pencil, solve_regularized
-from .vmatrix import VMatrices, build_v_matrices, l2_residual, v_entry
+from .solve import SolveReport, solve_nonneg, solve_regularized
+from .vmatrix import VMatrices, build_v_matrices, l2_residual
 
 __all__ = [
-    "DomainBox", "Role", "SampleSet", "ScaledSamples", "ecdf_eval", "fit_domain_box", "scale",
-    "VMatrices", "build_v_matrices", "l2_residual", "v_entry",
-    "KernelKind", "KernelSpec", "cross_gram", "gram", "ink1", "kernel_eval",
-    "SolveReport", "solve_nonneg", "solve_psd_pencil", "solve_regularized",
-    "Method", "RatioEstimate", "Variant",
-    "fit_dre_v", "fit_dre_v_expansion", "fit_dre_vk", "fit_ulsif_like",
+    "DomainBox", "SampleSet", "ScaledSamples", "fit_domain_box", "scale",
+    "VMatrices", "build_v_matrices", "l2_residual",
+    "KernelKind", "KernelSpec", "cross_gram",
+    "SolveReport", "solve_nonneg", "solve_regularized",
+    "Method", "RatioEstimate",
+    "dre_v_nonneg_values", "fit_dre_v", "fit_dre_vk", "fit_ulsif_like",
     "CvPlan", "CvReport", "cross_validate", "default_gamma_grid", "make_folds",
     "SyntheticModel", "ExperimentRecord", "make_model", "sample_model", "true_ratio",
     "nrmse", "run_experiment", "aggregate",

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .domain import Role, SampleSet, fit_domain_box, scale
-from .estimators import Method, fit_dre_v
+from .domain import SampleSet, fit_domain_box, scale
+from .estimators import Method, dre_v_nonneg_values
 from .selection import CvPlan, cross_validate
 
 _P2_FLOOR_LOG = np.log(1e-300)
@@ -81,23 +81,17 @@ class SyntheticModel:
     p2: object
 
 
-def _laplace(loc, second_param, convention: str) -> LaplaceDist:
+def _laplace(loc, variance) -> LaplaceDist:
+    """Laplace with the given variance per coordinate: Var = 2 b^2."""
     loc = np.atleast_1d(np.asarray(loc, dtype=float))
-    sp = np.full_like(loc, float(second_param))
-    if convention == "variance":
-        b = np.sqrt(sp / 2.0)  # Var = 2 b^2
-    elif convention == "scale":
-        b = sp
-    else:
-        raise ValueError("laplace_param must be 'variance' or 'scale'")
-    return LaplaceDist(loc, b)
+    return LaplaceDist(loc, np.full_like(loc, np.sqrt(float(variance) / 2.0)))
 
 
-def make_model(model_id: int, laplace_param: str = "variance") -> SyntheticModel:
+def make_model(model_id: int) -> SyntheticModel:
     """The seven built-in generator pairs.
 
-    Gaussian rows are (mean, variance); the Laplace second parameter follows the
-    same variance convention by default, overridable with laplace_param='scale'.
+    Gaussian rows are (mean, variance); the Laplace second parameter is a
+    variance too.
     """
     e1_20 = np.zeros(20)
     e1_20[0] = 1.0
@@ -114,16 +108,13 @@ def make_model(model_id: int, laplace_param: str = "variance") -> SyntheticModel
             GaussianDist(np.array([1.0]), np.array([0.5])),
         )
     if model_id == 5:
-        return SyntheticModel(
-            5, 1, _laplace([2.0], 0.25, laplace_param), _laplace([1.0], 0.5, laplace_param)
-        )
+        return SyntheticModel(5, 1, _laplace([2.0], 0.25), _laplace([1.0], 0.5))
     if model_id == 6:
         return SyntheticModel(
             6, 20, GaussianDist(e1_20, np.ones(20)), GaussianDist(np.zeros(20), np.ones(20))
         )
     if model_id == 7:
-        return SyntheticModel(7, 20, _laplace(e1_20, 1.0, laplace_param),
-                              _laplace(np.zeros(20), 1.0, laplace_param))
+        return SyntheticModel(7, 20, _laplace(e1_20, 1.0), _laplace(np.zeros(20), 1.0))
     raise ValueError(f"unknown model id {model_id}")
 
 
@@ -134,7 +125,7 @@ def sample_model(model: SyntheticModel, m: int, seed: int) -> tuple[SampleSet, S
     rng = np.random.default_rng(seed)
     num = model.p1.sample(rng, m)
     den = model.p2.sample(rng, m)
-    return SampleSet(num, Role.NUMERATOR), SampleSet(den, Role.DENOMINATOR)
+    return SampleSet(num), SampleSet(den)
 
 
 def true_ratio(model: SyntheticModel, points) -> np.ndarray:
@@ -183,10 +174,10 @@ def run_draw(model: SyntheticModel, m: int, method: Method, seed: int, plan: CvP
     box = fit_domain_box(num, den, margin=margin)
     s = scale(num, den, box)
     report = cross_validate(s, method, replace(plan, seed=seed))
-    est = report.estimate
     if nonneg and method is Method.DRE_V:
-        est = fit_dre_v(s, report.selected_gamma, nonneg=True)
-    pred = est.predict(den.points)
+        pred = dre_v_nonneg_values(s, report.selected_gamma)
+    else:
+        pred = report.estimate.predict(den.points)
     truth = true_ratio(model, den.points)
     return ExperimentRecord(
         model_id=model.id, m=m, method=method, draw=0, seed=seed,
@@ -196,11 +187,11 @@ def run_draw(model: SyntheticModel, m: int, method: Method, seed: int, plan: CvP
 
 
 def run_experiment(model_id: int, m: int, method: Method, draws: int, plan: CvPlan,
-                   base_seed: int, margin: float = 0.0, nonneg: bool = False,
-                   laplace_param: str = "variance") -> list[ExperimentRecord]:
+                   base_seed: int, margin: float = 0.0,
+                   nonneg: bool = False) -> list[ExperimentRecord]:
     """Independent draws with derived seeds base_seed + draw index; failed draws
     are recorded rather than aborting the batch."""
-    model = make_model(model_id, laplace_param=laplace_param)
+    model = make_model(model_id)
     records = []
     for draw in range(draws):
         seed = base_seed + draw

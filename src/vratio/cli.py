@@ -1,4 +1,4 @@
-"""Command-line front end: benchmark runs, one-shot fits, and self-checks."""
+"""Command-line front end: benchmark runs and one-shot fits."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bench import ExperimentRecord, aggregate, make_model, run_experiment
-from .domain import Role, SampleSet, fit_domain_box, scale
+from .domain import SampleSet, fit_domain_box, scale
 from .estimators import Method
 from .selection import DEFAULT_SIGMA2_MULTIPLIERS, CvPlan, SelectionError, cross_validate
 
@@ -258,16 +258,16 @@ def _load_points(path: str) -> np.ndarray:
     return pts
 
 
-def _load_sample(path: str, role: Role) -> SampleSet:
+def _load_sample(path: str) -> SampleSet:
     try:
-        return SampleSet(_load_points(path), role)
+        return SampleSet(_load_points(path))
     except ValueError as exc:  # unparsable text or non-finite points
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def fit_command(args) -> int:
-    num = _load_sample(args.numerator, Role.NUMERATOR)
-    den = _load_sample(args.denominator, Role.DENOMINATOR)
+    num = _load_sample(args.numerator)
+    den = _load_sample(args.denominator)
     smallest = min(num.size, den.size)
     if not 2 <= args.folds <= smallest:
         raise ConfigError(f"--folds must be from 2 to the smaller sample size {smallest}, "
@@ -282,71 +282,6 @@ def fit_command(args) -> int:
     print(f"selected gamma={report.selected_gamma:g}{sigma_info}; wrote {len(weights)} "
           f"weights to {args.out}")
     return 0
-
-
-def _self_checks() -> list[tuple[str, bool, str]]:
-    """Quick property checks mirroring the oracle-backed test suite."""
-    from .estimators import fit_dre_v, fit_dre_v_expansion, fit_dre_vk, kernel_spec_for
-    from .kernels import KernelKind, KernelSpec, gram, ink1
-    from .domain import DomainBox, ScaledSamples
-    from .vmatrix import build_v_matrices
-
-    checks = []
-    rng = np.random.default_rng(20240)
-
-    # PSD of V'' and kernel Gram matrices
-    worst = 0.0
-    for _ in range(10):
-        pts = rng.random((30, 2))
-        box = DomainBox(np.zeros(2), np.ones(2))
-        s = ScaledSamples(pts, rng.random((10, 2)), box)
-        vdd = build_v_matrices(s).v_dd
-        worst = min(worst, float(np.linalg.eigvalsh(vdd).min()))
-        for spec in (KernelSpec(KernelKind.INK_SPLINE_LINEAR, 2),
-                     KernelSpec(KernelKind.RBF, 2, sigma2=0.5)):
-            worst = min(worst, float(np.linalg.eigvalsh(gram(spec, pts)).min()))
-    checks.append(("gram matrices PSD (min eig >= -1e-8)", worst >= -1e-8, f"min eig {worst:.2e}"))
-
-    # closed-form INK kernel vs quadrature of its defining integral
-    ts = np.linspace(0.0, 1.0, 100_001)
-    err = 0.0
-    for x in np.linspace(0.0, 1.0, 6):
-        for y in np.linspace(0.0, 1.0, 6):
-            integral = np.trapezoid(np.maximum(x - ts, 0) * np.maximum(y - ts, 0), ts)
-            err = max(err, abs(ink1(x, y) - (1.0 + x * y + integral)))
-    checks.append(("INK closed form matches integral (<= 1e-6)", err <= 1e-6, f"max err {err:.2e}"))
-
-    # direct vs CV-form solution at the sample points
-    box = DomainBox(np.zeros(1), np.ones(1))
-    s = ScaledSamples(rng.random((25, 1)), rng.random((25, 1)), box)
-    rel = 0.0
-    for gamma in (1e-4, 1e-2, 1.0):
-        direct = fit_dre_v(s, gamma).coef
-        via_alpha = fit_dre_v_expansion(s, gamma).predict_scaled(s.x_prime)
-        rel = max(rel, float(np.linalg.norm(direct - via_alpha) / np.linalg.norm(direct)))
-    checks.append(("point-value and expansion forms agree (<= 1e-8)", rel <= 1e-8,
-                   f"max rel err {rel:.2e}"))
-
-    # matching measures => ratio near one
-    pts = rng.random((20, 1))
-    s_same = ScaledSamples(pts, pts, box)
-    ok = True
-    for est in (fit_dre_v(s_same, 1e-6),
-                fit_dre_vk(s_same, kernel_spec_for(Method.DRE_VK_INK, 1), 1e-6)):
-        vals = est.predict_scaled(pts)
-        ok = ok and bool(np.all((vals >= 0.9) & (vals <= 1.1)))
-    checks.append(("matching samples give ratio near 1", ok, ""))
-    return checks
-
-
-def validate_command(_args) -> int:
-    failures = 0
-    for name, ok, detail in _self_checks():
-        status = "PASS" if ok else "FAIL"
-        suffix = f" [{detail}]" if detail else ""
-        print(f"[{status}] {name}{suffix}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--margin", type=float, default=0.0)
     p_fit.add_argument("--out", default="weights.txt")
-
-    sub.add_parser("validate", help="run built-in property checks")
     return parser
 
 
@@ -406,9 +339,7 @@ def main(argv=None) -> int:
                     text = fh.read()
             config = parse_config(text, _run_overrides(args))
             return run(config)
-        if args.command == "fit":
-            return fit_command(args)
-        return validate_command(args)
+        return fit_command(args)
     except (ConfigError, OSError, SelectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

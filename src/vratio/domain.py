@@ -1,16 +1,10 @@
-"""Sample containers, the integration box, coordinate scaling, and ECDF evaluation."""
+"""Sample containers, the integration box and coordinate scaling."""
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Role(enum.Enum):
-    NUMERATOR = "numerator"
-    DENOMINATOR = "denominator"
 
 
 class DimensionMismatchError(ValueError):
@@ -33,10 +27,9 @@ def as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Ordered collection of d-dimensional points with a numerator/denominator label."""
+    """Ordered collection of d-dimensional points."""
 
     points: np.ndarray
-    role: Role
 
     def __post_init__(self):
         pts = as_points(self.points)
@@ -59,11 +52,8 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class DomainBox:
-    """Axis-aligned box in raw units; its affine map sends data into [0,1]^d.
-
-    After scaling, the integration box is [0,1]^d, so the per-coordinate
-    upper limits are fixed to one.
-    """
+    """Axis-aligned box in raw units; its affine map sends data into [0,1]^d,
+    the integration box of the V-matrices."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -83,11 +73,6 @@ class DomainBox:
     @property
     def d(self) -> int:
         return self.lower.shape[0]
-
-    @property
-    def u(self) -> np.ndarray:
-        """Upper limits of the scaled box (all ones)."""
-        return np.ones(self.d)
 
     def transform(self, points, tol: float = 1e-12) -> np.ndarray:
         """Map raw points into [0,1]^d; raises OutOfBoxError beyond `tol`."""
@@ -119,7 +104,7 @@ class ScaledSamples:
         if xp.shape[0] == 0 or xn.shape[0] == 0:
             raise ValueError("both sample sets must be nonempty")
         for arr in (xp, xn):
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # NaN fails too
                 raise OutOfBoxError("scaled samples must lie in [0,1]^d")
         xp.flags.writeable = False
         xn.flags.writeable = False
@@ -137,10 +122,6 @@ class ScaledSamples:
     @property
     def d(self) -> int:
         return self.x_prime.shape[1]
-
-    @property
-    def u(self) -> np.ndarray:
-        return np.ones(self.d)
 
     def subset(self, num_idx, den_idx) -> "ScaledSamples":
         """New ScaledSamples restricted to the given index arrays (same box)."""
@@ -176,17 +157,3 @@ def scale(numerator: SampleSet, denominator: SampleSet, box: DomainBox) -> Scale
     """Apply the box's affine map to both sample sets."""
     return ScaledSamples(box.transform(denominator.points), box.transform(numerator.points), box)
 
-
-def ecdf_eval(samples, query) -> float:
-    """Empirical CDF of `samples` at `query`: fraction of points dominated coordinate-wise.
-
-    The step function is right-closed: a point equal to the query in every
-    coordinate counts.
-    """
-    pts = as_points(samples)
-    q = np.atleast_1d(np.asarray(query, dtype=float))
-    if q.shape[0] != pts.shape[1]:
-        raise DimensionMismatchError(
-            f"query dimension {q.shape[0]} != sample dimension {pts.shape[1]}"
-        )
-    return float(np.mean(np.all(pts <= q, axis=1)))

@@ -1,16 +1,19 @@
 """Density ratio estimators.
 
-Three fits are provided:
+Three fits return a RatioEstimate, an expansion over the denominator points
+that predicts anywhere in the box:
 
-* fit_dre_v          -- values of the ratio at the denominator points,
-                        r = (n/ell) (V'' + (gamma/n) I)^-1 V' 1
-* fit_dre_v_expansion -- the same solution expressed as coefficients over the
-                        overlap-volume basis, which supports prediction at
-                        held-out points (used by cross-validation)
-* fit_dre_vk         -- kernel expansion in an RKHS,
-                        alpha = (n/ell) (V''K + gamma I)^-1 V' 1
-* fit_ulsif_like     -- the baseline obtained by replacing the V-matrices with
-                        identities and the RKHS norm with alpha'alpha
+* fit_dre_v       -- over overlap volumes v(x'_i, x), with
+                     alpha = (n/ell) (V''V'' + (gamma/n) V'')^+ V' 1, so that
+                     its values at the denominator points are
+                     r = (n/ell) (V'' + (gamma/n) I)^-1 V' 1
+* fit_dre_vk      -- kernel expansion in an RKHS,
+                     alpha = (n/ell) (V''K + gamma I)^-1 V' 1
+* fit_ulsif_like  -- the baseline obtained by replacing the V-matrices with
+                     identities and the RKHS norm with alpha'alpha
+
+dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 and returns
+the values at the denominator points.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .domain import DomainBox, ScaledSamples, as_points
 from .kernels import KernelKind, KernelSpec, cross_gram
-from .solve import SolveReport, solve_nonneg, solve_psd_pencil, solve_regularized
+from .solve import PsdPencilSolver, solve_nonneg, solve_regularized
 from .vmatrix import VMatrices, build_v_matrices, cross_v
 
 
@@ -33,20 +36,12 @@ class Method(enum.Enum):
     ULSIF_LIKE = "ulsif"
 
 
-class Variant(enum.Enum):
-    POINT_VALUES = "point-values"
-    KERNEL_EXPANSION = "kernel-expansion"
-    V_EXPANSION = "v-expansion"
-
-
-class UnsupportedQueryError(ValueError):
-    """A point-values estimate was queried away from its fit points."""
-
-
 @dataclass(frozen=True)
 class RatioEstimate:
-    variant: Variant
-    coef: np.ndarray       # point values or expansion coefficients, length n
+    """r(x) = sum_i coef_i k(x'_i, x) over the scaled denominator points x'_i
+    of the fit, where k is `kernel`, or the overlap volume when it is None."""
+
+    coef: np.ndarray       # expansion coefficients, length n
     centers: np.ndarray    # scaled denominator points of the fit, (n, d)
     box: DomainBox
     gamma: float
@@ -57,21 +52,13 @@ class RatioEstimate:
             raise ValueError("gamma must be positive")
         if self.coef.shape[0] != self.centers.shape[0]:
             raise ValueError("coefficient length must match the number of centers")
-        if self.variant is Variant.KERNEL_EXPANSION and self.kernel is None:
-            raise ValueError("kernel expansion requires a kernel spec")
 
     def predict_scaled(self, points) -> np.ndarray:
         """Ratio values at points already mapped into [0,1]^d."""
         pts = as_points(points)
-        if self.variant is Variant.POINT_VALUES:
-            if pts.shape != self.centers.shape or not np.array_equal(pts, self.centers):
-                raise UnsupportedQueryError(
-                    "a point-values estimate predicts only at its own fit points"
-                )
-            return self.coef.copy()
-        if self.variant is Variant.KERNEL_EXPANSION:
-            return cross_gram(self.kernel, pts, self.centers) @ self.coef
-        return cross_v(pts, self.centers) @ self.coef
+        if self.kernel is None:
+            return cross_v(pts, self.centers) @ self.coef
+        return cross_gram(self.kernel, pts, self.centers) @ self.coef
 
     def predict(self, points) -> np.ndarray:
         """Ratio values at raw points; scaling through the stored box is applied."""
@@ -83,30 +70,11 @@ def v_rhs(vm: VMatrices, s: ScaledSamples) -> np.ndarray:
     return (s.n / s.ell) * (vm.v_dn @ np.ones(s.ell))
 
 
-def fit_dre_v(s: ScaledSamples, gamma: float, nonneg: bool = False) -> RatioEstimate:
-    """Ratio values at the denominator points.
-
-    With nonneg=True the same quadratic objective is minimized under r >= 0
-    by projected gradient instead of the direct linear solve.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    vm = build_v_matrices(s)
-    b = v_rhs(vm, s)
-    if nonneg:
-        A = vm.v_dd + (gamma / s.n) * np.eye(s.n)
-        report = solve_nonneg(A, b)
-    else:
-        report = solve_regularized(vm.v_dd, gamma / s.n, b, context=f"gamma={gamma}")
-    return RatioEstimate(Variant.POINT_VALUES, report.solution, s.x_prime, s.box, gamma)
-
-
-def fit_dre_v_expansion(s: ScaledSamples, gamma: float,
-                        vm: VMatrices | None = None) -> RatioEstimate:
-    """Cross-validation form of fit_dre_v: coefficients alpha with
-    alpha = (n/ell)(V''V'' + (gamma/n)V'')^-1 V' 1, so that the estimate
-    r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and
-    coincides with fit_dre_v at the fit points.
+def fit_dre_v(s: ScaledSamples, gamma: float, vm: VMatrices | None = None) -> RatioEstimate:
+    """DRE-V as coefficients alpha over the overlap-volume basis,
+    alpha = (n/ell)(V''V'' + (gamma/n)V'')^+ V' 1, so that the estimate
+    r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and its
+    values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1.
 
     `vm`, when given, must be build_v_matrices(s); it saves rebuilding it.
     """
@@ -114,8 +82,18 @@ def fit_dre_v_expansion(s: ScaledSamples, gamma: float,
         raise ValueError("gamma must be positive")
     vm = build_v_matrices(s) if vm is None else vm
     b = v_rhs(vm, s)
-    report = solve_psd_pencil(vm.v_dd, gamma / s.n, b, context=f"gamma={gamma}")
-    return RatioEstimate(Variant.V_EXPANSION, report.solution, s.x_prime, s.box, gamma)
+    report = PsdPencilSolver(vm.v_dd).solve(gamma / s.n, b, context=f"gamma={gamma}")
+    return RatioEstimate(report.solution, s.x_prime, s.box, gamma)
+
+
+def dre_v_nonneg_values(s: ScaledSamples, gamma: float) -> np.ndarray:
+    """DRE-V values at the denominator points minimizing the same quadratic
+    objective under r >= 0, by projected gradient."""
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    vm = build_v_matrices(s)
+    A = vm.v_dd + (gamma / s.n) * np.eye(s.n)
+    return solve_nonneg(A, v_rhs(vm, s)).solution
 
 
 def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float,
@@ -132,7 +110,7 @@ def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float,
     b = v_rhs(vm, s)
     # V''K is generally non-symmetric; the general LU path handles it
     report = solve_regularized(vm.v_dd @ K, gamma, b, context=f"gamma={gamma}")
-    return RatioEstimate(Variant.KERNEL_EXPANSION, report.solution, s.x_prime, s.box, gamma, spec)
+    return RatioEstimate(report.solution, s.x_prime, s.box, gamma, spec)
 
 
 def rect_identity_ones(n: int, ell: int) -> np.ndarray:
@@ -156,7 +134,7 @@ def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEst
     K = cross_gram(spec, s.x_prime, s.x_prime)
     b = ulsif_rhs(s, K)
     report = solve_regularized(K @ K, gamma, b, context=f"gamma={gamma}")
-    return RatioEstimate(Variant.KERNEL_EXPANSION, report.solution, s.x_prime, s.box, gamma, spec)
+    return RatioEstimate(report.solution, s.x_prime, s.box, gamma, spec)
 
 
 def kernel_spec_for(method: Method, d: int, sigma2: float | None = None) -> KernelSpec | None:

@@ -32,23 +32,12 @@ class KernelSpec:
             raise ValueError("the linear INK-spline kernel has no parameters")
 
 
-def ink1(x, y):
-    """Closed form of the linear infinite-knot spline kernel on [0, u].
-
-    K1(x, y) = 1 + xy + |x - y| min(x,y)^2 / 2 + min(x,y)^3 / 3.
-    Accepts scalars or same-shaped arrays; inputs must be nonnegative.
-    """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if np.any(xv < 0) or np.any(yv < 0):
-        raise ValueError("ink1 is defined on nonnegative inputs only")
-    mn = np.minimum(xv, yv)
-    out = 1.0 + xv * yv + 0.5 * np.abs(xv - yv) * mn**2 + mn**3 / 3.0
-    return float(out) if out.ndim == 0 else out
-
-
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Kernel matrix k(rows_i, cols_j)."""
+    """Kernel matrix k(rows_i, cols_j).
+
+    The linear INK-spline kernel on [0,1]^d is the product over coordinates of
+    K1(x, y) = 1 + xy + |x - y| min(x,y)^2 / 2 + min(x,y)^3 / 3.
+    """
     rp = as_points(rows)
     cp = as_points(cols)
     if rp.shape[1] != spec.d or cp.shape[1] != spec.d:
@@ -61,9 +50,9 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     if np.any(rp < 0) or np.any(cp < 0):
         raise ValueError("INK-spline inputs must be nonnegative")
     # each coordinate's factor ((1 + xy) + (0.5 |x - y|) mn^2) + mn^3 / 3 is
-    # built in work buffers with the operations of the closed form in ink1, so
-    # the result is exactly that of evaluating it elementwise; the first
-    # coordinate's factor is built in `out` itself (1.0 * v == v)
+    # built in work buffers, so the result is exactly that of evaluating the
+    # closed form elementwise; the first coordinate's factor is built in `out`
+    # itself (1.0 * v == v)
     out = np.empty((rp.shape[0], cp.shape[0]))
     mn = np.empty_like(out)
     half_gap = np.empty_like(out)
@@ -88,14 +77,3 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
             out *= term
     return out
 
-
-def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric kernel Gram matrix of a point set."""
-    return cross_gram(spec, points, points)
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Kernel value at a single pair of d-vectors."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    yv = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(cross_gram(spec, xv[None, :], yv[None, :])[0, 0])

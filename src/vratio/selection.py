@@ -11,7 +11,7 @@ from .domain import ScaledSamples
 from .estimators import (
     Method,
     RatioEstimate,
-    fit_dre_v_expansion,
+    fit_dre_v,
     fit_dre_vk,
     fit_ulsif_like,
     kernel_spec_for,
@@ -107,8 +107,6 @@ class CvReport:
     candidates: list
     selected_gamma: float
     selected_sigma2: float | None
-    folds_numerator: list
-    folds_denominator: list
     estimate: RatioEstimate
     failures: int
 
@@ -132,7 +130,7 @@ def make_folds(n: int, ell: int, k: int, seed: int):
 def _gamma_scale(method: Method, s: ScaledSamples, vm: VMatrices | None, K) -> float:
     """Mean eigenvalue tr(M)/n of the method's full-data system matrix M.
 
-    For the point-value fit the ridge enters as gamma/n, so the scale is
+    For DRE-V the ridge enters as gamma/n, so the scale is
     tr(V'') (making the effective ridge a multiple of tr(V'')/n); for the
     kernel fits M is V''K or KK with the ridge applied directly.
     """
@@ -197,7 +195,7 @@ def _final_fit(method, s, vm, K, gamma, sigma2) -> RatioEstimate:
     """Refit on all data with the solvers of the fit_* functions, reusing the
     full-data V-matrices and, when given, the Gram matrix."""
     if method is Method.DRE_V:
-        return fit_dre_v_expansion(s, gamma, vm=vm)
+        return fit_dre_v(s, gamma, vm=vm)
     spec = kernel_spec_for(method, s.d, sigma2)
     if method is Method.ULSIF_LIKE:
         return fit_ulsif_like(s, spec, gamma)
@@ -310,8 +308,6 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         candidates=candidates,
         selected_gamma=best.gamma,
         selected_sigma2=best.sigma2,
-        folds_numerator=[f.copy() for f in num_folds],
-        folds_denominator=[f.copy() for f in den_folds],
         estimate=estimate,
         failures=sum(1 for c in candidates if not c.ok),
     )

@@ -139,30 +139,9 @@ class PsdPencilSolver:
         wmax = float(w.max()) if w.size else 0.0
         self._null = w <= np.finfo(float).eps * max(wmax, 1.0) * S.shape[0]
 
-    def solve(self, c: float, b, context: str = "") -> SolveReport:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self._S.shape[0],):
-            raise ValueError("b length mismatch")
-        if c < 0:
-            raise ValueError("c must be nonnegative")
-        denom = self._w * (self._w + c)
-        coef = self._Q.T @ b
-        inv = np.where(self._null, 0.0, coef / np.where(self._null, 1.0, denom))
-        x = self._Q @ inv
-        Sx = self._S @ x
-        res_norm = float(np.linalg.norm(self._S @ Sx + c * Sx - b))
-        bound = _residual_bound(b)
-        if not np.isfinite(res_norm) or res_norm > bound:
-            raise SingularSystemError(_failure(_PENCIL_FAILURE, context, res_norm, bound))
-        return SolveReport(x, res_norm, SolveMethod.EIG_PENCIL)
-
-    def solve_many(self, cs, b, contexts) -> tuple[np.ndarray, list]:
-        """solve() for every shift in `cs` at once.
-
-        Returns the n x G matrix whose column j solves the system at cs[j],
-        and per column None or, when that column fails the residual check,
-        the message solve() would raise with contexts[j].
-        """
+    def _solve_columns(self, cs, b):
+        """Minimal-norm solutions for every shift in `cs` as the columns of an
+        n x G matrix, with their residual norms and the residual bound."""
         b = np.asarray(b, dtype=float)
         cs = np.asarray(cs, dtype=float)
         if b.shape != (self._S.shape[0],):
@@ -175,12 +154,26 @@ class PsdPencilSolver:
         X = self._Q @ np.where(null, 0.0, coef / np.where(null, 1.0, w * (w + cs)))
         SX = self._S @ X
         res_norms = np.linalg.norm(self._S @ SX + SX * cs - b[:, None], axis=0)
-        return X, _column_errors(_PENCIL_FAILURE, X, res_norms, _residual_bound(b), contexts)
+        return X, res_norms, _residual_bound(b)
 
+    def solve(self, c: float, b, context: str = "") -> SolveReport:
+        """Solve at one shift c; raises SingularSystemError when the solution
+        fails the residual check."""
+        X, res_norms, bound = self._solve_columns([c], b)
+        (error,) = _column_errors(_PENCIL_FAILURE, X, res_norms, bound, [context])
+        if error is not None:
+            raise SingularSystemError(error)
+        return SolveReport(X[:, 0], float(res_norms[0]), SolveMethod.EIG_PENCIL)
 
-def solve_psd_pencil(S, c: float, b, context: str = "") -> SolveReport:
-    """One-shot interface to PsdPencilSolver."""
-    return PsdPencilSolver(S).solve(c, b, context=context)
+    def solve_many(self, cs, b, contexts) -> tuple[np.ndarray, list]:
+        """solve() for every shift in `cs` at once.
+
+        Returns the n x G matrix whose column j solves the system at cs[j],
+        and per column None or, when that column fails the residual check,
+        the message solve() would raise with contexts[j].
+        """
+        X, res_norms, bound = self._solve_columns(cs, b)
+        return X, _column_errors(_PENCIL_FAILURE, X, res_norms, bound, contexts)
 
 
 def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
@@ -326,7 +319,7 @@ def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
     return X, errors
 
 
-def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10, callback=None) -> SolveReport:
+def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10) -> SolveReport:
     """Minimize 0.5 x'Ax - b'x subject to x >= 0 by projected gradient.
 
     Step size 1/L with L the infinity-norm bound on the spectral radius.
@@ -347,7 +340,5 @@ def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10, callback=Non
         if np.linalg.norm(pg) <= tol:
             break
         x = np.maximum(x - g / L, 0.0)
-        if callback is not None:
-            callback(x)
     res_norm = float(np.linalg.norm(A @ x - b))
     return SolveReport(x, res_norm, SolveMethod.PROJECTED_GRADIENT)

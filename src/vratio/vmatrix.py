@@ -1,9 +1,9 @@
-"""V-matrices: Gram structure of indicator functions under the L2[0,u] inner product.
+"""V-matrices: Gram structure of indicator functions under the L2[0,1]^d inner product.
 
-The entry for a pair of points a, b is the volume of the sub-box where both
-step functions theta(x - a) and theta(x - b) are one:
+The entry for a pair of points a, b in [0,1]^d is the volume of the sub-box
+where both step functions theta(x - a) and theta(x - b) are one:
 
-    prod_k [u^k - max(a^k, b^k)]
+    prod_k [1 - max(a^k, b^k)]
 """
 
 from __future__ import annotations
@@ -12,44 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DimensionMismatchError, ScaledSamples, as_points
+from .domain import DimensionMismatchError, OutOfBoxError, ScaledSamples, as_points
 
 
-class VDomainError(ValueError):
-    """A point coordinate exceeds the box upper limit."""
-
-
-def _resolve_u(d: int, u) -> np.ndarray:
-    if u is None:
-        return np.ones(d)
-    uu = np.atleast_1d(np.asarray(u, dtype=float))
-    if uu.shape[0] != d:
-        raise DimensionMismatchError(f"u has dimension {uu.shape[0]}, points have {d}")
-    return uu
-
-
-def v_entry(a, b, u=None) -> float:
-    """Overlap volume prod_k (u^k - max(a^k, b^k)); u defaults to all ones."""
-    av = np.atleast_1d(np.asarray(a, dtype=float))
-    bv = np.atleast_1d(np.asarray(b, dtype=float))
-    if av.shape != bv.shape:
-        raise DimensionMismatchError("a and b must share dimension")
-    uu = _resolve_u(av.shape[0], u)
-    mx = np.maximum(av, bv)
-    if np.any(mx > uu):
-        raise VDomainError("max(a, b) exceeds u in some coordinate")
-    return float(np.prod(uu - mx))
-
-
-def cross_v(rows, cols, u=None) -> np.ndarray:
-    """Matrix of v_entry values for all row x column point pairs."""
+def cross_v(rows, cols) -> np.ndarray:
+    """Overlap volumes prod_k (1 - max(a^k, b^k)) for all row x column point pairs."""
     rp = as_points(rows)
     cp = as_points(cols)
     if rp.shape[1] != cp.shape[1]:
         raise DimensionMismatchError("row and column points must share dimension")
-    uu = _resolve_u(rp.shape[1], u)
-    if np.any(rp > uu) or np.any(cp > uu):
-        raise VDomainError("a point coordinate exceeds u")
+    for pts in (rp, cp):
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):
+            raise OutOfBoxError("a point coordinate lies outside [0, 1]")
     # the first coordinate's factor is built in `out` itself (1.0 * v == v),
     # the others in one reused buffer
     out = np.empty((rp.shape[0], cp.shape[0]))
@@ -57,7 +31,7 @@ def cross_v(rows, cols, u=None) -> np.ndarray:
     for k in range(rp.shape[1]):
         term = out if k == 0 else buf
         np.maximum(rp[:, k, None], cp[None, :, k], out=term)
-        np.subtract(uu[k], term, out=term)
+        np.subtract(1.0, term, out=term)
         if k:
             out *= term
     return out
@@ -81,8 +55,8 @@ class VMatrices:
 
 def build_v_matrices(s: ScaledSamples) -> VMatrices:
     """Build V'' (denominator x denominator) and V' (denominator x numerator)."""
-    v_dd = cross_v(s.x_prime, s.x_prime, s.u)
-    v_dn = cross_v(s.x_prime, s.x, s.u)
+    v_dd = cross_v(s.x_prime, s.x_prime)
+    v_dn = cross_v(s.x_prime, s.x)
     # maximum.outer is exactly symmetric, so v_dd is symmetric by construction
     return VMatrices(v_dd, v_dn)
 
@@ -98,7 +72,7 @@ def l2_residual(s: ScaledSamples, r) -> float:
     if rv.shape[0] != s.n:
         raise ValueError(f"r has length {rv.shape[0]}, expected n={s.n}")
     vm = build_v_matrices(s)
-    v_nn = cross_v(s.x, s.x, s.u)
+    v_nn = cross_v(s.x, s.x)
     ones = np.ones(s.ell)
     val = (
         rv @ vm.v_dd @ rv / s.n**2

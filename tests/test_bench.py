@@ -45,10 +45,6 @@ def test_laplace_parameter_conventions():
     m5 = make_model(5)
     assert np.allclose(m5.p1.scale, np.sqrt(0.25 / 2.0))
     assert np.allclose(m5.p2.scale, np.sqrt(0.5 / 2.0))
-    alt = make_model(5, laplace_param="scale")
-    assert np.allclose(alt.p1.scale, 0.25)
-    with pytest.raises(ValueError):
-        make_model(5, laplace_param="stddev")
 
 
 @pytest.mark.parametrize(

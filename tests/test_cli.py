@@ -208,7 +208,27 @@ def test_fit_command_reports_selection_error(tmp_path, capsys, monkeypatch):
     assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]), "candidates failed")
 
 
-def test_validate_command(capsys):
-    assert main(["validate"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+DELETED_NAMES = (
+    "Role", "ecdf_eval", "v_entry", "VDomainError", "gram", "ink1", "kernel_eval",
+    "solve_psd_pencil", "Variant", "UnsupportedQueryError", "fit_dre_v_expansion",
+    "validate_command",
+)
+
+
+def test_public_surface(capsys):
+    import importlib
+
+    import vratio
+
+    assert len(vratio.__all__) == len(set(vratio.__all__))
+    for name in vratio.__all__:
+        assert getattr(vratio, name) is not None
+    modules = [vratio] + [importlib.import_module(f"vratio.{m}") for m in (
+        "bench", "cli", "domain", "estimators", "kernels", "selection", "solve", "vmatrix")]
+    for name in DELETED_NAMES:
+        assert name not in vratio.__all__
+        assert not any(hasattr(mod, name) for mod in modules), name
+    with pytest.raises(SystemExit) as exc:
+        main(["validate"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'validate'" in capsys.readouterr().err

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from vratio.domain import (
     DimensionMismatchError,
     DomainBox,
     OutOfBoxError,
-    Role,
     SampleSet,
     ScaledSamples,
     as_points,
-    ecdf_eval,
     fit_domain_box,
     scale,
 )
@@ -27,21 +24,20 @@ def test_as_points_rejects_3d():
 
 
 def test_sample_set_basic():
-    s = SampleSet(np.array([[0.0, 1.0], [2.0, 3.0]]), Role.NUMERATOR)
+    s = SampleSet(np.array([[0.0, 1.0], [2.0, 3.0]]))
     assert s.size == 2
     assert s.d == 2
-    assert s.role is Role.NUMERATOR
     with pytest.raises(ValueError):
         s.points[0, 0] = 5.0  # read-only
 
 
 def test_sample_set_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
-        SampleSet(np.empty((0, 2)), Role.NUMERATOR)
+        SampleSet(np.empty((0, 2)))
     with pytest.raises(ValueError):
-        SampleSet(np.array([[np.nan]]), Role.DENOMINATOR)
+        SampleSet(np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        SampleSet(np.array([[np.inf]]), Role.DENOMINATOR)
+        SampleSet(np.array([[np.inf]]))
 
 
 def test_domain_box_validation():
@@ -67,16 +63,16 @@ def test_domain_box_transform_out_of_box():
 
 
 def test_fit_domain_box_tight():
-    num = SampleSet(np.array([[1.0], [3.0]]), Role.NUMERATOR)
-    den = SampleSet(np.array([[2.0], [5.0]]), Role.DENOMINATOR)
+    num = SampleSet(np.array([[1.0], [3.0]]))
+    den = SampleSet(np.array([[2.0], [5.0]]))
     box = fit_domain_box(num, den)
     assert np.allclose(box.lower, [1.0])
     assert np.allclose(box.upper, [5.0])
 
 
 def test_fit_domain_box_margin():
-    num = SampleSet(np.array([[1.0], [3.0]]), Role.NUMERATOR)
-    den = SampleSet(np.array([[2.0], [5.0]]), Role.DENOMINATOR)
+    num = SampleSet(np.array([[1.0], [3.0]]))
+    den = SampleSet(np.array([[2.0], [5.0]]))
     box = fit_domain_box(num, den, margin=0.1)
     # range is 4, so each side widens by 0.4
     assert np.allclose(box.lower, [0.6])
@@ -84,23 +80,23 @@ def test_fit_domain_box_margin():
 
 
 def test_fit_domain_box_degenerate_coordinate():
-    num = SampleSet(np.array([[2.0, 1.0]]), Role.NUMERATOR)
-    den = SampleSet(np.array([[2.0, 4.0]]), Role.DENOMINATOR)
+    num = SampleSet(np.array([[2.0, 1.0]]))
+    den = SampleSet(np.array([[2.0, 4.0]]))
     box = fit_domain_box(num, den)
     assert np.allclose(box.lower, [1.5, 1.0])
     assert np.allclose(box.upper, [2.5, 4.0])
 
 
 def test_fit_domain_box_rejects_negative_margin():
-    s = SampleSet(np.array([[0.0], [1.0]]), Role.NUMERATOR)
+    s = SampleSet(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError):
         fit_domain_box(s, s, margin=-0.1)
 
 
 def test_scale_maps_into_unit_box():
     rng = np.random.default_rng(3)
-    num = SampleSet(rng.normal(size=(10, 2)), Role.NUMERATOR)
-    den = SampleSet(rng.normal(size=(15, 2)), Role.DENOMINATOR)
+    num = SampleSet(rng.normal(size=(10, 2)))
+    den = SampleSet(rng.normal(size=(15, 2)))
     s = scale(num, den, fit_domain_box(num, den))
     assert s.n == 15 and s.ell == 10 and s.d == 2
     assert s.x_prime.min() >= 0.0 and s.x_prime.max() <= 1.0
@@ -120,30 +116,9 @@ def test_scaled_samples_rejects_points_outside_unit_box():
     box = DomainBox(np.zeros(1), np.ones(1))
     with pytest.raises(OutOfBoxError):
         ScaledSamples(np.array([[1.2]]), np.array([[0.5]]), box)
-
-
-def test_ecdf_right_closed():
-    pts = np.array([[0.5], [0.7]])
-    assert ecdf_eval(pts, [0.5]) == 0.5
-    assert ecdf_eval(pts, [0.7]) == 1.0
-    assert ecdf_eval(pts, [0.4]) == 0.0
-
-
-def test_ecdf_multidim():
-    pts = np.array([[0.2, 0.2], [0.8, 0.3], [0.5, 0.9]])
-    assert ecdf_eval(pts, [0.8, 0.3]) == pytest.approx(2.0 / 3.0)
-    with pytest.raises(DimensionMismatchError):
-        ecdf_eval(pts, [0.5])
-
-
-@given(
-    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-)
-def test_ecdf_monotone_and_bounded(samples, q1, q2):
-    lo, hi = sorted([q1, q2])
-    pts = np.array(samples)[:, None]
-    a = ecdf_eval(pts, [lo])
-    b = ecdf_eval(pts, [hi])
-    assert 0.0 <= a <= b <= 1.0
+    with pytest.raises(OutOfBoxError):
+        ScaledSamples(np.array([[0.5]]), np.array([[-0.2]]), box)
+    with pytest.raises(OutOfBoxError):
+        ScaledSamples(np.array([[np.nan], [0.5]]), np.array([[0.5]]), box)
+    with pytest.raises(OutOfBoxError):
+        ScaledSamples(np.array([[0.5]]), np.array([[0.5], [np.nan]]), box)

@@ -5,17 +5,15 @@ from vratio.domain import DomainBox, ScaledSamples
 from vratio.estimators import (
     Method,
     RatioEstimate,
-    UnsupportedQueryError,
-    Variant,
+    dre_v_nonneg_values,
     fit_dre_v,
-    fit_dre_v_expansion,
     fit_dre_vk,
     fit_ulsif_like,
     kernel_spec_for,
     rect_identity_ones,
 )
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
-from vratio.vmatrix import build_v_matrices
+from vratio.vmatrix import build_v_matrices, cross_v
 
 
 def unit_samples(rng, n, ell, d):
@@ -29,10 +27,10 @@ def test_dre_v_solves_regularized_system():
     gamma = 0.05
     est = fit_dre_v(s, gamma)
     vm = build_v_matrices(s)
-    lhs = (vm.v_dd + gamma / s.n * np.eye(s.n)) @ est.coef
+    lhs = (vm.v_dd + gamma / s.n * np.eye(s.n)) @ est.predict_scaled(s.x_prime)
     rhs = (s.n / s.ell) * vm.v_dn @ np.ones(s.ell)
     assert np.allclose(lhs, rhs, atol=1e-8)
-    assert est.variant is Variant.POINT_VALUES
+    assert est.kernel is None
 
 
 def test_dre_v_matching_measures_predicts_one():
@@ -59,7 +57,7 @@ def test_dre_vk_ink_matching_measures_predicts_one():
 
 def test_dre_v_direct_and_expansion_forms_agree():
     # the expansion coefficients alpha solve the normal-equation form of the
-    # same problem; V'' alpha reproduces the direct point values exactly
+    # problem; V'' alpha reproduces the point values of the direct solve
     rng = np.random.default_rng(33)
     gammas = np.logspace(-4, 1, 6)
     for _ in range(20):
@@ -67,9 +65,11 @@ def test_dre_v_direct_and_expansion_forms_agree():
         ell = int(rng.integers(5, 31))
         d = int(rng.integers(1, 3))
         s = unit_samples(rng, n, ell, d)
+        vm = build_v_matrices(s)
+        b = (n / ell) * vm.v_dn.sum(axis=1)
         for gamma in gammas:
-            direct = fit_dre_v(s, gamma).coef
-            via_expansion = fit_dre_v_expansion(s, gamma).predict_scaled(s.x_prime)
+            direct = np.linalg.solve(vm.v_dd + gamma / n * np.eye(n), b)
+            via_expansion = fit_dre_v(s, gamma).predict_scaled(s.x_prime)
             rel = np.linalg.norm(via_expansion - direct) / np.linalg.norm(direct)
             assert rel <= 1e-8
 
@@ -78,7 +78,8 @@ def test_dre_v_norm_shrinks_with_gamma():
     rng = np.random.default_rng(34)
     for _ in range(10):
         s = unit_samples(rng, 15, 15, 1)
-        norms = [np.linalg.norm(fit_dre_v(s, g).coef) for g in [1e-3, 1e-1, 10.0, 1e3]]
+        norms = [np.linalg.norm(fit_dre_v(s, g).predict_scaled(s.x_prime))
+                 for g in [1e-3, 1e-1, 10.0, 1e3]]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -94,7 +95,7 @@ def test_dre_v_objective_local_optimality():
     def objective(X):
         return np.einsum("ij,jk,ik->i", X, M, X) - 2.0 * X @ b
 
-    r = fit_dre_v(s, gamma).coef
+    r = fit_dre_v(s, gamma).predict_scaled(s.x_prime)
     base = objective(r[None, :])[0]
     for _ in range(10):
         P = rng.normal(size=(100_000, s.n)) * rng.choice([1e-4, 1e-2, 1.0])
@@ -104,8 +105,9 @@ def test_dre_v_objective_local_optimality():
 def test_dre_v_nonneg_weights():
     rng = np.random.default_rng(36)
     s = unit_samples(rng, 20, 20, 1)
-    est = fit_dre_v(s, 0.01, nonneg=True)
-    assert np.all(est.coef >= 0.0)
+    r = dre_v_nonneg_values(s, 0.01)
+    assert r.shape == (20,)
+    assert np.all(r >= 0.0)
 
 
 def test_dre_vk_solves_its_system():
@@ -131,6 +133,14 @@ def test_dre_vk_prediction_is_kernel_expansion():
     assert np.allclose(est.predict_scaled(q), expected)
 
 
+def test_dre_v_prediction_is_overlap_volume_expansion():
+    rng = np.random.default_rng(40)
+    s = unit_samples(rng, 8, 6, 2)
+    est = fit_dre_v(s, 0.1)
+    q = rng.random((4, 2))
+    assert np.array_equal(est.predict_scaled(q), cross_v(q, s.x_prime) @ est.coef)
+
+
 def test_rect_identity_ones():
     assert np.array_equal(rect_identity_ones(4, 2), [1.0, 1.0, 0.0, 0.0])
     assert np.array_equal(rect_identity_ones(2, 5), [1.0, 1.0])
@@ -146,14 +156,6 @@ def test_ulsif_like_solves_its_system():
     lhs = (K @ K + gamma * np.eye(s.n)) @ est.coef
     rhs = (s.n / s.ell) * K @ rect_identity_ones(s.n, s.ell)
     assert np.allclose(lhs, rhs, atol=1e-8)
-
-
-def test_point_values_estimate_rejects_other_points():
-    rng = np.random.default_rng(40)
-    s = unit_samples(rng, 6, 6, 1)
-    est = fit_dre_v(s, 0.1)
-    with pytest.raises(UnsupportedQueryError):
-        est.predict_scaled(rng.random((6, 1)))
 
 
 def test_predict_applies_box_scaling():
@@ -172,7 +174,7 @@ def test_estimators_reject_nonpositive_gamma():
     s = unit_samples(rng, 5, 5, 1)
     spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d=1)
     for fn in (lambda: fit_dre_v(s, 0.0), lambda: fit_dre_vk(s, spec, -1.0),
-               lambda: fit_ulsif_like(s, spec, 0.0), lambda: fit_dre_v_expansion(s, 0.0)):
+               lambda: fit_ulsif_like(s, spec, 0.0), lambda: dre_v_nonneg_values(s, 0.0)):
         with pytest.raises(ValueError):
             fn()
 
@@ -189,6 +191,6 @@ def test_ratio_estimate_validation():
     box = DomainBox(np.zeros(1), np.ones(1))
     centers = np.array([[0.5]])
     with pytest.raises(ValueError):
-        RatioEstimate(Variant.POINT_VALUES, np.ones(2), centers, box, 0.1)
+        RatioEstimate(np.ones(2), centers, box, 0.1)
     with pytest.raises(ValueError):
-        RatioEstimate(Variant.KERNEL_EXPANSION, np.ones(1), centers, box, 0.1)
+        RatioEstimate(np.ones(1), centers, box, 0.0)

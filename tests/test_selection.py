@@ -6,7 +6,7 @@ from vratio import selection, solve
 from vratio.domain import DomainBox, ScaledSamples
 from vratio.estimators import (
     Method,
-    fit_dre_v_expansion,
+    fit_dre_v,
     fit_dre_vk,
     fit_ulsif_like,
     kernel_spec_for,
@@ -184,7 +184,7 @@ def naive_cv(s, method, plan, sigma2_values):
                                np.setdiff1d(np.arange(s.n), den_hold))
                 try:
                     if method is Method.DRE_V:
-                        est = fit_dre_v_expansion(sub, gamma)
+                        est = fit_dre_v(sub, gamma)
                     elif method is Method.ULSIF_LIKE:
                         est = fit_ulsif_like(sub, spec, gamma)
                     else:

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vratio.domain import DimensionMismatchError, DomainBox, ScaledSamples
-from vratio.vmatrix import VDomainError, build_v_matrices, cross_v, l2_residual, v_entry
+from vratio.domain import DimensionMismatchError, DomainBox, OutOfBoxError, ScaledSamples
+from vratio.vmatrix import build_v_matrices, cross_v, l2_residual
+
+
+def v_entry(a, b) -> float:
+    """Reference overlap volume prod_k (1 - max(a^k, b^k)) of two points in [0,1]^d."""
+    mx = np.maximum(np.atleast_1d(np.asarray(a, dtype=float)),
+                    np.atleast_1d(np.asarray(b, dtype=float)))
+    if np.any(mx > 1.0):
+        raise OutOfBoxError("max(a, b) exceeds 1 in some coordinate")
+    return float(np.prod(1.0 - mx))
 
 
 def unit_samples(rng, n, ell, d):
@@ -43,13 +52,11 @@ def test_v_entry_product_over_coordinates():
     assert v_entry([0.2, 0.3], [0.5, 0.1]) == pytest.approx(0.35)
 
 
-def test_v_entry_custom_u():
-    assert v_entry([1.0], [2.0], u=[4.0]) == pytest.approx(2.0)
-
-
 def test_v_entry_rejects_point_beyond_u():
-    with pytest.raises(VDomainError):
+    with pytest.raises(OutOfBoxError):
         v_entry([1.5], [0.5])
+    with pytest.raises(OutOfBoxError):
+        cross_v([[1.5]], [[0.5]])
 
 
 def test_v_entry_matches_grid_quadrature():
@@ -160,7 +167,14 @@ def test_cross_v_equals_reference_exactly(d):
 
 
 def test_cross_v_input_checks():
-    with pytest.raises(VDomainError):
+    with pytest.raises(OutOfBoxError):
         cross_v(np.array([[1.5]]), np.array([[0.5]]))
+    # both faces of the unit box: below 0 the volume would exceed the box's
+    with pytest.raises(OutOfBoxError):
+        cross_v(np.array([[-0.5]]), np.array([[-0.2]]))
+    with pytest.raises(OutOfBoxError):
+        cross_v(np.array([[0.5]]), np.array([[0.2], [-0.1]]))
+    with pytest.raises(OutOfBoxError):
+        cross_v(np.array([[np.nan]]), np.array([[0.5]]))
     with pytest.raises(DimensionMismatchError):
         cross_v(np.zeros((2, 2)), np.zeros((2, 3)))
