@@ -82,7 +82,7 @@ class DomainBox:
                 f"points have dimension {pts.shape[1]}, box has dimension {self.d}"
             )
         z = (pts - self.lower) / (self.upper - self.lower)
-        if np.any(z < -tol) or np.any(z > 1.0 + tol):
+        if not np.all((z >= -tol) & (z <= 1.0 + tol)):  # NaN fails too
             worst = float(np.max(np.abs(z - 0.5)) - 0.5)
             raise OutOfBoxError(f"scaled value exits [0,1] by {worst:.3e} (tol={tol:.0e})")
         return np.clip(z, 0.0, 1.0)

@@ -221,16 +221,20 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       of V'' for the pencil V''V'' + (gamma/n) V''; DRE-VK a pivoted
       Cholesky V'' = W W' (dpstrf), which drops the zero rows of points on
       the box's upper face and the repeated rows of ties.
-    * once per (fold, sigma2): the training Gram matrix; one eigh where it
-      serves every gamma (uLSIF: eigh of K, which makes KK + gamma I
-      diagonal; DRE-VK: eigh of W'KW, to which the non-symmetric V''K is
-      similar, so V''K + gamma I is solved for every gamma by products); the
-      two holdout matrices K(holdout, centres) (cross_v for DRE-V); and one
-      product of each with the n x G coefficient matrix, which scores every
-      gamma.
-    * per (fold, sigma2, gamma): nothing but products. A DRE-VK column that
-      misses the residual bound after two refinement steps is retried by an
-      LU of V''K + gamma I, and fails only if that fails too.
+    * once per (fold, sigma2): the training Gram matrix; for uLSIF and
+      DRE-VK one Householder tridiagonal reduction (dsytrd, 4n^3/3 flops
+      against about 9n^3 for eigh) that serves every gamma: of K for uLSIF,
+      so that KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK,
+      to which the non-symmetric V''K is similar, so that V''K + gamma I
+      reduces to T + gamma I; the two holdout matrices K(holdout, centres)
+      (cross_v for DRE-V); and one product of each with the n x G
+      coefficient matrix, which scores every gamma.
+    * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
+      is pentadiagonal, T + gamma I tridiagonal; all gammas go into one
+      LAPACK call) and O(n^2) products with Q; DRE-V needs only the
+      products. A DRE-VK column that misses the residual bound after two
+      refinement steps is retried by an LU of V''K + gamma I, and fails only
+      if that fails too.
 
     The refit solves as the fit_* functions do (LU, or the pencil for
     DRE-V), so a draw's estimate depends on CV only through the selection.

@@ -2,14 +2,21 @@
 
 All accepted direct solutions are verified by substitution against the
 residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The batched solvers
-solve one system for many shifts from one symmetric eigendecomposition and
-check every column the same way:
+solve one system for many shifts from one factorisation and check every
+column the same way:
 
-* PsdPencilSolver.solve_many: (S S + c S) x = b, from eigh(S);
-* solve_ridge_square_many: (K K + gamma I) x = b, from eigh(K);
+* PsdPencilSolver.solve_many: (S S + c S) x = b, from eigh(S), whose null
+  space gives the minimal-norm solution when S is singular;
+* solve_ridge_square_many: (K K + gamma I) x = b, from one tridiagonal
+  reduction K = Q T Q' (tridiagonalize) and one pentadiagonal Cholesky
+  solve of T T + gamma I per gamma;
 * solve_product_ridge_many: (A K + gamma I) x = b with A = W W' from
-  pivoted_cholesky, from eigh(W' K W); columns that still miss the bound
-  after refinement are retried by solve_regularized's LU.
+  pivoted_cholesky, from one tridiagonal reduction W' K W = Q T Q' and one
+  tridiagonal solve of T + gamma I per gamma; columns that still miss the
+  bound after refinement are retried by solve_regularized's LU.
+
+The banded systems of all gammas are stacked block-diagonally into one
+LAPACK call (_stacked_solve).
 """
 
 from __future__ import annotations
@@ -176,15 +183,133 @@ class PsdPencilSolver:
         return X, _column_errors(_PENCIL_FAILURE, X, res_norms, bound, contexts)
 
 
+def _dormqr_lwork(ncols: int) -> int:
+    """dormqr's optimal workspace for a C with `ncols` columns: blocks of at
+    most 64 reflectors (NB) plus the 65 x 64 block-reflector factor (TSIZE)."""
+    return 64 * max(1, ncols) + 65 * 64
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """S = Q T Q' for a symmetric S (LAPACK dsytrd, lower triangle).
+
+    T has diagonal `diag` and sub-diagonal `off`. Q is the product of the
+    n - 1 Householder reflectors whose vectors lie below the diagonal of
+    `reflectors` (the (n-1) x (n-1) block of dsytrd's output under its first
+    row), with scalars `tau`; applying Q to rows 1.. of a matrix is what
+    LAPACK's dormtr does for the lower triangle.
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+
+    def _apply(self, B: np.ndarray, trans: str) -> np.ndarray:
+        B = np.array(B, order="F")
+        if self.tau.size:
+            cq, _, info = scipy.linalg.lapack.dormqr(
+                "L", trans, self.reflectors, self.tau, B[1:], _dormqr_lwork(B.shape[1]))
+            if info < 0:
+                raise ValueError(f"dormqr: illegal value in argument {-info}")
+            B[1:] = cq
+        return B
+
+    def q(self, B: np.ndarray) -> np.ndarray:
+        """Q B for an n x G matrix B."""
+        return self._apply(B, "N")
+
+    def qt(self, B: np.ndarray) -> np.ndarray:
+        """Q' B for an n x G matrix B."""
+        return self._apply(B, "T")
+
+
+def tridiagonalize(S, overwrite: bool = False) -> Tridiagonal:
+    """Householder reduction S = Q T Q' of a symmetric matrix (LAPACK dsytrd,
+    Golub & Van Loan, Matrix Computations, 8.3), with the blocked workspace
+    from dsytrd_lwork. Costs 4n^3/3 flops against about 9n^3 for eigh."""
+    S = np.asarray(S, dtype=float)
+    n = S.shape[0]
+    if n < 2:
+        return Tridiagonal(np.diagonal(S).copy(), np.empty(0), np.empty((0, 0)), np.empty(0))
+    lwork, info = scipy.linalg.lapack.dsytrd_lwork(n, lower=1)
+    if info != 0:
+        raise ValueError(f"dsytrd_lwork: info {info}")
+    c, d, e, tau, info = scipy.linalg.lapack.dsytrd(S, lower=1, lwork=int(lwork),
+                                                    overwrite_a=overwrite)
+    if info < 0:
+        raise ValueError(f"dsytrd: illegal value in argument {-info}")
+    return Tridiagonal(d, e, np.asfortranarray(c[1:, :-1]), tau)
+
+
+def _ptsv(bands, b):
+    """dptsv on the (2, N) bands [diagonal; sub-diagonal padded by one]."""
+    d, e, x, info = scipy.linalg.lapack.dptsv(bands[0], bands[1, :-1], b)
+    return np.vstack([d, np.append(e, 0.0)]), x, info
+
+
+def _pttrs(factors, b):
+    return scipy.linalg.lapack.dpttrs(factors[0], factors[1, :-1], b)
+
+
+def _pbsv(bands, b):
+    """dpbsv on the lower band storage `bands`."""
+    return scipy.linalg.lapack.dpbsv(bands, b, lower=1)
+
+
+def _pbtrs(factors, b):
+    return scipy.linalg.lapack.dpbtrs(factors, b, lower=1)
+
+
+def _stacked_solve(sv, bands: np.ndarray, rhs: np.ndarray):
+    """Solve G symmetric positive definite banded n x n systems in one LAPACK
+    call by stacking them block-diagonally with zero coupling.
+
+    `bands` is (rows, G, n): block j's lower band storage, whose band entries
+    past the end of the block are zero, so the stacked matrix couples no two
+    blocks; `rhs` is n x G. A block that is not positive definite stops the
+    factorisation at its row: it gets NaN and the call repeats without it, so
+    it fails only its own column. Returns the factors in the layout of
+    `bands` and the n x G solutions.
+    """
+    rows, G, n = bands.shape
+    factors = np.full(bands.shape, np.nan)
+    X = np.full((n, G), np.nan)
+    live = np.arange(G)
+    while live.size and n:
+        fac, x, info = sv(bands[:, live].reshape(rows, -1), rhs[:, live].reshape(-1, 1, order="F"))
+        if info < 0:
+            raise ValueError(f"banded solve: illegal value in argument {-info}")
+        if info == 0:
+            factors[:, live] = fac.reshape(rows, live.size, n)
+            X[:, live] = x.reshape(n, live.size, order="F")
+            break
+        live = np.delete(live, (info - 1) // n)
+    return factors, X
+
+
+def _stacked_resolve(trs, factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve again with the factors of _stacked_solve, column j of the n x G
+    `rhs` with block j, in one LAPACK call."""
+    rows, G, n = factors.shape
+    if not n:
+        return np.zeros((0, G))
+    x, info = trs(factors.reshape(rows, -1), rhs.reshape(-1, 1, order="F"))
+    if info < 0:
+        raise ValueError(f"banded solve: illegal value in argument {-info}")
+    return x.reshape(n, G, order="F")
+
+
 def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     """Solve (K @ K + gamma I) x = b for every gamma, K symmetric.
 
-    One eigendecomposition K = Q diag(w) Q' makes every system diagonal,
-    K K + gamma I = Q diag(w^2 + gamma) Q', so each gamma costs matrix
-    products instead of a factorisation, and K @ K is never formed. Columns
-    whose residual misses the bound are refined up to twice with the same
-    factors. Returns the n x G solutions and per column None or the failure
-    message that solve_regularized would raise with contexts[j].
+    One tridiagonal reduction K = Q T Q' turns every system into
+    K K + gamma I = Q (T T + gamma I) Q', whose middle factor is
+    pentadiagonal: each gamma costs an O(n) banded Cholesky solve and
+    K @ K is never formed. Columns whose residual misses the bound are
+    refined up to twice with the same factors. Returns the n x G solutions
+    and per column None or the failure message that solve_regularized would
+    raise with contexts[j].
     """
     K = np.asarray(K, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -192,9 +317,25 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     _check_square(K, b)
     if np.any(gammas < 0):
         raise ValueError("ridge must be nonnegative")
-    w, Q = scipy.linalg.eigh(K, check_finite=False)
-    denom = w[:, None] ** 2 + gammas
-    X = Q @ ((Q.T @ b)[:, None] / denom)
+    tri = tridiagonalize(K)
+    a, e = tri.diag, tri.off
+    n, G = a.size, gammas.size
+    # lower band storage of T T: the diagonal and the two sub-diagonals
+    band = np.zeros((3, n))
+    band[0] = a * a
+    band[0, 1:] += e * e
+    band[0, :-1] += e * e
+    band[1, :-1] = e * (a[:-1] + a[1:])
+    band[2, :-2] = e[:-1] * e[1:]
+    bands = np.repeat(band[:, None, :], G, axis=1)
+    bands[0] += gammas[:, None]
+
+    factors, Y = _stacked_solve(_pbsv, bands, np.repeat(tri.qt(b[:, None]), G, axis=1))
+    X = tri.q(Y)
+
+    def solve(B, cols):
+        return tri.q(_stacked_resolve(_pbtrs, factors[:, cols], tri.qt(B)))
+
     bound = _residual_bound(b)
     for refinement in range(3):
         R = b[:, None] - (K @ (K @ X) + X * gammas)
@@ -202,7 +343,7 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
         bad = ~(res_norms <= bound)
         if refinement == 2 or not bad.any():
             break
-        X[:, bad] += Q @ ((Q.T @ R[:, bad]) / denom[:, bad])
+        X[:, bad] += solve(R[:, bad], bad)
     return X, _column_errors(_SINGULAR_FAILURE, X, res_norms, bound, contexts)
 
 
@@ -259,11 +400,11 @@ def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
     `factor`, K symmetric PSD and b in the range of A.
 
     A K is not symmetric, but it is similar to the symmetric S = W' K W
-    (Golub & Van Loan, Matrix Computations, 8.7). With S = U diag(s) U' and
-    W c = b, x = W U diag(1 / (s + gamma)) U' c solves every system:
-    (A K + gamma I) x = W U (diag(s) + gamma) diag(1 / (s + gamma)) U' c = b.
-    A K has real eigenvalues >= 0, so for gamma > 0 this is the unique
-    solution. One eigh of S serves all gammas.
+    (Golub & Van Loan, Matrix Computations, 8.7). With S = Q T Q' from one
+    tridiagonal reduction and W c = b, x = W Q (T + gamma I)^-1 Q' c solves
+    every system: (A K + gamma I) x = W Q (T + gamma I)(T + gamma I)^-1 Q' c
+    = b. A K has real eigenvalues >= 0, so for gamma > 0 this is the unique
+    solution, and each gamma costs one O(n) tridiagonal solve.
 
     Columns whose residual misses the bound are refined up to twice with the
     same factors; a column that still misses it is solved again by
@@ -289,14 +430,21 @@ def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
     S = scipy.linalg.blas.dtrmm(1.0, L, S, lower=1, trans_a=1, overwrite_b=1)
     if r < S.shape[0]:
         S = S[:r, :r].copy(order="F")
-    s, U = scipy.linalg.eigh(S, overwrite_a=True, check_finite=False)
+    tri = tridiagonalize(S, overwrite=True)
     del S
-    denom = np.clip(s, 0.0, None)[:, None] + gammas
+    # T + gamma I per gamma: the diagonal and the sub-diagonal padded by one
+    bands = np.zeros((2, gammas.size, r))
+    bands[0] = tri.diag + gammas[:, None]
+    bands[1, :, :-1] = tri.off
 
-    def solve(B, denom):
-        return factor.expand(U @ ((U.T @ factor.range_coords(B)) / denom))
+    factors, Y = _stacked_solve(
+        _ptsv, bands, np.repeat(tri.qt(factor.range_coords(b[:, None])), gammas.size, axis=1))
+    X = factor.expand(tri.q(Y))
 
-    X = solve(b[:, None], denom)
+    def solve(B, cols):
+        Y = _stacked_resolve(_pttrs, factors[:, cols], tri.qt(factor.range_coords(B)))
+        return factor.expand(tri.q(Y))
+
     bound = _residual_bound(b)
     for refinement in range(3):
         R = b[:, None] - (A @ (K @ X) + X * gammas)
@@ -304,7 +452,7 @@ def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
         bad = ~(res_norms <= bound)
         if refinement == 2 or not bad.any():
             break
-        X[:, bad] += solve(R[:, bad], denom[:, bad])
+        X[:, bad] += solve(R[:, bad], bad)
     errors = _column_errors(_SINGULAR_FAILURE, X, res_norms, bound, contexts)
 
     retry = [j for j, err in enumerate(errors) if err is not None]

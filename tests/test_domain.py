@@ -60,6 +60,9 @@ def test_domain_box_transform_out_of_box():
     # within tolerance the result is clipped into [0, 1]
     z = box.transform(np.array([[1.0 + 1e-15]]))
     assert z[0, 0] == 1.0
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(OutOfBoxError):
+            box.transform(np.array([[0.5], [bad]]))
 
 
 def test_fit_domain_box_tight():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vratio.domain import DomainBox, ScaledSamples
+from vratio.domain import DomainBox, OutOfBoxError, ScaledSamples
 from vratio.estimators import (
     Method,
     RatioEstimate,
@@ -167,6 +167,22 @@ def test_predict_applies_box_scaling():
     spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d=1)
     est = fit_dre_vk(s, spec, 0.1)
     assert np.allclose(est.predict(raw), est.predict_scaled(scaled))
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_predict_rejects_nan_query(method):
+    rng = np.random.default_rng(43)
+    s = unit_samples(rng, 10, 10, 1)
+    spec = kernel_spec_for(method, 1, 0.5)
+    if method is Method.DRE_V:
+        est = fit_dre_v(s, 0.1)
+    elif method is Method.ULSIF_LIKE:
+        est = fit_ulsif_like(s, spec, 0.1)
+    else:
+        est = fit_dre_vk(s, spec, 0.1)
+    assert np.all(np.isfinite(est.predict([[0.5], [0.25]])))
+    with pytest.raises(OutOfBoxError):
+        est.predict([[np.nan], [0.5]])
 
 
 def test_estimators_reject_nonpositive_gamma():

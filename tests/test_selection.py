@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from vratio import selection, solve
-from vratio.domain import DomainBox, ScaledSamples
+from vratio.domain import DomainBox, SampleSet, ScaledSamples, fit_domain_box, scale
 from vratio.estimators import (
     Method,
     fit_dre_v,
@@ -249,8 +249,9 @@ def test_cross_validate_work_counts(method, monkeypatch):
     for name in ("lu_factor", "eigh"):
         monkeypatch.setattr(scipy.linalg, name,
                             counter.wrap(getattr(scipy.linalg, name), lambda *a, name=name: name))
-    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf",
-                        counter.wrap(scipy.linalg.lapack.dpstrf, lambda *a: "dpstrf"))
+    for name in ("dpstrf", "dsytrd"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, counter.wrap(
+            getattr(scipy.linalg.lapack, name), lambda *a, name=name: name))
 
     def matrix_kind(rows, cols):
         # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
@@ -267,13 +268,56 @@ def test_cross_validate_work_counts(method, monkeypatch):
         # one pencil eigh per fold plus the refit's; holdouts by cross_v
         want = {"eigh": k + 1, ("v", "holdout"): 2 * k}
     elif method is Method.ULSIF_LIKE:
-        # one eigh of K per (fold, sigma2) serves every gamma; only the refit uses LU
-        want = {"eigh": k * S, "lu_factor": 1, ("gram", "full"): S,
+        # one tridiagonal reduction of K per (fold, sigma2) serves every gamma;
+        # only the refit uses LU
+        want = {"dsytrd": k * S, "lu_factor": 1, ("gram", "full"): S,
                 ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
     else:
-        # one pivoted Cholesky of V'' per fold and one eigh of W'KW per
-        # (fold, sigma2) serve every gamma; only the refit uses LU. The INK
-        # Gram of the full data is shared by the gamma scaling and the refit
-        want = {"dpstrf": k, "eigh": k * S, "lu_factor": 1, ("gram", "full"): S,
+        # one pivoted Cholesky of V'' per fold and one tridiagonal reduction
+        # of W'KW per (fold, sigma2) serve every gamma; only the refit uses
+        # LU. The INK Gram of the full data is shared by the gamma scaling
+        # and the refit
+        want = {"dpstrf": k, "dsytrd": k * S, "lu_factor": 1, ("gram", "full"): S,
                 ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
     assert counter.counts == want
+
+
+def degenerate_samples():
+    """Inputs whose CV folds have degenerate sizes, each with k = min(n, ell)."""
+    cases = {
+        # fold 1 trains on the point at 1 alone (V'' = 0, rank 0), fold 2 on one point
+        "rank-0-and-n-1": ([[0.2], [1.0]], [[0.5], [0.7]]),
+        # every fold trains on two denominator points
+        "n-2": ([[0.1], [0.4], [0.8]], [[0.3], [0.5], [0.9]]),
+        "ties": ([[0.3], [0.3], [0.3], [0.7], [0.7], [1.0]],
+                 [[0.2], [0.3], [0.5], [0.7], [0.7], [0.9]]),
+    }
+    out = {}
+    for name, (x_den, x_num) in cases.items():
+        box = DomainBox(np.zeros(1), np.ones(1))
+        out[name] = ScaledSamples(np.array(x_den), np.array(x_num), box)
+    # a zero-range coordinate, scaled by the fitted box to the constant 0.5
+    rng = np.random.default_rng(62)
+    raw_den = np.column_stack([rng.random(6), np.full(6, 3.0)])
+    raw_num = np.column_stack([rng.random(5), np.full(5, 3.0)])
+    num, den = SampleSet(raw_num), SampleSet(raw_den)
+    out["zero-range-coordinate"] = scale(num, den, fit_domain_box(num, den))
+    return out
+
+
+@pytest.mark.parametrize("case", list(degenerate_samples()))
+@pytest.mark.parametrize("method", list(Method))
+def test_cross_validate_degenerate_sizes_match_naive_fits(method, case):
+    s = degenerate_samples()[case]
+    k = min(s.n, s.ell)
+    sigma2_values = [0.2, 1.0] if method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE) else [None]
+    plan = CvPlan(k=k, seed=2, sigma2_grid=None if sigma2_values == [None] else sigma2_values)
+    report = cross_validate(s, method, plan)
+    naive = naive_cv(s, method, plan, sigma2_values)
+
+    assert report.failures == 0
+    assert all(want is not None for want in naive.values())
+    scale_ = max(abs(want) for want in naive.values())
+    for cand, want in zip(report.candidates, naive.values()):
+        assert cand.criterion == pytest.approx(want, rel=1e-8, abs=1e-12 * scale_)
+    assert np.all(np.isfinite(report.estimate.predict_scaled(s.pooled())))

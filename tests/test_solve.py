@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import LinAlgWarning
 
 from vratio import solve
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
@@ -108,8 +109,9 @@ def test_pencil_solve_many_reports_each_failure_as_solve_raises():
         assert err == str(exc.value)
 
 
-def test_solve_ridge_square_many_matches_lu():
+def test_solve_ridge_square_many_matches_lu(monkeypatch):
     rng = np.random.default_rng(24)
+    refinements = count_refinement_solves(monkeypatch)
     for rank in (6, 3):  # full rank and rank-deficient K
         G = rng.normal(size=(6, rank))
         K = G @ G.T
@@ -117,6 +119,7 @@ def test_solve_ridge_square_many_matches_lu():
         gammas = np.array([1e-4, 1e-2, 1.0])
         X, errors = solve_ridge_square_many(K, gammas, b, ["a", "b", "c"])
         assert errors == [None, None, None]
+        assert refinements == []  # the first pentadiagonal solve passed
         for j, gamma in enumerate(gammas):
             want = solve_regularized(K @ K, gamma, b).solution
             assert np.allclose(X[:, j], want, rtol=1e-8, atol=1e-10)
@@ -131,6 +134,49 @@ def test_solve_ridge_square_many_flags_singular_columns():
         _, errors = solve_ridge_square_many(K, np.array([0.0, 1.0]), b, ["gamma=0", "gamma=1"])
     assert errors[1] is None
     assert errors[0].startswith("system singular to working precision (gamma=0)")
+
+
+def test_solve_ridge_square_many_singular_shift_fails_only_its_column():
+    K = np.diag([1.0, 0.0])
+    b = np.array([1.0, 1.0])
+    X, errors = solve_ridge_square_many(K, np.array([1.0, 0.0, 3.0]), b, ["", "gamma=0", ""])
+    assert errors[1].startswith("system singular to working precision (gamma=0)")
+    assert errors[0] is None and errors[2] is None
+    assert np.allclose(X[:, 0], [0.5, 1.0]) and np.allclose(X[:, 2], [0.25, 1.0 / 3.0])
+
+
+def perturb_tridiagonal(monkeypatch, rel: float):
+    """Make dsytrd return T with its diagonal scaled by 1 + rel."""
+    dsytrd = scipy.linalg.lapack.dsytrd
+
+    def perturbed(*args, **kwargs):
+        c, d, e, tau, info = dsytrd(*args, **kwargs)
+        return c, (1.0 + rel) * d, e, tau, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", perturbed)
+
+
+def test_refinement_recovers_from_slightly_wrong_factors(monkeypatch):
+    # factors off by 1e-7 miss the residual bound on the first solve; two
+    # refinement steps with the same factors reach it without an LU
+    x_den, x_num, spec = product_cases()["3d"]
+    V, K, b, gammas = product_system(x_den, x_num, spec)
+    factor = pivoted_cholesky(V)
+    perturb_tridiagonal(monkeypatch, 1e-7)
+    lu_calls = count_lu_factor(monkeypatch)
+    refinements = count_refinement_solves(monkeypatch)
+    X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
+    assert errors == [None] * len(gammas)
+    assert lu_calls == [] and refinements.count("dpttrs") in (1, 2)
+    Y, errors = solve_ridge_square_many(K, gammas, b, [""] * len(gammas))
+    assert errors == [None] * len(gammas)
+    assert refinements.count("dpbtrs") in (1, 2)
+    # both sides only meet the residual bound, so they agree to within it
+    # times the condition number, which is near 1e9 for K K at the smallest gamma
+    for j, gamma in enumerate(gammas):
+        for got, M in ((X[:, j], V @ K), (Y[:, j], K @ K)):
+            want = solve_regularized(M, gamma, b).solution
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
 def product_system(x_den, x_num, spec):
@@ -158,12 +204,23 @@ def product_cases():
     }
 
 
-def count_lu_factor(monkeypatch) -> list:
+def count_calls(monkeypatch, module, *names) -> list:
+    """Patch module.<name> for each name to record its name per call."""
     calls = []
-    lu_factor = scipy.linalg.lu_factor
-    monkeypatch.setattr(scipy.linalg, "lu_factor",
-                        lambda *a, **kw: calls.append(1) or lu_factor(*a, **kw))
+    for name in names:
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, fn=fn, name=name, **kw: calls.append(name) or fn(*a, **kw))
     return calls
+
+
+def count_lu_factor(monkeypatch) -> list:
+    return count_calls(monkeypatch, scipy.linalg, "lu_factor")
+
+
+def count_refinement_solves(monkeypatch) -> list:
+    """Calls of the banded solves that reuse factors, which only refinement makes."""
+    return count_calls(monkeypatch, scipy.linalg.lapack, "dpbtrs", "dpttrs")
 
 
 @pytest.mark.parametrize("case", list(product_cases()))
@@ -176,9 +233,11 @@ def test_solve_product_ridge_many_matches_lu(case, monkeypatch):
     if case in ("1d-ties", "1d-point-at-1"):
         assert factor.rank < V.shape[0]
     lu_calls = count_lu_factor(monkeypatch)
+    refinements = count_refinement_solves(monkeypatch)
     X, errors = solve_product_ridge_many(factor, K, gammas, b, [f"gamma={g}" for g in gammas])
     assert errors == [None] * len(gammas)
-    assert lu_calls == []  # every column passed from the eigendecomposition, no LU retry
+    # every column passed from the first tridiagonal solve: no refinement, no LU retry
+    assert refinements == [] and lu_calls == []
     M = V @ K
     for j, gamma in enumerate(gammas):
         want = solve_regularized(M, gamma, b).solution
@@ -220,19 +279,86 @@ def test_solve_product_ridge_many_lu_retry_rescues_column(monkeypatch):
     x_den, x_num, spec = product_cases()["3d"]
     V, K, b, gammas = product_system(x_den, x_num, spec)
     factor = pivoted_cholesky(V)
-    eigh = scipy.linalg.eigh
-
-    def wrong_eigh(*args, **kwargs):
-        s, U = eigh(*args, **kwargs)
-        return 2.0 * s, U  # refinement with these factors cannot reach the bound
-
-    monkeypatch.setattr(scipy.linalg, "eigh", wrong_eigh)
+    perturb_tridiagonal(monkeypatch, 1.0)  # refinement with these factors cannot reach the bound
     lu_calls = count_lu_factor(monkeypatch)
     X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
     assert errors == [None] * len(gammas)
     assert len(lu_calls) == len(gammas)
     for j, gamma in enumerate(gammas):
         assert np.array_equal(X[:, j], solve_regularized(V @ K, gamma, b).solution)
+
+
+def test_solve_product_ridge_many_flags_singular_columns(monkeypatch):
+    # K vanishes on the last ten points, so at gamma = 0 the stacked tridiagonal
+    # solve breaks down and the LU retry of the exactly singular V''K fails too
+    x_den, x_num, spec = product_cases()["3d"]
+    V, K, b, gammas = product_system(x_den, x_num, spec)
+    K[30:, :] = 0.0
+    K[:, 30:] = 0.0
+    gammas = np.concatenate([gammas[:3], [0.0], gammas[3:6]])
+    contexts = [f"gamma={g}" for g in gammas]
+    lu_calls = count_lu_factor(monkeypatch)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.warns(LinAlgWarning):
+        X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b, contexts)
+    assert len(lu_calls) == 1  # only the singular column was retried
+    assert errors[3].startswith("system singular to working precision (gamma=0.0)")
+    M = V @ K
+    for j, gamma in enumerate(gammas):
+        if j != 3:
+            assert errors[j] is None
+            want = solve_regularized(M, gamma, b).solution
+            assert np.linalg.norm(X[:, j] - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def degenerate_product_systems():
+    """V'', K, b and gammas of the sizes a CV fold can degenerate to."""
+    spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1)
+    x_num = np.array([[0.5], [0.7]])
+    cases = {
+        "rank-0": np.array([[1.0]]),  # V'' = 0 and b = 0
+        "rank-0-n-2": np.array([[1.0], [1.0]]),
+        "n-1": np.array([[0.2]]),
+        "n-2": np.array([[0.2], [0.6]]),
+        "n-2-tie": np.array([[0.2], [0.2]]),
+    }
+    out = {}
+    for name, x_den in cases.items():
+        V, K, b, _ = product_system(x_den, x_num, spec)
+        out[name] = V, K, b, np.logspace(-5.0, 1.0, 15)  # the unscaled grid: tr(V''K) may be 0
+    return out
+
+
+@pytest.mark.parametrize("case", list(degenerate_product_systems()))
+def test_solve_product_ridge_many_degenerate_sizes(case):
+    V, K, b, gammas = degenerate_product_systems()[case]
+    X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b, [""] * len(gammas))
+    assert errors == [None] * len(gammas)
+    for j, gamma in enumerate(gammas):
+        want = solve_regularized(V @ K, gamma, b).solution
+        assert np.allclose(X[:, j], want, rtol=1e-8, atol=1e-12)
+
+
+def test_solve_product_ridge_many_rank_0_rhs_outside_range_goes_to_lu(monkeypatch):
+    # A = 0 has an empty W, so refinement cannot help and the LU retry solves gamma x = b
+    factor = pivoted_cholesky(np.zeros((2, 2)))
+    lu_calls = count_lu_factor(monkeypatch)
+    X, errors = solve_product_ridge_many(factor, np.eye(2), np.array([0.5, 2.0]),
+                                         np.array([1.0, -1.0]), ["", ""])
+    assert errors == [None, None] and len(lu_calls) == 2
+    assert np.allclose(X, [[2.0, 0.5], [-2.0, -0.5]])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_ridge_square_many_degenerate_sizes(n):
+    x = np.array([[0.2], [0.6]])[:n]
+    K = cross_gram(KernelSpec(KernelKind.RBF, 1, 0.5), x, x)
+    b = np.array([0.8, 1.3])[:n]
+    gammas = np.logspace(-5.0, 1.0, 15)
+    X, errors = solve_ridge_square_many(K, gammas, b, [""] * len(gammas))
+    assert errors == [None] * len(gammas)
+    for j, gamma in enumerate(gammas):
+        assert np.allclose(X[:, j], solve_regularized(K @ K, gamma, b).solution,
+                           rtol=1e-8, atol=1e-12)
 
 
 def active_set_oracle(A, b):
