@@ -8,15 +8,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .domain import SampleSet, fit_domain_box, scale
+from .domain import OutOfBoxError, SampleSet, fit_domain_box, scale
 from .estimators import Method, dre_v_nonneg_values
-from .selection import CvPlan, cross_validate
+from .selection import CvPlan, SelectionError, cross_validate
+from .solve import SingularSystemError
 
 _P2_FLOOR_LOG = np.log(1e-300)
 
 
 class DensityUnderflowError(ValueError):
     """The denominator density underflows at a query point."""
+
+
+# the library's own errors for a draw it cannot estimate; anything else is a bug
+_DRAW_ERRORS = (SelectionError, SingularSystemError, OutOfBoxError, DensityUnderflowError)
 
 
 @dataclass(frozen=True)
@@ -189,15 +194,18 @@ def run_draw(model: SyntheticModel, m: int, method: Method, seed: int, plan: CvP
 def run_experiment(model_id: int, m: int, method: Method, draws: int, plan: CvPlan,
                    base_seed: int, margin: float = 0.0,
                    nonneg: bool = False) -> list[ExperimentRecord]:
-    """Independent draws with derived seeds base_seed + draw index; failed draws
-    are recorded rather than aborting the batch."""
+    """Independent draws with derived seeds base_seed + draw index. A draw that
+    raises one of the library's errors for an input it cannot estimate
+    (SelectionError, SingularSystemError, OutOfBoxError,
+    DensityUnderflowError) is recorded as failed rather than aborting the
+    batch; any other exception propagates."""
     model = make_model(model_id)
     records = []
     for draw in range(draws):
         seed = base_seed + draw
         try:
             rec = replace(run_draw(model, m, method, seed, plan, margin, nonneg), draw=draw)
-        except Exception as exc:  # noqa: BLE001 - per-draw failures become rows
+        except _DRAW_ERRORS as exc:
             rec = ExperimentRecord(model_id, m, method, draw, seed, None, None, None,
                                    "failed", f"{type(exc).__name__}: {exc}")
         records.append(rec)

@@ -60,6 +60,10 @@ class ExperimentConfig:
             raise ConfigError("draws must be at least 1")
         if self.folds < 2:
             raise ConfigError("folds must be at least 2")
+        smallest = min(min(self.sizes_for(mid)) for mid in self.models)
+        if self.folds > smallest:
+            raise ConfigError(f"folds must not exceed the smallest sample size {smallest}, "
+                              f"got {self.folds}")
         if self.margin < 0:
             raise ConfigError("margin must be nonnegative")
         if self.gamma_min <= 0 or self.gamma_max < self.gamma_min or self.gamma_count < 1:
@@ -304,7 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out-csv", dest="out_csv")
     p_run.add_argument("--out-json", dest="out_json")
 
-    p_fit = sub.add_parser("fit", help="estimate weights for two point files")
+    p_fit = sub.add_parser(
+        "fit", help="estimate weights for two point files",
+        description="Fit the density ratio numerator/denominator on the box around both "
+                    "files (widened by --margin) and write its values at the denominator "
+                    "points. The estimate is defined on that box only: a query whose "
+                    "box-scaled coordinate lies more than 1e-12 outside [0, 1] raises "
+                    "OutOfBoxError, and a point on a face is inside.")
     p_fit.add_argument("numerator", help="text file, one point per line")
     p_fit.add_argument("denominator", help="text file, one point per line")
     p_fit.add_argument("--method", default="dre-vk-ink", choices=DEFAULT_METHODS)

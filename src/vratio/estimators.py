@@ -61,7 +61,13 @@ class RatioEstimate:
         return cross_gram(self.kernel, pts, self.centers) @ self.coef
 
     def predict(self, points) -> np.ndarray:
-        """Ratio values at raw points; scaling through the stored box is applied."""
+        """Ratio values at raw points; scaling through the stored box is applied.
+
+        The estimate is defined on the box only. A query whose scaled
+        coordinate lies more than 1e-12 outside [0, 1], or is NaN, raises
+        OutOfBoxError; a point on a face is inside, and one within the
+        tolerance is clamped onto the face.
+        """
         return self.predict_scaled(self.box.transform(points))
 
 
@@ -125,13 +131,17 @@ def ulsif_rhs(s: ScaledSamples, K: np.ndarray) -> np.ndarray:
     return (s.n / s.ell) * (K @ rect_identity_ones(s.n, s.ell))
 
 
-def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
+def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float,
+                   K: np.ndarray | None = None) -> RatioEstimate:
     """Baseline with identity matrices in place of the V-matrices and ridge
     regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde.
+
+    `K`, when given, must be the Gram matrix of s.x_prime under `spec`; it
+    saves rebuilding it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    K = cross_gram(spec, s.x_prime, s.x_prime)
+    K = cross_gram(spec, s.x_prime, s.x_prime) if K is None else K
     b = ulsif_rhs(s, K)
     report = solve_regularized(K @ K, gamma, b, context=f"gamma={gamma}")
     return RatioEstimate(report.solution, s.x_prime, s.box, gamma, spec)

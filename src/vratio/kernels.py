@@ -32,6 +32,16 @@ class KernelSpec:
             raise ValueError("the linear INK-spline kernel has no parameters")
 
 
+def rbf_from_sqdist(sq_dist, sigma2: float, out=None) -> np.ndarray:
+    """Gaussian kernel values exp(-d / (2 sigma2)) of squared distances d.
+
+    `out` may be `sq_dist` itself. Dividing by -2 sigma2 gives exactly
+    -d / (2 sigma2), since IEEE division is symmetric in sign.
+    """
+    out = np.divide(sq_dist, -2.0 * sigma2, out=out)
+    return np.exp(out, out=out)
+
+
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Kernel matrix k(rows_i, cols_j).
 
@@ -46,7 +56,7 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
         )
     if spec.kind is KernelKind.RBF:
         sq = cdist(rp, cp, "sqeuclidean")
-        return np.exp(-sq / (2.0 * spec.sigma2))
+        return rbf_from_sqdist(sq, spec.sigma2, out=sq)
     if np.any(rp < 0) or np.any(cp < 0):
         raise ValueError("INK-spline inputs must be nonnegative")
     # each coordinate's factor ((1 + xy) + (0.5 |x - y|) mn^2) + mn^3 / 3 is

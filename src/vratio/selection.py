@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from .domain import ScaledSamples
 from .estimators import (
@@ -18,7 +18,7 @@ from .estimators import (
     ulsif_rhs,
     v_rhs,
 )
-from .kernels import cross_gram
+from .kernels import cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import (  # noqa: F401
     PsdPencilSolver,
@@ -27,7 +27,7 @@ from .solve import (  # noqa: F401
     solve_regularized,
     solve_ridge_square_many,
 )
-from .vmatrix import VMatrices, build_v_matrices, cross_v
+from .vmatrix import VMatrices, build_v_matrices
 
 DEFAULT_SIGMA2_MULTIPLIERS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -145,10 +145,9 @@ def _gamma_scale(method: Method, s: ScaledSamples, vm: VMatrices | None, K) -> f
     return scale
 
 
-def _gram(method: Method, s: ScaledSamples, sigma2):
-    """Kernel Gram matrix of the denominator points, or None for DRE-V."""
-    spec = kernel_spec_for(method, s.d, sigma2)
-    return None if spec is None else cross_gram(spec, s.x_prime, s.x_prime)
+def _block(A: np.ndarray, rows, cols) -> np.ndarray:
+    """A[rows][:, cols] in C order, the layout of a matrix built entry by entry."""
+    return np.take(A[rows], cols, axis=1)
 
 
 def _factor_v(method: Method, vm: VMatrices | None):
@@ -172,33 +171,24 @@ def _solve_all(method: Method, sub: ScaledSamples, vm: VMatrices | None, factor,
     return solve_product_ridge_many(factor, K, gammas, v_rhs(vm, sub), contexts)
 
 
-def _fold_criteria(method, sub, vm, factor, sigma2, gammas, hold_num, hold_den, n_over_l):
+def _criteria(coef, hold_den, hold_num, n_over_l) -> np.ndarray:
     """Least-squares criterion 0.5 sum r(z')^2 - (n/ell) sum r(z) on the holdout
-    points for every gamma of one (fold, sigma2), and per gamma None or its
-    failure message.
-
-    The Gram matrix and the two holdout matrices live only for this call, so
-    one (fold, sigma2) system is held at a time.
-    """
-    coef, errors = _solve_all(method, sub, vm, factor, _gram(method, sub, sigma2), gammas)
-    spec = kernel_spec_for(method, sub.d, sigma2)
-    if spec is None:
-        pred_den = cross_v(hold_den, sub.x_prime) @ coef
-        pred_num = cross_v(hold_num, sub.x_prime) @ coef
-    else:
-        pred_den = cross_gram(spec, hold_den, sub.x_prime) @ coef
-        pred_num = cross_gram(spec, hold_num, sub.x_prime) @ coef
-    return 0.5 * np.sum(pred_den**2, axis=0) - n_over_l * np.sum(pred_num, axis=0), errors
+    points for every column of the n x G coefficient matrix; `hold_den` and
+    `hold_num` map coefficients to values at the denominator and numerator
+    holdout points."""
+    pred_den = hold_den @ coef
+    pred_num = hold_num @ coef
+    return 0.5 * np.sum(pred_den**2, axis=0) - n_over_l * np.sum(pred_num, axis=0)
 
 
 def _final_fit(method, s, vm, K, gamma, sigma2) -> RatioEstimate:
     """Refit on all data with the solvers of the fit_* functions, reusing the
-    full-data V-matrices and, when given, the Gram matrix."""
+    full-data V-matrices and Gram matrix."""
     if method is Method.DRE_V:
         return fit_dre_v(s, gamma, vm=vm)
     spec = kernel_spec_for(method, s.d, sigma2)
     if method is Method.ULSIF_LIKE:
-        return fit_ulsif_like(s, spec, gamma)
+        return fit_ulsif_like(s, spec, gamma, K=K)
     return fit_dre_vk(s, spec, gamma, vm=vm, K=K)
 
 
@@ -210,25 +200,39 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     are recorded and excluded from selection; every accepted fold solution
     passes the residual check of `solve`.
 
+    A V-matrix, INK or RBF entry depends only on its pair of points, so every
+    matrix of a fold is a block of a full-data matrix, taken with the fold's
+    sorted training indices and holdout indices in fold order. The blocks are
+    bit-identical to matrices built from the fold's points.
+
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
-    * once per draw: the full-data V-matrices (all but uLSIF), shared by the
-      gamma scaling and the refit, and for INK the full-data Gram matrix,
-      shared the same way; with RBF one full-data Gram per sigma2 for the
-      scaling and one more at the selected sigma2 for the refit.
-    * once per fold: the training V-matrices (all but uLSIF) and the
-      factorisation of V'' that every sigma2 and gamma share: DRE-V the eigh
-      of V'' for the pencil V''V'' + (gamma/n) V''; DRE-VK a pivoted
-      Cholesky V'' = W W' (dpstrf), which drops the zero rows of points on
-      the box's upper face and the repeated rows of ties.
-    * once per (fold, sigma2): the training Gram matrix; for uLSIF and
-      DRE-VK one Householder tridiagonal reduction (dsytrd, 4n^3/3 flops
-      against about 9n^3 for eigh) that serves every gamma: of K for uLSIF,
-      so that KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK,
-      to which the non-symmetric V''K is similar, so that V''K + gamma I
-      reduces to T + gamma I; the two holdout matrices K(holdout, centres)
-      (cross_v for DRE-V); and one product of each with the n x G
-      coefficient matrix, which scores every gamma.
+    * once per draw: the full-data V-matrices V'' and V' (all but uLSIF),
+      for INK the Gram matrix K, and for RBF the squared distances D between
+      denominator points, which do not depend on sigma2. They serve the
+      gamma scaling (one exp of D per sigma2 for RBF), every fold and the
+      refit (one exp of D, in place, at the selected sigma2).
+    * once per fold: the blocks V''[train, train] and V'[train, train_num]
+      (all but uLSIF); for DRE-V the holdout blocks V''[hold_den, train] and
+      V'[train, hold_num]', equal to the overlap volumes of those pairs since
+      max is symmetric; for INK the blocks K[train, train] and
+      K[hold_den, train] and one Gram of the numerator holdout against the
+      training points; for RBF the blocks D[train, train] and
+      D[hold_den, train] and the squared distances of the numerator holdout
+      to the training points. The holdout matrices of DRE-V and INK are
+      taken after the fold's solve, which needs the most memory. Then the
+      factorisation of V'' that every sigma2 and gamma share: DRE-V the eigh of V'' for the pencil
+      V''V'' + (gamma/n) V''; DRE-VK a pivoted Cholesky V'' = W W' (dpstrf),
+      which drops the zero rows of points on the box's upper face and the
+      repeated rows of ties.
+    * once per (fold, sigma2): for RBF, one exp of the fold's distances into
+      one buffer, which holds the training Gram and both holdout matrices;
+      for uLSIF and DRE-VK one Householder tridiagonal reduction (dsytrd,
+      4n^3/3 flops against about 9n^3 for eigh) that serves every gamma: of
+      K for uLSIF, so that KK + gamma I = Q (T T + gamma I) Q', and of W'KW
+      for DRE-VK, to which the non-symmetric V''K is similar, so that
+      V''K + gamma I reduces to T + gamma I; and one product of each holdout
+      matrix with the n x G coefficient matrix, which scores every gamma.
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
       is pentadiagonal, T + gamma I tridiagonal; all gammas go into one
       LAPACK call) and O(n^2) products with Q; DRE-V needs only the
@@ -253,13 +257,14 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         sigma2_values = [None]
 
     full_vm = None if method is Method.ULSIF_LIKE else build_v_matrices(s)
-    # the INK Gram matrix has no sigma2, so the scaling and the refit share it
-    full_K = _gram(method, s, None) if method is Method.DRE_VK_INK else None
+    ink = kernel_spec_for(method, s.d) if method is Method.DRE_VK_INK else None
+    full_K = None if ink is None else cross_gram(ink, s.x_prime, s.x_prime)
+    D = cdist(s.x_prime, s.x_prime, "sqeuclidean") if uses_rbf else None
     gammas = []
     for s2 in sigma2_values:
         scale = 1.0
         if plan.scale_gamma:
-            K = _gram(method, s, s2) if uses_rbf else full_K
+            K = rbf_from_sqdist(D, s2) if uses_rbf else full_K
             scale = _gamma_scale(method, s, full_vm, K)
         gammas.append(plan.gamma_grid * scale)
     totals = np.zeros((len(sigma2_values), plan.gamma_grid.size))
@@ -271,22 +276,42 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     all_den = np.arange(s.n)
 
     for num_hold, den_hold in zip(num_folds, den_folds):
-        sub = s.subset(np.setdiff1d(all_num, num_hold), np.setdiff1d(all_den, den_hold))
-        vm = None if method is Method.ULSIF_LIKE else build_v_matrices(sub)
+        num_train = np.setdiff1d(all_num, num_hold)
+        train = np.setdiff1d(all_den, den_hold)
+        sub = s.subset(num_train, train)
+        vm = None if full_vm is None else VMatrices(
+            _block(full_vm.v_dd, train, train), _block(full_vm.v_dn, train, num_train))
+        K = _block(full_K, train, train) if ink is not None else None
+        if uses_rbf:
+            # rows: training points, denominator holdout, numerator holdout
+            dist = np.vstack([_block(D, np.concatenate([train, den_hold]), train),
+                              cdist(s.x[num_hold], sub.x_prime, "sqeuclidean")])
+            gram = np.empty_like(dist)
         factor = _factor_v(method, vm)
         for i, s2 in enumerate(sigma2_values):
             live = [j for j, err in enumerate(errors[i]) if err is None]
             if not live:
                 continue
-            crit, errs = _fold_criteria(method, sub, vm, factor, s2, gammas[i][live],
-                                        s.x[num_hold], s.x_prime[den_hold], n_over_l)
+            if uses_rbf:
+                K = rbf_from_sqdist(dist, s2, out=gram)[:sub.n]
+            coef, errs = _solve_all(method, sub, vm, factor, K, gammas[i][live])
+            # built after the solve, which needs the most memory
+            if uses_rbf:
+                hold_den, hold_num = gram[sub.n:s.n], gram[s.n:]
+            elif ink is not None:
+                hold_den = _block(full_K, den_hold, train)
+                hold_num = cross_gram(ink, s.x[num_hold], sub.x_prime)
+            else:
+                hold_den = _block(full_vm.v_dd, den_hold, train)
+                hold_num = _block(full_vm.v_dn.T, num_hold, train)  # max is symmetric
+            crit = _criteria(coef, hold_den, hold_num, n_over_l)
             for j, c, err in zip(live, crit, errs):
                 if err is None:
                     totals[i, j] += c
                 else:
                     errors[i][j] = err
-        # drop this fold's V-matrices and factor before the next fold builds its own
-        del vm, factor
+        # drop this fold's matrices and factor before the next fold builds its own
+        vm = factor = K = coef = hold_den = hold_num = dist = gram = None
 
     candidates = [
         Candidate(float(g), s2, float(totals[i, j]) if errors[i][j] is None else np.nan,
@@ -306,6 +331,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         ):
             best = cand
 
+    if uses_rbf:
+        full_K = rbf_from_sqdist(D, best.sigma2, out=D)
     estimate = _final_fit(method, s, full_vm, full_K, best.gamma, best.sigma2)
     return CvReport(
         method=method,

@@ -61,17 +61,18 @@ def build_v_matrices(s: ScaledSamples) -> VMatrices:
     return VMatrices(v_dd, v_dn)
 
 
-def l2_residual(s: ScaledSamples, r) -> float:
+def l2_residual(s: ScaledSamples, r, vm: VMatrices | None = None) -> float:
     """Exact squared L2 distance between the weighted denominator and numerator
     empirical measures, including the r-independent term.
 
     Expands to (1/n^2) r'V''r - (2/(n ell)) r'V'1 + (1/ell^2) 1'V'''1 where
-    V''' collects overlap volumes of numerator pairs.
+    V''' collects overlap volumes of numerator pairs. `vm`, when given, must
+    be build_v_matrices(s); it saves rebuilding it.
     """
     rv = np.atleast_1d(np.asarray(r, dtype=float))
     if rv.shape[0] != s.n:
         raise ValueError(f"r has length {rv.shape[0]}, expected n={s.n}")
-    vm = build_v_matrices(s)
+    vm = build_v_matrices(s) if vm is None else vm
     v_nn = cross_v(s.x, s.x)
     ones = np.ones(s.ell)
     val = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vratio import bench
 from vratio.bench import (
     BetaDist,
     DensityUnderflowError,
@@ -14,8 +15,10 @@ from vratio.bench import (
     sample_model,
     true_ratio,
 )
+from vratio.domain import OutOfBoxError
 from vratio.estimators import Method
-from vratio.selection import CvPlan
+from vratio.selection import CvPlan, SelectionError
+from vratio.solve import SingularSystemError
 
 
 def test_make_model_parameters():
@@ -120,6 +123,28 @@ def test_run_experiment_deterministic():
     a = run_experiment(2, 50, Method.DRE_VK_INK, draws=2, plan=plan, base_seed=0)
     b = run_experiment(2, 50, Method.DRE_VK_INK, draws=2, plan=plan, base_seed=0)
     assert [r.nrmse for r in a] == [r.nrmse for r in b]
+
+
+@pytest.mark.parametrize("error", [
+    SelectionError("all candidates failed"), SingularSystemError("singular"),
+    OutOfBoxError("outside"), DensityUnderflowError("underflow")])
+def test_run_experiment_records_library_errors(error, monkeypatch):
+    def fail(s, method, plan):
+        raise error
+
+    monkeypatch.setattr(bench, "cross_validate", fail)
+    (rec,) = run_experiment(2, 20, Method.DRE_V, draws=1, plan=CvPlan(k=2), base_seed=0)
+    assert rec.status == "failed"
+    assert rec.message == f"{type(error).__name__}: {error}"
+
+
+def test_run_experiment_raises_programming_errors(monkeypatch):
+    def broken(s, method, plan):
+        return np.arange(3)[5]
+
+    monkeypatch.setattr(bench, "cross_validate", broken)
+    with pytest.raises(IndexError):
+        run_experiment(2, 20, Method.DRE_V, draws=1, plan=CvPlan(k=2), base_seed=0)
 
 
 def test_aggregate():

@@ -160,6 +160,15 @@ def test_run_bad_config_returns_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_rejects_more_folds_than_the_smallest_size(tmp_path, capsys):
+    code = main(run_args(tmp_path, "k", ["--sizes", "3", "--folds", "5"]))
+    assert code == 2
+    assert "folds must not exceed the smallest sample size 3" in capsys.readouterr().err
+    assert not (tmp_path / "k.csv").exists()
+    with pytest.raises(ConfigError):
+        parse_config("models = 2,6\nfolds = 60\n")  # default sizes: 50 for 1-D models
+
+
 def test_fit_command(tmp_path, capsys):
     rng = np.random.default_rng(70)
     num = tmp_path / "num.txt"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from vratio import selection, solve
+from scipy.spatial.distance import cdist
+
+from vratio import estimators, selection, solve
 from vratio.domain import DomainBox, SampleSet, ScaledSamples, fit_domain_box, scale
 from vratio.estimators import (
     Method,
@@ -22,7 +24,7 @@ from vratio.selection import (
     median_sigma2,
 )
 from vratio.solve import SingularSystemError
-from vratio.vmatrix import build_v_matrices
+from vratio.vmatrix import build_v_matrices, cross_v
 
 
 def unit_samples(rng, n, ell, d):
@@ -255,31 +257,123 @@ def test_cross_validate_work_counts(method, monkeypatch):
 
     def matrix_kind(rows, cols):
         # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
-        return {(8, 16): "holdout", (16, 16): "train", (24, 24): "full"}[(len(rows), len(cols))]
+        return {(8, 16): "holdout", (24, 24): "full"}[(len(rows), len(cols))]
 
-    monkeypatch.setattr(selection, "cross_gram", counter.wrap(
-        selection.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
-    monkeypatch.setattr(selection, "cross_v", counter.wrap(
-        selection.cross_v, lambda rows, cols: ("v", matrix_kind(rows, cols))))
+    # every build the fit_* functions of the refit could make is counted too
+    for module in (selection, estimators):
+        monkeypatch.setattr(module, "cross_gram", counter.wrap(
+            module.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
+        monkeypatch.setattr(module, "build_v_matrices", counter.wrap(
+            module.build_v_matrices, lambda s: ("v", matrix_kind(s.x_prime, s.x_prime))))
+    monkeypatch.setattr(selection, "cdist", counter.wrap(
+        selection.cdist, lambda rows, cols, metric: ("dist", matrix_kind(rows, cols))))
+    # the exp of the RBF distances: full data, or one fold's training Gram and
+    # both holdouts (16 + 8 + 8 rows) in one buffer
+    monkeypatch.setattr(selection, "rbf_from_sqdist", counter.wrap(
+        selection.rbf_from_sqdist,
+        lambda sq, sigma2: ("exp", {(24, 24): "full", (32, 16): "fold"}[sq.shape])))
     report = cross_validate(s, method, plan)
     assert report.failures == 0
 
+    # the full-data V-matrices (all but uLSIF) are built once per draw; every
+    # fold takes its V-matrices, and DRE-V its holdout matrices, as blocks
+    want = {} if method is Method.ULSIF_LIKE else {("v", "full"): 1}
     if method is Method.DRE_V:
-        # one pencil eigh per fold plus the refit's; holdouts by cross_v
-        want = {"eigh": k + 1, ("v", "holdout"): 2 * k}
-    elif method is Method.ULSIF_LIKE:
-        # one tridiagonal reduction of K per (fold, sigma2) serves every gamma;
-        # only the refit uses LU
-        want = {"dsytrd": k * S, "lu_factor": 1, ("gram", "full"): S,
-                ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
+        # one pencil eigh per fold plus the refit's
+        want.update({"eigh": k + 1})
     else:
-        # one pivoted Cholesky of V'' per fold and one tridiagonal reduction
-        # of W'KW per (fold, sigma2) serve every gamma; only the refit uses
-        # LU. The INK Gram of the full data is shared by the gamma scaling
-        # and the refit
-        want = {"dpstrf": k, "dsytrd": k * S, "lu_factor": 1, ("gram", "full"): S,
-                ("gram", "train"): k * S, ("gram", "holdout"): 2 * k * S}
+        # one tridiagonal reduction per (fold, sigma2) serves every gamma; only
+        # the refit uses LU. DRE-VK factors V'' by one pivoted Cholesky per fold
+        want.update({"dsytrd": k * S, "lu_factor": 1})
+        if method is not Method.ULSIF_LIKE:
+            want["dpstrf"] = k
+    if method is Method.DRE_VK_INK:
+        # the full-data Gram serves the gamma scaling, the training and
+        # denominator-holdout blocks and the refit; the numerator holdout is
+        # built per fold
+        want.update({("gram", "full"): 1, ("gram", "holdout"): k})
+    elif rbf:
+        # the squared distances of the full data serve every sigma2, fold and
+        # the refit; those of the numerator holdout are computed per fold. One
+        # exp per sigma2 for the gamma scaling, per (fold, sigma2) and for the
+        # refit
+        want.update({("dist", "full"): 1, ("dist", "holdout"): k,
+                     ("exp", "full"): S + 1, ("exp", "fold"): k * S})
     assert counter.counts == want
+
+
+def fold_blocks_inputs():
+    """1-D points with ties between and within the samples and coordinates at
+    0 and 1, and 20-D points."""
+    rng = np.random.default_rng(63)
+    den = rng.random(20)
+    den[[3, 9, 14]] = den[2]
+    den[5], den[11], den[17] = 0.0, 1.0, 1.0
+    num = np.concatenate([den[:6], rng.random(11), [0.0, 1.0]])
+    box = DomainBox(np.zeros(1), np.ones(1))
+    one_d = ScaledSamples(den[:, None], num[:, None], box)
+    twenty_d = unit_samples(rng, 30, 25, 20)
+    return {"1d-ties-faces": one_d, "20d": twenty_d}
+
+
+@pytest.mark.parametrize("case", list(fold_blocks_inputs()))
+@pytest.mark.parametrize("method", list(Method))
+def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
+    """Every matrix a fold uses is a block of a full-data matrix; each must
+    equal, bit for bit and in layout, the matrix built from the fold's points
+    with the expressions cross-validation used before."""
+    s = fold_blocks_inputs()[case]
+    sigma2_values = [0.05, 0.7]
+    plan = CvPlan(k=4, seed=9, sigma2_grid=sigma2_values)
+    systems, holdouts = [], []
+    solve_all, criteria = selection._solve_all, selection._criteria
+
+    # RBF blocks are views of a buffer that the next sigma2 overwrites
+    def copy(a):
+        return None if a is None else a.copy(order="K")
+
+    def spy_solve(method, sub, vm, factor, K, gammas):
+        systems.append((sub, vm, copy(K)))
+        return solve_all(method, sub, vm, factor, K, gammas)
+
+    def spy_criteria(coef, hold_den, hold_num, n_over_l):
+        holdouts.append((copy(hold_den), copy(hold_num)))
+        return criteria(coef, hold_den, hold_num, n_over_l)
+
+    monkeypatch.setattr(selection, "_solve_all", spy_solve)
+    monkeypatch.setattr(selection, "_criteria", spy_criteria)
+    cross_validate(s, method, plan)
+
+    def old_build(rows, cols, sigma2):
+        if method is Method.DRE_V:
+            return cross_v(rows, cols)
+        if method is Method.DRE_VK_INK:
+            return cross_gram(kernel_spec_for(method, s.d), rows, cols)
+        return np.exp(-cdist(rows, cols, "sqeuclidean") / (2.0 * sigma2))
+
+    rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
+    per_fold = sigma2_values if rbf else [None]
+    num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
+    assert len(systems) == len(holdouts) == plan.k * len(per_fold)
+    for f, (num_hold, den_hold) in enumerate(zip(num_folds, den_folds)):
+        for i, s2 in enumerate(per_fold):
+            sub, vm, K = systems[f * len(per_fold) + i]
+            hold_den, hold_num = holdouts[f * len(per_fold) + i]
+            assert np.array_equal(sub.x_prime, s.x_prime[np.setdiff1d(np.arange(s.n), den_hold)])
+            assert np.array_equal(sub.x, s.x[np.setdiff1d(np.arange(s.ell), num_hold)])
+            want = {
+                "hold_den": (hold_den, old_build(s.x_prime[den_hold], sub.x_prime, s2)),
+                "hold_num": (hold_num, old_build(s.x[num_hold], sub.x_prime, s2)),
+            }
+            if vm is not None:
+                old_vm = build_v_matrices(sub)
+                want["v_dd"] = (vm.v_dd, old_vm.v_dd)
+                want["v_dn"] = (vm.v_dn, old_vm.v_dn)
+            if method is not Method.DRE_V:
+                want["K"] = (K, old_build(sub.x_prime, sub.x_prime, s2))
+            for name, (got, old) in want.items():
+                assert np.array_equal(got, old), (f, s2, name)
+                assert got.flags.c_contiguous and old.flags.c_contiguous, (f, s2, name)
 
 
 def degenerate_samples():

@@ -40,7 +40,7 @@ def test_solve_regularized_matches_reference():
 
 def test_solve_regularized_singular_raises():
     A = np.zeros((3, 3))
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError), pytest.warns(LinAlgWarning):
         solve_regularized(A, 0.0, np.ones(3))
 
 

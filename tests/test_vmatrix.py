@@ -150,6 +150,13 @@ def test_l2_residual_zero_when_measures_match():
     assert l2_residual(s, np.ones(6)) == 0.0
 
 
+def test_l2_residual_reuses_given_v_matrices():
+    rng = np.random.default_rng(10)
+    s = unit_samples(rng, 7, 5, 2)
+    r = rng.normal(size=7)
+    assert l2_residual(s, r, vm=build_v_matrices(s)) == l2_residual(s, r)
+
+
 def test_l2_residual_length_check():
     rng = np.random.default_rng(9)
     s = unit_samples(rng, 4, 3, 1)
