@@ -250,9 +250,7 @@ def run(config: ExperimentConfig) -> int:
     write_json(config.out_json, config, records)
     print_table(config, records)
     agg = aggregate(records)
-    any_dead = any(stats["failures"] == stats["draws"] for stats in agg.values())
-    partial = any(stats["failures"] > 0 for stats in agg.values())
-    return 1 if (any_dead or partial) else 0
+    return 1 if any(stats["failures"] > 0 for stats in agg.values()) else 0
 
 
 def _load_points(path: str) -> np.ndarray:
@@ -276,7 +274,10 @@ def fit_command(args) -> int:
     if not 2 <= args.folds <= smallest:
         raise ConfigError(f"--folds must be from 2 to the smaller sample size {smallest}, "
                           f"got {args.folds}")
-    box = fit_domain_box(num, den, margin=args.margin)
+    try:
+        box = fit_domain_box(num, den, margin=args.margin)
+    except ValueError as exc:  # a negative margin or files of different dimensions
+        raise ConfigError(str(exc)) from exc
     s = scale(num, den, box)
     plan = CvPlan(k=args.folds, seed=args.seed)
     report = cross_validate(s, Method(args.method), plan)

@@ -14,6 +14,7 @@ that predicts anywhere in the box:
 
 dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 and returns
 the values at the denominator points.
+DRE-V and uLSIF solve with the banded solvers that CV uses, DRE-VK by LU.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import numpy as np
 
 from .domain import DomainBox, ScaledSamples, as_points
 from .kernels import KernelKind, KernelSpec, cross_gram
-from .solve import PsdPencilSolver, solve_nonneg, solve_regularized
+from .solve import (PsdPencilSolver, SingularSystemError, solve_nonneg, solve_regularized,
+                    solve_ridge_square_many)
 from .vmatrix import VMatrices, build_v_matrices, cross_v
 
 
@@ -81,6 +83,7 @@ def fit_dre_v(s: ScaledSamples, gamma: float, vm: VMatrices | None = None) -> Ra
     alpha = (n/ell)(V''V'' + (gamma/n)V'')^+ V' 1, so that the estimate
     r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and its
     values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1.
+    Solved by PsdPencilSolver, so alpha lies in the range of V''.
 
     `vm`, when given, must be build_v_matrices(s); it saves rebuilding it.
     """
@@ -134,7 +137,8 @@ def ulsif_rhs(s: ScaledSamples, K: np.ndarray) -> np.ndarray:
 def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float,
                    K: np.ndarray | None = None) -> RatioEstimate:
     """Baseline with identity matrices in place of the V-matrices and ridge
-    regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde.
+    regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde
+    by solve_ridge_square_many and raises SingularSystemError with its message.
 
     `K`, when given, must be the Gram matrix of s.x_prime under `spec`; it
     saves rebuilding it.
@@ -142,9 +146,10 @@ def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     K = cross_gram(spec, s.x_prime, s.x_prime) if K is None else K
-    b = ulsif_rhs(s, K)
-    report = solve_regularized(K @ K, gamma, b, context=f"gamma={gamma}")
-    return RatioEstimate(report.solution, s.x_prime, s.box, gamma, spec)
+    X, (error,) = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K), [f"gamma={gamma}"])
+    if error is not None:
+        raise SingularSystemError(error)
+    return RatioEstimate(X[:, 0], s.x_prime, s.box, gamma, spec)
 
 
 def kernel_spec_for(method: Method, d: int, sigma2: float | None = None) -> KernelSpec | None:

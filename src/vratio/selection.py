@@ -152,7 +152,7 @@ def _block(A: np.ndarray, rows, cols) -> np.ndarray:
 
 def _factor_v(method: Method, vm: VMatrices | None):
     """The fold's factorisation of V'' shared by every sigma2 and gamma: the
-    pencil eigh for DRE-V, a pivoted Cholesky for DRE-VK, None for uLSIF."""
+    PsdPencilSolver for DRE-V, a pivoted Cholesky for DRE-VK, None for uLSIF."""
     if method is Method.DRE_V:
         return PsdPencilSolver(vm.v_dd)
     if method is Method.ULSIF_LIKE:
@@ -221,30 +221,31 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       D[hold_den, train] and the squared distances of the numerator holdout
       to the training points. The holdout matrices of DRE-V and INK are
       taken after the fold's solve, which needs the most memory. Then the
-      factorisation of V'' that every sigma2 and gamma share: DRE-V the eigh of V'' for the pencil
-      V''V'' + (gamma/n) V''; DRE-VK a pivoted Cholesky V'' = W W' (dpstrf),
-      which drops the zero rows of points on the box's upper face and the
-      repeated rows of ties.
+      factorisation of V'' that every sigma2 and gamma share (all but
+      uLSIF): a pivoted Cholesky V'' = W W' (dpstrf), which drops the zero
+      rows of points on the box's upper face and the repeated rows of ties,
+      and for DRE-V the tridiagonal reduction of W'W, so that the pencil
+      V''V'' + (gamma/n) V'' reduces to T T + (gamma/n) T.
     * once per (fold, sigma2): for RBF, one exp of the fold's distances into
       one buffer, which holds the training Gram and both holdout matrices;
       for uLSIF and DRE-VK one Householder tridiagonal reduction (dsytrd,
-      4n^3/3 flops against about 9n^3 for eigh) that serves every gamma: of
-      K for uLSIF, so that KK + gamma I = Q (T T + gamma I) Q', and of W'KW
-      for DRE-VK, to which the non-symmetric V''K is similar, so that
-      V''K + gamma I reduces to T + gamma I; and one product of each holdout
-      matrix with the n x G coefficient matrix, which scores every gamma.
+      4n^3/3 flops) that serves every gamma: of K for uLSIF, so that
+      KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK, to which
+      the non-symmetric V''K is similar, so that V''K + gamma I reduces to
+      T + gamma I; and one product of each holdout matrix with the n x G
+      coefficient matrix, which scores every gamma.
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
-      is pentadiagonal, T + gamma I tridiagonal; all gammas go into one
-      LAPACK call) and O(n^2) products with Q; DRE-V needs only the
-      products. A DRE-VK column that misses the residual bound after two
-      refinement steps is retried by an LU of V''K + gamma I, and fails only
-      if that fails too.
+      and T T + (gamma/n) T are pentadiagonal, T + gamma I tridiagonal; all
+      gammas go into one LAPACK call) and O(n^2) products with Q and W. A
+      DRE-VK column that misses the residual bound after two refinement
+      steps is retried by an LU of V''K + gamma I, and fails only if that
+      fails too.
 
-    The refit solves as the fit_* functions do (LU, or the pencil for
-    DRE-V), so a draw's estimate depends on CV only through the selection.
+    The refit solves as the fit_* functions do (the same banded solvers at
+    the selected gamma, or an LU for DRE-VK), so a draw's estimate depends
+    on CV only through the selection.
     """
-    if plan.k > min(s.n, s.ell):
-        raise ValueError(f"k={plan.k} exceeds min(n, ell)={min(s.n, s.ell)}")
+    num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     uses_rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
     if uses_rbf:
         sigma2_grid = (
@@ -270,7 +271,6 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     totals = np.zeros((len(sigma2_values), plan.gamma_grid.size))
     errors = [[None] * plan.gamma_grid.size for _ in sigma2_values]
 
-    num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     n_over_l = s.n / s.ell
     all_num = np.arange(s.ell)
     all_den = np.arange(s.n)

@@ -1,39 +1,29 @@
 """Dense solvers for the regularized normal systems.
 
 All accepted direct solutions are verified by substitution against the
-residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The batched solvers
-solve one system for many shifts from one factorisation and check every
-column the same way:
+residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The multi-shift
+solvers solve one system for many shifts from one tridiagonal reduction
+M = Q T Q' (tridiagonalize), with W W' a pivoted_cholesky factor:
 
-* PsdPencilSolver.solve_many: (S S + c S) x = b, from eigh(S), whose null
-  space gives the minimal-norm solution when S is singular;
-* solve_ridge_square_many: (K K + gamma I) x = b, from one tridiagonal
-  reduction K = Q T Q' (tridiagonalize) and one pentadiagonal Cholesky
-  solve of T T + gamma I per gamma;
-* solve_product_ridge_many: (A K + gamma I) x = b with A = W W' from
-  pivoted_cholesky, from one tridiagonal reduction W' K W = Q T Q' and one
-  tridiagonal solve of T + gamma I per gamma; columns that still miss the
-  bound after refinement are retried by solve_regularized's LU.
+* solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
+* PsdPencilSolver.solve_many: (S S + c S) x = b, minimal-norm when S is
+  singular; S = W W', M = W'W, T T + c T;
+* solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
+  T + gamma I. Columns that still miss the bound after refinement are
+  retried by solve_regularized's LU.
 
-The banded systems of all gammas are stacked block-diagonally into one
-LAPACK call (_stacked_solve).
+The banded systems of all shifts go into one LAPACK call (_stacked_solve);
+_multi_shift_solve maps them back, checks every column and refines.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 RESIDUAL_RTOL = 1e-8
-
-
-class SolveMethod(enum.Enum):
-    DIRECT = "direct"
-    PROJECTED_GRADIENT = "projected-gradient"
-    EIG_PENCIL = "eig-pencil"
 
 
 class SingularSystemError(RuntimeError):
@@ -44,7 +34,6 @@ class SingularSystemError(RuntimeError):
 class SolveReport:
     solution: np.ndarray
     residual_norm: float
-    method: SolveMethod
 
 
 def _check_square(A: np.ndarray, b: np.ndarray):
@@ -61,14 +50,6 @@ def _residual_bound(b: np.ndarray) -> float:
 def _failure(what: str, context: str, res_norm: float, bound: float) -> str:
     where = f" ({context})" if context else ""
     return f"{what}{where}: residual {res_norm:.3e} > {bound:.3e}"
-
-
-def _column_errors(what: str, X: np.ndarray, res_norms: np.ndarray, bound: float,
-                   contexts) -> list:
-    """None for each column of X that passes the residual check, else its failure message."""
-    ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
-    return [None if good else _failure(what, ctx, r, bound)
-            for good, r, ctx in zip(ok, res_norms, contexts)]
 
 
 _SINGULAR_FAILURE = "system singular to working precision"
@@ -117,70 +98,7 @@ def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
     if not np.isfinite(res_norm) or not np.all(np.isfinite(x)) or res_norm > bound:
         raise SingularSystemError(
             _failure(_SINGULAR_FAILURE, context, res_norm, bound))
-    return SolveReport(x, res_norm, SolveMethod.DIRECT)
-
-
-_PENCIL_FAILURE = "pencil system inconsistent"
-
-
-class PsdPencilSolver:
-    """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD.
-
-    The pencil can be exactly singular (S may have zero rows), but the
-    right-hand sides arising here are orthogonal to the null space, so the
-    minimal-norm eigen-solution satisfies the residual check. The
-    eigendecomposition is computed once and shared across values of c.
-    """
-
-    def __init__(self, S):
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("S must be square")
-        if not np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max())):
-            raise ValueError("S must be symmetric")
-        self._S = S
-        w, Q = scipy.linalg.eigh(S)
-        w = np.clip(w, 0.0, None)
-        self._w = w
-        self._Q = Q
-        wmax = float(w.max()) if w.size else 0.0
-        self._null = w <= np.finfo(float).eps * max(wmax, 1.0) * S.shape[0]
-
-    def _solve_columns(self, cs, b):
-        """Minimal-norm solutions for every shift in `cs` as the columns of an
-        n x G matrix, with their residual norms and the residual bound."""
-        b = np.asarray(b, dtype=float)
-        cs = np.asarray(cs, dtype=float)
-        if b.shape != (self._S.shape[0],):
-            raise ValueError("b length mismatch")
-        if np.any(cs < 0):
-            raise ValueError("c must be nonnegative")
-        w = self._w[:, None]
-        null = self._null[:, None]
-        coef = (self._Q.T @ b)[:, None]
-        X = self._Q @ np.where(null, 0.0, coef / np.where(null, 1.0, w * (w + cs)))
-        SX = self._S @ X
-        res_norms = np.linalg.norm(self._S @ SX + SX * cs - b[:, None], axis=0)
-        return X, res_norms, _residual_bound(b)
-
-    def solve(self, c: float, b, context: str = "") -> SolveReport:
-        """Solve at one shift c; raises SingularSystemError when the solution
-        fails the residual check."""
-        X, res_norms, bound = self._solve_columns([c], b)
-        (error,) = _column_errors(_PENCIL_FAILURE, X, res_norms, bound, [context])
-        if error is not None:
-            raise SingularSystemError(error)
-        return SolveReport(X[:, 0], float(res_norms[0]), SolveMethod.EIG_PENCIL)
-
-    def solve_many(self, cs, b, contexts) -> tuple[np.ndarray, list]:
-        """solve() for every shift in `cs` at once.
-
-        Returns the n x G matrix whose column j solves the system at cs[j],
-        and per column None or, when that column fails the residual check,
-        the message solve() would raise with contexts[j].
-        """
-        X, res_norms, bound = self._solve_columns(cs, b)
-        return X, _column_errors(_PENCIL_FAILURE, X, res_norms, bound, contexts)
+    return SolveReport(x, res_norm)
 
 
 def _dormqr_lwork(ncols: int) -> int:
@@ -300,16 +218,65 @@ def _stacked_resolve(trs, factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(n, G, order="F")
 
 
+def _square_bands(tri: Tridiagonal, G: int) -> np.ndarray:
+    """Lower band storage of T T, the diagonal and the two sub-diagonals,
+    repeated for G shifts as a (3, G, n) array for _stacked_solve."""
+    a, e = tri.diag, tri.off
+    band = np.zeros((3, a.size))
+    band[0] = a * a
+    band[0, 1:] += e * e
+    band[0, :-1] += e * e
+    band[1, :-1] = e * (a[:-1] + a[1:])
+    band[2, :-2] = e[:-1] * e[1:]
+    return np.repeat(band[:, None, :], G, axis=1)
+
+
+def _multi_shift_solve(bands, tri: Tridiagonal, factor, apply, b, what: str, contexts):
+    """Solve apply(X) = b for G shifts from their reduced banded systems.
+
+    `bands` (rows, G, r) holds the systems in the Q basis of `tri`: the
+    tridiagonal ones (2 rows) by dptsv, the pentadiagonal ones (3 rows) by
+    dpbsv, all in one stacked call. Their right-hand side is Q'c with W c = b
+    and X = W Q Y, where W is that of the PivotedCholesky `factor`, or I when
+    it is None. `apply` applies the G system matrices to the columns of an
+    n x G matrix. Columns whose residual misses the bound are refined up to
+    twice with the same factors. Returns the n x G solutions, their residual
+    norms and per column None or the failure message `what` with contexts[j].
+    """
+    sv, trs = (_ptsv, _pttrs) if len(bands) == 2 else (_pbsv, _pbtrs)
+
+    def reduce(B):
+        return tri.qt(B if factor is None else factor.range_coords(B))
+
+    def expand(Y):
+        X = tri.q(Y)
+        return X if factor is None else factor.expand(X)
+
+    factors, Y = _stacked_solve(sv, bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
+    X = expand(Y)
+    bound = _residual_bound(b)
+    for refinement in range(3):
+        R = b[:, None] - apply(X)
+        res_norms = np.linalg.norm(R, axis=0)
+        bad = ~(res_norms <= bound)
+        if refinement == 2 or not bad.any():
+            break
+        X[:, bad] += expand(_stacked_resolve(trs, factors[:, bad], reduce(R[:, bad])))
+    ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
+    errors = [None if good else _failure(what, ctx, r, bound)
+              for good, r, ctx in zip(ok, res_norms, contexts)]
+    return X, res_norms, errors
+
+
 def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     """Solve (K @ K + gamma I) x = b for every gamma, K symmetric.
 
     One tridiagonal reduction K = Q T Q' turns every system into
     K K + gamma I = Q (T T + gamma I) Q', whose middle factor is
     pentadiagonal: each gamma costs an O(n) banded Cholesky solve and
-    K @ K is never formed. Columns whose residual misses the bound are
-    refined up to twice with the same factors. Returns the n x G solutions
-    and per column None or the failure message that solve_regularized would
-    raise with contexts[j].
+    K @ K is never formed. Returns the n x G solutions and per column None
+    or the failure message that solve_regularized would raise with
+    contexts[j].
     """
     K = np.asarray(K, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -318,33 +285,11 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     if np.any(gammas < 0):
         raise ValueError("ridge must be nonnegative")
     tri = tridiagonalize(K)
-    a, e = tri.diag, tri.off
-    n, G = a.size, gammas.size
-    # lower band storage of T T: the diagonal and the two sub-diagonals
-    band = np.zeros((3, n))
-    band[0] = a * a
-    band[0, 1:] += e * e
-    band[0, :-1] += e * e
-    band[1, :-1] = e * (a[:-1] + a[1:])
-    band[2, :-2] = e[:-1] * e[1:]
-    bands = np.repeat(band[:, None, :], G, axis=1)
+    bands = _square_bands(tri, gammas.size)
     bands[0] += gammas[:, None]
-
-    factors, Y = _stacked_solve(_pbsv, bands, np.repeat(tri.qt(b[:, None]), G, axis=1))
-    X = tri.q(Y)
-
-    def solve(B, cols):
-        return tri.q(_stacked_resolve(_pbtrs, factors[:, cols], tri.qt(B)))
-
-    bound = _residual_bound(b)
-    for refinement in range(3):
-        R = b[:, None] - (K @ (K @ X) + X * gammas)
-        res_norms = np.linalg.norm(R, axis=0)
-        bad = ~(res_norms <= bound)
-        if refinement == 2 or not bad.any():
-            break
-        X[:, bad] += solve(R[:, bad], bad)
-    return X, _column_errors(_SINGULAR_FAILURE, X, res_norms, bound, contexts)
+    X, _, errors = _multi_shift_solve(bands, tri, None, lambda X: K @ (K @ X) + X * gammas,
+                                      b, _SINGULAR_FAILURE, contexts)
+    return X, errors
 
 
 @dataclass(frozen=True)
@@ -394,6 +339,68 @@ def pivoted_cholesky(A) -> PivotedCholesky:
     return PivotedCholesky(A, L, piv - 1, int(rank))
 
 
+_PENCIL_FAILURE = "pencil system inconsistent"
+
+
+class PsdPencilSolver:
+    """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD.
+
+    The pencil can be exactly singular (S may have zero rows), but the
+    right-hand sides arising here lie in the range of S, which holds the
+    minimal-norm solution. With S = W W' from pivoted_cholesky, W'W = Q T Q'
+    and W beta = b, that solution is x = W Q z with the pentadiagonal
+    (T T + c T) z = Q' beta. Both factorisations are computed once and
+    shared across values of c.
+    """
+
+    def __init__(self, S):
+        S = np.asarray(S, dtype=float)
+        if S.ndim != 2 or S.shape[0] != S.shape[1]:
+            raise ValueError("S must be square")
+        if not np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max())):
+            raise ValueError("S must be symmetric")
+        self._factor = pivoted_cholesky(S)
+        W = self._factor.L[:, : self._factor.rank]
+        self._tri = tridiagonalize(W.T @ W, overwrite=True)
+
+    def _solve(self, cs, b, contexts):
+        S = self._factor.matrix
+        b = np.asarray(b, dtype=float)
+        cs = np.asarray(cs, dtype=float)
+        if b.shape != (S.shape[0],):
+            raise ValueError("b length mismatch")
+        if np.any(cs < 0):
+            raise ValueError("c must be nonnegative")
+        bands = _square_bands(self._tri, cs.size)
+        bands[0] += cs[:, None] * self._tri.diag
+        bands[1, :, :-1] += cs[:, None] * self._tri.off
+
+        def pencil(X):
+            SX = S @ X
+            return S @ SX + SX * cs
+
+        return _multi_shift_solve(bands, self._tri, self._factor, pencil, b,
+                                  _PENCIL_FAILURE, contexts)
+
+    def solve(self, c: float, b, context: str = "") -> SolveReport:
+        """Solve at one shift c; raises SingularSystemError when the solution
+        fails the residual check."""
+        X, res_norms, (error,) = self._solve([c], b, [context])
+        if error is not None:
+            raise SingularSystemError(error)
+        return SolveReport(X[:, 0], float(res_norms[0]))
+
+    def solve_many(self, cs, b, contexts) -> tuple[np.ndarray, list]:
+        """solve() for every shift in `cs` at once.
+
+        Returns the n x G matrix whose column j solves the system at cs[j],
+        and per column None or, when that column fails the residual check,
+        the message solve() would raise with contexts[j].
+        """
+        X, _, errors = self._solve(cs, b, contexts)
+        return X, errors
+
+
 def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
                              contexts) -> tuple[np.ndarray, list]:
     """Solve (A K + gamma I) x = b for every gamma, with A = W W' given by
@@ -436,24 +443,8 @@ def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
     bands = np.zeros((2, gammas.size, r))
     bands[0] = tri.diag + gammas[:, None]
     bands[1, :, :-1] = tri.off
-
-    factors, Y = _stacked_solve(
-        _ptsv, bands, np.repeat(tri.qt(factor.range_coords(b[:, None])), gammas.size, axis=1))
-    X = factor.expand(tri.q(Y))
-
-    def solve(B, cols):
-        Y = _stacked_resolve(_pttrs, factors[:, cols], tri.qt(factor.range_coords(B)))
-        return factor.expand(tri.q(Y))
-
-    bound = _residual_bound(b)
-    for refinement in range(3):
-        R = b[:, None] - (A @ (K @ X) + X * gammas)
-        res_norms = np.linalg.norm(R, axis=0)
-        bad = ~(res_norms <= bound)
-        if refinement == 2 or not bad.any():
-            break
-        X[:, bad] += solve(R[:, bad], bad)
-    errors = _column_errors(_SINGULAR_FAILURE, X, res_norms, bound, contexts)
+    X, _, errors = _multi_shift_solve(bands, tri, factor, lambda X: A @ (K @ X) + X * gammas,
+                                      b, _SINGULAR_FAILURE, contexts)
 
     retry = [j for j, err in enumerate(errors) if err is not None]
     if retry:
@@ -489,4 +480,4 @@ def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10) -> SolveRepo
             break
         x = np.maximum(x - g / L, 0.0)
     res_norm = float(np.linalg.norm(A @ x - b))
-    return SolveReport(x, res_norm, SolveMethod.PROJECTED_GRADIENT)
+    return SolveReport(x, res_norm)

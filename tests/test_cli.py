@@ -208,6 +208,18 @@ def test_fit_command_rejects_more_folds_than_points(tmp_path, capsys):
     assert_reported_error(capsys, main(["fit", *paths]), "--folds")
 
 
+def test_fit_command_rejects_negative_margin(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    code = main(["fit", *paths, "--folds", "2", "--margin", "-1"])
+    assert_reported_error(capsys, code, "margin must be nonnegative")
+
+
+def test_fit_command_rejects_files_of_different_dimensions(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2 0.1\n0.4 0.3\n0.5 0.9\n")
+    assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]),
+                          "numerator dimension 1 != denominator dimension 2")
+
+
 def test_fit_command_reports_selection_error(tmp_path, capsys, monkeypatch):
     def all_failed(*args, **kwargs):
         raise SelectionError("all 15 candidates failed to solve")

@@ -279,14 +279,17 @@ def test_cross_validate_work_counts(method, monkeypatch):
     # fold takes its V-matrices, and DRE-V its holdout matrices, as blocks
     want = {} if method is Method.ULSIF_LIKE else {("v", "full"): 1}
     if method is Method.DRE_V:
-        # one pencil eigh per fold plus the refit's
-        want.update({"eigh": k + 1})
+        # one pivoted Cholesky V'' = W W' and one tridiagonal reduction of W'W
+        # per fold and for the refit serve every gamma; no eigh
+        want.update({"dpstrf": k + 1, "dsytrd": k + 1})
+    elif method is Method.ULSIF_LIKE:
+        # one tridiagonal reduction of K per (fold, sigma2) and for the refit
+        # serves every gamma; no LU
+        want.update({"dsytrd": k * S + 1})
     else:
-        # one tridiagonal reduction per (fold, sigma2) serves every gamma; only
-        # the refit uses LU. DRE-VK factors V'' by one pivoted Cholesky per fold
-        want.update({"dsytrd": k * S, "lu_factor": 1})
-        if method is not Method.ULSIF_LIKE:
-            want["dpstrf"] = k
+        # one pivoted Cholesky of V'' per fold and one tridiagonal reduction per
+        # (fold, sigma2) serve every gamma; only the refit uses LU
+        want.update({"dpstrf": k, "dsytrd": k * S, "lu_factor": 1})
     if method is Method.DRE_VK_INK:
         # the full-data Gram serves the gamma scaling, the training and
         # denominator-holdout blocks and the refit; the numerator holdout is

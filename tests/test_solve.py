@@ -4,19 +4,20 @@ import scipy.linalg
 from scipy.linalg import LinAlgWarning
 
 from vratio import solve
+from vratio.domain import DomainBox, ScaledSamples
+from vratio.estimators import fit_dre_v, fit_ulsif_like, ulsif_rhs, v_rhs
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
 from vratio.solve import (
     RESIDUAL_RTOL,
     PsdPencilSolver,
     SingularSystemError,
-    SolveMethod,
     pivoted_cholesky,
     solve_nonneg,
     solve_product_ridge_many,
     solve_regularized,
     solve_ridge_square_many,
 )
-from vratio.vmatrix import cross_v
+from vratio.vmatrix import build_v_matrices, cross_v
 
 
 def random_psd(rng, n, ridge=0.1):
@@ -34,7 +35,6 @@ def test_solve_regularized_matches_reference():
         rep = solve_regularized(A, gamma, b)
         expected = np.linalg.solve(A + gamma * np.eye(n), b)
         assert np.allclose(rep.solution, expected, atol=1e-8)
-        assert rep.method is SolveMethod.DIRECT
         assert rep.residual_norm <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
 
 
@@ -62,7 +62,6 @@ def test_pencil_solver_matches_direct_on_nonsingular():
             rep = solver.solve(c, b)
             expected = np.linalg.solve(S @ S + c * S, b)
             assert np.allclose(rep.solution, expected, atol=1e-6)
-            assert rep.method is SolveMethod.EIG_PENCIL
             assert rep.residual_norm <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
 
 
@@ -107,6 +106,63 @@ def test_pencil_solve_many_reports_each_failure_as_solve_raises():
         with pytest.raises(SingularSystemError) as exc:
             solver.solve(c, b, context=f"c={c:g}")
         assert err == str(exc.value)
+
+
+def eigh_pencil_reference(S, cs, b):
+    """Minimal-norm solutions of (S S + c S) x = b for every c in `cs` from the
+    eigendecomposition of S, with no component in its numerical null space."""
+    w, Q = scipy.linalg.eigh(S)
+    w = np.clip(w, 0.0, None)[:, None]
+    null = w <= np.finfo(float).eps * max(float(w.max(initial=0.0)), 1.0) * len(w)
+    coef = (Q.T @ b)[:, None]
+    return Q @ np.where(null, 0.0, coef / np.where(null, 1.0, w * (w + cs)))
+
+
+def pencil_cases():
+    """V'' and the DRE-V right-hand side (n/ell) V' 1, and whether V'' has full rank."""
+    rng = np.random.default_rng(27)
+    ties = rng.random((40, 1))
+    ties[20:30] = ties[:10]
+    ties[7] = 1.0  # a zero row of V''
+    cases = {"1d-ties-point-at-1": (ties, rng.random((30, 1)), False),
+             "3d": (rng.random((40, 3)), rng.random((30, 3)), True),
+             "all-zero": (np.ones((5, 2)), rng.random((4, 2)), False)}
+    return {name: (cross_v(x_den, x_den),
+                   len(x_den) / len(x_num) * cross_v(x_den, x_num).sum(axis=1), full)
+            for name, (x_den, x_num, full) in cases.items()}
+
+
+@pytest.mark.parametrize("case", list(pencil_cases()))
+def test_pencil_solve_many_matches_eigh_reference(case):
+    S, b, full_rank = pencil_cases()[case]
+    assert (np.linalg.matrix_rank(S) == len(b)) == full_rank
+    cs = np.logspace(-6.0, 1.0, 8)
+    X, errors = PsdPencilSolver(S).solve_many(cs, b, [""] * len(cs))
+    assert errors == [None] * len(cs)
+    want = eigh_pencil_reference(S, cs, b)
+    # S x are the DRE-V values at the denominator points
+    assert np.all(np.linalg.norm(S @ (X - want), axis=0)
+                  <= 1e-8 * np.linalg.norm(S @ want, axis=0))
+    if full_rank:
+        assert np.all(np.linalg.norm(X - want, axis=0) <= 1e-8 * np.linalg.norm(want, axis=0))
+
+
+def test_dre_v_and_ulsif_fits_use_neither_eigh_nor_lu(monkeypatch):
+    rng = np.random.default_rng(28)
+    x_den, x_num = rng.random((30, 2)), rng.random((20, 2))
+    s = ScaledSamples(x_den, x_num, DomainBox(np.zeros(2), np.ones(2)))
+    spec = KernelSpec(KernelKind.RBF, 2, 0.5)
+    gamma = 0.05
+    K = cross_gram(spec, x_den, x_den)
+    vm = build_v_matrices(s)
+    want_ulsif = np.linalg.solve(K @ K + gamma * np.eye(30), ulsif_rhs(s, K))
+    want_dre_v = eigh_pencil_reference(vm.v_dd, np.array([gamma / 30]), v_rhs(vm, s))[:, 0]
+    calls = count_calls(monkeypatch, scipy.linalg, "eigh", "lu_factor")
+    got_ulsif = fit_ulsif_like(s, spec, gamma).coef
+    got_dre_v = fit_dre_v(s, gamma).coef
+    assert calls == []
+    assert np.linalg.norm(got_ulsif - want_ulsif) <= 1e-8 * np.linalg.norm(want_ulsif)
+    assert np.linalg.norm(got_dre_v - want_dre_v) <= 1e-8 * np.linalg.norm(want_dre_v)
 
 
 def test_solve_ridge_square_many_matches_lu(monkeypatch):
@@ -395,7 +451,6 @@ def test_solve_nonneg_unconstrained_interior():
     b = np.array([2.0, 6.0])
     rep = solve_nonneg(A, b)
     assert np.allclose(rep.solution, [1.0, 2.0], atol=1e-8)
-    assert rep.method is SolveMethod.PROJECTED_GRADIENT
 
 
 def test_solve_nonneg_requires_symmetry():
