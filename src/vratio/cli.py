@@ -64,6 +64,8 @@ class ExperimentConfig:
         if self.folds > smallest:
             raise ConfigError(f"folds must not exceed the smallest sample size {smallest}, "
                               f"got {self.folds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.margin < 0:
             raise ConfigError("margin must be nonnegative")
         if self.gamma_min <= 0 or self.gamma_max < self.gamma_min or self.gamma_count < 1:
@@ -274,6 +276,8 @@ def fit_command(args) -> int:
     if not 2 <= args.folds <= smallest:
         raise ConfigError(f"--folds must be from 2 to the smaller sample size {smallest}, "
                           f"got {args.folds}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     try:
         box = fit_domain_box(num, den, margin=args.margin)
     except ValueError as exc:  # a negative margin or files of different dimensions

@@ -15,6 +15,8 @@ that predicts anywhere in the box:
 dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 and returns
 the values at the denominator points.
 DRE-V and uLSIF solve with the banded solvers that CV uses, DRE-VK by LU.
+For 1-D points DRE-V needs no matrix factorisation: V'' has a closed-form
+factor, and every shift of its pencil is one tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -83,7 +85,12 @@ def fit_dre_v(s: ScaledSamples, gamma: float, vm: VMatrices | None = None) -> Ra
     alpha = (n/ell)(V''V'' + (gamma/n)V'')^+ V' 1, so that the estimate
     r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and its
     values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1.
-    Solved by PsdPencilSolver, so alpha lies in the range of V''.
+    Solved by PsdPencilSolver given the points, so alpha lies in the range
+    of V'': for 1-D points from the closed-form factor of V'' by one
+    tridiagonal solve and a mandatory refinement step, unless two distinct
+    points, or a point and the box's upper face, lie closer than
+    solve.NEAR_TIE_GAP; then, and in d > 1, from a pivoted Cholesky factor
+    of V'' and a tridiagonal reduction.
 
     `vm`, when given, must be build_v_matrices(s); it saves rebuilding it.
     """
@@ -91,7 +98,7 @@ def fit_dre_v(s: ScaledSamples, gamma: float, vm: VMatrices | None = None) -> Ra
         raise ValueError("gamma must be positive")
     vm = build_v_matrices(s) if vm is None else vm
     b = v_rhs(vm, s)
-    report = PsdPencilSolver(vm.v_dd).solve(gamma / s.n, b, context=f"gamma={gamma}")
+    report = PsdPencilSolver(vm.v_dd, s.x_prime).solve(gamma / s.n, b, context=f"gamma={gamma}")
     return RatioEstimate(report.solution, s.x_prime, s.box, gamma)
 
 

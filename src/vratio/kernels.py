@@ -60,9 +60,8 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     if np.any(rp < 0) or np.any(cp < 0):
         raise ValueError("INK-spline inputs must be nonnegative")
     # each coordinate's factor ((1 + xy) + (0.5 |x - y|) mn^2) + mn^3 / 3 is
-    # built in work buffers, so the result is exactly that of evaluating the
-    # closed form elementwise; the first coordinate's factor is built in `out`
-    # itself (1.0 * v == v)
+    # built in work buffers, with the cube mn^3 taken as mn * mn^2; the first
+    # coordinate's factor is built in `out` itself (1.0 * v == v)
     out = np.empty((rp.shape[0], cp.shape[0]))
     mn = np.empty_like(out)
     half_gap = np.empty_like(out)
@@ -77,12 +76,12 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
         half_gap *= 0.5
         np.square(mn, out=term)
         half_gap *= term  # (0.5 |x - y|) mn^2
+        mn *= term  # mn^3
+        mn /= 3.0
         np.multiply(xk, yk, out=term)
         term += 1.0
         term += half_gap
-        np.power(mn, 3.0, out=half_gap)
-        half_gap /= 3.0
-        term += half_gap
+        term += mn
         if k:
             out *= term
     return out

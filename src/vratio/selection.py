@@ -22,7 +22,7 @@ from .kernels import cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import (  # noqa: F401
     PsdPencilSolver,
-    pivoted_cholesky,
+    factor_v_matrix,
     solve_product_ridge_many,
     solve_regularized,
     solve_ridge_square_many,
@@ -150,14 +150,15 @@ def _block(A: np.ndarray, rows, cols) -> np.ndarray:
     return np.take(A[rows], cols, axis=1)
 
 
-def _factor_v(method: Method, vm: VMatrices | None):
-    """The fold's factorisation of V'' shared by every sigma2 and gamma: the
-    PsdPencilSolver for DRE-V, a pivoted Cholesky for DRE-VK, None for uLSIF."""
+def _factor_v(method: Method, vm: VMatrices | None, points):
+    """The fold's factorisation of V'', the overlap volumes of `points`,
+    shared by every sigma2 and gamma: the PsdPencilSolver for DRE-V, the
+    factor_v_matrix factor for DRE-VK, None for uLSIF."""
     if method is Method.DRE_V:
-        return PsdPencilSolver(vm.v_dd)
+        return PsdPencilSolver(vm.v_dd, points)
     if method is Method.ULSIF_LIKE:
         return None
-    return pivoted_cholesky(vm.v_dd)
+    return factor_v_matrix(vm.v_dd, points)
 
 
 def _solve_all(method: Method, sub: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
@@ -221,25 +222,35 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       D[hold_den, train] and the squared distances of the numerator holdout
       to the training points. The holdout matrices of DRE-V and INK are
       taken after the fold's solve, which needs the most memory. Then the
-      factorisation of V'' that every sigma2 and gamma share (all but
-      uLSIF): a pivoted Cholesky V'' = W W' (dpstrf), which drops the zero
-      rows of points on the box's upper face and the repeated rows of ties,
-      and for DRE-V the tridiagonal reduction of W'W, so that the pencil
-      V''V'' + (gamma/n) V'' reduces to T T + (gamma/n) T.
+      factorisation V'' = W W' that every sigma2 and gamma share (all but
+      uLSIF), which drops the zero rows of points on the box's upper face
+      and the repeated rows of ties. For 1-D points it is the closed form
+      W = E C diag(sqrt h) of the sorted t = 1 - x (an O(n log n) sort, no
+      LAPACK), else a pivoted Cholesky (dpstrf, n^3/3 flops). For DRE-V
+      on 1-D points the pencil V''V'' + (gamma/n) V'' then needs nothing
+      more; otherwise the tridiagonal reduction of W'W reduces it to
+      T T + (gamma/n) T. 1-D points of which two distinct t, or the smallest
+      t and 0, lie closer than solve.NEAR_TIE_GAP (1e-9) take the pivoted
+      path for DRE-V, where the closed form loses the residual check.
     * once per (fold, sigma2): for RBF, one exp of the fold's distances into
       one buffer, which holds the training Gram and both holdout matrices;
       for uLSIF and DRE-VK one Householder tridiagonal reduction (dsytrd,
       4n^3/3 flops) that serves every gamma: of K for uLSIF, so that
       KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK, to which
       the non-symmetric V''K is similar, so that V''K + gamma I reduces to
-      T + gamma I; and one product of each holdout matrix with the n x G
-      coefficient matrix, which scores every gamma.
+      T + gamma I. W'KW costs two triangular products (2n^3 flops), or for
+      1-D points O(n^2) cumulative sums of K along both axes in descending
+      t. Then one product of each holdout matrix with the
+      n x G coefficient matrix, which scores every gamma.
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
-      and T T + (gamma/n) T are pentadiagonal, T + gamma I tridiagonal; all
-      gammas go into one LAPACK call) and O(n^2) products with Q and W. A
-      DRE-VK column that misses the residual bound after two refinement
-      steps is retried by an LU of V''K + gamma I, and fails only if that
-      fails too.
+      and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
+      system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK
+      call) and O(n^2) products with Q and W and for the residual check. A
+      1-D DRE-V column always takes one refinement step against that
+      residual, which the double difference J N^-1 J of its right-hand side
+      needs for full accuracy. A DRE-VK column that misses the residual
+      bound after two refinement steps is retried by an LU of
+      V''K + gamma I, and fails only if that fails too.
 
     The refit solves as the fit_* functions do (the same banded solvers at
     the selected gamma, or an LU for DRE-VK), so a draw's estimate depends
@@ -287,7 +298,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             dist = np.vstack([_block(D, np.concatenate([train, den_hold]), train),
                               cdist(s.x[num_hold], sub.x_prime, "sqeuclidean")])
             gram = np.empty_like(dist)
-        factor = _factor_v(method, vm)
+        factor = _factor_v(method, vm, sub.x_prime)
         for i, s2 in enumerate(sigma2_values):
             live = [j for j, err in enumerate(errors[i]) if err is None]
             if not live:

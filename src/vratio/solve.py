@@ -2,15 +2,20 @@
 
 All accepted direct solutions are verified by substitution against the
 residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The multi-shift
-solvers solve one system for many shifts from one tridiagonal reduction
-M = Q T Q' (tridiagonalize), with W W' a pivoted_cholesky factor:
+solvers solve one system for many shifts from one reduction to a banded
+system per shift. The V-matrix V'' = W W' is factored by factor_v_matrix:
+in closed form for 1-D points (BrownianFactor, V''_ij = min(t_i, t_j)),
+else by pivoted_cholesky (dpstrf). With M = Q T Q' from tridiagonalize:
 
 * solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
 * PsdPencilSolver.solve_many: (S S + c S) x = b, minimal-norm when S is
-  singular; S = W W', M = W'W, T T + c T;
+  singular. For 1-D points solve_grouped_pencil_many solves
+  (N + c J) y = J N^-1 J beta with the tridiagonal J = S_u^-1 of S's
+  distinct points, with one refinement step for every column; otherwise
+  S = W W', M = W'W, T T + c T;
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
-  T + gamma I. Columns that still miss the bound after refinement are
-  retried by solve_regularized's LU.
+  T + gamma I (W'KW by cumulative sums for 1-D points). Columns that still
+  miss the bound after refinement are retried by solve_regularized's LU.
 
 The banded systems of all shifts go into one LAPACK call (_stacked_solve);
 _multi_shift_solve maps them back, checks every column and refines.
@@ -160,14 +165,22 @@ def tridiagonalize(S, overwrite: bool = False) -> Tridiagonal:
     return Tridiagonal(d, e, np.asfortranarray(c[1:, :-1]), tau)
 
 
+def _sub_diagonal(bands):
+    """The sub-diagonal of the (2, N) bands as dptsv and dpttrs take it: N - 1
+    entries, but at N = 1 the wrappers want one, the zero padding."""
+    return bands[1, :max(bands.shape[1] - 1, 1)]
+
+
 def _ptsv(bands, b):
     """dptsv on the (2, N) bands [diagonal; sub-diagonal padded by one]."""
-    d, e, x, info = scipy.linalg.lapack.dptsv(bands[0], bands[1, :-1], b)
-    return np.vstack([d, np.append(e, 0.0)]), x, info
+    d, e, x, info = scipy.linalg.lapack.dptsv(bands[0], _sub_diagonal(bands), b)
+    factors = np.zeros_like(bands)
+    factors[0], factors[1, :e.size] = d, e
+    return factors, x, info
 
 
 def _pttrs(factors, b):
-    return scipy.linalg.lapack.dpttrs(factors[0], factors[1, :-1], b)
+    return scipy.linalg.lapack.dpttrs(factors[0], _sub_diagonal(factors), b)
 
 
 def _pbsv(bands, b):
@@ -231,35 +244,30 @@ def _square_bands(tri: Tridiagonal, G: int) -> np.ndarray:
     return np.repeat(band[:, None, :], G, axis=1)
 
 
-def _multi_shift_solve(bands, tri: Tridiagonal, factor, apply, b, what: str, contexts):
+def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
+                       refine_once: bool = False):
     """Solve apply(X) = b for G shifts from their reduced banded systems.
 
-    `bands` (rows, G, r) holds the systems in the Q basis of `tri`: the
-    tridiagonal ones (2 rows) by dptsv, the pentadiagonal ones (3 rows) by
-    dpbsv, all in one stacked call. Their right-hand side is Q'c with W c = b
-    and X = W Q Y, where W is that of the PivotedCholesky `factor`, or I when
-    it is None. `apply` applies the G system matrices to the columns of an
-    n x G matrix. Columns whose residual misses the bound are refined up to
-    twice with the same factors. Returns the n x G solutions, their residual
+    `bands` (rows, G, r) holds the reduced systems: the tridiagonal ones
+    (2 rows) by dptsv, the pentadiagonal ones (3 rows) by dpbsv, all in one
+    stacked call. `reduce` maps n x G right-hand sides to their r x G reduced
+    ones, `expand` maps r x G reduced solutions back, and `apply` applies the
+    G system matrices to the columns of an n x G matrix. Columns whose
+    residual misses the bound are refined up to twice with the same factors;
+    with `refine_once`, every column first takes one refinement step
+    regardless of its residual. Returns the n x G solutions, their residual
     norms and per column None or the failure message `what` with contexts[j].
     """
     sv, trs = (_ptsv, _pttrs) if len(bands) == 2 else (_pbsv, _pbtrs)
-
-    def reduce(B):
-        return tri.qt(B if factor is None else factor.range_coords(B))
-
-    def expand(Y):
-        X = tri.q(Y)
-        return X if factor is None else factor.expand(X)
-
     factors, Y = _stacked_solve(sv, bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
     X = expand(Y)
     bound = _residual_bound(b)
-    for refinement in range(3):
+    last = 2 + refine_once
+    for step in range(last + 1):
         R = b[:, None] - apply(X)
         res_norms = np.linalg.norm(R, axis=0)
-        bad = ~(res_norms <= bound)
-        if refinement == 2 or not bad.any():
+        bad = (step < refine_once) | ~(res_norms <= bound)
+        if step == last or not bad.any():
             break
         X[:, bad] += expand(_stacked_resolve(trs, factors[:, bad], reduce(R[:, bad])))
     ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
@@ -287,7 +295,7 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     tri = tridiagonalize(K)
     bands = _square_bands(tri, gammas.size)
     bands[0] += gammas[:, None]
-    X, _, errors = _multi_shift_solve(bands, tri, None, lambda X: K @ (K @ X) + X * gammas,
+    X, _, errors = _multi_shift_solve(bands, tri.qt, tri.q, lambda X: K @ (K @ X) + X * gammas,
                                       b, _SINGULAR_FAILURE, contexts)
     return X, errors
 
@@ -319,6 +327,16 @@ class PivotedCholesky:
         X[self.perm] = self.L[:, : self.rank] @ Y
         return X
 
+    def congruence(self, K: np.ndarray) -> np.ndarray:
+        """W' K W for a symmetric n x n K, r x r in Fortran order: L' (P' K P) L
+        in place, by two triangular products on a Fortran-ordered P' K P (the
+        transpose of a C-ordered copy of K'[perm][:, perm])."""
+        S = K.T[np.ix_(self.perm, self.perm)].T
+        S = scipy.linalg.blas.dtrmm(1.0, self.L, S, side=1, lower=1, overwrite_b=1)
+        S = scipy.linalg.blas.dtrmm(1.0, self.L, S, lower=1, trans_a=1, overwrite_b=1)
+        r = self.rank
+        return S if r == S.shape[0] else S[:r, :r].copy(order="F")
+
 
 def pivoted_cholesky(A) -> PivotedCholesky:
     """Rank-revealing Cholesky factor of a symmetric PSD matrix (LAPACK dpstrf).
@@ -339,6 +357,129 @@ def pivoted_cholesky(A) -> PivotedCholesky:
     return PivotedCholesky(A, L, piv - 1, int(rank))
 
 
+@dataclass(frozen=True)
+class BrownianFactor:
+    """V'' = W W' in closed form for the overlap volumes of 1-D points.
+
+    In 1-D, V''_ij = 1 - max(x_i, x_j) = min(t_i, t_j) with t = 1 - x, the
+    Brownian-motion covariance. Let u_1 < ... < u_r be the distinct positive
+    t, `gaps` h_k = u_k - u_{k-1} (u_0 = 0) and E the n x r indicator of the
+    points' groups by u. Then min(u_k, u_l) = sum_{j <= min(k, l)} h_j, so
+    W = E C diag(sqrt h) with C the r x r lower triangular matrix of ones,
+    and r is the rank of V''. Ties share a group and points at t = 0 (on the
+    box's upper face, zero rows of V'') belong to none, so neither needs a
+    special case. W is applied by cumulative sums and never formed.
+
+    `group` holds each point's group, -1 at t = 0; `order` sorts the points
+    by t and `starts` are the positions in that order where the groups begin.
+    `matrix` is V'' itself, kept for the residual checks.
+    """
+
+    matrix: np.ndarray
+    group: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+    gaps: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return self.gaps.size
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of points in each group, the diagonal of N = E'E."""
+        return np.diff(self.starts, append=self.group.size)
+
+    def on_groups(self, B: np.ndarray) -> np.ndarray:
+        """The rows of the n x G matrix B at one point of each group."""
+        return B[self.order[self.starts]]
+
+    def on_points(self, Z: np.ndarray) -> np.ndarray:
+        """E Z for an r x G matrix Z: each point takes its group's row, 0 at t = 0."""
+        out = np.zeros((self.rank + 1, Z.shape[1]))
+        out[1:] = Z
+        return out[self.group + 1]
+
+    def range_coords(self, B: np.ndarray) -> np.ndarray:
+        """Coordinates C with W C = B for columns B in the range of V'': the
+        first differences of B over the groups, divided by sqrt(h)."""
+        diffs = np.diff(self.on_groups(B), axis=0, prepend=0.0)
+        return diffs / np.sqrt(self.gaps)[:, None]
+
+    def expand(self, Y: np.ndarray) -> np.ndarray:
+        """W Y for an r x G matrix Y: cumulative sums of sqrt(h) Y over the groups."""
+        return self.on_points(np.cumsum(np.sqrt(self.gaps)[:, None] * Y, axis=0))
+
+    def congruence(self, K: np.ndarray) -> np.ndarray:
+        """W' K W for a symmetric n x n K, r x r in Fortran order, in O(n^2)
+        flops. With the points at t > 0 in descending order, cumulative sums
+        of K's rows and then of its columns, read at the last point of each
+        group, sum K over t_i >= u_k and t_j >= u_l: that is C'E'KEC. Then
+        sqrt(h) on both sides."""
+        if not self.rank:
+            return np.zeros((0, 0), order="F")
+        desc = self.order[self.starts[0]:][::-1]
+        last = desc.size - 1 - (self.starts - self.starts[0])
+        S = np.cumsum(K[desc], axis=0)[last]
+        S = np.take(np.cumsum(np.take(S, desc, axis=1), axis=1), last, axis=1)
+        root = np.sqrt(self.gaps)
+        S *= root[:, None]
+        S *= root
+        return S.T  # equal to S for a symmetric K
+
+
+def _brownian_factor(V: np.ndarray, t: np.ndarray) -> BrownianFactor:
+    """The BrownianFactor of V''_ij = min(t_i, t_j)."""
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    new = ts > 0.0
+    new[1:] &= ts[1:] != ts[:-1]
+    starts = np.flatnonzero(new)
+    group = np.empty(t.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return BrownianFactor(V, group, order, starts, np.diff(ts[starts], prepend=0.0))
+
+
+# Smallest gap h between the distinct t = 1 - x of 1-D points (and from 0) at
+# which DRE-V solves with the closed-form factor. Its tridiagonal J has
+# entries 1/h, and at gaps of 1e-11 and below most columns fail the residual
+# check, where pivoted_cholesky and tridiagonalize(W'W) keep passing.
+NEAR_TIE_GAP = 1e-9
+
+
+def factor_v_matrix(V, points, pencil: bool = False):
+    """W W' = V'' for the overlap-volume matrix V of `points` (n x d).
+
+    1-D points get the closed-form BrownianFactor in O(n log n), others
+    pivoted_cholesky(V). With `pencil` (the DRE-V solver), 1-D points whose
+    smallest gap is below NEAR_TIE_GAP also get pivoted_cholesky(V).
+    """
+    V = np.asarray(V, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or V.shape != (points.shape[0],) * 2:
+        raise ValueError("V must be the n x n matrix of n points")
+    if points.shape[1] == 1:
+        factor = _brownian_factor(V, 1.0 - points[:, 0])  # the diagonal of V
+        if not pencil or factor.gaps.min(initial=np.inf) >= NEAR_TIE_GAP:
+            return factor
+    return pivoted_cholesky(V)
+
+
+def _factored_basis(factor, tri: Tridiagonal):
+    """reduce and expand for _multi_shift_solve of systems reduced to the Q
+    basis of W'..W = Q T Q': B -> Q'C with W C = B, and Y -> W Q Y."""
+    return (lambda B: tri.qt(factor.range_coords(B)),
+            lambda Y: factor.expand(tri.q(Y)))
+
+
+def _pencil(S: np.ndarray, cs: np.ndarray):
+    """X -> (S S + c S) X, with c = cs[j] for column j."""
+    def apply(X):
+        SX = S @ X
+        return S @ SX + SX * cs
+    return apply
+
+
 _PENCIL_FAILURE = "pencil system inconsistent"
 
 
@@ -347,21 +488,28 @@ class PsdPencilSolver:
 
     The pencil can be exactly singular (S may have zero rows), but the
     right-hand sides arising here lie in the range of S, which holds the
-    minimal-norm solution. With S = W W' from pivoted_cholesky, W'W = Q T Q'
-    and W beta = b, that solution is x = W Q z with the pentadiagonal
-    (T T + c T) z = Q' beta. Both factorisations are computed once and
-    shared across values of c.
+    minimal-norm solution. When S is the overlap-volume matrix of `points`,
+    factor_v_matrix chooses the factor S = W W'; otherwise it is
+    pivoted_cholesky(S). A BrownianFactor solves by
+    solve_grouped_pencil_many. Otherwise, with W'W = Q T Q' and W beta = b,
+    the solution is x = W Q z with the pentadiagonal (T T + c T) z = Q' beta.
+    The factorisations are computed once and shared across values of c.
     """
 
-    def __init__(self, S):
+    def __init__(self, S, points=None):
         S = np.asarray(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError("S must be square")
-        if not np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max())):
+        # the exact comparison first: it is cheaper and settles the usual case
+        if not (np.array_equal(S, S.T)
+                or np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))):
             raise ValueError("S must be symmetric")
-        self._factor = pivoted_cholesky(S)
-        W = self._factor.L[:, : self._factor.rank]
-        self._tri = tridiagonalize(W.T @ W, overwrite=True)
+        self._factor = (pivoted_cholesky(S) if points is None
+                        else factor_v_matrix(S, points, pencil=True))
+        self._tri = None
+        if isinstance(self._factor, PivotedCholesky):
+            W = self._factor.L[:, : self._factor.rank]
+            self._tri = tridiagonalize(W.T @ W, overwrite=True)
 
     def _solve(self, cs, b, contexts):
         S = self._factor.matrix
@@ -371,16 +519,13 @@ class PsdPencilSolver:
             raise ValueError("b length mismatch")
         if np.any(cs < 0):
             raise ValueError("c must be nonnegative")
+        if self._tri is None:
+            return solve_grouped_pencil_many(self._factor, cs, b, contexts)
         bands = _square_bands(self._tri, cs.size)
         bands[0] += cs[:, None] * self._tri.diag
         bands[1, :, :-1] += cs[:, None] * self._tri.off
-
-        def pencil(X):
-            SX = S @ X
-            return S @ SX + SX * cs
-
-        return _multi_shift_solve(bands, self._tri, self._factor, pencil, b,
-                                  _PENCIL_FAILURE, contexts)
+        return _multi_shift_solve(bands, *_factored_basis(self._factor, self._tri),
+                                  _pencil(S, cs), b, _PENCIL_FAILURE, contexts)
 
     def solve(self, c: float, b, context: str = "") -> SolveReport:
         """Solve at one shift c; raises SingularSystemError when the solution
@@ -401,10 +546,45 @@ class PsdPencilSolver:
         return X, errors
 
 
-def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
-                             contexts) -> tuple[np.ndarray, list]:
+def solve_grouped_pencil_many(factor: BrownianFactor, cs, b, contexts):
+    """Solve (S S + c S) x = b for every c in `cs`, with S = factor.matrix
+    the overlap volumes of 1-D points and b in the range of S.
+
+    With S_u = min(u_k, u_l) on the groups, S = E S_u E' and N = E'E. For
+    b = E beta the minimal-norm solution is x = E y with
+    (N + c J) y = J N^-1 J beta, where J = S_u^-1 is tridiagonal,
+    J_kk = 1/h_k + 1/h_{k+1}, J_rr = 1/h_r and J_k,k+1 = -1/h_{k+1}
+    (Vandebril, Van Barel & Mastronardi, Matrix Computations and
+    Semiseparable Matrices, 2008): all c go into one stacked dptsv call.
+    The double difference J N^-1 J beta loses about four digits that the
+    residual bound does not see, so every column takes one refinement step
+    against the dense residual before the usual two (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 12). Returns the n x G
+    solutions, their residual norms and per column None or the failure
+    message with contexts[j].
+    """
+    cs = np.asarray(cs, dtype=float)
+    inv_h = 1.0 / factor.gaps
+    counts = factor.counts.astype(float)
+    bands = np.zeros((2, cs.size, factor.rank))
+    bands[0] = counts + cs[:, None] * inv_h
+    bands[0, :, :-1] += cs[:, None] * inv_h[1:]
+    bands[1, :, :-1] = -cs[:, None] * inv_h[1:]
+
+    def apply_j(Z):  # J Z = D' diag(1/h) D Z with D the first difference
+        diffs = np.diff(Z, axis=0, prepend=0.0) * inv_h[:, None]
+        diffs[:-1] -= diffs[1:]
+        return diffs
+
+    return _multi_shift_solve(bands, lambda B: apply_j(apply_j(factor.on_groups(B)) / counts[:, None]),
+                              factor.on_points, _pencil(factor.matrix, cs), b,
+                              _PENCIL_FAILURE, contexts, refine_once=True)
+
+
+def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     """Solve (A K + gamma I) x = b for every gamma, with A = W W' given by
-    `factor`, K symmetric PSD and b in the range of A.
+    `factor` (a PivotedCholesky or BrownianFactor), K symmetric PSD and b in
+    the range of A.
 
     A K is not symmetric, but it is similar to the symmetric S = W' K W
     (Golub & Van Loan, Matrix Computations, 8.7). With S = Q T Q' from one
@@ -428,22 +608,13 @@ def solve_product_ridge_many(factor: PivotedCholesky, K, gammas, b,
         raise ValueError("K must match the shape of the factored matrix")
     if np.any(gammas < 0):
         raise ValueError("ridge must be nonnegative")
-    r, perm, L = factor.rank, factor.perm, factor.L
-
-    # S = L' (P' K P) L in place: a Fortran-ordered P' K P (the transpose of a
-    # C-ordered copy of K'[perm][:, perm]) and two triangular products
-    S = K.T[np.ix_(perm, perm)].T
-    S = scipy.linalg.blas.dtrmm(1.0, L, S, side=1, lower=1, overwrite_b=1)
-    S = scipy.linalg.blas.dtrmm(1.0, L, S, lower=1, trans_a=1, overwrite_b=1)
-    if r < S.shape[0]:
-        S = S[:r, :r].copy(order="F")
-    tri = tridiagonalize(S, overwrite=True)
-    del S
+    tri = tridiagonalize(factor.congruence(K), overwrite=True)
     # T + gamma I per gamma: the diagonal and the sub-diagonal padded by one
-    bands = np.zeros((2, gammas.size, r))
+    bands = np.zeros((2, gammas.size, factor.rank))
     bands[0] = tri.diag + gammas[:, None]
     bands[1, :, :-1] = tri.off
-    X, _, errors = _multi_shift_solve(bands, tri, factor, lambda X: A @ (K @ X) + X * gammas,
+    X, _, errors = _multi_shift_solve(bands, *_factored_basis(factor, tri),
+                                      lambda X: A @ (K @ X) + X * gammas,
                                       b, _SINGULAR_FAILURE, contexts)
 
     retry = [j for j, err in enumerate(errors) if err is not None]

@@ -220,6 +220,19 @@ def test_fit_command_rejects_files_of_different_dimensions(tmp_path, capsys):
                           "numerator dimension 1 != denominator dimension 2")
 
 
+def test_fit_command_rejects_negative_seed(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    code = main(["fit", *paths, "--folds", "2", "--seed", "-1"])
+    assert_reported_error(capsys, code, "--seed must be nonnegative, got -1")
+
+
+def test_run_rejects_negative_seed(tmp_path, capsys):
+    code = main(run_args(tmp_path, "s", ["--models", "2", "--sizes", "20", "--draws", "1",
+                                         "--seed", "-1"]))
+    assert_reported_error(capsys, code, "seed must be nonnegative, got -1")
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_fit_command_reports_selection_error(tmp_path, capsys, monkeypatch):
     def all_failed(*args, **kwargs):
         raise SelectionError("all 15 candidates failed to solve")

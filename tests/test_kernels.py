@@ -22,13 +22,15 @@ def ink1(x, y):
 
 
 def ink_gram_reference(rows, cols):
-    """The INK Gram matrix as one expression per coordinate, with temporaries."""
+    """The INK Gram matrix as one expression per coordinate, with temporaries
+    and the cube taken as mn * mn^2."""
     out = np.ones((rows.shape[0], cols.shape[0]))
     for k in range(rows.shape[1]):
         xk = rows[:, k]
         yk = cols[:, k]
         mn = np.minimum.outer(xk, yk)
-        out *= 1.0 + np.outer(xk, yk) + 0.5 * np.abs(xk[:, None] - yk[None, :]) * mn**2 + mn**3 / 3.0
+        out *= (1.0 + np.outer(xk, yk) + 0.5 * np.abs(xk[:, None] - yk[None, :]) * mn**2
+                + mn * mn**2 / 3.0)
     return out
 
 

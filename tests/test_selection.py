@@ -237,12 +237,13 @@ class CallCounter:
         return counted
 
 
-@pytest.mark.parametrize("method", list(Method))
-def test_cross_validate_work_counts(method, monkeypatch):
+@pytest.mark.parametrize("method,d", [(m, 2) for m in Method] + [(m, 1) for m in Method],
+                         ids=[str(m) for m in Method] + [f"{m}-1d" for m in Method])
+def test_cross_validate_work_counts(method, d, monkeypatch):
     """Factorisations and matrix builds per cross_validate call, by formula."""
     n, k, G = 24, 3, 4
     rng = np.random.default_rng(61)
-    s = unit_samples(rng, n, n, 2)
+    s = unit_samples(rng, n, n, d)
     rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
     S = 2 if rbf else 1
     plan = CvPlan(k=k, gamma_grid=np.logspace(-3, 0, G), sigma2_grid=[0.3, 1.0])
@@ -280,16 +281,21 @@ def test_cross_validate_work_counts(method, monkeypatch):
     want = {} if method is Method.ULSIF_LIKE else {("v", "full"): 1}
     if method is Method.DRE_V:
         # one pivoted Cholesky V'' = W W' and one tridiagonal reduction of W'W
-        # per fold and for the refit serve every gamma; no eigh
-        want.update({"dpstrf": k + 1, "dsytrd": k + 1})
+        # per fold and for the refit serve every gamma; no eigh. In 1-D V''
+        # has a closed-form factor and the pencil needs neither
+        if d > 1:
+            want.update({"dpstrf": k + 1, "dsytrd": k + 1})
     elif method is Method.ULSIF_LIKE:
         # one tridiagonal reduction of K per (fold, sigma2) and for the refit
         # serves every gamma; no LU
         want.update({"dsytrd": k * S + 1})
     else:
-        # one pivoted Cholesky of V'' per fold and one tridiagonal reduction per
-        # (fold, sigma2) serve every gamma; only the refit uses LU
-        want.update({"dpstrf": k, "dsytrd": k * S, "lu_factor": 1})
+        # one pivoted Cholesky of V'' per fold (the closed form in 1-D) and one
+        # tridiagonal reduction per (fold, sigma2) serve every gamma; only the
+        # refit uses LU
+        want.update({"dsytrd": k * S, "lu_factor": 1})
+        if d > 1:
+            want["dpstrf"] = k
     if method is Method.DRE_VK_INK:
         # the full-data Gram serves the gamma scaling, the training and
         # denominator-holdout blocks and the refit; the numerator holdout is

@@ -7,10 +7,16 @@ from vratio import solve
 from vratio.domain import DomainBox, ScaledSamples
 from vratio.estimators import fit_dre_v, fit_ulsif_like, ulsif_rhs, v_rhs
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
+from vratio import bench, domain
+from vratio.selection import default_gamma_grid
 from vratio.solve import (
+    NEAR_TIE_GAP,
     RESIDUAL_RTOL,
+    BrownianFactor,
+    PivotedCholesky,
     PsdPencilSolver,
     SingularSystemError,
+    factor_v_matrix,
     pivoted_cholesky,
     solve_nonneg,
     solve_product_ridge_many,
@@ -118,33 +124,173 @@ def eigh_pencil_reference(S, cs, b):
     return Q @ np.where(null, 0.0, coef / np.where(null, 1.0, w * (w + cs)))
 
 
+def dre_v_system(x_den, x_num):
+    """V'' and the DRE-V right-hand side (n/ell) V' 1 of scaled points."""
+    return cross_v(x_den, x_den), len(x_den) / len(x_num) * cross_v(x_den, x_num).sum(axis=1)
+
+
 def pencil_cases():
-    """V'' and the DRE-V right-hand side (n/ell) V' 1, and whether V'' has full rank."""
+    """Denominator points, V'', the DRE-V right-hand side and whether V'' has full rank."""
     rng = np.random.default_rng(27)
     ties = rng.random((40, 1))
     ties[20:30] = ties[:10]
     ties[7] = 1.0  # a zero row of V''
     cases = {"1d-ties-point-at-1": (ties, rng.random((30, 1)), False),
              "3d": (rng.random((40, 3)), rng.random((30, 3)), True),
-             "all-zero": (np.ones((5, 2)), rng.random((4, 2)), False)}
-    return {name: (cross_v(x_den, x_den),
-                   len(x_den) / len(x_num) * cross_v(x_den, x_num).sum(axis=1), full)
+             "all-zero": (np.ones((5, 2)), rng.random((4, 2)), False),
+             "1d-all-at-1": (np.ones((5, 1)), rng.random((4, 1)), False),
+             "1d-n-1": (np.array([[0.3]]), rng.random((4, 1)), True)}
+    return {name: (x_den, *dre_v_system(x_den, x_num), full)
             for name, (x_den, x_num, full) in cases.items()}
 
 
-@pytest.mark.parametrize("case", list(pencil_cases()))
-def test_pencil_solve_many_matches_eigh_reference(case):
-    S, b, full_rank = pencil_cases()[case]
-    assert (np.linalg.matrix_rank(S) == len(b)) == full_rank
-    cs = np.logspace(-6.0, 1.0, 8)
-    X, errors = PsdPencilSolver(S).solve_many(cs, b, [""] * len(cs))
-    assert errors == [None] * len(cs)
+def assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank):
     want = eigh_pencil_reference(S, cs, b)
     # S x are the DRE-V values at the denominator points
     assert np.all(np.linalg.norm(S @ (X - want), axis=0)
                   <= 1e-8 * np.linalg.norm(S @ want, axis=0))
     if full_rank:
         assert np.all(np.linalg.norm(X - want, axis=0) <= 1e-8 * np.linalg.norm(want, axis=0))
+
+
+@pytest.mark.parametrize("case", ["1d-ties-point-at-1", "3d", "all-zero"])
+def test_pencil_solve_many_matches_eigh_reference(case):
+    _, S, b, full_rank = pencil_cases()[case]
+    assert (np.linalg.matrix_rank(S) == len(b)) == full_rank
+    cs = np.logspace(-6.0, 1.0, 8)
+    X, errors = PsdPencilSolver(S).solve_many(cs, b, [""] * len(cs))
+    assert errors == [None] * len(cs)
+    assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
+
+
+@pytest.mark.parametrize("case", list(pencil_cases()))
+def test_pencil_solve_many_of_points_matches_eigh_reference(case, monkeypatch):
+    # given the points, 1-D systems are solved from the closed-form factor
+    # with no dpstrf or dsytrd; the others as without them
+    x_den, S, b, full_rank = pencil_cases()[case]
+    cs = np.logspace(-6.0, 1.0, 8)
+    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dpstrf", "dsytrd")
+    X, errors = PsdPencilSolver(S, x_den).solve_many(cs, b, [""] * len(cs))
+    assert errors == [None] * len(cs)
+    assert (calls == []) == (x_den.shape[1] == 1)
+    assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
+
+
+def brownian_cases():
+    """1-D points: ties with points at 0 and 1, all points at 1 (rank 0), n = 1 and n = 2."""
+    rng = np.random.default_rng(29)
+    ties = rng.random(40)
+    ties[20:30] = ties[:10]
+    ties[[7, 33]] = 1.0  # zero rows of V''
+    ties[12] = 0.0
+    return {"ties-faces": ties, "all-at-1": np.ones(4), "n-1": np.array([0.3]),
+            "n-2": np.array([0.8, 0.3]), "n-2-tie": np.array([0.3, 0.3])}
+
+
+@pytest.mark.parametrize("case", list(brownian_cases()))
+def test_brownian_factor_reproduces_v_with_the_rank_of_pivoted_cholesky(case):
+    x = brownian_cases()[case][:, None]
+    V = cross_v(x, x)
+    f = factor_v_matrix(V, x)
+    assert isinstance(f, BrownianFactor)
+    assert f.rank == pivoted_cholesky(V).rank == len(np.unique(x[x < 1.0]))
+    W = f.expand(np.eye(f.rank))
+    assert W.shape == (len(x), f.rank)
+    assert np.allclose(W @ W.T, V, rtol=0.0, atol=1e-15)
+    C = np.random.default_rng(30).normal(size=(f.rank, 3))
+    assert np.allclose(f.range_coords(W @ C), C, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", list(brownian_cases()))
+def test_brownian_congruence_equals_the_dtrmm_form(case):
+    x = brownian_cases()[case][:, None]
+    V = cross_v(x, x)
+    K = cross_gram(KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1), x, x)
+    f = factor_v_matrix(V, x)
+    S = f.congruence(K)
+    assert S.flags.f_contiguous and S.shape == (f.rank, f.rank)
+    W = f.expand(np.eye(f.rank))
+    dense = W.T @ K @ W
+    assert np.linalg.norm(S - dense) <= 1e-12 * np.linalg.norm(dense)
+    # the dtrmm form is W'KW in another basis of the same range: the same spectrum
+    other = pivoted_cholesky(V).congruence(K)
+    assert np.allclose(np.linalg.eigvalsh(S), np.linalg.eigvalsh(other),
+                       rtol=0.0, atol=1e-12 * np.linalg.norm(dense))
+
+
+def test_factor_v_matrix_chooses_by_dimension_and_gap():
+    rng = np.random.default_rng(31)
+    x = rng.random((30, 1))
+    V = cross_v(x, x)
+    assert isinstance(factor_v_matrix(V, x), BrownianFactor)
+    assert isinstance(factor_v_matrix(V, x, pencil=True), BrownianFactor)
+    x2 = rng.random((30, 2))
+    assert isinstance(factor_v_matrix(cross_v(x2, x2), x2), PivotedCholesky)
+    # a near-tie below NEAR_TIE_GAP sends only the DRE-V pencil to pivoted_cholesky
+    near = x.copy()
+    near[1] = near[0] + NEAR_TIE_GAP / 4
+    V = cross_v(near, near)
+    assert isinstance(factor_v_matrix(V, near), BrownianFactor)
+    assert isinstance(factor_v_matrix(V, near, pencil=True), PivotedCholesky)
+    near[:, 0] = [1.0 - NEAR_TIE_GAP / 4] + [0.5] * 29  # t = 1 - x close to 0
+    assert isinstance(factor_v_matrix(cross_v(near, near), near, pencil=True), PivotedCholesky)
+
+
+def extended_reference_values(S, c, b):
+    """The DRE-V values r = S x, which solve (S + cI) r = b, by LU with
+    residuals in extended precision."""
+    A = S + c * np.eye(len(b))
+    lu = scipy.linalg.lu_factor(A)
+    A_ext = S.astype(np.longdouble) + np.longdouble(c) * np.eye(len(b), dtype=np.longdouble)
+    r = scipy.linalg.lu_solve(lu, b).astype(np.longdouble)
+    for _ in range(6):
+        res = b.astype(np.longdouble) - A_ext @ r
+        r += scipy.linalg.lu_solve(lu, res.astype(float))
+    return r
+
+
+def test_closed_form_pencil_values_as_accurate_as_pivoted_path():
+    # model-2 draws over the default gamma grid; both paths meet the residual
+    # bound, and at small c both sit at the floor eps * cond(S + cI). Without
+    # the mandatory refinement step the closed form misses the reference by
+    # about 1e-10 at large c, where the pivoted path reaches 1e-14.
+    model = bench.make_model(2)
+    errors = {True: [], False: []}
+    for seed in range(4):
+        num, den = bench.sample_model(model, 100, seed)
+        s = domain.scale(num, den, domain.fit_domain_box(num, den))
+        S, b = dre_v_system(s.x_prime, s.x)
+        cs = default_gamma_grid() * np.trace(S) / s.n
+        want = [extended_reference_values(S, c, b) for c in cs]
+        for closed_form in errors:
+            solver = PsdPencilSolver(S, s.x_prime if closed_form else None)
+            X, errs = solver.solve_many(cs, b, [""] * len(cs))
+            assert errs == [None] * len(cs)
+            errors[closed_form] += [float(np.linalg.norm(S @ X[:, j] - w) / np.linalg.norm(w))
+                                    for j, w in enumerate(want)]
+    new, old = np.array(errors[True]), np.array(errors[False])
+    assert np.exp(np.mean(np.log(new))) <= np.exp(np.mean(np.log(old)))
+    assert np.all(new <= 4.0 * old + 1e-12)
+
+
+@pytest.mark.parametrize("n", [160, 800])
+def test_closed_form_pencil_fails_no_more_near_tie_columns(n):
+    # pairs of points `gap` apart; below NEAR_TIE_GAP the pencil takes the
+    # pivoted path, above it the closed form must do as well
+    samples = 4 if n == 160 else 1
+    for gap in (1e-6, 1e-8, 1e-10, 1e-12):
+        failed = {True: 0, False: 0}
+        for k in range(samples):
+            rng = np.random.default_rng([n, k])
+            x = rng.random(n)
+            x[1::7] = np.minimum(x[:-1:7] + gap, 1.0)
+            S, b = dre_v_system(x[:, None], rng.random((n, 1)))
+            cs = default_gamma_grid() * np.trace(S) / n
+            for closed_form in failed:
+                solver = PsdPencilSolver(S, x[:, None] if closed_form else None)
+                _, errs = solver.solve_many(cs, b, [""] * len(cs))
+                failed[closed_form] += sum(err is not None for err in errs)
+        assert failed[True] <= failed[False], gap
 
 
 def test_dre_v_and_ulsif_fits_use_neither_eigh_nor_lu(monkeypatch):
@@ -302,6 +448,24 @@ def test_solve_product_ridge_many_matches_lu(case, monkeypatch):
             RESIDUAL_RTOL * (1.0 + np.linalg.norm(b)))
 
 
+@pytest.mark.parametrize("gap", [0.0, 1e-9, 1e-14])
+def test_solve_product_ridge_many_closed_form_at_near_ties(gap, monkeypatch):
+    # unlike the DRE-V pencil, DRE-VK keeps the closed-form factor at any gap
+    rng = np.random.default_rng(32)
+    x = rng.random((160, 1))
+    x[1::7] = np.minimum(x[:-1:7] + gap, 1.0)
+    V, K, b, gammas = product_system(x, rng.random((120, 1)),
+                                     KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1))
+    factor = factor_v_matrix(V, x)
+    assert isinstance(factor, BrownianFactor)
+    lu_calls = count_lu_factor(monkeypatch)
+    X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
+    assert errors == [None] * len(gammas) and lu_calls == []
+    for j, gamma in enumerate(gammas):
+        want = solve_regularized(V @ K, gamma, b).solution
+        assert np.linalg.norm(X[:, j] - want) <= 1e-8 * np.linalg.norm(want)
+
+
 def test_pivoted_cholesky_factors_psd_matrix():
     rng = np.random.default_rng(26)
     x = rng.random((30, 1))
@@ -392,6 +556,20 @@ def test_solve_product_ridge_many_degenerate_sizes(case):
     for j, gamma in enumerate(gammas):
         want = solve_regularized(V @ K, gamma, b).solution
         assert np.allclose(X[:, j], want, rtol=1e-8, atol=1e-12)
+
+
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_banded_solves_of_order_one(closed_form):
+    # one gamma at rank 1 stacks a 1 x 1 tridiagonal system
+    x = np.array([[0.2]])
+    V, K, b, _ = product_system(x, np.array([[0.5], [0.7]]),
+                                KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1))
+    factor = factor_v_matrix(V, x) if closed_form else pivoted_cholesky(V)
+    X, errors = solve_product_ridge_many(factor, K, [0.1], b, [""])
+    assert errors == [None]
+    assert np.allclose(X[:, 0], b / (V[0, 0] * K[0, 0] + 0.1))
+    got = PsdPencilSolver(V, x if closed_form else None).solve(0.1, b).solution
+    assert np.allclose(got, b / (V[0, 0] ** 2 + 0.1 * V[0, 0]))
 
 
 def test_solve_product_ridge_many_rank_0_rhs_outside_range_goes_to_lu(monkeypatch):
