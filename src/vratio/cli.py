@@ -66,12 +66,12 @@ class ExperimentConfig:
                               f"got {self.folds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.margin < 0:
-            raise ConfigError("margin must be nonnegative")
-        if self.gamma_min <= 0 or self.gamma_max < self.gamma_min or self.gamma_count < 1:
-            raise ConfigError("gamma grid spec must satisfy 0 < min <= max, count >= 1")
-        if not self.sigma2_multipliers or any(v <= 0 for v in self.sigma2_multipliers):
-            raise ConfigError("sigma2 multipliers must be positive")
+        if not 0 <= self.margin < np.inf:
+            raise ConfigError(f"margin must be nonnegative and finite, got {self.margin}")
+        if (not 0 < self.gamma_min <= self.gamma_max < np.inf) or self.gamma_count < 1:
+            raise ConfigError("gamma grid spec must satisfy 0 < min <= max < inf, count >= 1")
+        if not self.sigma2_multipliers or not all(0 < v < np.inf for v in self.sigma2_multipliers):
+            raise ConfigError("sigma2 multipliers must be finite and positive")
 
     def sizes_for(self, model_id: int) -> list[int]:
         if self.sizes is not None:

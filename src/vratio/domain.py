@@ -141,8 +141,8 @@ def fit_domain_box(numerator: SampleSet, denominator: SampleSet, margin: float =
         raise DimensionMismatchError(
             f"numerator dimension {numerator.d} != denominator dimension {denominator.d}"
         )
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
+    if not 0 <= margin < np.inf:
+        raise ValueError(f"margin must be nonnegative and finite, got {margin}")
     pooled = np.vstack([numerator.points, denominator.points])
     lo = pooled.min(axis=0)
     hi = pooled.max(axis=0)

@@ -12,11 +12,23 @@ that predicts anywhere in the box:
 * fit_ulsif_like  -- the baseline obtained by replacing the V-matrices with
                      identities and the RKHS norm with alpha'alpha
 
+Each method's system is solved in one place, which cross-validation and the
+fits share: factor_system factors what every gamma and sigma2 of a sample
+have in common, solve_system solves for many gamma at once, and fit_system
+is solve_system at one gamma on all data. The fit_* functions build the
+matrices and call fit_system.
+
+DRE-V solves by PsdPencilSolver given the points, so alpha lies in the range
+of V'': for 1-D points from the closed-form factor of V'' by one tridiagonal
+solve and a mandatory refinement step, unless two distinct points, or a
+point and the box's upper face, lie closer than solve.NEAR_TIE_GAP; then,
+and in d > 1, from a pivoted Cholesky factor of V'' and a tridiagonal
+reduction. uLSIF solves from a tridiagonal reduction of K, and DRE-VK in CV
+from a factor of V'' and a tridiagonal reduction of W'KW. The DRE-VK fit
+alone solves by LU.
+
 dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 and returns
 the values at the denominator points.
-DRE-V and uLSIF solve with the banded solvers that CV uses, DRE-VK by LU.
-For 1-D points DRE-V needs no matrix factorisation: V'' has a closed-form
-factor, and every shift of its pencil is one tridiagonal solve.
 """
 
 from __future__ import annotations
@@ -28,8 +40,8 @@ import numpy as np
 
 from .domain import DomainBox, ScaledSamples, as_points
 from .kernels import KernelKind, KernelSpec, cross_gram
-from .solve import (PsdPencilSolver, SingularSystemError, solve_nonneg, solve_regularized,
-                    solve_ridge_square_many)
+from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
+                    solve_product_ridge_many, solve_regularized, solve_ridge_square_many)
 from .vmatrix import VMatrices, build_v_matrices, cross_v
 
 
@@ -52,7 +64,7 @@ class RatioEstimate:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.coef.shape[0] != self.centers.shape[0]:
             raise ValueError("coefficient length must match the number of centers")
@@ -80,53 +92,29 @@ def v_rhs(vm: VMatrices, s: ScaledSamples) -> np.ndarray:
     return (s.n / s.ell) * (vm.v_dn @ np.ones(s.ell))
 
 
-def fit_dre_v(s: ScaledSamples, gamma: float, vm: VMatrices | None = None) -> RatioEstimate:
+def fit_dre_v(s: ScaledSamples, gamma: float) -> RatioEstimate:
     """DRE-V as coefficients alpha over the overlap-volume basis,
     alpha = (n/ell)(V''V'' + (gamma/n)V'')^+ V' 1, so that the estimate
     r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and its
-    values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1.
-    Solved by PsdPencilSolver given the points, so alpha lies in the range
-    of V'': for 1-D points from the closed-form factor of V'' by one
-    tridiagonal solve and a mandatory refinement step, unless two distinct
-    points, or a point and the box's upper face, lie closer than
-    solve.NEAR_TIE_GAP; then, and in d > 1, from a pivoted Cholesky factor
-    of V'' and a tridiagonal reduction.
-
-    `vm`, when given, must be build_v_matrices(s); it saves rebuilding it.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    vm = build_v_matrices(s) if vm is None else vm
-    b = v_rhs(vm, s)
-    report = PsdPencilSolver(vm.v_dd, s.x_prime).solve(gamma / s.n, b, context=f"gamma={gamma}")
-    return RatioEstimate(report.solution, s.x_prime, s.box, gamma)
+    values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1."""
+    return fit_system(Method.DRE_V, s, gamma, None, build_v_matrices(s), None)
 
 
 def dre_v_nonneg_values(s: ScaledSamples, gamma: float) -> np.ndarray:
     """DRE-V values at the denominator points minimizing the same quadratic
     objective under r >= 0, by projected gradient."""
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     vm = build_v_matrices(s)
     A = vm.v_dd + (gamma / s.n) * np.eye(s.n)
     return solve_nonneg(A, v_rhs(vm, s)).solution
 
 
-def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float,
-               vm: VMatrices | None = None, K: np.ndarray | None = None) -> RatioEstimate:
-    """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`.
-
-    `vm` and `K`, when given, must be build_v_matrices(s) and the Gram matrix
-    of s.x_prime under `spec`; they save rebuilding them.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    vm = build_v_matrices(s) if vm is None else vm
-    K = cross_gram(spec, s.x_prime, s.x_prime) if K is None else K
-    b = v_rhs(vm, s)
-    # V''K is generally non-symmetric; the general LU path handles it
-    report = solve_regularized(vm.v_dd @ K, gamma, b, context=f"gamma={gamma}")
-    return RatioEstimate(report.solution, s.x_prime, s.box, gamma, spec)
+def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
+    """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`."""
+    method = Method.DRE_VK_RBF if spec.kind is KernelKind.RBF else Method.DRE_VK_INK
+    return fit_system(method, s, gamma, spec, build_v_matrices(s),
+                      cross_gram(spec, s.x_prime, s.x_prime))
 
 
 def rect_identity_ones(n: int, ell: int) -> np.ndarray:
@@ -141,22 +129,59 @@ def ulsif_rhs(s: ScaledSamples, K: np.ndarray) -> np.ndarray:
     return (s.n / s.ell) * (K @ rect_identity_ones(s.n, s.ell))
 
 
-def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float,
-                   K: np.ndarray | None = None) -> RatioEstimate:
+def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
     """Baseline with identity matrices in place of the V-matrices and ridge
-    regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde
-    by solve_ridge_square_many and raises SingularSystemError with its message.
+    regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde."""
+    return fit_system(Method.ULSIF_LIKE, s, gamma, spec, None,
+                      cross_gram(spec, s.x_prime, s.x_prime))
 
-    `K`, when given, must be the Gram matrix of s.x_prime under `spec`; it
-    saves rebuilding it.
+
+def factor_system(method: Method, vm: VMatrices | None, points):
+    """The factorisation that every gamma and sigma2 of a sample share, from
+    V'', the overlap volumes of `points`: the PsdPencilSolver for DRE-V, the
+    factor_v_matrix factor for DRE-VK, None for uLSIF."""
+    if method is Method.DRE_V:
+        return PsdPencilSolver(vm.v_dd, points)
+    if method is Method.ULSIF_LIKE:
+        return None
+    return factor_v_matrix(vm.v_dd, points)
+
+
+def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
+    """The method's coefficients on `s` for every gamma as the columns of an
+    n x G matrix, and per gamma None or the message of its failed residual
+    check. `vm` is build_v_matrices(s) (None for uLSIF), `factor` is
+    factor_system(method, vm, s.x_prime) and K the Gram matrix of s.x_prime
+    (None for DRE-V)."""
+    gammas = np.asarray(gammas, dtype=float)
+    contexts = [f"gamma={g}" for g in gammas]
+    if method is Method.DRE_V:
+        return factor.solve(gammas / s.n, v_rhs(vm, s), contexts)
+    if method is Method.ULSIF_LIKE:
+        return solve_ridge_square_many(K, gammas, ulsif_rhs(s, K), contexts)
+    return solve_product_ridge_many(factor, K, gammas, v_rhs(vm, s), contexts)
+
+
+def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec | None,
+               vm: VMatrices | None, K) -> RatioEstimate:
+    """The method's estimate on all of `s` at `gamma`, with `spec` its kernel
+    (None for DRE-V) and `vm` and K as for solve_system.
+
+    DRE-V and uLSIF take solve_system at [gamma] and raise SingularSystemError
+    with its message when the column fails. DRE-VK solves V''K + gamma I,
+    which is generally non-symmetric, by solve_regularized's LU.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
-    K = cross_gram(spec, s.x_prime, s.x_prime) if K is None else K
-    X, (error,) = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K), [f"gamma={gamma}"])
-    if error is not None:
-        raise SingularSystemError(error)
-    return RatioEstimate(X[:, 0], s.x_prime, s.box, gamma, spec)
+    if method in (Method.DRE_VK_INK, Method.DRE_VK_RBF):
+        report = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), context=f"gamma={gamma}")
+        coef = report.solution
+    else:
+        X, (error,) = solve_system(method, s, vm, factor_system(method, vm, s.x_prime), K, [gamma])
+        if error is not None:
+            raise SingularSystemError(error)
+        coef = X[:, 0]
+    return RatioEstimate(coef, s.x_prime, s.box, gamma, spec)
 
 
 def kernel_spec_for(method: Method, d: int, sigma2: float | None = None) -> KernelSpec | None:

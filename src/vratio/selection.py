@@ -11,22 +11,14 @@ from .domain import ScaledSamples
 from .estimators import (
     Method,
     RatioEstimate,
-    fit_dre_v,
-    fit_dre_vk,
-    fit_ulsif_like,
+    factor_system,
+    fit_system,
     kernel_spec_for,
-    ulsif_rhs,
-    v_rhs,
+    solve_system,
 )
 from .kernels import cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
-from .solve import (  # noqa: F401
-    PsdPencilSolver,
-    factor_v_matrix,
-    solve_product_ridge_many,
-    solve_regularized,
-    solve_ridge_square_many,
-)
+from .solve import solve_regularized  # noqa: F401
 from .vmatrix import VMatrices, build_v_matrices
 
 DEFAULT_SIGMA2_MULTIPLIERS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -64,6 +56,14 @@ def default_sigma2_grid(pooled_points, multipliers=DEFAULT_SIGMA2_MULTIPLIERS) -
     return np.asarray(multipliers, dtype=float) * median_sigma2(pooled_points)
 
 
+def _positive_grid(values, what: str) -> np.ndarray:
+    """`values` sorted, or ValueError unless they are nonempty, finite and positive."""
+    grid = np.sort(np.asarray(values, dtype=float))
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError(f"{what} must be nonempty, finite and positive")
+    return grid
+
+
 @dataclass
 class CvPlan:
     k: int = 5
@@ -78,13 +78,10 @@ class CvPlan:
     sigma2_multipliers: tuple = DEFAULT_SIGMA2_MULTIPLIERS
 
     def __post_init__(self):
-        self.gamma_grid = np.sort(np.asarray(self.gamma_grid, dtype=float))
-        if self.gamma_grid.size == 0 or np.any(self.gamma_grid <= 0):
-            raise ValueError("gamma grid must be nonempty and positive")
+        self.gamma_grid = _positive_grid(self.gamma_grid, "gamma grid")
         if self.sigma2_grid is not None:
-            self.sigma2_grid = np.sort(np.asarray(self.sigma2_grid, dtype=float))
-            if self.sigma2_grid.size == 0 or np.any(self.sigma2_grid <= 0):
-                raise ValueError("sigma2 grid must be nonempty and positive")
+            self.sigma2_grid = _positive_grid(self.sigma2_grid, "sigma2 grid")
+        _positive_grid(self.sigma2_multipliers, "sigma2 multipliers")
         if self.k < 2:
             raise ValueError("fold count must be at least 2")
 
@@ -150,28 +147,6 @@ def _block(A: np.ndarray, rows, cols) -> np.ndarray:
     return np.take(A[rows], cols, axis=1)
 
 
-def _factor_v(method: Method, vm: VMatrices | None, points):
-    """The fold's factorisation of V'', the overlap volumes of `points`,
-    shared by every sigma2 and gamma: the PsdPencilSolver for DRE-V, the
-    factor_v_matrix factor for DRE-VK, None for uLSIF."""
-    if method is Method.DRE_V:
-        return PsdPencilSolver(vm.v_dd, points)
-    if method is Method.ULSIF_LIKE:
-        return None
-    return factor_v_matrix(vm.v_dd, points)
-
-
-def _solve_all(method: Method, sub: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
-    """Fold-fit coefficients for every gamma as the columns of an n x G matrix,
-    and per gamma None or the message of its failed residual check."""
-    contexts = [f"gamma={g}" for g in gammas]
-    if method is Method.DRE_V:
-        return factor.solve_many(gammas / sub.n, v_rhs(vm, sub), contexts)
-    if method is Method.ULSIF_LIKE:
-        return solve_ridge_square_many(K, gammas, ulsif_rhs(sub, K), contexts)
-    return solve_product_ridge_many(factor, K, gammas, v_rhs(vm, sub), contexts)
-
-
 def _criteria(coef, hold_den, hold_num, n_over_l) -> np.ndarray:
     """Least-squares criterion 0.5 sum r(z')^2 - (n/ell) sum r(z) on the holdout
     points for every column of the n x G coefficient matrix; `hold_den` and
@@ -180,17 +155,6 @@ def _criteria(coef, hold_den, hold_num, n_over_l) -> np.ndarray:
     pred_den = hold_den @ coef
     pred_num = hold_num @ coef
     return 0.5 * np.sum(pred_den**2, axis=0) - n_over_l * np.sum(pred_num, axis=0)
-
-
-def _final_fit(method, s, vm, K, gamma, sigma2) -> RatioEstimate:
-    """Refit on all data with the solvers of the fit_* functions, reusing the
-    full-data V-matrices and Gram matrix."""
-    if method is Method.DRE_V:
-        return fit_dre_v(s, gamma, vm=vm)
-    spec = kernel_spec_for(method, s.d, sigma2)
-    if method is Method.ULSIF_LIKE:
-        return fit_ulsif_like(s, spec, gamma, K=K)
-    return fit_dre_vk(s, spec, gamma, vm=vm, K=K)
 
 
 def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
@@ -252,9 +216,11 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       bound after two refinement steps is retried by an LU of
       V''K + gamma I, and fails only if that fails too.
 
-    The refit solves as the fit_* functions do (the same banded solvers at
-    the selected gamma, or an LU for DRE-VK), so a draw's estimate depends
-    on CV only through the selection.
+    The refit is fit_system on all data at the selected gamma (and sigma2),
+    with the full-data matrices above: for DRE-V and uLSIF the folds' own
+    solve_system at one gamma, for DRE-VK an LU of V''K + gamma I. It is
+    what the fit_* functions compute, so a draw's estimate depends on CV
+    only through the selection.
     """
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     uses_rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
@@ -298,14 +264,14 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             dist = np.vstack([_block(D, np.concatenate([train, den_hold]), train),
                               cdist(s.x[num_hold], sub.x_prime, "sqeuclidean")])
             gram = np.empty_like(dist)
-        factor = _factor_v(method, vm, sub.x_prime)
+        factor = factor_system(method, vm, sub.x_prime)
         for i, s2 in enumerate(sigma2_values):
             live = [j for j, err in enumerate(errors[i]) if err is None]
             if not live:
                 continue
             if uses_rbf:
                 K = rbf_from_sqdist(dist, s2, out=gram)[:sub.n]
-            coef, errs = _solve_all(method, sub, vm, factor, K, gammas[i][live])
+            coef, errs = solve_system(method, sub, vm, factor, K, gammas[i][live])
             # built after the solve, which needs the most memory
             if uses_rbf:
                 hold_den, hold_num = gram[sub.n:s.n], gram[s.n:]
@@ -344,7 +310,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
 
     if uses_rbf:
         full_K = rbf_from_sqdist(D, best.sigma2, out=D)
-    estimate = _final_fit(method, s, full_vm, full_K, best.gamma, best.sigma2)
+    estimate = fit_system(method, s, best.gamma, kernel_spec_for(method, s.d, best.sigma2),
+                          full_vm, full_K)
     return CvReport(
         method=method,
         candidates=candidates,

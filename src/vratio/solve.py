@@ -8,11 +8,10 @@ in closed form for 1-D points (BrownianFactor, V''_ij = min(t_i, t_j)),
 else by pivoted_cholesky (dpstrf). With M = Q T Q' from tridiagonalize:
 
 * solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
-* PsdPencilSolver.solve_many: (S S + c S) x = b, minimal-norm when S is
-  singular. For 1-D points solve_grouped_pencil_many solves
-  (N + c J) y = J N^-1 J beta with the tridiagonal J = S_u^-1 of S's
-  distinct points, with one refinement step for every column; otherwise
-  S = W W', M = W'W, T T + c T;
+* PsdPencilSolver.solve: (S S + c S) x = b, minimal-norm when S is
+  singular. For 1-D points it solves (N + c J) y = J N^-1 J beta with the
+  tridiagonal J = S_u^-1 of S's distinct points, with one refinement step
+  for every column; otherwise S = W W', M = W'W, T T + c T;
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
   T + gamma I (W'KW by cumulative sums for 1-D points). Columns that still
   miss the bound after refinement are retried by solve_regularized's LU.
@@ -77,7 +76,7 @@ def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_square(A, b)
-    if ridge < 0:
+    if not ridge >= 0:
         raise ValueError("ridge must be nonnegative")
     m = A.shape[0]
     # one Fortran-ordered copy, which LAPACK factorises in place; the
@@ -255,8 +254,8 @@ def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
     G system matrices to the columns of an n x G matrix. Columns whose
     residual misses the bound are refined up to twice with the same factors;
     with `refine_once`, every column first takes one refinement step
-    regardless of its residual. Returns the n x G solutions, their residual
-    norms and per column None or the failure message `what` with contexts[j].
+    regardless of its residual. Returns the n x G solutions and per column
+    None or the failure message `what` with contexts[j].
     """
     sv, trs = (_ptsv, _pttrs) if len(bands) == 2 else (_pbsv, _pbtrs)
     factors, Y = _stacked_solve(sv, bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
@@ -273,7 +272,7 @@ def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
     ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
     errors = [None if good else _failure(what, ctx, r, bound)
               for good, r, ctx in zip(ok, res_norms, contexts)]
-    return X, res_norms, errors
+    return X, errors
 
 
 def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
@@ -290,14 +289,13 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     b = np.asarray(b, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     _check_square(K, b)
-    if np.any(gammas < 0):
+    if not np.all(gammas >= 0):
         raise ValueError("ridge must be nonnegative")
     tri = tridiagonalize(K)
     bands = _square_bands(tri, gammas.size)
     bands[0] += gammas[:, None]
-    X, _, errors = _multi_shift_solve(bands, tri.qt, tri.q, lambda X: K @ (K @ X) + X * gammas,
-                                      b, _SINGULAR_FAILURE, contexts)
-    return X, errors
+    return _multi_shift_solve(bands, tri.qt, tri.q, lambda X: K @ (K @ X) + X * gammas,
+                              b, _SINGULAR_FAILURE, contexts)
 
 
 @dataclass(frozen=True)
@@ -490,9 +488,9 @@ class PsdPencilSolver:
     right-hand sides arising here lie in the range of S, which holds the
     minimal-norm solution. When S is the overlap-volume matrix of `points`,
     factor_v_matrix chooses the factor S = W W'; otherwise it is
-    pivoted_cholesky(S). A BrownianFactor solves by
-    solve_grouped_pencil_many. Otherwise, with W'W = Q T Q' and W beta = b,
-    the solution is x = W Q z with the pentadiagonal (T T + c T) z = Q' beta.
+    pivoted_cholesky(S). A BrownianFactor solves by _solve_grouped_pencil.
+    Otherwise, with W'W = Q T Q' and W beta = b, the solution is x = W Q z
+    with the pentadiagonal (T T + c T) z = Q' beta.
     The factorisations are computed once and shared across values of c.
     """
 
@@ -511,42 +509,30 @@ class PsdPencilSolver:
             W = self._factor.L[:, : self._factor.rank]
             self._tri = tridiagonalize(W.T @ W, overwrite=True)
 
-    def _solve(self, cs, b, contexts):
+    def solve(self, cs, b, contexts) -> tuple[np.ndarray, list]:
+        """Solve at every shift in `cs` at once.
+
+        Returns the n x G matrix whose column j solves the system at cs[j],
+        and per column None or, when that column fails the residual check,
+        the failure message with contexts[j].
+        """
         S = self._factor.matrix
         b = np.asarray(b, dtype=float)
         cs = np.asarray(cs, dtype=float)
         if b.shape != (S.shape[0],):
             raise ValueError("b length mismatch")
-        if np.any(cs < 0):
+        if not np.all(cs >= 0):
             raise ValueError("c must be nonnegative")
         if self._tri is None:
-            return solve_grouped_pencil_many(self._factor, cs, b, contexts)
+            return _solve_grouped_pencil(self._factor, cs, b, contexts)
         bands = _square_bands(self._tri, cs.size)
         bands[0] += cs[:, None] * self._tri.diag
         bands[1, :, :-1] += cs[:, None] * self._tri.off
         return _multi_shift_solve(bands, *_factored_basis(self._factor, self._tri),
                                   _pencil(S, cs), b, _PENCIL_FAILURE, contexts)
 
-    def solve(self, c: float, b, context: str = "") -> SolveReport:
-        """Solve at one shift c; raises SingularSystemError when the solution
-        fails the residual check."""
-        X, res_norms, (error,) = self._solve([c], b, [context])
-        if error is not None:
-            raise SingularSystemError(error)
-        return SolveReport(X[:, 0], float(res_norms[0]))
 
-    def solve_many(self, cs, b, contexts) -> tuple[np.ndarray, list]:
-        """solve() for every shift in `cs` at once.
-
-        Returns the n x G matrix whose column j solves the system at cs[j],
-        and per column None or, when that column fails the residual check,
-        the message solve() would raise with contexts[j].
-        """
-        X, _, errors = self._solve(cs, b, contexts)
-        return X, errors
-
-
-def solve_grouped_pencil_many(factor: BrownianFactor, cs, b, contexts):
+def _solve_grouped_pencil(factor: BrownianFactor, cs, b, contexts):
     """Solve (S S + c S) x = b for every c in `cs`, with S = factor.matrix
     the overlap volumes of 1-D points and b in the range of S.
 
@@ -560,8 +546,7 @@ def solve_grouped_pencil_many(factor: BrownianFactor, cs, b, contexts):
     residual bound does not see, so every column takes one refinement step
     against the dense residual before the usual two (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, ch. 12). Returns the n x G
-    solutions, their residual norms and per column None or the failure
-    message with contexts[j].
+    solutions and per column None or the failure message with contexts[j].
     """
     cs = np.asarray(cs, dtype=float)
     inv_h = 1.0 / factor.gaps
@@ -606,16 +591,16 @@ def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray
     _check_square(K, b)
     if K.shape != A.shape:
         raise ValueError("K must match the shape of the factored matrix")
-    if np.any(gammas < 0):
+    if not np.all(gammas >= 0):
         raise ValueError("ridge must be nonnegative")
     tri = tridiagonalize(factor.congruence(K), overwrite=True)
     # T + gamma I per gamma: the diagonal and the sub-diagonal padded by one
     bands = np.zeros((2, gammas.size, factor.rank))
     bands[0] = tri.diag + gammas[:, None]
     bands[1, :, :-1] = tri.off
-    X, _, errors = _multi_shift_solve(bands, *_factored_basis(factor, tri),
-                                      lambda X: A @ (K @ X) + X * gammas,
-                                      b, _SINGULAR_FAILURE, contexts)
+    X, errors = _multi_shift_solve(bands, *_factored_basis(factor, tri),
+                                   lambda X: A @ (K @ X) + X * gammas,
+                                   b, _SINGULAR_FAILURE, contexts)
 
     retry = [j for j, err in enumerate(errors) if err is not None]
     if retry:

@@ -44,14 +44,6 @@ class VMatrices:
     v_dd: np.ndarray
     v_dn: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.v_dd.shape[0]
-
-    @property
-    def ell(self) -> int:
-        return self.v_dn.shape[1]
-
 
 def build_v_matrices(s: ScaledSamples) -> VMatrices:
     """Build V'' (denominator x denominator) and V' (denominator x numerator)."""

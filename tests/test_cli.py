@@ -54,6 +54,9 @@ def test_parse_config_rejects_bad_values():
         parse_config("nonneg = maybe\n")
     with pytest.raises(ConfigError):
         parse_config("draws\n")
+    for text in ("sigma2_multipliers = 1.0,nan\n", "sigma2_multipliers = inf\n"):
+        with pytest.raises(ConfigError, match="sigma2 multipliers must be finite"):
+            parse_config(text)
 
 
 def test_config_round_trips_through_text():
@@ -214,6 +217,12 @@ def test_fit_command_rejects_negative_margin(tmp_path, capsys):
     assert_reported_error(capsys, code, "margin must be nonnegative")
 
 
+def test_fit_command_rejects_infinite_margin(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    code = main(["fit", *paths, "--folds", "2", "--margin", "inf"])
+    assert_reported_error(capsys, code, "margin must be nonnegative and finite")
+
+
 def test_fit_command_rejects_files_of_different_dimensions(tmp_path, capsys):
     paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2 0.1\n0.4 0.3\n0.5 0.9\n")
     assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]),
@@ -230,6 +239,19 @@ def test_run_rejects_negative_seed(tmp_path, capsys):
     code = main(run_args(tmp_path, "s", ["--models", "2", "--sizes", "20", "--draws", "1",
                                          "--seed", "-1"]))
     assert_reported_error(capsys, code, "seed must be nonnegative, got -1")
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value,fragment", [
+    ("--margin", "nan", "margin must be nonnegative and finite"),
+    ("--margin", "inf", "margin must be nonnegative and finite"),
+    ("--gamma-min", "nan", "gamma grid spec"),
+    ("--gamma-max", "inf", "gamma grid spec"),
+])
+def test_run_rejects_non_finite_values(tmp_path, capsys, flag, value, fragment):
+    code = main(run_args(tmp_path, "s", ["--models", "2", "--sizes", "20", "--draws", "1",
+                                         flag, value]))
+    assert_reported_error(capsys, code, fragment)
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -96,6 +96,13 @@ def test_fit_domain_box_rejects_negative_margin():
         fit_domain_box(s, s, margin=-0.1)
 
 
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_fit_domain_box_rejects_non_finite_margin(margin):
+    s = SampleSet(np.array([[0.0], [1.0]]))
+    with pytest.raises(ValueError, match="margin must be nonnegative and finite"):
+        fit_domain_box(s, s, margin=margin)
+
+
 def test_scale_maps_into_unit_box():
     rng = np.random.default_rng(3)
     num = SampleSet(rng.normal(size=(10, 2)))

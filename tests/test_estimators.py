@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from vratio import solve
 from vratio.domain import DomainBox, OutOfBoxError, ScaledSamples
 from vratio.estimators import (
     Method,
     RatioEstimate,
     dre_v_nonneg_values,
+    factor_system,
     fit_dre_v,
     fit_dre_vk,
     fit_ulsif_like,
     kernel_spec_for,
     rect_identity_ones,
+    solve_system,
 )
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
+from vratio.solve import SingularSystemError
 from vratio.vmatrix import build_v_matrices, cross_v
 
 
@@ -193,6 +197,31 @@ def test_estimators_reject_nonpositive_gamma():
                lambda: fit_ulsif_like(s, spec, 0.0), lambda: dre_v_nonneg_values(s, 0.0)):
         with pytest.raises(ValueError):
             fn()
+    for fn in (fit_dre_v, dre_v_nonneg_values,
+               lambda s, g: fit_dre_vk(s, spec, g), lambda s, g: fit_ulsif_like(s, spec, g)):
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            fn(s, np.nan)
+
+
+@pytest.mark.parametrize("method", [Method.DRE_V, Method.ULSIF_LIKE])
+def test_fits_raise_the_failing_columns_message(method, monkeypatch):
+    # a negative bound fails every residual check; the fit raises with the
+    # message that solve_system reports for its one column
+    rng = np.random.default_rng(43)
+    s = unit_samples(rng, 12, 9, 2)
+    gamma = 0.05
+    spec = kernel_spec_for(method, s.d, 0.5)
+    vm = None if spec is not None else build_v_matrices(s)
+    K = None if spec is None else cross_gram(spec, s.x_prime, s.x_prime)
+    monkeypatch.setattr(solve, "RESIDUAL_RTOL", -1.0)
+    _, (error,) = solve_system(method, s, vm, factor_system(method, vm, s.x_prime), K, [gamma])
+    assert error is not None and f"(gamma={gamma})" in error
+    with pytest.raises(SingularSystemError) as exc:
+        if spec is None:
+            fit_dre_v(s, gamma)
+        else:
+            fit_ulsif_like(s, spec, gamma)
+    assert str(exc.value) == error
 
 
 def test_kernel_spec_for():

@@ -65,6 +65,12 @@ def test_cv_plan_validation():
         CvPlan(sigma2_grid=np.array([-1.0]))
     with pytest.raises(ValueError):
         CvPlan(k=1)
+    for name, values in [("gamma_grid", [np.nan, 1.0]), ("gamma_grid", [np.inf]),
+                         ("sigma2_grid", [0.5, np.nan]), ("sigma2_grid", [np.inf]),
+                         ("sigma2_multipliers", (1.0, np.nan)), ("sigma2_multipliers", (np.inf,)),
+                         ("sigma2_multipliers", ())]:
+        with pytest.raises(ValueError, match="nonempty, finite and positive"):
+            CvPlan(**{name: values})
     plan = CvPlan(gamma_grid=np.array([1.0, 0.01]))
     assert np.all(np.diff(plan.gamma_grid) > 0)  # sorted on construction
 
@@ -335,7 +341,7 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
     sigma2_values = [0.05, 0.7]
     plan = CvPlan(k=4, seed=9, sigma2_grid=sigma2_values)
     systems, holdouts = [], []
-    solve_all, criteria = selection._solve_all, selection._criteria
+    solve_system, criteria = selection.solve_system, selection._criteria
 
     # RBF blocks are views of a buffer that the next sigma2 overwrites
     def copy(a):
@@ -343,13 +349,13 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
 
     def spy_solve(method, sub, vm, factor, K, gammas):
         systems.append((sub, vm, copy(K)))
-        return solve_all(method, sub, vm, factor, K, gammas)
+        return solve_system(method, sub, vm, factor, K, gammas)
 
     def spy_criteria(coef, hold_den, hold_num, n_over_l):
         holdouts.append((copy(hold_den), copy(hold_num)))
         return criteria(coef, hold_den, hold_num, n_over_l)
 
-    monkeypatch.setattr(selection, "_solve_all", spy_solve)
+    monkeypatch.setattr(selection, "solve_system", spy_solve)
     monkeypatch.setattr(selection, "_criteria", spy_criteria)
     cross_validate(s, method, plan)
 
@@ -383,6 +389,29 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
             for name, (got, old) in want.items():
                 assert np.array_equal(got, old), (f, s2, name)
                 assert got.flags.c_contiguous and old.flags.c_contiguous, (f, s2, name)
+
+
+def refit_inputs():
+    """The 1-D points of fold_blocks_inputs, with ties and points at 1, and 3-D points."""
+    return {"1d-ties-faces": fold_blocks_inputs()["1d-ties-faces"],
+            "3d": unit_samples(np.random.default_rng(64), 30, 25, 3)}
+
+
+@pytest.mark.parametrize("case", list(refit_inputs()))
+@pytest.mark.parametrize("method", list(Method))
+def test_cross_validate_estimate_is_the_fit_at_the_selection(method, case):
+    """CV refits with the code path of the fit_* functions: the same coefficients."""
+    s = refit_inputs()[case]
+    report = cross_validate(s, method, CvPlan(k=4, seed=9))
+    spec = kernel_spec_for(method, s.d, report.selected_sigma2)
+    if method is Method.DRE_V:
+        est = fit_dre_v(s, report.selected_gamma)
+    elif method is Method.ULSIF_LIKE:
+        est = fit_ulsif_like(s, spec, report.selected_gamma)
+    else:
+        est = fit_dre_vk(s, spec, report.selected_gamma)
+    assert np.array_equal(report.estimate.coef, est.coef)
+    assert report.estimate.kernel == est.kernel
 
 
 def degenerate_samples():

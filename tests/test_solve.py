@@ -58,60 +58,51 @@ def test_solve_regularized_rejects_bad_inputs():
 
 
 def test_pencil_solver_matches_direct_on_nonsingular():
+    # every shift of one batched solve matches its own dense solve
     rng = np.random.default_rng(22)
+    cs = np.array([1e-6, 0.1, 10.0])
     for _ in range(10):
         n = int(rng.integers(2, 10))
         S = random_psd(rng, n)
         b = rng.normal(size=n)
-        solver = PsdPencilSolver(S)
-        for c in [1e-6, 0.1, 10.0]:
-            rep = solver.solve(c, b)
+        X, errors = PsdPencilSolver(S).solve(cs, b, [f"c={c}" for c in cs])
+        assert errors == [None] * len(cs)
+        for j, c in enumerate(cs):
             expected = np.linalg.solve(S @ S + c * S, b)
-            assert np.allclose(rep.solution, expected, atol=1e-6)
-            assert rep.residual_norm <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
+            assert np.allclose(X[:, j], expected, atol=1e-6)
+            residual = np.linalg.norm(S @ S @ X[:, j] + c * S @ X[:, j] - b)
+            assert residual <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
 
 
 def test_pencil_solver_singular_consistent_rhs():
     # S has an exactly zero row/column; rhs in the range space still solves
     S = np.diag([1.0, 2.0, 0.0])
     b = np.array([1.0, 4.0, 0.0])
-    rep = PsdPencilSolver(S).solve(0.5, b)
-    x = rep.solution
+    X, errors = PsdPencilSolver(S).solve([0.5], b, [""])
+    x = X[:, 0]
+    assert errors == [None]
     assert np.allclose(S @ S @ x + 0.5 * S @ x, b, atol=1e-10)
     assert x[2] == 0.0  # minimal-norm solution has no null-space component
 
 
-def test_pencil_solver_inconsistent_rhs_raises():
+def test_pencil_solver_inconsistent_rhs_fails_every_column():
     S = np.diag([1.0, 0.0])
-    with pytest.raises(SingularSystemError):
-        PsdPencilSolver(S).solve(0.5, np.array([1.0, 1.0]))
+    b = np.array([1.0, 1.0])  # not in the range of S
+    _, errors = PsdPencilSolver(S).solve(np.array([0.5, 2.0]), b, ["c=0.5", "c=2"])
+    for ctx, err in zip(("c=0.5", "c=2"), errors):
+        assert err.startswith(f"pencil system inconsistent ({ctx}): residual ")
+
+
+def test_pencil_solver_rejects_negative_and_nan_shifts():
+    solver = PsdPencilSolver(np.eye(2))
+    for c in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solver.solve([0.5, c], np.ones(2), ["", ""])
 
 
 def test_pencil_solver_requires_symmetry():
     with pytest.raises(ValueError):
         PsdPencilSolver(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_pencil_solve_many_matches_solve():
-    rng = np.random.default_rng(23)
-    S = random_psd(rng, 7)
-    b = rng.normal(size=7)
-    cs = np.array([1e-6, 0.1, 10.0])
-    solver = PsdPencilSolver(S)
-    X, errors = solver.solve_many(cs, b, [f"c={c}" for c in cs])
-    assert errors == [None, None, None]
-    for j, c in enumerate(cs):
-        assert np.allclose(X[:, j], solver.solve(c, b).solution, rtol=1e-10, atol=1e-12)
-
-
-def test_pencil_solve_many_reports_each_failure_as_solve_raises():
-    solver = PsdPencilSolver(np.diag([1.0, 0.0]))
-    b = np.array([1.0, 1.0])  # not in the range of S
-    _, errors = solver.solve_many(np.array([0.5, 2.0]), b, ["c=0.5", "c=2"])
-    for c, err in zip((0.5, 2.0), errors):
-        with pytest.raises(SingularSystemError) as exc:
-            solver.solve(c, b, context=f"c={c:g}")
-        assert err == str(exc.value)
 
 
 def eigh_pencil_reference(S, cs, b):
@@ -158,7 +149,7 @@ def test_pencil_solve_many_matches_eigh_reference(case):
     _, S, b, full_rank = pencil_cases()[case]
     assert (np.linalg.matrix_rank(S) == len(b)) == full_rank
     cs = np.logspace(-6.0, 1.0, 8)
-    X, errors = PsdPencilSolver(S).solve_many(cs, b, [""] * len(cs))
+    X, errors = PsdPencilSolver(S).solve(cs, b, [""] * len(cs))
     assert errors == [None] * len(cs)
     assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
 
@@ -170,7 +161,7 @@ def test_pencil_solve_many_of_points_matches_eigh_reference(case, monkeypatch):
     x_den, S, b, full_rank = pencil_cases()[case]
     cs = np.logspace(-6.0, 1.0, 8)
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dpstrf", "dsytrd")
-    X, errors = PsdPencilSolver(S, x_den).solve_many(cs, b, [""] * len(cs))
+    X, errors = PsdPencilSolver(S, x_den).solve(cs, b, [""] * len(cs))
     assert errors == [None] * len(cs)
     assert (calls == []) == (x_den.shape[1] == 1)
     assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
@@ -264,7 +255,7 @@ def test_closed_form_pencil_values_as_accurate_as_pivoted_path():
         want = [extended_reference_values(S, c, b) for c in cs]
         for closed_form in errors:
             solver = PsdPencilSolver(S, s.x_prime if closed_form else None)
-            X, errs = solver.solve_many(cs, b, [""] * len(cs))
+            X, errs = solver.solve(cs, b, [""] * len(cs))
             assert errs == [None] * len(cs)
             errors[closed_form] += [float(np.linalg.norm(S @ X[:, j] - w) / np.linalg.norm(w))
                                     for j, w in enumerate(want)]
@@ -288,7 +279,7 @@ def test_closed_form_pencil_fails_no_more_near_tie_columns(n):
             cs = default_gamma_grid() * np.trace(S) / n
             for closed_form in failed:
                 solver = PsdPencilSolver(S, x[:, None] if closed_form else None)
-                _, errs = solver.solve_many(cs, b, [""] * len(cs))
+                _, errs = solver.solve(cs, b, [""] * len(cs))
                 failed[closed_form] += sum(err is not None for err in errs)
         assert failed[True] <= failed[False], gap
 
@@ -568,8 +559,9 @@ def test_banded_solves_of_order_one(closed_form):
     X, errors = solve_product_ridge_many(factor, K, [0.1], b, [""])
     assert errors == [None]
     assert np.allclose(X[:, 0], b / (V[0, 0] * K[0, 0] + 0.1))
-    got = PsdPencilSolver(V, x if closed_form else None).solve(0.1, b).solution
-    assert np.allclose(got, b / (V[0, 0] ** 2 + 0.1 * V[0, 0]))
+    got, errors = PsdPencilSolver(V, x if closed_form else None).solve([0.1], b, [""])
+    assert errors == [None]
+    assert np.allclose(got[:, 0], b / (V[0, 0] ** 2 + 0.1 * V[0, 0]))
 
 
 def test_solve_product_ridge_many_rank_0_rhs_outside_range_goes_to_lu(monkeypatch):

@@ -98,7 +98,6 @@ def test_build_v_matrices_shapes_and_symmetry():
     vm = build_v_matrices(s)
     assert vm.v_dd.shape == (8, 8)
     assert vm.v_dn.shape == (8, 5)
-    assert vm.n == 8 and vm.ell == 5
     assert np.array_equal(vm.v_dd, vm.v_dd.T)
 
 
