@@ -74,6 +74,21 @@ def test_pencil_solver_matches_direct_on_nonsingular():
             assert residual <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
 
 
+def test_pencil_solve_many_matches_solve():
+    # one batched call over several shifts matches a call per shift
+    rng = np.random.default_rng(23)
+    S = random_psd(rng, 7)
+    b = rng.normal(size=7)
+    cs = np.array([1e-6, 0.1, 10.0])
+    solver = PsdPencilSolver(S)
+    X, errors = solver.solve(cs, b, [f"c={c}" for c in cs])
+    assert errors == [None, None, None]
+    for j, c in enumerate(cs):
+        x, (err,) = solver.solve([c], b, [f"c={c}"])
+        assert err is None
+        assert np.allclose(X[:, j], x[:, 0], rtol=1e-10, atol=1e-12)
+
+
 def test_pencil_solver_singular_consistent_rhs():
     # S has an exactly zero row/column; rhs in the range space still solves
     S = np.diag([1.0, 2.0, 0.0])
