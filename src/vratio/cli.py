@@ -14,6 +14,7 @@ from .bench import ExperimentRecord, aggregate, make_model, run_experiment
 from .domain import SampleSet, fit_domain_box, scale
 from .estimators import Method
 from .selection import DEFAULT_SIGMA2_MULTIPLIERS, CvPlan, SelectionError, cross_validate
+from .solve import SingularSystemError
 
 DEFAULT_MODELS = [1, 2, 3, 4, 5, 6, 7]
 DEFAULT_METHODS = ["dre-v", "dre-vk-ink", "dre-vk-rbf", "ulsif"]
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
             config = parse_config(text, _run_overrides(args))
             return run(config)
         return fit_command(args)
-    except (ConfigError, OSError, SelectionError) as exc:
+    except (ConfigError, OSError, SelectionError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

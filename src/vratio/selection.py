@@ -197,8 +197,14 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       t and 0, lie closer than solve.NEAR_TIE_GAP (1e-9) take the pivoted
       path for DRE-V, where the closed form loses the residual check.
     * once per (fold, sigma2): for RBF, one exp of the fold's distances into
-      one buffer, which holds the training Gram and both holdout matrices;
-      for uLSIF and DRE-VK one Householder tridiagonal reduction (dsytrd,
+      one buffer, which holds the training Gram and both holdout matrices.
+      For uLSIF and DRE-VK-RBF on 1-D points, whose Grams are numerically
+      low rank, a pivoted Cholesky K ~ G G' (dpstrf, O(n^2 r) flops for rank
+      r) and one thin SVD in O(n r^2): of G for uLSIF, and of W'G for
+      DRE-VK, which reverse cumulative sums over the groups of t give in
+      O(n r). No dsytrd runs then. A rank above solve.LOW_RANK_MAX_FRAC n
+      (0.4 n) takes the dense path below after the dpstrf. Otherwise, for
+      uLSIF and DRE-VK one Householder tridiagonal reduction (dsytrd,
       4n^3/3 flops) that serves every gamma: of K for uLSIF, so that
       KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK, to which
       the non-symmetric V''K is similar, so that V''K + gamma I reduces to
@@ -209,18 +215,23 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
       and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
       system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK
-      call) and O(n^2) products with Q and W and for the residual check. A
-      1-D DRE-V column always takes one refinement step against that
-      residual, which the double difference J N^-1 J of its right-hand side
-      needs for full accuracy. A DRE-VK column that misses the residual
-      bound after two refinement steps is retried by an LU of
+      call) and O(n^2) products with Q and W and for the residual check. On
+      the low-rank path the solve is O(n r) products with the SVD's U, in
+      closed form; the residual check is the same, against the full K, and
+      a column that still misses the bound after two refinement steps with
+      the same low-rank inverse is solved again on the dense path. A 1-D
+      DRE-V column always takes one refinement step against that residual,
+      which the double difference J N^-1 J of its right-hand side needs for
+      full accuracy. A DRE-VK column that misses the residual bound after
+      two refinement steps on the dense path is retried by an LU of
       V''K + gamma I, and fails only if that fails too.
 
     The refit is fit_system on all data at the selected gamma (and sigma2),
-    with the full-data matrices above: for DRE-V and uLSIF the folds' own
-    solve_system at one gamma, for DRE-VK an LU of V''K + gamma I. It is
-    what the fit_* functions compute, so a draw's estimate depends on CV
-    only through the selection.
+    with the full-data matrices above: for DRE-V the folds' own
+    solve_system at one gamma, for uLSIF the dense solve_ridge_square_many
+    in every dimension, for DRE-VK an LU of V''K + gamma I. It is what the
+    fit_* functions compute, so a draw's estimate depends on CV only
+    through the selection.
     """
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     uses_rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)

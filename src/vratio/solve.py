@@ -1,4 +1,4 @@
-"""Dense solvers for the regularized normal systems.
+"""Solvers for the regularized normal systems.
 
 All accepted direct solutions are verified by substitution against the
 residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The multi-shift
@@ -17,7 +17,16 @@ else by pivoted_cholesky (dpstrf). With M = Q T Q' from tridiagonalize:
   miss the bound after refinement are retried by solve_regularized's LU.
 
 The banded systems of all shifts go into one LAPACK call (_stacked_solve);
-_multi_shift_solve maps them back, checks every column and refines.
+_multi_shift_solve maps them back, and _verified checks every column and
+refines.
+
+solve_ridge_square_low_rank and solve_product_ridge_low_rank solve the same
+systems for a numerically low-rank K, such as the RBF Gram of 1-D points:
+K ~ G G' by pivoted_cholesky cut at its tolerance, one thin SVD (dgesdd)
+of G or of W'G, and then every shift in closed form, with no tridiagonal
+reduction. The residual check stays against K itself. A rank above
+LOW_RANK_MAX_FRAC n sends every column to the dense solver up front, and a
+column that fails after refinement is solved again by it.
 """
 
 from __future__ import annotations
@@ -251,15 +260,27 @@ def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
     (2 rows) by dptsv, the pentadiagonal ones (3 rows) by dpbsv, all in one
     stacked call. `reduce` maps n x G right-hand sides to their r x G reduced
     ones, `expand` maps r x G reduced solutions back, and `apply` applies the
-    G system matrices to the columns of an n x G matrix. Columns whose
-    residual misses the bound are refined up to twice with the same factors;
-    with `refine_once`, every column first takes one refinement step
-    regardless of its residual. Returns the n x G solutions and per column
-    None or the failure message `what` with contexts[j].
+    G system matrices to the columns of an n x G matrix. _verified checks
+    the columns and refines them with the same factors. Returns the n x G
+    solutions and per column None or the failure message `what` with
+    contexts[j].
     """
     sv, trs = (_ptsv, _pttrs) if len(bands) == 2 else (_pbsv, _pbtrs)
     factors, Y = _stacked_solve(sv, bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
-    X = expand(Y)
+    return _verified(expand(Y),
+                     lambda R, bad: expand(_stacked_resolve(trs, factors[:, bad], reduce(R))),
+                     apply, b, what, contexts, refine_once)
+
+
+def _verified(X, correct, apply, b, what: str, contexts, refine_once: bool = False):
+    """Check the n x G solutions X of apply(X) = b column by column.
+
+    Columns whose residual misses the bound are refined up to twice, X[:, bad]
+    += correct(R, bad) with R their residuals; with `refine_once`, every
+    column first takes one refinement step regardless of its residual.
+    Returns X and per column None or the failure message `what` with
+    contexts[j].
+    """
     bound = _residual_bound(b)
     last = 2 + refine_once
     for step in range(last + 1):
@@ -268,11 +289,23 @@ def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
         bad = (step < refine_once) | ~(res_norms <= bound)
         if step == last or not bad.any():
             break
-        X[:, bad] += expand(_stacked_resolve(trs, factors[:, bad], reduce(R[:, bad])))
+        X[:, bad] += correct(R[:, bad], bad)
     ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
     errors = [None if good else _failure(what, ctx, r, bound)
               for good, r, ctx in zip(ok, res_norms, contexts)]
     return X, errors
+
+
+def _ridge_inputs(K, gammas, b):
+    """K, gammas and b as float arrays; ValueError unless K is square, b has
+    its order and every gamma is nonnegative."""
+    K = np.asarray(K, dtype=float)
+    b = np.asarray(b, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
+    _check_square(K, b)
+    if not np.all(gammas >= 0):
+        raise ValueError("ridge must be nonnegative")
+    return K, gammas, b
 
 
 def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
@@ -285,12 +318,7 @@ def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
     or the failure message that solve_regularized would raise with
     contexts[j].
     """
-    K = np.asarray(K, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    _check_square(K, b)
-    if not np.all(gammas >= 0):
-        raise ValueError("ridge must be nonnegative")
+    K, gammas, b = _ridge_inputs(K, gammas, b)
     tri = tridiagonalize(K)
     bands = _square_bands(tri, gammas.size)
     bands[0] += gammas[:, None]
@@ -346,12 +374,15 @@ def pivoted_cholesky(A) -> PivotedCholesky:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be a square matrix")
-    n = A.shape[0]
     L, piv, rank, info = scipy.linalg.lapack.dpstrf(A, lower=1)
     if info < 0:
         raise ValueError(f"dpstrf: illegal value in argument {-info}")
-    L[~np.tri(n, dtype=bool)] = 0.0  # dpstrf leaves the input in the strict upper triangle
-    L[rank:, rank:] = 0.0  # the trailing Schur complement, below the tolerance
+    # dpstrf leaves the input in the strict upper triangle and the trailing
+    # Schur complement, below the tolerance, in the columns from `rank` on;
+    # column by column, this costs less than a mask of the triangle
+    for j in range(1, rank):
+        L[:j, j] = 0.0
+    L[:, rank:] = 0.0
     return PivotedCholesky(A, L, piv - 1, int(rank))
 
 
@@ -408,16 +439,28 @@ class BrownianFactor:
         """W Y for an r x G matrix Y: cumulative sums of sqrt(h) Y over the groups."""
         return self.on_points(np.cumsum(np.sqrt(self.gaps)[:, None] * Y, axis=0))
 
+    def _descending(self):
+        """The points at t > 0 in descending order of t, and the position in
+        that order of the last point of each group."""
+        desc = self.order[self.starts[0]:][::-1]
+        return desc, desc.size - 1 - (self.starts - self.starts[0])
+
+    def apply_t(self, B: np.ndarray) -> np.ndarray:
+        """W' B for an n x G matrix B, in O(nG) flops: a cumulative sum of B's
+        rows in descending t, read at the last point of each group, sums B
+        over t_i >= u_k, which is C'E'B. Then sqrt(h)."""
+        if not self.rank:
+            return np.zeros((0, B.shape[1]))
+        desc, last = self._descending()
+        return np.sqrt(self.gaps)[:, None] * np.cumsum(B[desc], axis=0)[last]
+
     def congruence(self, K: np.ndarray) -> np.ndarray:
         """W' K W for a symmetric n x n K, r x r in Fortran order, in O(n^2)
-        flops. With the points at t > 0 in descending order, cumulative sums
-        of K's rows and then of its columns, read at the last point of each
-        group, sum K over t_i >= u_k and t_j >= u_l: that is C'E'KEC. Then
-        sqrt(h) on both sides."""
+        flops: C'E'KEC by the cumulative sums of apply_t along both axes of K,
+        then sqrt(h) on both sides."""
         if not self.rank:
             return np.zeros((0, 0), order="F")
-        desc = self.order[self.starts[0]:][::-1]
-        last = desc.size - 1 - (self.starts - self.starts[0])
+        desc, last = self._descending()
         S = np.cumsum(K[desc], axis=0)[last]
         S = np.take(np.cumsum(np.take(S, desc, axis=1), axis=1), last, axis=1)
         root = np.sqrt(self.gaps)
@@ -585,14 +628,9 @@ def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray
     raised with contexts[j].
     """
     A = factor.matrix
-    K = np.asarray(K, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gammas = np.asarray(gammas, dtype=float)
-    _check_square(K, b)
+    K, gammas, b = _ridge_inputs(K, gammas, b)
     if K.shape != A.shape:
         raise ValueError("K must match the shape of the factored matrix")
-    if not np.all(gammas >= 0):
-        raise ValueError("ridge must be nonnegative")
     tri = tridiagonalize(factor.congruence(K), overwrite=True)
     # T + gamma I per gamma: the diagonal and the sub-diagonal padded by one
     bands = np.zeros((2, gammas.size, factor.rank))
@@ -612,6 +650,104 @@ def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray
             except SingularSystemError as exc:
                 errors[j] = str(exc)
     return X, errors
+
+
+# Largest rank of pivoted_cholesky(K), as a fraction of K's order n, at which
+# the low-rank solvers solve from the factor; above it they pass every column
+# to the dense solver, which is then faster. Timed on RBF Grams of 1-D points
+# with 15 gammas, the crossover lies near 0.8 n at n = 40, 0.5 n at n = 80,
+# 0.4 n at n = 160 and n = 640.
+LOW_RANK_MAX_FRAC = 0.4
+
+
+def _low_rank_basis(K: np.ndarray, basis):
+    """U and s of the thin SVD basis(G) = U diag(s) V' (LAPACK dgesdd) for
+    K ~ G G' from pivoted_cholesky(K), cut at dpstrf's tolerance; None when
+    G has more than LOW_RANK_MAX_FRAC n columns, basis(G) is empty or the
+    SVD fails."""
+    chol = pivoted_cholesky(K)
+    n, r = K.shape[0], chol.rank
+    if r > LOW_RANK_MAX_FRAC * n:
+        return None
+    G = np.empty((n, r), order="F")
+    G[chol.perm] = chol.L[:, :r]
+    Z = basis(G)
+    if not min(Z.shape):
+        return None
+    U, s, _, info = scipy.linalg.lapack.dgesdd(Z, full_matrices=0)
+    return None if info else (U, s)
+
+
+def _low_rank_solve(K, basis, power: int, reduce, expand, apply, b, gammas, contexts, dense):
+    """Solve apply(X) = b for every gamma from a low-rank factor of the PSD K.
+
+    With U, s from _low_rank_basis(K, basis), the reduced system matrix at
+    gamma is taken as U diag(s^power) U' + gamma I, whose inverse
+    U diag(1 / (s^power + gamma)) U' + (I - U U') / gamma costs O(mr) per
+    column (Harbrecht, Peters & Schneider, On the low-rank approximation by
+    the pivoted Cholesky decomposition, Appl. Numer. Math. 2012). `reduce`
+    and `expand` map to and from the reduced coordinates as for
+    _multi_shift_solve. `apply` uses K itself, so _verified checks every
+    column against the full system and refines it with the same inverse; a
+    column that still fails is solved again by dense(gammas, contexts) at
+    its gamma and takes that solver's message. Without a basis, or with a
+    gamma of 0, every column goes to dense up front.
+    """
+    found = _low_rank_basis(K, basis) if np.all(gammas > 0) else None
+    if found is None:
+        return dense(gammas, contexts)
+    U, s = found
+    eigs = s**power
+
+    def inverse(B, shifts):
+        C = reduce(B)
+        UC = U.T @ C
+        return expand(U @ (UC / (eigs[:, None] + shifts)) + (C - U @ UC) / shifts)
+
+    X, errors = _verified(inverse(b[:, None], gammas), lambda R, bad: inverse(R, gammas[bad]),
+                          apply, b, _SINGULAR_FAILURE, contexts)
+    retry = [j for j, err in enumerate(errors) if err is not None]
+    if retry:
+        X[:, retry], retry_errors = dense(gammas[retry], [contexts[j] for j in retry])
+        for j, err in zip(retry, retry_errors):
+            errors[j] = err
+    return X, errors
+
+
+def solve_ridge_square_low_rank(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
+    """solve_ridge_square_many for a numerically low-rank PSD K, such as the
+    RBF Gram of 1-D points.
+
+    K ~ G G' = U diag(s^2) U' (_low_rank_basis of G itself), so
+    K K + gamma I ~ U diag(s^4 + gamma) U' + gamma (I - U U'). Each column is
+    checked against K K + gamma I and falls back to solve_ridge_square_many
+    as _low_rank_solve describes; same returns.
+    """
+    K, gammas, b = _ridge_inputs(K, gammas, b)
+    return _low_rank_solve(K, lambda G: G, 4, lambda B: B, lambda Y: Y,
+                           lambda X: K @ (K @ X) + X * gammas, b, gammas, contexts,
+                           lambda gs, ctx: solve_ridge_square_many(K, gs, b, ctx))
+
+
+def solve_product_ridge_low_rank(factor: BrownianFactor, K, gammas, b,
+                                 contexts) -> tuple[np.ndarray, list]:
+    """solve_product_ridge_many for a numerically low-rank PSD K and the
+    closed-form factor V'' = W W' of 1-D points.
+
+    K ~ G G' makes W'KW ~ Z Z' with Z = W'G, which apply_t forms in O(nr);
+    with Z = U diag(s) V', T + gamma I of solve_product_ridge_many becomes
+    U diag(s^2 + gamma) U' + gamma (I - U U') in the coordinates c of
+    W c = b. Each column is checked against V''K + gamma I and falls back to
+    solve_product_ridge_many (with its LU retry) as _low_rank_solve
+    describes; same returns.
+    """
+    A = factor.matrix
+    K, gammas, b = _ridge_inputs(K, gammas, b)
+    if K.shape != A.shape:
+        raise ValueError("K must match the shape of the factored matrix")
+    return _low_rank_solve(K, factor.apply_t, 2, factor.range_coords, factor.expand,
+                           lambda X: A @ (K @ X) + X * gammas, b, gammas, contexts,
+                           lambda gs, ctx: solve_product_ridge_many(factor, K, gs, b, ctx))
 
 
 def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10) -> SolveReport:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vratio import bench, cli
+from vratio import bench, cli, selection
 from vratio.bench import ExperimentRecord
 from vratio.cli import (
     ConfigError,
@@ -17,6 +21,7 @@ from vratio.cli import (
 )
 from vratio.estimators import Method
 from vratio.selection import SelectionError
+from vratio.solve import SingularSystemError
 
 
 def test_parse_config_defaults():
@@ -262,6 +267,26 @@ def test_fit_command_reports_selection_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cross_validate", all_failed)
     paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
     assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]), "candidates failed")
+
+
+def test_fit_command_reports_singular_refit(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularSystemError("system singular to working precision (gamma=0.1)")
+
+    monkeypatch.setattr(selection, "fit_system", singular)
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]), "singular")
+    assert not (tmp_path / "w.txt").exists()
+
+
+def test_python_m_vratio_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-m", "vratio", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "fit" in done.stdout and "run" in done.stdout
 
 
 DELETED_NAMES = (

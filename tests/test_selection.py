@@ -253,6 +253,10 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
     S = 2 if rbf else 1
     plan = CvPlan(k=k, gamma_grid=np.logspace(-3, 0, G), sigma2_grid=[0.3, 1.0])
+    # the fold Grams of 1-D points have rank 11-12 at sigma2 = 0.3 and 9 at
+    # sigma2 = 1.0: with the cut-off at 0.6 * 16 = 9.6, sigma2 = 1.0 takes the
+    # low-rank path and sigma2 = 0.3 the dense one
+    monkeypatch.setattr(solve, "LOW_RANK_MAX_FRAC", 0.6)
 
     counter = CallCounter()
     for name in ("lu_factor", "eigh"):
@@ -293,15 +297,21 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
             want.update({"dpstrf": k + 1, "dsytrd": k + 1})
     elif method is Method.ULSIF_LIKE:
         # one tridiagonal reduction of K per (fold, sigma2) and for the refit
-        # serves every gamma; no LU
+        # serves every gamma; no LU. In 1-D a pivoted Cholesky of K per
+        # (fold, sigma2) comes first, and only the dense path reduces K
         want.update({"dsytrd": k * S + 1})
+        if d == 1:
+            want.update({"dpstrf": k * S, "dsytrd": k + 1})
     else:
         # one pivoted Cholesky of V'' per fold (the closed form in 1-D) and one
         # tridiagonal reduction per (fold, sigma2) serve every gamma; only the
-        # refit uses LU
+        # refit uses LU. In 1-D the RBF Gram of each (fold, sigma2) is factored
+        # by a pivoted Cholesky, and only the dense path reduces W'KW
         want.update({"dsytrd": k * S, "lu_factor": 1})
         if d > 1:
             want["dpstrf"] = k
+        elif method is Method.DRE_VK_RBF:
+            want.update({"dpstrf": k * S, "dsytrd": k})
     if method is Method.DRE_VK_INK:
         # the full-data Gram serves the gamma scaling, the training and
         # denominator-holdout blocks and the refit; the numerator holdout is
@@ -315,6 +325,22 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
         want.update({("dist", "full"): 1, ("dist", "holdout"): k,
                      ("exp", "full"): S + 1, ("exp", "fold"): k * S})
     assert counter.counts == want
+
+
+@pytest.mark.parametrize("method", [Method.DRE_VK_RBF, Method.ULSIF_LIKE])
+def test_cross_validate_20d_rbf_grams_are_not_factored(method, monkeypatch):
+    """20-D RBF Grams are full rank, so no pivoted Cholesky of K is tried:
+    the only dpstrf calls are DRE-VK's one factor of V'' per fold."""
+    k = 3
+    s = unit_samples(np.random.default_rng(65), 30, 24, 20)
+    counter = CallCounter()
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counter.wrap(
+        scipy.linalg.lapack.dpstrf, lambda *a: "dpstrf"))
+    for name in ("solve_ridge_square_low_rank", "solve_product_ridge_low_rank"):
+        monkeypatch.setattr(estimators, name, counter.wrap(getattr(estimators, name),
+                                                           lambda *a, name=name: name))
+    cross_validate(s, method, CvPlan(k=k, sigma2_grid=[2.0, 8.0]))
+    assert counter.counts == ({} if method is Method.ULSIF_LIKE else {"dpstrf": k})
 
 
 def fold_blocks_inputs():

@@ -8,7 +8,7 @@ from vratio.domain import DomainBox, ScaledSamples
 from vratio.estimators import fit_dre_v, fit_ulsif_like, ulsif_rhs, v_rhs
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
 from vratio import bench, domain
-from vratio.selection import default_gamma_grid
+from vratio.selection import default_gamma_grid, default_sigma2_grid
 from vratio.solve import (
     NEAR_TIE_GAP,
     RESIDUAL_RTOL,
@@ -19,8 +19,10 @@ from vratio.solve import (
     factor_v_matrix,
     pivoted_cholesky,
     solve_nonneg,
+    solve_product_ridge_low_rank,
     solve_product_ridge_many,
     solve_regularized,
+    solve_ridge_square_low_rank,
     solve_ridge_square_many,
 )
 from vratio.vmatrix import build_v_matrices, cross_v
@@ -485,6 +487,22 @@ def test_pivoted_cholesky_factors_psd_matrix():
     assert np.allclose(W @ W.T, V, rtol=0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [6, 40, 400])
+def test_pivoted_cholesky_zeroes_what_dpstrf_leaves(n):
+    """L is dpstrf's output with the strict upper triangle and the columns
+    from the rank on set to zero, bit for bit."""
+    rng = np.random.default_rng(33)
+    for rank in (n, n // 3):
+        G = rng.normal(size=(n, rank))
+        A = G @ G.T
+        L, piv, r, _ = scipy.linalg.lapack.dpstrf(A, lower=1)
+        L[~np.tri(n, dtype=bool)] = 0.0
+        L[r:, r:] = 0.0
+        f = pivoted_cholesky(A)
+        assert f.rank == r and np.array_equal(f.perm, piv - 1)
+        assert np.array_equal(f.L, L) and f.L.flags.f_contiguous
+
+
 def test_solve_product_ridge_many_failure_matches_solve_regularized(monkeypatch):
     x_den, x_num, spec = product_cases()["3d"]
     V, K, b, gammas = product_system(x_den, x_num, spec)
@@ -600,6 +618,157 @@ def test_solve_ridge_square_many_degenerate_sizes(n):
     for j, gamma in enumerate(gammas):
         assert np.allclose(X[:, j], solve_regularized(K @ K, gamma, b).solution,
                            rtol=1e-8, atol=1e-12)
+
+
+def low_rank_cases():
+    """1-D denominator points at n = 40 and 160 with ties and a point at 1,
+    each with its numerator points."""
+    out = {}
+    for n in (40, 160):
+        rng = np.random.default_rng(34 + n)
+        x = rng.random((n, 1))
+        x[n // 2:n // 2 + 5] = x[:5]
+        x[7] = 1.0
+        out[n] = ScaledSamples(x, rng.random((n, 1)), DomainBox(np.zeros(1), np.ones(1)))
+    return out
+
+
+def low_rank_systems(s, sigma2):
+    """K, the uLSIF right-hand side and gammas; the factor of V'', the DRE-VK
+    right-hand side and gammas, scaled as cross-validation scales them."""
+    K = cross_gram(KernelSpec(KernelKind.RBF, 1, sigma2), s.x_prime, s.x_prime)
+    vm = build_v_matrices(s)
+    grid = default_gamma_grid()
+    return (K, ulsif_rhs(s, K), grid * np.sum(K * K) / s.n,
+            factor_v_matrix(vm.v_dd, s.x_prime), v_rhs(vm, s), grid * np.sum(vm.v_dd * K) / s.n)
+
+
+@pytest.mark.parametrize("n", [40, 160])
+def test_low_rank_solves_match_dense_on_1d_rbf_grams(n, monkeypatch):
+    """At every default sigma2, every column passes the residual check against
+    the full K and agrees with the dense solver to 1e-7 relative; no
+    tridiagonal reduction runs unless the rank is above the cut-off."""
+    s = low_rank_cases()[n]
+    low_rank = 0
+    for sigma2 in default_sigma2_grid(s.pooled()):
+        K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, sigma2)
+        assert isinstance(factor, BrownianFactor)
+        dense = pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * n
+        low_rank += not dense
+        ctx = [f"gamma={g}" for g in gammas]
+        with monkeypatch.context() as m:
+            calls = count_calls(m, scipy.linalg.lapack, "dsytrd")
+            X, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
+            Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv, ctx)
+        assert errors == errors_v == [None] * len(gammas)
+        assert len(calls) == (2 if dense else 0), sigma2
+        want, _ = solve_ridge_square_many(K, gammas, b, ctx)
+        want_v, _ = solve_product_ridge_many(factor, K, gammas_v, bv, ctx)
+        V = factor.matrix
+        for j in range(len(gammas)):
+            for got, ref, M, g, rhs in ((X, want, K @ K, gammas[j], b),
+                                        (Y, want_v, V @ K, gammas_v[j], bv)):
+                assert np.linalg.norm(M @ got[:, j] + g * got[:, j] - rhs) <= (
+                    RESIDUAL_RTOL * (1.0 + np.linalg.norm(rhs)))
+                assert np.linalg.norm(got[:, j] - ref[:, j]) <= 1e-7 * np.linalg.norm(ref[:, j])
+    assert low_rank >= 3  # at least half of the grid takes the low-rank path
+
+
+def test_low_rank_rank_above_cut_off_takes_dense_path(monkeypatch):
+    s = low_rank_cases()[40]
+    K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, 1e-3)  # K is near I
+    assert pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * 40
+    ctx = [""] * len(gammas)
+    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dgesdd")
+    X, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
+    Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv, ctx)
+    assert calls == ["dsytrd", "dsytrd"]  # one per solver, no SVD
+    for got, (want, want_errors) in ((X, solve_ridge_square_many(K, gammas, b, ctx)),
+                                     (Y, solve_product_ridge_many(factor, K, gammas_v, bv, ctx))):
+        assert np.array_equal(got, want) and want_errors == [None] * len(gammas)
+    assert errors == errors_v == [None] * len(gammas)
+
+
+def test_low_rank_gamma_0_takes_dense_path(monkeypatch):
+    # the low-rank inverse divides by gamma on the complement of K's range
+    s = low_rank_cases()[40]
+    K, b, gammas, *_ = low_rank_systems(s, 0.5)
+    assert pivoted_cholesky(K).rank <= solve.LOW_RANK_MAX_FRAC * 40
+    gammas[0] = 0.0
+    ctx = [f"gamma={g}" for g in gammas]
+    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dgesdd")
+    X, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
+    assert calls == ["dsytrd"]
+    want, want_errors = solve_ridge_square_many(K, gammas, b, ctx)
+    assert np.array_equal(X, want, equal_nan=True) and errors == want_errors
+
+
+def spoil_low_rank_basis(monkeypatch, below: float):
+    """Make dgesdd return the singular values under `below` times the largest
+    twice too large: a column whose gamma is small next to the spoiled
+    eigenvalues misses by more than two refinement steps can mend."""
+    dgesdd = scipy.linalg.lapack.dgesdd
+
+    def spoiled(*args, **kwargs):
+        u, s, vt, info = dgesdd(*args, **kwargs)
+        s[s < below * s[0]] *= 2.0
+        return u, s, vt, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", spoiled)
+
+
+def record_calls(monkeypatch, module, name) -> list:
+    """Patch module.<name> to record (args, result) per call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_low_rank_failed_columns_are_solved_again_dense(monkeypatch):
+    s = low_rank_cases()[160]
+    K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, default_sigma2_grid(s.pooled())[3])
+    ctx = [f"gamma={g}" for g in gammas]
+    for low, name, args, below in ((solve_ridge_square_low_rank, "solve_ridge_square_many",
+                                    (K, gammas, b), 0.1),
+                                   (solve_product_ridge_low_rank, "solve_product_ridge_many",
+                                    (factor, K, gammas_v, bv), 1e-3)):
+        with monkeypatch.context() as m:
+            spoil_low_rank_basis(m, below)
+            dense = record_calls(m, solve, name)
+            X, errors = low(*args, ctx)
+        # the spoiled columns, and only they, went to the dense solver in one call
+        (dense_args, (dense_X, dense_errors)), = dense
+        retried = [ctx.index(c) for c in dense_args[-1]]
+        assert 0 < len(retried) < len(gammas)
+        assert np.array_equal(dense_args[-3], args[-2][retried])  # their gammas
+        assert np.array_equal(X[:, retried], dense_X)
+        assert [errors[j] for j in retried] == dense_errors == [None] * len(retried)
+        assert errors == [None] * len(gammas)
+
+
+def test_low_rank_failure_message_is_the_dense_solvers(monkeypatch):
+    s = low_rank_cases()[160]
+    K, b, gammas, *_ = low_rank_systems(s, default_sigma2_grid(s.pooled())[3])
+    ctx = [f"gamma={g}" for g in gammas]
+    spoil_low_rank_basis(monkeypatch, 0.1)
+    perturb_tridiagonal(monkeypatch, 1.0)  # the dense solver fails too
+    dense = record_calls(monkeypatch, solve, "solve_ridge_square_many")
+    _, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
+    (dense_args, (_, dense_errors)), = dense
+    retried = [ctx.index(c) for c in dense_args[-1]]
+    assert any(err is not None for err in dense_errors)
+    assert [errors[j] for j in retried] == dense_errors
+    # the message is what the dense solver gives for that gamma on its own
+    j = retried[[err is not None for err in dense_errors].index(True)]
+    alone, (err_alone,) = solve_ridge_square_many(K, gammas[j:j + 1], b, ctx[j:j + 1])
+    assert errors[j] == err_alone and err_alone.startswith(
+        f"system singular to working precision (gamma={gammas[j]}): residual")
 
 
 def active_set_oracle(A, b):
