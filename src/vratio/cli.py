@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,6 +58,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method '{meth}'")
         if self.sizes is not None and (not self.sizes or any(m < 1 for m in self.sizes)):
             raise ConfigError("sizes must be nonempty positive integers")
+        # a repeated value would run and count every cell it names more than once
+        for name, values in (("models", self.models), ("sizes", self.sizes or []),
+                             ("methods", self.methods)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values}")
         if self.draws < 1:
             raise ConfigError("draws must be at least 1")
         if self.folds < 2:
@@ -256,17 +262,14 @@ def run(config: ExperimentConfig) -> int:
     return 1 if any(stats["failures"] > 0 for stats in agg.values()) else 0
 
 
-def _load_points(path: str) -> np.ndarray:
-    pts = np.loadtxt(path, ndmin=2)
-    if pts.size == 0:
-        raise ConfigError(f"no points in {path}")
-    return pts
-
-
 def _load_sample(path: str) -> SampleSet:
     try:
-        return SampleSet(_load_points(path))
-    except ValueError as exc:  # unparsable text or non-finite points
+        with warnings.catch_warnings():
+            # SampleSet rejects the empty file with its own message
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            pts = np.loadtxt(path, ndmin=2)
+        return SampleSet(pts)
+    except ValueError as exc:  # unparsable text, no points or non-finite points
         raise ConfigError(f"{path}: {exc}") from exc
 
 

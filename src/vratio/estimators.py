@@ -30,6 +30,11 @@ RBF Gram K ~ G G' and one thin SVD, unless its rank is too high. The uLSIF
 fit always takes the tridiagonal reduction, and the DRE-VK fit solves by
 LU.
 
+Each gamma's solution is checked by substitution and refined on its own
+path. A column that still fails is not solved again another way:
+solve_system reports it as failed, with its gamma in the message, and
+cross-validation records that candidate as failed.
+
 dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 and returns
 the values at the denominator points.
 """
@@ -159,21 +164,29 @@ def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor,
     (None for DRE-V).
 
     The RBF Grams of 1-D points are numerically low rank, so uLSIF and
-    DRE-VK-RBF solve them by the low-rank solvers of solve, which fall back
-    to the dense ones. In d > 1 they are full rank, and the dense solvers
-    run without a pivoted Cholesky of K first.
+    DRE-VK-RBF solve them by the low-rank solvers of solve, which hand a
+    Gram of too high a rank to the dense ones up front. In d > 1 they are
+    full rank, and the dense solvers run without a pivoted Cholesky of K
+    first.
     """
     gammas = np.asarray(gammas, dtype=float)
-    contexts = [f"gamma={g}" for g in gammas]
     low_rank = s.d == 1
     if method is Method.DRE_V:
-        return factor.solve(gammas / s.n, v_rhs(vm, s), contexts)
-    if method is Method.ULSIF_LIKE:
+        X, errors = factor.solve(gammas / s.n, v_rhs(vm, s))
+    elif method is Method.ULSIF_LIKE:
         solve = solve_ridge_square_low_rank if low_rank else solve_ridge_square_many
-        return solve(K, gammas, ulsif_rhs(s, K), contexts)
-    solve = (solve_product_ridge_low_rank if low_rank and method is Method.DRE_VK_RBF
-             else solve_product_ridge_many)
-    return solve(factor, K, gammas, v_rhs(vm, s), contexts)
+        X, errors = solve(K, gammas, ulsif_rhs(s, K))
+    else:
+        solve = (solve_product_ridge_low_rank if low_rank and method is Method.DRE_VK_RBF
+                 else solve_product_ridge_many)
+        X, errors = solve(factor, K, gammas, v_rhs(vm, s))
+    return X, _with_gammas(errors, gammas)
+
+
+def _with_gammas(errors, gammas) -> list:
+    """Each failed column's message with its gamma, the way
+    solve_regularized names its context."""
+    return [None if err is None else f"{err} (gamma={g})" for err, g in zip(errors, gammas)]
 
 
 def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec | None,
@@ -182,9 +195,10 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     (None for DRE-V) and `vm` and K as for solve_system.
 
     DRE-V takes solve_system at [gamma] and uLSIF solve_ridge_square_many,
-    and both raise SingularSystemError with the message when the column
-    fails. DRE-VK solves V''K + gamma I, which is generally non-symmetric, by
-    solve_regularized's LU. The refit does not take the low-rank solves of
+    and both raise SingularSystemError with the message of the failed column,
+    named with its gamma as solve_system names it. DRE-VK solves
+    V''K + gamma I, which is generally non-symmetric, by solve_regularized's
+    LU. The refit does not take the low-rank solves of
     the 1-D RBF folds. Those meet the same residual bound, but their
     coefficients differ from the dense ones in about the ninth digit: a
     low-rank uLSIF refit moved one seed-0 NRMSE by 1.4e-9 relative, past the
@@ -193,12 +207,12 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    context = f"gamma={gamma}"
     if method in (Method.DRE_VK_INK, Method.DRE_VK_RBF):
-        coef = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), context).solution
+        coef = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), f"gamma={gamma}").solution
     else:
         if method is Method.ULSIF_LIKE:
-            X, (error,) = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K), [context])
+            X, errors = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K))
+            (error,) = _with_gammas(errors, [gamma])
         else:
             X, (error,) = solve_system(method, s, vm, factor_system(method, vm, s.x_prime), K,
                                        [gamma])

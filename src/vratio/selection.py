@@ -218,13 +218,12 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       call) and O(n^2) products with Q and W and for the residual check. On
       the low-rank path the solve is O(n r) products with the SVD's U, in
       closed form; the residual check is the same, against the full K, and
-      a column that still misses the bound after two refinement steps with
-      the same low-rank inverse is solved again on the dense path. A 1-D
-      DRE-V column always takes one refinement step against that residual,
-      which the double difference J N^-1 J of its right-hand side needs for
-      full accuracy. A DRE-VK column that misses the residual bound after
-      two refinement steps on the dense path is retried by an LU of
-      V''K + gamma I, and fails only if that fails too.
+      refinement uses the same low-rank inverse. A 1-D DRE-V column always
+      takes one refinement step against that residual, which the double
+      difference J N^-1 J of its right-hand side needs for full accuracy.
+      On every path, a column that misses the residual bound after two
+      refinement steps fails its candidate, which no later fold solves
+      again.
 
     The refit is fit_system on all data at the selected gamma (and sigma2),
     with the full-data matrices above: for DRE-V the folds' own
@@ -309,7 +308,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     ]
     valid = [c for c in candidates if c.ok]
     if not valid:
-        detail = "; ".join(f"gamma={c.gamma:g}: {c.error}" for c in candidates[:5])
+        detail = "; ".join(c.error for c in candidates[:5])
         raise SelectionError(f"all {len(candidates)} candidates failed to solve: {detail}")
 
     best = None

@@ -13,20 +13,20 @@ else by pivoted_cholesky (dpstrf). With M = Q T Q' from tridiagonalize:
   tridiagonal J = S_u^-1 of S's distinct points, with one refinement step
   for every column; otherwise S = W W', M = W'W, T T + c T;
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
-  T + gamma I (W'KW by cumulative sums for 1-D points). Columns that still
-  miss the bound after refinement are retried by solve_regularized's LU.
+  T + gamma I (W'KW by cumulative sums for 1-D points).
 
 The banded systems of all shifts go into one LAPACK call (_stacked_solve);
 _multi_shift_solve maps them back, and _verified checks every column and
-refines.
+refines. A column that still misses the bound is returned as failed with
+its message; no other solver tries it again.
 
 solve_ridge_square_low_rank and solve_product_ridge_low_rank solve the same
 systems for a numerically low-rank K, such as the RBF Gram of 1-D points:
 K ~ G G' by pivoted_cholesky cut at its tolerance, one thin SVD (dgesdd)
 of G or of W'G, and then every shift in closed form, with no tridiagonal
 reduction. The residual check stays against K itself. A rank above
-LOW_RANK_MAX_FRAC n sends every column to the dense solver up front, and a
-column that fails after refinement is solved again by it.
+LOW_RANK_MAX_FRAC n, or a shift of 0, sends every column to the dense
+solver up front instead.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ def _residual_bound(b: np.ndarray) -> float:
     return RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
 
 
-def _failure(what: str, context: str, res_norm: float, bound: float) -> str:
-    where = f" ({context})" if context else ""
-    return f"{what}{where}: residual {res_norm:.3e} > {bound:.3e}"
+def _failure(what: str, res_norm: float, bound: float) -> str:
+    return f"{what}: residual {res_norm:.3e} > {bound:.3e}"
 
 
 _SINGULAR_FAILURE = "system singular to working precision"
@@ -109,8 +108,8 @@ def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
         x = np.full(m, np.nan)
 
     if not np.isfinite(res_norm) or not np.all(np.isfinite(x)) or res_norm > bound:
-        raise SingularSystemError(
-            _failure(_SINGULAR_FAILURE, context, res_norm, bound))
+        where = f" ({context})" if context else ""
+        raise SingularSystemError(_failure(_SINGULAR_FAILURE, res_norm, bound) + where)
     return SolveReport(x, res_norm)
 
 
@@ -252,8 +251,7 @@ def _square_bands(tri: Tridiagonal, G: int) -> np.ndarray:
     return np.repeat(band[:, None, :], G, axis=1)
 
 
-def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
-                       refine_once: bool = False):
+def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, refine_once: bool = False):
     """Solve apply(X) = b for G shifts from their reduced banded systems.
 
     `bands` (rows, G, r) holds the reduced systems: the tridiagonal ones
@@ -262,24 +260,22 @@ def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, contexts,
     ones, `expand` maps r x G reduced solutions back, and `apply` applies the
     G system matrices to the columns of an n x G matrix. _verified checks
     the columns and refines them with the same factors. Returns the n x G
-    solutions and per column None or the failure message `what` with
-    contexts[j].
+    solutions and per column None or the failure message `what`.
     """
     sv, trs = (_ptsv, _pttrs) if len(bands) == 2 else (_pbsv, _pbtrs)
     factors, Y = _stacked_solve(sv, bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
     return _verified(expand(Y),
                      lambda R, bad: expand(_stacked_resolve(trs, factors[:, bad], reduce(R))),
-                     apply, b, what, contexts, refine_once)
+                     apply, b, what, refine_once)
 
 
-def _verified(X, correct, apply, b, what: str, contexts, refine_once: bool = False):
+def _verified(X, correct, apply, b, what: str, refine_once: bool = False):
     """Check the n x G solutions X of apply(X) = b column by column.
 
     Columns whose residual misses the bound are refined up to twice, X[:, bad]
     += correct(R, bad) with R their residuals; with `refine_once`, every
     column first takes one refinement step regardless of its residual.
-    Returns X and per column None or the failure message `what` with
-    contexts[j].
+    Returns X and per column None or the failure message `what`.
     """
     bound = _residual_bound(b)
     last = 2 + refine_once
@@ -291,8 +287,7 @@ def _verified(X, correct, apply, b, what: str, contexts, refine_once: bool = Fal
             break
         X[:, bad] += correct(R[:, bad], bad)
     ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
-    errors = [None if good else _failure(what, ctx, r, bound)
-              for good, r, ctx in zip(ok, res_norms, contexts)]
+    errors = [None if good else _failure(what, r, bound) for good, r in zip(ok, res_norms)]
     return X, errors
 
 
@@ -308,22 +303,21 @@ def _ridge_inputs(K, gammas, b):
     return K, gammas, b
 
 
-def solve_ridge_square_many(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
+def solve_ridge_square_many(K, gammas, b) -> tuple[np.ndarray, list]:
     """Solve (K @ K + gamma I) x = b for every gamma, K symmetric.
 
     One tridiagonal reduction K = Q T Q' turns every system into
     K K + gamma I = Q (T T + gamma I) Q', whose middle factor is
     pentadiagonal: each gamma costs an O(n) banded Cholesky solve and
     K @ K is never formed. Returns the n x G solutions and per column None
-    or the failure message that solve_regularized would raise with
-    contexts[j].
+    or the failure message of its residual check.
     """
     K, gammas, b = _ridge_inputs(K, gammas, b)
     tri = tridiagonalize(K)
     bands = _square_bands(tri, gammas.size)
     bands[0] += gammas[:, None]
     return _multi_shift_solve(bands, tri.qt, tri.q, lambda X: K @ (K @ X) + X * gammas,
-                              b, _SINGULAR_FAILURE, contexts)
+                              b, _SINGULAR_FAILURE)
 
 
 @dataclass(frozen=True)
@@ -552,12 +546,12 @@ class PsdPencilSolver:
             W = self._factor.L[:, : self._factor.rank]
             self._tri = tridiagonalize(W.T @ W, overwrite=True)
 
-    def solve(self, cs, b, contexts) -> tuple[np.ndarray, list]:
+    def solve(self, cs, b) -> tuple[np.ndarray, list]:
         """Solve at every shift in `cs` at once.
 
         Returns the n x G matrix whose column j solves the system at cs[j],
         and per column None or, when that column fails the residual check,
-        the failure message with contexts[j].
+        the failure message.
         """
         S = self._factor.matrix
         b = np.asarray(b, dtype=float)
@@ -567,15 +561,15 @@ class PsdPencilSolver:
         if not np.all(cs >= 0):
             raise ValueError("c must be nonnegative")
         if self._tri is None:
-            return _solve_grouped_pencil(self._factor, cs, b, contexts)
+            return _solve_grouped_pencil(self._factor, cs, b)
         bands = _square_bands(self._tri, cs.size)
         bands[0] += cs[:, None] * self._tri.diag
         bands[1, :, :-1] += cs[:, None] * self._tri.off
         return _multi_shift_solve(bands, *_factored_basis(self._factor, self._tri),
-                                  _pencil(S, cs), b, _PENCIL_FAILURE, contexts)
+                                  _pencil(S, cs), b, _PENCIL_FAILURE)
 
 
-def _solve_grouped_pencil(factor: BrownianFactor, cs, b, contexts):
+def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
     """Solve (S S + c S) x = b for every c in `cs`, with S = factor.matrix
     the overlap volumes of 1-D points and b in the range of S.
 
@@ -589,7 +583,7 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b, contexts):
     residual bound does not see, so every column takes one refinement step
     against the dense residual before the usual two (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, ch. 12). Returns the n x G
-    solutions and per column None or the failure message with contexts[j].
+    solutions and per column None or the failure message.
     """
     cs = np.asarray(cs, dtype=float)
     inv_h = 1.0 / factor.gaps
@@ -606,10 +600,10 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b, contexts):
 
     return _multi_shift_solve(bands, lambda B: apply_j(apply_j(factor.on_groups(B)) / counts[:, None]),
                               factor.on_points, _pencil(factor.matrix, cs), b,
-                              _PENCIL_FAILURE, contexts, refine_once=True)
+                              _PENCIL_FAILURE, refine_once=True)
 
 
-def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray, list]:
+def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
     """Solve (A K + gamma I) x = b for every gamma, with A = W W' given by
     `factor` (a PivotedCholesky or BrownianFactor), K symmetric PSD and b in
     the range of A.
@@ -622,10 +616,8 @@ def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray
     solution, and each gamma costs one O(n) tridiagonal solve.
 
     Columns whose residual misses the bound are refined up to twice with the
-    same factors; a column that still misses it is solved again by
-    solve_regularized on A K, and fails only if that fails too. Returns the
-    n x G solutions and per column None or the message solve_regularized
-    raised with contexts[j].
+    same factors. Returns the n x G solutions and per column None or the
+    failure message of its residual check.
     """
     A = factor.matrix
     K, gammas, b = _ridge_inputs(K, gammas, b)
@@ -636,20 +628,8 @@ def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray
     bands = np.zeros((2, gammas.size, factor.rank))
     bands[0] = tri.diag + gammas[:, None]
     bands[1, :, :-1] = tri.off
-    X, errors = _multi_shift_solve(bands, *_factored_basis(factor, tri),
-                                   lambda X: A @ (K @ X) + X * gammas,
-                                   b, _SINGULAR_FAILURE, contexts)
-
-    retry = [j for j, err in enumerate(errors) if err is not None]
-    if retry:
-        AK = A @ K
-        for j in retry:
-            try:
-                X[:, j] = solve_regularized(AK, float(gammas[j]), b, context=contexts[j]).solution
-                errors[j] = None
-            except SingularSystemError as exc:
-                errors[j] = str(exc)
-    return X, errors
+    return _multi_shift_solve(bands, *_factored_basis(factor, tri),
+                              lambda X: A @ (K @ X) + X * gammas, b, _SINGULAR_FAILURE)
 
 
 # Largest rank of pivoted_cholesky(K), as a fraction of K's order n, at which
@@ -660,11 +640,14 @@ def solve_product_ridge_many(factor, K, gammas, b, contexts) -> tuple[np.ndarray
 LOW_RANK_MAX_FRAC = 0.4
 
 
-def _low_rank_basis(K: np.ndarray, basis):
+def _low_rank_basis(K: np.ndarray, basis, gammas):
     """U and s of the thin SVD basis(G) = U diag(s) V' (LAPACK dgesdd) for
-    K ~ G G' from pivoted_cholesky(K), cut at dpstrf's tolerance; None when
-    G has more than LOW_RANK_MAX_FRAC n columns, basis(G) is empty or the
-    SVD fails."""
+    K ~ G G' from pivoted_cholesky(K), cut at dpstrf's tolerance; None, for
+    the dense solver, when a gamma is 0 (the low-rank inverse divides by
+    it), G has more than LOW_RANK_MAX_FRAC n columns, basis(G) is empty or
+    the SVD fails."""
+    if not np.all(gammas > 0):
+        return None
     chol = pivoted_cholesky(K)
     n, r = K.shape[0], chol.rank
     if r > LOW_RANK_MAX_FRAC * n:
@@ -678,25 +661,19 @@ def _low_rank_basis(K: np.ndarray, basis):
     return None if info else (U, s)
 
 
-def _low_rank_solve(K, basis, power: int, reduce, expand, apply, b, gammas, contexts, dense):
-    """Solve apply(X) = b for every gamma from a low-rank factor of the PSD K.
+def _low_rank_solve(U, s, power: int, reduce, expand, apply, b, gammas):
+    """Solve apply(X) = b for every gamma from the basis U, s that
+    _low_rank_basis found for a PSD K.
 
-    With U, s from _low_rank_basis(K, basis), the reduced system matrix at
-    gamma is taken as U diag(s^power) U' + gamma I, whose inverse
-    U diag(1 / (s^power + gamma)) U' + (I - U U') / gamma costs O(mr) per
-    column (Harbrecht, Peters & Schneider, On the low-rank approximation by
-    the pivoted Cholesky decomposition, Appl. Numer. Math. 2012). `reduce`
-    and `expand` map to and from the reduced coordinates as for
-    _multi_shift_solve. `apply` uses K itself, so _verified checks every
-    column against the full system and refines it with the same inverse; a
-    column that still fails is solved again by dense(gammas, contexts) at
-    its gamma and takes that solver's message. Without a basis, or with a
-    gamma of 0, every column goes to dense up front.
+    The reduced system matrix at gamma is taken as U diag(s^power) U' +
+    gamma I, whose inverse U diag(1 / (s^power + gamma)) U' +
+    (I - U U') / gamma costs O(mr) per column (Harbrecht, Peters &
+    Schneider, On the low-rank approximation by the pivoted Cholesky
+    decomposition, Appl. Numer. Math. 2012). `reduce` and `expand` map to
+    and from the reduced coordinates as for _multi_shift_solve. `apply` uses
+    K itself, so _verified checks every column against the full system and
+    refines it with the same inverse; same returns as _verified.
     """
-    found = _low_rank_basis(K, basis) if np.all(gammas > 0) else None
-    if found is None:
-        return dense(gammas, contexts)
-    U, s = found
     eigs = s**power
 
     def inverse(B, shifts):
@@ -704,50 +681,48 @@ def _low_rank_solve(K, basis, power: int, reduce, expand, apply, b, gammas, cont
         UC = U.T @ C
         return expand(U @ (UC / (eigs[:, None] + shifts)) + (C - U @ UC) / shifts)
 
-    X, errors = _verified(inverse(b[:, None], gammas), lambda R, bad: inverse(R, gammas[bad]),
-                          apply, b, _SINGULAR_FAILURE, contexts)
-    retry = [j for j, err in enumerate(errors) if err is not None]
-    if retry:
-        X[:, retry], retry_errors = dense(gammas[retry], [contexts[j] for j in retry])
-        for j, err in zip(retry, retry_errors):
-            errors[j] = err
-    return X, errors
+    return _verified(inverse(b[:, None], gammas), lambda R, bad: inverse(R, gammas[bad]),
+                     apply, b, _SINGULAR_FAILURE)
 
 
-def solve_ridge_square_low_rank(K, gammas, b, contexts) -> tuple[np.ndarray, list]:
+def solve_ridge_square_low_rank(K, gammas, b) -> tuple[np.ndarray, list]:
     """solve_ridge_square_many for a numerically low-rank PSD K, such as the
     RBF Gram of 1-D points.
 
     K ~ G G' = U diag(s^2) U' (_low_rank_basis of G itself), so
     K K + gamma I ~ U diag(s^4 + gamma) U' + gamma (I - U U'). Each column is
-    checked against K K + gamma I and falls back to solve_ridge_square_many
-    as _low_rank_solve describes; same returns.
+    checked against K K + gamma I as _low_rank_solve describes. Without a
+    low-rank basis, solve_ridge_square_many solves every column. Same
+    returns.
     """
     K, gammas, b = _ridge_inputs(K, gammas, b)
-    return _low_rank_solve(K, lambda G: G, 4, lambda B: B, lambda Y: Y,
-                           lambda X: K @ (K @ X) + X * gammas, b, gammas, contexts,
-                           lambda gs, ctx: solve_ridge_square_many(K, gs, b, ctx))
+    found = _low_rank_basis(K, lambda G: G, gammas)
+    if found is None:
+        return solve_ridge_square_many(K, gammas, b)
+    return _low_rank_solve(*found, 4, lambda B: B, lambda Y: Y,
+                           lambda X: K @ (K @ X) + X * gammas, b, gammas)
 
 
-def solve_product_ridge_low_rank(factor: BrownianFactor, K, gammas, b,
-                                 contexts) -> tuple[np.ndarray, list]:
+def solve_product_ridge_low_rank(factor: BrownianFactor, K, gammas, b) -> tuple[np.ndarray, list]:
     """solve_product_ridge_many for a numerically low-rank PSD K and the
     closed-form factor V'' = W W' of 1-D points.
 
     K ~ G G' makes W'KW ~ Z Z' with Z = W'G, which apply_t forms in O(nr);
     with Z = U diag(s) V', T + gamma I of solve_product_ridge_many becomes
     U diag(s^2 + gamma) U' + gamma (I - U U') in the coordinates c of
-    W c = b. Each column is checked against V''K + gamma I and falls back to
-    solve_product_ridge_many (with its LU retry) as _low_rank_solve
-    describes; same returns.
+    W c = b. Each column is checked against V''K + gamma I as
+    _low_rank_solve describes. Without a low-rank basis,
+    solve_product_ridge_many solves every column. Same returns.
     """
     A = factor.matrix
     K, gammas, b = _ridge_inputs(K, gammas, b)
     if K.shape != A.shape:
         raise ValueError("K must match the shape of the factored matrix")
-    return _low_rank_solve(K, factor.apply_t, 2, factor.range_coords, factor.expand,
-                           lambda X: A @ (K @ X) + X * gammas, b, gammas, contexts,
-                           lambda gs, ctx: solve_product_ridge_many(factor, K, gs, b, ctx))
+    found = _low_rank_basis(K, factor.apply_t, gammas)
+    if found is None:
+        return solve_product_ridge_many(factor, K, gammas, b)
+    return _low_rank_solve(*found, 2, factor.range_coords, factor.expand,
+                           lambda X: A @ (K @ X) + X * gammas, b, gammas)
 
 
 def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10) -> SolveReport:

@@ -313,3 +313,19 @@ def test_public_surface(capsys):
         main(["validate"])
     assert exc.value.code == 2
     assert "invalid choice: 'validate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--models", "2,2"), ("--sizes", "40,50,40"), ("--methods", "dre-v,dre-v"),
+])
+def test_run_rejects_repeated_values(tmp_path, capsys, flag, value):
+    code = main(run_args(tmp_path, "s", ["--draws", "1", flag, value]))
+    assert_reported_error(capsys, code, f"{flag[2:]} must not repeat a value")
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_fit_command_reports_an_empty_file_once(tmp_path, capsys):
+    paths = write_fit_inputs(tmp_path, "", "0.2\n0.4\n0.5\n")
+    assert main(["fit", *paths, "--folds", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths[0]}: sample set must contain at least one point\n")

@@ -161,6 +161,39 @@ def test_cross_validate_all_failures_raise(monkeypatch):
             cross_validate(s, method, CvPlan(k=4, sigma2_grid=np.array([0.5])))
 
 
+def test_cross_validate_partial_failure_excludes_only_that_candidate(monkeypatch):
+    # spoil the column of the otherwise selected gamma in the first fold only
+    rng = np.random.default_rng(58)
+    s = unit_samples(rng, 40, 40, 1)
+    plan = CvPlan(k=4, seed=3)
+    clean = cross_validate(s, Method.DRE_VK_INK, plan)
+    j = [c.gamma for c in clean.candidates].index(clean.selected_gamma)
+    stacked_solve = solve._stacked_solve
+    widths = []
+
+    def spoiled(sv, bands, rhs):
+        factors, X = stacked_solve(sv, bands, rhs)
+        if not widths:
+            X[:, j] = np.nan
+        widths.append(rhs.shape[1])
+        return factors, X
+
+    monkeypatch.setattr(solve, "_stacked_solve", spoiled)
+    report = cross_validate(s, Method.DRE_VK_INK, plan)
+    bad = report.candidates[j]
+    assert not bad.ok and np.isnan(bad.criterion) and report.failures == 1
+    assert bad.error.startswith("system singular to working precision: residual nan")
+    assert bad.error.endswith(f"(gamma={bad.gamma})")
+    # the later folds solve only the live gammas
+    n_gammas = len(plan.gamma_grid)
+    assert widths == [n_gammas] + [n_gammas - 1] * (plan.k - 1)
+    rest = [c for c in report.candidates if c.ok]
+    for c, want in zip(rest, [c for i, c in enumerate(clean.candidates) if i != j]):
+        assert c.gamma == want.gamma and c.criterion == pytest.approx(want.criterion, rel=1e-9)
+    best = min(rest, key=lambda c: (c.criterion, -c.gamma))
+    assert report.selected_gamma == best.gamma != clean.selected_gamma
+
+
 def test_cross_validate_too_few_points_for_folds():
     rng = np.random.default_rng(57)
     s = unit_samples(rng, 3, 20, 1)

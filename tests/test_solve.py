@@ -67,7 +67,7 @@ def test_pencil_solver_matches_direct_on_nonsingular():
         n = int(rng.integers(2, 10))
         S = random_psd(rng, n)
         b = rng.normal(size=n)
-        X, errors = PsdPencilSolver(S).solve(cs, b, [f"c={c}" for c in cs])
+        X, errors = PsdPencilSolver(S).solve(cs, b)
         assert errors == [None] * len(cs)
         for j, c in enumerate(cs):
             expected = np.linalg.solve(S @ S + c * S, b)
@@ -83,10 +83,10 @@ def test_pencil_solve_many_matches_solve():
     b = rng.normal(size=7)
     cs = np.array([1e-6, 0.1, 10.0])
     solver = PsdPencilSolver(S)
-    X, errors = solver.solve(cs, b, [f"c={c}" for c in cs])
+    X, errors = solver.solve(cs, b)
     assert errors == [None, None, None]
     for j, c in enumerate(cs):
-        x, (err,) = solver.solve([c], b, [f"c={c}"])
+        x, (err,) = solver.solve([c], b)
         assert err is None
         assert np.allclose(X[:, j], x[:, 0], rtol=1e-10, atol=1e-12)
 
@@ -95,7 +95,7 @@ def test_pencil_solver_singular_consistent_rhs():
     # S has an exactly zero row/column; rhs in the range space still solves
     S = np.diag([1.0, 2.0, 0.0])
     b = np.array([1.0, 4.0, 0.0])
-    X, errors = PsdPencilSolver(S).solve([0.5], b, [""])
+    X, errors = PsdPencilSolver(S).solve([0.5], b)
     x = X[:, 0]
     assert errors == [None]
     assert np.allclose(S @ S @ x + 0.5 * S @ x, b, atol=1e-10)
@@ -105,16 +105,16 @@ def test_pencil_solver_singular_consistent_rhs():
 def test_pencil_solver_inconsistent_rhs_fails_every_column():
     S = np.diag([1.0, 0.0])
     b = np.array([1.0, 1.0])  # not in the range of S
-    _, errors = PsdPencilSolver(S).solve(np.array([0.5, 2.0]), b, ["c=0.5", "c=2"])
-    for ctx, err in zip(("c=0.5", "c=2"), errors):
-        assert err.startswith(f"pencil system inconsistent ({ctx}): residual ")
+    _, errors = PsdPencilSolver(S).solve(np.array([0.5, 2.0]), b)
+    for err in errors:
+        assert err.startswith("pencil system inconsistent: residual ")
 
 
 def test_pencil_solver_rejects_negative_and_nan_shifts():
     solver = PsdPencilSolver(np.eye(2))
     for c in (-1.0, np.nan):
         with pytest.raises(ValueError, match="nonnegative"):
-            solver.solve([0.5, c], np.ones(2), ["", ""])
+            solver.solve([0.5, c], np.ones(2))
 
 
 def test_pencil_solver_requires_symmetry():
@@ -166,7 +166,7 @@ def test_pencil_solve_many_matches_eigh_reference(case):
     _, S, b, full_rank = pencil_cases()[case]
     assert (np.linalg.matrix_rank(S) == len(b)) == full_rank
     cs = np.logspace(-6.0, 1.0, 8)
-    X, errors = PsdPencilSolver(S).solve(cs, b, [""] * len(cs))
+    X, errors = PsdPencilSolver(S).solve(cs, b)
     assert errors == [None] * len(cs)
     assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
 
@@ -178,7 +178,7 @@ def test_pencil_solve_many_of_points_matches_eigh_reference(case, monkeypatch):
     x_den, S, b, full_rank = pencil_cases()[case]
     cs = np.logspace(-6.0, 1.0, 8)
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dpstrf", "dsytrd")
-    X, errors = PsdPencilSolver(S, x_den).solve(cs, b, [""] * len(cs))
+    X, errors = PsdPencilSolver(S, x_den).solve(cs, b)
     assert errors == [None] * len(cs)
     assert (calls == []) == (x_den.shape[1] == 1)
     assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
@@ -272,7 +272,7 @@ def test_closed_form_pencil_values_as_accurate_as_pivoted_path():
         want = [extended_reference_values(S, c, b) for c in cs]
         for closed_form in errors:
             solver = PsdPencilSolver(S, s.x_prime if closed_form else None)
-            X, errs = solver.solve(cs, b, [""] * len(cs))
+            X, errs = solver.solve(cs, b)
             assert errs == [None] * len(cs)
             errors[closed_form] += [float(np.linalg.norm(S @ X[:, j] - w) / np.linalg.norm(w))
                                     for j, w in enumerate(want)]
@@ -296,7 +296,7 @@ def test_closed_form_pencil_fails_no_more_near_tie_columns(n):
             cs = default_gamma_grid() * np.trace(S) / n
             for closed_form in failed:
                 solver = PsdPencilSolver(S, x[:, None] if closed_form else None)
-                _, errs = solver.solve(cs, b, [""] * len(cs))
+                _, errs = solver.solve(cs, b)
                 failed[closed_form] += sum(err is not None for err in errs)
         assert failed[True] <= failed[False], gap
 
@@ -327,7 +327,7 @@ def test_solve_ridge_square_many_matches_lu(monkeypatch):
         K = G @ G.T
         b = rng.normal(size=6)
         gammas = np.array([1e-4, 1e-2, 1.0])
-        X, errors = solve_ridge_square_many(K, gammas, b, ["a", "b", "c"])
+        X, errors = solve_ridge_square_many(K, gammas, b)
         assert errors == [None, None, None]
         assert refinements == []  # the first pentadiagonal solve passed
         for j, gamma in enumerate(gammas):
@@ -341,16 +341,16 @@ def test_solve_ridge_square_many_flags_singular_columns():
     K = np.diag([1.0, 0.0])
     b = np.array([1.0, 1.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, errors = solve_ridge_square_many(K, np.array([0.0, 1.0]), b, ["gamma=0", "gamma=1"])
+        _, errors = solve_ridge_square_many(K, np.array([0.0, 1.0]), b)
     assert errors[1] is None
-    assert errors[0].startswith("system singular to working precision (gamma=0)")
+    assert errors[0].startswith("system singular to working precision: residual ")
 
 
 def test_solve_ridge_square_many_singular_shift_fails_only_its_column():
     K = np.diag([1.0, 0.0])
     b = np.array([1.0, 1.0])
-    X, errors = solve_ridge_square_many(K, np.array([1.0, 0.0, 3.0]), b, ["", "gamma=0", ""])
-    assert errors[1].startswith("system singular to working precision (gamma=0)")
+    X, errors = solve_ridge_square_many(K, np.array([1.0, 0.0, 3.0]), b)
+    assert errors[1].startswith("system singular to working precision: residual ")
     assert errors[0] is None and errors[2] is None
     assert np.allclose(X[:, 0], [0.5, 1.0]) and np.allclose(X[:, 2], [0.25, 1.0 / 3.0])
 
@@ -375,10 +375,10 @@ def test_refinement_recovers_from_slightly_wrong_factors(monkeypatch):
     perturb_tridiagonal(monkeypatch, 1e-7)
     lu_calls = count_lu_factor(monkeypatch)
     refinements = count_refinement_solves(monkeypatch)
-    X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
+    X, errors = solve_product_ridge_many(factor, K, gammas, b)
     assert errors == [None] * len(gammas)
     assert lu_calls == [] and refinements.count("dpttrs") in (1, 2)
-    Y, errors = solve_ridge_square_many(K, gammas, b, [""] * len(gammas))
+    Y, errors = solve_ridge_square_many(K, gammas, b)
     assert errors == [None] * len(gammas)
     assert refinements.count("dpbtrs") in (1, 2)
     # both sides only meet the residual bound, so they agree to within it
@@ -444,9 +444,9 @@ def test_solve_product_ridge_many_matches_lu(case, monkeypatch):
         assert factor.rank < V.shape[0]
     lu_calls = count_lu_factor(monkeypatch)
     refinements = count_refinement_solves(monkeypatch)
-    X, errors = solve_product_ridge_many(factor, K, gammas, b, [f"gamma={g}" for g in gammas])
+    X, errors = solve_product_ridge_many(factor, K, gammas, b)
     assert errors == [None] * len(gammas)
-    # every column passed from the first tridiagonal solve: no refinement, no LU retry
+    # every column passed from the first tridiagonal solve: no refinement, no LU
     assert refinements == [] and lu_calls == []
     M = V @ K
     for j, gamma in enumerate(gammas):
@@ -467,7 +467,7 @@ def test_solve_product_ridge_many_closed_form_at_near_ties(gap, monkeypatch):
     factor = factor_v_matrix(V, x)
     assert isinstance(factor, BrownianFactor)
     lu_calls = count_lu_factor(monkeypatch)
-    X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
+    X, errors = solve_product_ridge_many(factor, K, gammas, b)
     assert errors == [None] * len(gammas) and lu_calls == []
     for j, gamma in enumerate(gammas):
         want = solve_regularized(V @ K, gamma, b).solution
@@ -503,49 +503,19 @@ def test_pivoted_cholesky_zeroes_what_dpstrf_leaves(n):
         assert np.array_equal(f.L, L) and f.L.flags.f_contiguous
 
 
-def test_solve_product_ridge_many_failure_matches_solve_regularized(monkeypatch):
-    x_den, x_num, spec = product_cases()["3d"]
-    V, K, b, gammas = product_system(x_den, x_num, spec)
-    gammas = gammas[:3]
-    contexts = [f"gamma={g}" for g in gammas]
-    factor = pivoted_cholesky(V)
-    lu_calls = count_lu_factor(monkeypatch)
-    monkeypatch.setattr(solve, "RESIDUAL_RTOL", -1.0)  # no residual can pass
-    _, errors = solve_product_ridge_many(factor, K, gammas, b, contexts)
-    assert len(lu_calls) == len(gammas)  # each failing column was retried by LU
-    for gamma, context, err in zip(gammas, contexts, errors):
-        with pytest.raises(SingularSystemError) as exc:
-            solve_regularized(V @ K, gamma, b, context=context)
-        assert err == str(exc.value)
-
-
-def test_solve_product_ridge_many_lu_retry_rescues_column(monkeypatch):
-    x_den, x_num, spec = product_cases()["3d"]
-    V, K, b, gammas = product_system(x_den, x_num, spec)
-    factor = pivoted_cholesky(V)
-    perturb_tridiagonal(monkeypatch, 1.0)  # refinement with these factors cannot reach the bound
-    lu_calls = count_lu_factor(monkeypatch)
-    X, errors = solve_product_ridge_many(factor, K, gammas, b, [""] * len(gammas))
-    assert errors == [None] * len(gammas)
-    assert len(lu_calls) == len(gammas)
-    for j, gamma in enumerate(gammas):
-        assert np.array_equal(X[:, j], solve_regularized(V @ K, gamma, b).solution)
-
-
 def test_solve_product_ridge_many_flags_singular_columns(monkeypatch):
     # K vanishes on the last ten points, so at gamma = 0 the stacked tridiagonal
-    # solve breaks down and the LU retry of the exactly singular V''K fails too
+    # solve breaks down for that column alone, and no other solver tries it
     x_den, x_num, spec = product_cases()["3d"]
     V, K, b, gammas = product_system(x_den, x_num, spec)
     K[30:, :] = 0.0
     K[:, 30:] = 0.0
     gammas = np.concatenate([gammas[:3], [0.0], gammas[3:6]])
-    contexts = [f"gamma={g}" for g in gammas]
     lu_calls = count_lu_factor(monkeypatch)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.warns(LinAlgWarning):
-        X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b, contexts)
-    assert len(lu_calls) == 1  # only the singular column was retried
-    assert errors[3].startswith("system singular to working precision (gamma=0.0)")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b)
+    assert lu_calls == []
+    assert errors[3].startswith("system singular to working precision: residual ")
     M = V @ K
     for j, gamma in enumerate(gammas):
         if j != 3:
@@ -575,7 +545,7 @@ def degenerate_product_systems():
 @pytest.mark.parametrize("case", list(degenerate_product_systems()))
 def test_solve_product_ridge_many_degenerate_sizes(case):
     V, K, b, gammas = degenerate_product_systems()[case]
-    X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b, [""] * len(gammas))
+    X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b)
     assert errors == [None] * len(gammas)
     for j, gamma in enumerate(gammas):
         want = solve_regularized(V @ K, gamma, b).solution
@@ -589,22 +559,12 @@ def test_banded_solves_of_order_one(closed_form):
     V, K, b, _ = product_system(x, np.array([[0.5], [0.7]]),
                                 KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1))
     factor = factor_v_matrix(V, x) if closed_form else pivoted_cholesky(V)
-    X, errors = solve_product_ridge_many(factor, K, [0.1], b, [""])
+    X, errors = solve_product_ridge_many(factor, K, [0.1], b)
     assert errors == [None]
     assert np.allclose(X[:, 0], b / (V[0, 0] * K[0, 0] + 0.1))
-    got, errors = PsdPencilSolver(V, x if closed_form else None).solve([0.1], b, [""])
+    got, errors = PsdPencilSolver(V, x if closed_form else None).solve([0.1], b)
     assert errors == [None]
     assert np.allclose(got[:, 0], b / (V[0, 0] ** 2 + 0.1 * V[0, 0]))
-
-
-def test_solve_product_ridge_many_rank_0_rhs_outside_range_goes_to_lu(monkeypatch):
-    # A = 0 has an empty W, so refinement cannot help and the LU retry solves gamma x = b
-    factor = pivoted_cholesky(np.zeros((2, 2)))
-    lu_calls = count_lu_factor(monkeypatch)
-    X, errors = solve_product_ridge_many(factor, np.eye(2), np.array([0.5, 2.0]),
-                                         np.array([1.0, -1.0]), ["", ""])
-    assert errors == [None, None] and len(lu_calls) == 2
-    assert np.allclose(X, [[2.0, 0.5], [-2.0, -0.5]])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -613,7 +573,7 @@ def test_solve_ridge_square_many_degenerate_sizes(n):
     K = cross_gram(KernelSpec(KernelKind.RBF, 1, 0.5), x, x)
     b = np.array([0.8, 1.3])[:n]
     gammas = np.logspace(-5.0, 1.0, 15)
-    X, errors = solve_ridge_square_many(K, gammas, b, [""] * len(gammas))
+    X, errors = solve_ridge_square_many(K, gammas, b)
     assert errors == [None] * len(gammas)
     for j, gamma in enumerate(gammas):
         assert np.allclose(X[:, j], solve_regularized(K @ K, gamma, b).solution,
@@ -655,15 +615,14 @@ def test_low_rank_solves_match_dense_on_1d_rbf_grams(n, monkeypatch):
         assert isinstance(factor, BrownianFactor)
         dense = pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * n
         low_rank += not dense
-        ctx = [f"gamma={g}" for g in gammas]
         with monkeypatch.context() as m:
             calls = count_calls(m, scipy.linalg.lapack, "dsytrd")
-            X, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
-            Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv, ctx)
+            X, errors = solve_ridge_square_low_rank(K, gammas, b)
+            Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv)
         assert errors == errors_v == [None] * len(gammas)
         assert len(calls) == (2 if dense else 0), sigma2
-        want, _ = solve_ridge_square_many(K, gammas, b, ctx)
-        want_v, _ = solve_product_ridge_many(factor, K, gammas_v, bv, ctx)
+        want, _ = solve_ridge_square_many(K, gammas, b)
+        want_v, _ = solve_product_ridge_many(factor, K, gammas_v, bv)
         V = factor.matrix
         for j in range(len(gammas)):
             for got, ref, M, g, rhs in ((X, want, K @ K, gammas[j], b),
@@ -678,13 +637,12 @@ def test_low_rank_rank_above_cut_off_takes_dense_path(monkeypatch):
     s = low_rank_cases()[40]
     K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, 1e-3)  # K is near I
     assert pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * 40
-    ctx = [""] * len(gammas)
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dgesdd")
-    X, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
-    Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv, ctx)
+    X, errors = solve_ridge_square_low_rank(K, gammas, b)
+    Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv)
     assert calls == ["dsytrd", "dsytrd"]  # one per solver, no SVD
-    for got, (want, want_errors) in ((X, solve_ridge_square_many(K, gammas, b, ctx)),
-                                     (Y, solve_product_ridge_many(factor, K, gammas_v, bv, ctx))):
+    for got, (want, want_errors) in ((X, solve_ridge_square_many(K, gammas, b)),
+                                     (Y, solve_product_ridge_many(factor, K, gammas_v, bv))):
         assert np.array_equal(got, want) and want_errors == [None] * len(gammas)
     assert errors == errors_v == [None] * len(gammas)
 
@@ -695,11 +653,10 @@ def test_low_rank_gamma_0_takes_dense_path(monkeypatch):
     K, b, gammas, *_ = low_rank_systems(s, 0.5)
     assert pivoted_cholesky(K).rank <= solve.LOW_RANK_MAX_FRAC * 40
     gammas[0] = 0.0
-    ctx = [f"gamma={g}" for g in gammas]
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dgesdd")
-    X, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
+    X, errors = solve_ridge_square_low_rank(K, gammas, b)
     assert calls == ["dsytrd"]
-    want, want_errors = solve_ridge_square_many(K, gammas, b, ctx)
+    want, want_errors = solve_ridge_square_many(K, gammas, b)
     assert np.array_equal(X, want, equal_nan=True) and errors == want_errors
 
 
@@ -717,58 +674,20 @@ def spoil_low_rank_basis(monkeypatch, below: float):
     monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", spoiled)
 
 
-def record_calls(monkeypatch, module, name) -> list:
-    """Patch module.<name> to record (args, result) per call."""
-    calls = []
-    fn = getattr(module, name)
-
-    def recorded(*args):
-        calls.append((args, fn(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(module, name, recorded)
-    return calls
-
-
-def test_low_rank_failed_columns_are_solved_again_dense(monkeypatch):
+def test_low_rank_failed_columns_stay_failed(monkeypatch):
+    # the spoiled columns fail with their residual; no dense solver runs for them
     s = low_rank_cases()[160]
     K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, default_sigma2_grid(s.pooled())[3])
-    ctx = [f"gamma={g}" for g in gammas]
-    for low, name, args, below in ((solve_ridge_square_low_rank, "solve_ridge_square_many",
-                                    (K, gammas, b), 0.1),
-                                   (solve_product_ridge_low_rank, "solve_product_ridge_many",
-                                    (factor, K, gammas_v, bv), 1e-3)):
+    for low, args, below in ((solve_ridge_square_low_rank, (K, gammas, b), 0.1),
+                             (solve_product_ridge_low_rank, (factor, K, gammas_v, bv), 1e-3)):
         with monkeypatch.context() as m:
             spoil_low_rank_basis(m, below)
-            dense = record_calls(m, solve, name)
-            X, errors = low(*args, ctx)
-        # the spoiled columns, and only they, went to the dense solver in one call
-        (dense_args, (dense_X, dense_errors)), = dense
-        retried = [ctx.index(c) for c in dense_args[-1]]
-        assert 0 < len(retried) < len(gammas)
-        assert np.array_equal(dense_args[-3], args[-2][retried])  # their gammas
-        assert np.array_equal(X[:, retried], dense_X)
-        assert [errors[j] for j in retried] == dense_errors == [None] * len(retried)
-        assert errors == [None] * len(gammas)
-
-
-def test_low_rank_failure_message_is_the_dense_solvers(monkeypatch):
-    s = low_rank_cases()[160]
-    K, b, gammas, *_ = low_rank_systems(s, default_sigma2_grid(s.pooled())[3])
-    ctx = [f"gamma={g}" for g in gammas]
-    spoil_low_rank_basis(monkeypatch, 0.1)
-    perturb_tridiagonal(monkeypatch, 1.0)  # the dense solver fails too
-    dense = record_calls(monkeypatch, solve, "solve_ridge_square_many")
-    _, errors = solve_ridge_square_low_rank(K, gammas, b, ctx)
-    (dense_args, (_, dense_errors)), = dense
-    retried = [ctx.index(c) for c in dense_args[-1]]
-    assert any(err is not None for err in dense_errors)
-    assert [errors[j] for j in retried] == dense_errors
-    # the message is what the dense solver gives for that gamma on its own
-    j = retried[[err is not None for err in dense_errors].index(True)]
-    alone, (err_alone,) = solve_ridge_square_many(K, gammas[j:j + 1], b, ctx[j:j + 1])
-    assert errors[j] == err_alone and err_alone.startswith(
-        f"system singular to working precision (gamma={gammas[j]}): residual")
+            calls = count_calls(m, scipy.linalg.lapack, "dsytrd")
+            _, errors = low(*args)
+        failed = [err for err in errors if err is not None]
+        assert 0 < len(failed) < len(gammas) and calls == []
+        assert all(err.startswith("system singular to working precision: residual ")
+                   for err in failed)
 
 
 def active_set_oracle(A, b):
