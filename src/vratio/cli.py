@@ -1,4 +1,9 @@
-"""Command-line front end: benchmark runs and one-shot fits."""
+"""Command-line front end: benchmark runs and one-shot fits.
+
+A `vratio run` setting is one `ExperimentConfig` field and nothing else: its
+config-file key, its parser (from the field's annotation), its line in the
+`to_text` echo and its `--key-name` flag all follow from the field.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -58,9 +64,10 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method '{meth}'")
         if self.sizes is not None and (not self.sizes or any(m < 1 for m in self.sizes)):
             raise ConfigError("sizes must be nonempty positive integers")
-        # a repeated value would run and count every cell it names more than once
+        # a repeated value would run and count every cell (or CV candidate) it names more than once
         for name, values in (("models", self.models), ("sizes", self.sizes or []),
-                             ("methods", self.methods)):
+                             ("methods", self.methods),
+                             ("sigma2_multipliers", self.sigma2_multipliers)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
         if self.draws < 1:
@@ -77,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError(f"margin must be nonnegative and finite, got {self.margin}")
         if (not 0 < self.gamma_min <= self.gamma_max < np.inf) or self.gamma_count < 1:
             raise ConfigError("gamma grid spec must satisfy 0 < min <= max < inf, count >= 1")
+        if len(set(self.gamma_grid())) < self.gamma_count:
+            raise ConfigError(f"gamma grid must not repeat a value: {self.gamma_count} values "
+                              f"from {self.gamma_min!r} to {self.gamma_max!r}")
         if not self.sigma2_multipliers or not all(0 < v < np.inf for v in self.sigma2_multipliers):
             raise ConfigError("sigma2 multipliers must be finite and positive")
 
@@ -92,24 +102,17 @@ class ExperimentConfig:
 
     def to_text(self) -> str:
         """Resolved key=value echo; parse_config reads it back to an equal config."""
-        lines = [
-            "models = " + ",".join(str(v) for v in self.models),
-            "sizes = " + ("" if self.sizes is None else ",".join(str(v) for v in self.sizes)),
-            "methods = " + ",".join(self.methods),
-            f"draws = {self.draws}",
-            f"folds = {self.folds}",
-            f"seed = {self.seed}",
-            f"margin = {self.margin!r}",
-            f"nonneg = {str(self.nonneg).lower()}",
-            f"gamma_min = {self.gamma_min!r}",
-            f"gamma_max = {self.gamma_max!r}",
-            f"gamma_count = {self.gamma_count}",
-            f"gamma_scaled = {str(self.gamma_scaled).lower()}",
-            "sigma2_multipliers = " + ",".join(repr(v) for v in self.sigma2_multipliers),
-            f"out_csv = {self.out_csv}",
-            f"out_json = {self.out_json}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {_format(getattr(self, f.name))}\n" for f in fields(self))
+
+
+def _format(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (list, tuple)):
+        return ",".join(_format(v) for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _parse_bool(text: str) -> bool:
@@ -117,40 +120,40 @@ def _parse_bool(text: str) -> bool:
         return True
     if text.lower() in ("false", "0", "no"):
         return False
-    raise ConfigError(f"cannot parse boolean from '{text}'")
+    raise ValueError(f"expected true or false, got '{text}'")
 
 
-def _parse_list(text: str, conv):
-    text = text.strip()
-    if not text:
-        return []
+def _parser(hint):
+    """Text -> value for a field annotated `hint`: lists are comma-separated, an empty
+    list is None where the field allows None."""
+    if type(None) in typing.get_args(hint):
+        inner = _parser(next(a for a in typing.get_args(hint) if a is not type(None)))
+        return lambda text: inner(text) or None
+    if typing.get_origin(hint) is list:
+        item = _parser(typing.get_args(hint)[0])
+        return lambda text: [item(tok.strip()) for tok in text.split(",") if tok.strip()]
+    return _parse_bool if hint is bool else hint
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_PARSERS = {f.name: _parser(_HINTS[f.name]) for f in fields(ExperimentConfig)}
+
+
+def _parse_value(where: str, key: str, text: str):
+    if key not in _PARSERS:
+        raise ConfigError(f"{where}: unknown key '{key}'")
     try:
-        return [conv(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return _PARSERS[key](text)
     except ValueError as exc:
-        raise ConfigError(f"unparsable list '{text}': {exc}") from exc
+        raise ConfigError(f"{where}: cannot parse '{key}': {exc}") from exc
 
 
-_KEY_PARSERS = {
-    "models": lambda v: _parse_list(v, int),
-    "sizes": lambda v: _parse_list(v, int) or None,
-    "methods": lambda v: _parse_list(v, str),
-    "draws": int,
-    "folds": int,
-    "seed": int,
-    "margin": float,
-    "nonneg": _parse_bool,
-    "gamma_min": float,
-    "gamma_max": float,
-    "gamma_count": int,
-    "gamma_scaled": _parse_bool,
-    "sigma2_multipliers": lambda v: _parse_list(v, float),
-    "out_csv": str,
-    "out_json": str,
-}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def parse_config(text: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
-    """Build a config from key=value text plus flag overrides (flags win)."""
+    """Build a config from key=value text plus parsed overrides, such as the run flags (they win)."""
     values = {}
     if text is not None:
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,21 +163,11 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected key = value, got '{raw.strip()}'")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in _KEY_PARSERS:
-                raise ConfigError(f"line {lineno}: unknown key '{key}'")
-            try:
-                values[key] = _KEY_PARSERS[key](val)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: cannot parse '{key}': {exc}") from exc
+            values[key] = _parse_value(f"line {lineno}", key, val)
     for key, val in (overrides or {}).items():
-        if key not in _KEY_PARSERS:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown configuration key '{key}'")
-        if val is not None:
-            values[key] = val
-    known = {f.name for f in fields(ExperimentConfig)}
-    assert set(_KEY_PARSERS) == known
+        values[key] = val
     config = ExperimentConfig(**values)
     config.validate()
     return config
@@ -218,7 +211,7 @@ def write_json(path: str, config: ExperimentConfig, records: list[ExperimentReco
         fh.write("\n")
 
 
-def print_table(config: ExperimentConfig, records: list[ExperimentRecord], out=sys.stdout):
+def print_table(config: ExperimentConfig, records: list[ExperimentRecord], out=None):
     """Mean (std) NRMSE per model/size row and method column."""
     agg = aggregate(records)
     header = f"{'model':>5} {'m':>5}" + "".join(f" {meth:>16}" for meth in config.methods)
@@ -302,20 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the synthetic benchmark")
-    p_run.add_argument("--config", help="key=value config file")
-    p_run.add_argument("--models", help="comma-separated model ids (1-7)")
-    p_run.add_argument("--sizes", help="comma-separated sample sizes")
-    p_run.add_argument("--methods", help="comma-separated methods: " + ",".join(DEFAULT_METHODS))
-    p_run.add_argument("--draws", type=int)
-    p_run.add_argument("--folds", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--margin", type=float)
-    p_run.add_argument("--nonneg", action="store_const", const=True, default=None)
-    p_run.add_argument("--gamma-min", type=float, dest="gamma_min")
-    p_run.add_argument("--gamma-max", type=float, dest="gamma_max")
-    p_run.add_argument("--gamma-count", type=int, dest="gamma_count")
-    p_run.add_argument("--out-csv", dest="out_csv")
-    p_run.add_argument("--out-json", dest="out_json")
+    p_run.add_argument("--config", help="key=value config file; flags override it")
+    defaults = ExperimentConfig()
+    for f in fields(ExperimentConfig):
+        bare = {"nargs": "?", "const": "true"} if _HINTS[f.name] is bool else {}
+        default = _format(getattr(defaults, f.name))
+        p_run.add_argument(_flag(f.name), **bare,
+                           help=f"config key {f.name} (default '{default}')")
 
     p_fit = sub.add_parser(
         "fit", help="estimate weights for two point files",
@@ -334,20 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_overrides(args) -> dict:
-    overrides = {}
-    for key in ("draws", "folds", "seed", "margin", "nonneg", "gamma_min", "gamma_max",
-                "gamma_count", "out_csv", "out_json"):
-        overrides[key] = getattr(args, key)
-    if args.models is not None:
-        overrides["models"] = _parse_list(args.models, int)
-    if args.sizes is not None:
-        overrides["sizes"] = _parse_list(args.sizes, int)
-    if args.methods is not None:
-        overrides["methods"] = _parse_list(args.methods, str)
-    return overrides
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -356,7 +328,9 @@ def main(argv=None) -> int:
             if args.config:
                 with open(args.config) as fh:
                     text = fh.read()
-            config = parse_config(text, _run_overrides(args))
+            config = parse_config(text, {
+                f.name: _parse_value(_flag(f.name), f.name, getattr(args, f.name))
+                for f in fields(ExperimentConfig) if getattr(args, f.name) is not None})
             return run(config)
         return fit_command(args)
     except (ConfigError, OSError, SelectionError, SingularSystemError) as exc:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -329,3 +331,94 @@ def test_fit_command_reports_an_empty_file_once(tmp_path, capsys):
     assert main(["fit", *paths, "--folds", "2"]) == 2
     assert capsys.readouterr().err == (
         f"error: {paths[0]}: sample set must contain at least one point\n")
+
+
+
+# a non-default text value for every run setting; together they make one valid config
+CHANGED_SETTINGS = {
+    "models": "2,6", "sizes": "40,60", "methods": "ulsif,dre-v", "draws": "3", "folds": "3",
+    "seed": "4", "margin": "0.05", "nonneg": "true", "gamma_min": "0.001", "gamma_max": "5.0",
+    "gamma_count": "4", "gamma_scaled": "false", "sigma2_multipliers": "0.5,2.0,1e-3",
+    "out_csv": "x.csv", "out_json": "y.json",
+}
+
+
+def run_config(monkeypatch, argv):
+    """The config `vratio run argv` would run, without running it."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert main(["run", *argv]) == 0
+    return seen[0]
+
+
+def test_every_setting_is_set_alike_from_a_file_and_by_a_flag(tmp_path, monkeypatch):
+    assert sorted(f.name for f in dataclasses.fields(ExperimentConfig)) == sorted(CHANGED_SETTINGS)
+    defaults = tmp_path / "defaults.txt"
+    defaults.write_text(ExperimentConfig().to_text())
+    for key, text in CHANGED_SETTINGS.items():
+        from_file = parse_config(f"{key} = {text}\n")
+        assert getattr(from_file, key) != getattr(ExperimentConfig(), key), key
+        flag = "--" + key.replace("_", "-")
+        assert run_config(monkeypatch, [flag, text]) == from_file, key
+        # the flag overrides the file's line
+        assert run_config(monkeypatch, ["--config", str(defaults), flag, text]) == from_file, key
+
+
+def test_config_with_every_setting_changed_round_trips_through_text():
+    config = parse_config("".join(f"{k} = {v}\n" for k, v in CHANGED_SETTINGS.items()))
+    defaults = ExperimentConfig()
+    assert all(getattr(config, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(config))
+    assert config.to_text() == (
+        "models = 2,6\nsizes = 40,60\nmethods = ulsif,dre-v\ndraws = 3\nfolds = 3\nseed = 4\n"
+        "margin = 0.05\nnonneg = true\ngamma_min = 0.001\ngamma_max = 5.0\ngamma_count = 4\n"
+        "gamma_scaled = false\nsigma2_multipliers = 0.5,2.0,0.001\nout_csv = x.csv\n"
+        "out_json = y.json\n")
+    assert parse_config(config.to_text()) == config
+
+
+def test_bare_nonneg_flag_means_true(monkeypatch):
+    assert run_config(monkeypatch, ["--nonneg"]).nonneg is True
+    assert run_config(monkeypatch, ["--nonneg", "false"]).nonneg is False
+
+
+def test_run_reports_a_bad_flag_value_like_a_bad_file_line(tmp_path, capsys):
+    assert main(["run", "--draws", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --draws: cannot parse 'draws': ") and "usage" not in err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("draws = abc\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: cannot parse 'draws': ")
+
+
+def test_empty_sizes_flag_means_the_per_model_defaults(tmp_path, monkeypatch):
+    assert run_config(monkeypatch, ["--sizes", ""]) == parse_config("sizes =\n")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("sizes = 40\n")
+    assert run_config(monkeypatch, ["--config", str(cfg), "--sizes", ""]).sizes is None
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("gamma_count = 3\ngamma_min = 0.5\ngamma_max = 0.5\n", "gamma grid must not repeat a value"),
+    ("sigma2_multipliers = 1,1\n", "sigma2_multipliers must not repeat a value"),
+    ("sigma2_multipliers = 0.3,3e-1\n", "sigma2_multipliers must not repeat a value"),
+])
+def test_run_rejects_repeated_grid_values(tmp_path, capsys, text, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(text)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    code = main(run_args(tmp_path, "s", ["--draws", "1", "--config", str(cfg)]))
+    assert_reported_error(capsys, code, fragment)
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_run_table_follows_redirected_stdout(tmp_path, capsys):
+    config = parse_config(f"models = 2\nsizes = 20\nmethods = dre-v\ndraws = 1\n"
+                          f"out_csv = {tmp_path / 'r.csv'}\nout_json = {tmp_path / 'r.json'}\n")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(config) == 0
+    assert buf.getvalue().splitlines()[0].split() == ["model", "m", "dre-v"]
+    assert capsys.readouterr().out == ""
