@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import typing
 import warnings
@@ -89,6 +90,10 @@ class ExperimentConfig:
                               f"from {self.gamma_min!r} to {self.gamma_max!r}")
         if not self.sigma2_multipliers or not all(0 < v < np.inf for v in self.sigma2_multipliers):
             raise ConfigError("sigma2 multipliers must be finite and positive")
+        # the JSON would overwrite the CSV
+        if os.path.realpath(self.out_csv) == os.path.realpath(self.out_json):
+            raise ConfigError(f"out_csv and out_json must name different files, "
+                              f"both name {self.out_csv!r}")
 
     def sizes_for(self, model_id: int) -> list[int]:
         if self.sizes is not None:
@@ -238,6 +243,9 @@ def run(config: ExperimentConfig) -> int:
         scale_gamma=config.gamma_scaled,
         sigma2_multipliers=tuple(config.sigma2_multipliers),
     )
+    # create both outputs up front: a path that cannot be written fails before any draw
+    for path in (config.out_csv, config.out_json):
+        open(path, "w").close()
     records: list[ExperimentRecord] = []
     for model_id in config.models:
         for m in config.sizes_for(model_id):

@@ -15,10 +15,16 @@ else by pivoted_cholesky (dpstrf). With M = Q T Q' from tridiagonalize:
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
   T + gamma I (W'KW by cumulative sums for 1-D points).
 
-The banded systems of all shifts go into one LAPACK call (_stacked_solve);
-_multi_shift_solve maps them back, and _verified checks every column and
-refines. A column that still misses the bound is returned as failed with
-its message; no other solver tries it again.
+Every banded system, tridiagonal or pentadiagonal, is in lower band
+storage, and the systems of all shifts go into one LAPACK dpbsv call
+(_stacked_solve); refinement reuses its Cholesky factors through dpbtrs
+(_stacked_resolve). _multi_shift_solve maps the solutions back.
+
+_verified is the one check-and-refine loop: it checks every column of the
+multi-shift and low-rank solvers and of the LU solution of
+solve_regularized, and refines a column that misses the bound up to twice
+with the same factors. A column that still misses it is returned as failed
+with its message; no other solver tries it again.
 
 solve_ridge_square_low_rank and solve_product_ridge_low_rank solve the same
 systems for a numerically low-rank K, such as the RBF Gram of 1-D points:
@@ -67,50 +73,30 @@ def _failure(what: str, res_norm: float, bound: float) -> str:
 _SINGULAR_FAILURE = "system singular to working precision"
 
 
-def _shifted_residual(lhs: np.ndarray, shift: float, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - (lhs + shift * I) x."""
-    res = b - lhs @ x
-    if shift:
-        res -= shift * x
-    return res
-
-
 def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
     """Solve (A + ridge * I) x = b.
 
-    Uses an LU factorization with iterative refinement; raises
-    SingularSystemError when the substitution check cannot be met.
+    One LU factorization (scipy.linalg.lu_factor); _verified checks the
+    lu_solve solution against A and the ridge and refines it with lu_solve.
+    Raises SingularSystemError when the substitution check cannot be met.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_square(A, b)
     if not ridge >= 0:
         raise ValueError("ridge must be nonnegative")
-    m = A.shape[0]
-    # one Fortran-ordered copy, which LAPACK factorises in place; the
-    # residual is then taken against A and the ridge
+    # one Fortran-ordered copy, which LAPACK factorises in place
     M = np.array(A, order="F")
-    M[np.diag_indices(m)] += ridge
-
-    bound = _residual_bound(b)
-    try:
-        lu, piv = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
-        x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-        for _ in range(3):
-            res = _shifted_residual(A, ridge, x, b)
-            res_norm = float(np.linalg.norm(res))
-            if not np.isfinite(res_norm) or res_norm <= bound:
-                break
-            x = x + scipy.linalg.lu_solve((lu, piv), res, check_finite=False)
-        res_norm = float(np.linalg.norm(_shifted_residual(A, ridge, x, b)))
-    except scipy.linalg.LinAlgError:
-        res_norm = np.inf
-        x = np.full(m, np.nan)
-
-    if not np.isfinite(res_norm) or not np.all(np.isfinite(x)) or res_norm > bound:
-        where = f" ({context})" if context else ""
-        raise SingularSystemError(_failure(_SINGULAR_FAILURE, res_norm, bound) + where)
-    return SolveReport(x, res_norm)
+    M[np.diag_indices(A.shape[0])] += ridge
+    lu = scipy.linalg.lu_factor(M, overwrite_a=True, check_finite=False)
+    # no ridge term at ridge 0, where an infinite x would give 0 * inf
+    apply = (lambda X: A @ X + ridge * X) if ridge else (lambda X: A @ X)
+    X, (error,) = _verified(scipy.linalg.lu_solve(lu, b[:, None], check_finite=False),
+                            lambda R, bad: scipy.linalg.lu_solve(lu, R, check_finite=False),
+                            apply, b, _SINGULAR_FAILURE)
+    if error:
+        raise SingularSystemError(error + (f" ({context})" if context else ""))
+    return SolveReport(X[:, 0], float(np.linalg.norm(b - apply(X)[:, 0])))
 
 
 def _dormqr_lwork(ncols: int) -> int:
@@ -172,50 +158,25 @@ def tridiagonalize(S, overwrite: bool = False) -> Tridiagonal:
     return Tridiagonal(d, e, np.asfortranarray(c[1:, :-1]), tau)
 
 
-def _sub_diagonal(bands):
-    """The sub-diagonal of the (2, N) bands as dptsv and dpttrs take it: N - 1
-    entries, but at N = 1 the wrappers want one, the zero padding."""
-    return bands[1, :max(bands.shape[1] - 1, 1)]
-
-
-def _ptsv(bands, b):
-    """dptsv on the (2, N) bands [diagonal; sub-diagonal padded by one]."""
-    d, e, x, info = scipy.linalg.lapack.dptsv(bands[0], _sub_diagonal(bands), b)
-    factors = np.zeros_like(bands)
-    factors[0], factors[1, :e.size] = d, e
-    return factors, x, info
-
-
-def _pttrs(factors, b):
-    return scipy.linalg.lapack.dpttrs(factors[0], _sub_diagonal(factors), b)
-
-
-def _pbsv(bands, b):
-    """dpbsv on the lower band storage `bands`."""
-    return scipy.linalg.lapack.dpbsv(bands, b, lower=1)
-
-
-def _pbtrs(factors, b):
-    return scipy.linalg.lapack.dpbtrs(factors, b, lower=1)
-
-
-def _stacked_solve(sv, bands: np.ndarray, rhs: np.ndarray):
+def _stacked_solve(bands: np.ndarray, rhs: np.ndarray):
     """Solve G symmetric positive definite banded n x n systems in one LAPACK
-    call by stacking them block-diagonally with zero coupling.
+    dpbsv call by stacking them block-diagonally with zero coupling.
 
-    `bands` is (rows, G, n): block j's lower band storage, whose band entries
-    past the end of the block are zero, so the stacked matrix couples no two
+    `bands` is (rows, G, n): block j's lower band storage, 2 rows for a
+    tridiagonal block and 3 for a pentadiagonal one, whose band entries past
+    the end of the block are zero, so the stacked matrix couples no two
     blocks; `rhs` is n x G. A block that is not positive definite stops the
     factorisation at its row: it gets NaN and the call repeats without it, so
-    it fails only its own column. Returns the factors in the layout of
-    `bands` and the n x G solutions.
+    it fails only its own column. Returns the Cholesky factors in the layout
+    of `bands` and the n x G solutions.
     """
     rows, G, n = bands.shape
     factors = np.full(bands.shape, np.nan)
     X = np.full((n, G), np.nan)
     live = np.arange(G)
     while live.size and n:
-        fac, x, info = sv(bands[:, live].reshape(rows, -1), rhs[:, live].reshape(-1, 1, order="F"))
+        fac, x, info = scipy.linalg.lapack.dpbsv(bands[:, live].reshape(rows, -1),
+                                                 rhs[:, live].reshape(-1, 1, order="F"), lower=1)
         if info < 0:
             raise ValueError(f"banded solve: illegal value in argument {-info}")
         if info == 0:
@@ -226,13 +187,14 @@ def _stacked_solve(sv, bands: np.ndarray, rhs: np.ndarray):
     return factors, X
 
 
-def _stacked_resolve(trs, factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _stacked_resolve(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve again with the factors of _stacked_solve, column j of the n x G
-    `rhs` with block j, in one LAPACK call."""
+    `rhs` with block j, in one LAPACK dpbtrs call."""
     rows, G, n = factors.shape
     if not n:
         return np.zeros((0, G))
-    x, info = trs(factors.reshape(rows, -1), rhs.reshape(-1, 1, order="F"))
+    x, info = scipy.linalg.lapack.dpbtrs(factors.reshape(rows, -1),
+                                         rhs.reshape(-1, 1, order="F"), lower=1)
     if info < 0:
         raise ValueError(f"banded solve: illegal value in argument {-info}")
     return x.reshape(n, G, order="F")
@@ -254,18 +216,18 @@ def _square_bands(tri: Tridiagonal, G: int) -> np.ndarray:
 def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, refine_once: bool = False):
     """Solve apply(X) = b for G shifts from their reduced banded systems.
 
-    `bands` (rows, G, r) holds the reduced systems: the tridiagonal ones
-    (2 rows) by dptsv, the pentadiagonal ones (3 rows) by dpbsv, all in one
-    stacked call. `reduce` maps n x G right-hand sides to their r x G reduced
-    ones, `expand` maps r x G reduced solutions back, and `apply` applies the
-    G system matrices to the columns of an n x G matrix. _verified checks
-    the columns and refines them with the same factors. Returns the n x G
-    solutions and per column None or the failure message `what`.
+    `bands` (rows, G, r) holds the reduced systems in lower band storage,
+    tridiagonal (2 rows) or pentadiagonal (3 rows), all factored and solved
+    in one dpbsv call by _stacked_solve. `reduce` maps n x G right-hand sides
+    to their r x G reduced ones, `expand` maps r x G reduced solutions back,
+    and `apply` applies the G system matrices to the columns of an n x G
+    matrix. _verified checks the columns and refines them with the same
+    factors by _stacked_resolve (dpbtrs). Returns the n x G solutions and per
+    column None or the failure message `what`.
     """
-    sv, trs = (_ptsv, _pttrs) if len(bands) == 2 else (_pbsv, _pbtrs)
-    factors, Y = _stacked_solve(sv, bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
+    factors, Y = _stacked_solve(bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
     return _verified(expand(Y),
-                     lambda R, bad: expand(_stacked_resolve(trs, factors[:, bad], reduce(R))),
+                     lambda R, bad: expand(_stacked_resolve(factors[:, bad], reduce(R))),
                      apply, b, what, refine_once)
 
 
@@ -578,7 +540,7 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
     (N + c J) y = J N^-1 J beta, where J = S_u^-1 is tridiagonal,
     J_kk = 1/h_k + 1/h_{k+1}, J_rr = 1/h_r and J_k,k+1 = -1/h_{k+1}
     (Vandebril, Van Barel & Mastronardi, Matrix Computations and
-    Semiseparable Matrices, 2008): all c go into one stacked dptsv call.
+    Semiseparable Matrices, 2008): all c go into one stacked dpbsv call.
     The double difference J N^-1 J beta loses about four digits that the
     residual bound does not see, so every column takes one refinement step
     against the dense residual before the usual two (Higham, Accuracy and

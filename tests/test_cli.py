@@ -422,3 +422,27 @@ def test_run_table_follows_redirected_stdout(tmp_path, capsys):
         assert cli.run(config) == 0
     assert buf.getvalue().splitlines()[0].split() == ["model", "m", "dre-v"]
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("bad", ["out_csv", "out_json"])
+def test_run_reports_a_bad_output_path_before_any_draw(tmp_path, capsys, monkeypatch, bad):
+    draws = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: draws.append(a) or [])
+    paths = {"out_csv": tmp_path / "r.csv", "out_json": tmp_path / "r.json"}
+    paths[bad] = tmp_path / "nodir" / paths[bad].name
+    code = main(["run", "--models", "2", "--sizes", "30", "--draws", "2",
+                 "--methods", "dre-v,ulsif", "--out-csv", str(paths["out_csv"]),
+                 "--out-json", str(paths["out_json"])])
+    assert_reported_error(capsys, code, "No such file or directory")
+    assert draws == []
+
+
+def test_run_rejects_one_file_for_both_outputs(tmp_path, capsys):
+    (tmp_path / "link").symlink_to(tmp_path)
+    same = tmp_path / "same.txt"
+    for other in (same, tmp_path / "sub" / ".." / "same.txt", tmp_path / "link" / "same.txt"):
+        with pytest.raises(ConfigError, match="out_csv and out_json must name different files"):
+            parse_config(f"out_csv = {same}\nout_json = {other}\n")
+        code = main(["run", "--draws", "1", "--out-csv", str(same), "--out-json", str(other)])
+        assert_reported_error(capsys, code, "must name different files")
+    assert not same.exists()

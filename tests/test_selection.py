@@ -171,8 +171,8 @@ def test_cross_validate_partial_failure_excludes_only_that_candidate(monkeypatch
     stacked_solve = solve._stacked_solve
     widths = []
 
-    def spoiled(sv, bands, rhs):
-        factors, X = stacked_solve(sv, bands, rhs)
+    def spoiled(bands, rhs):
+        factors, X = stacked_solve(bands, rhs)
         if not widths:
             X[:, j] = np.nan
         widths.append(rhs.shape[1])
