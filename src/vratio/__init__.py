@@ -27,14 +27,14 @@ from .estimators import (
 )
 from .kernels import KernelKind, KernelSpec, cross_gram
 from .selection import CvPlan, CvReport, cross_validate, default_gamma_grid, make_folds
-from .solve import SolveReport, solve_nonneg, solve_regularized
+from .solve import solve_nonneg, solve_regularized
 from .vmatrix import VMatrices, build_v_matrices, l2_residual
 
 __all__ = [
     "DomainBox", "SampleSet", "ScaledSamples", "fit_domain_box", "scale",
     "VMatrices", "build_v_matrices", "l2_residual",
     "KernelKind", "KernelSpec", "cross_gram",
-    "SolveReport", "solve_nonneg", "solve_regularized",
+    "solve_nonneg", "solve_regularized",
     "Method", "RatioEstimate",
     "dre_v_nonneg_values", "fit_dre_v", "fit_dre_vk", "fit_ulsif_like",
     "CvPlan", "CvReport", "cross_validate", "default_gamma_grid", "make_folds",

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import selection
 from .bench import ExperimentRecord, aggregate, make_model, run_experiment
 from .domain import SampleSet, fit_domain_box, scale
 from .estimators import Method
-from .selection import DEFAULT_SIGMA2_MULTIPLIERS, CvPlan, SelectionError, cross_validate
+from .selection import CvPlan, SelectionError, cross_validate
 from .solve import SingularSystemError
 
 DEFAULT_MODELS = [1, 2, 3, 4, 5, 6, 7]
@@ -40,17 +41,16 @@ class ExperimentConfig:
     sizes: list[int] | None = None  # None -> per-model defaults by dimension
     methods: list[str] = field(default_factory=lambda: list(DEFAULT_METHODS))
     draws: int = 20
-    folds: int = 5
-    seed: int = 0
+    folds: int = selection.DEFAULT_FOLDS
+    seed: int = selection.DEFAULT_SEED
     margin: float = 0.0
-    nonneg: bool = False
-    gamma_min: float = 1e-5
-    gamma_max: float = 10.0
-    gamma_count: int = 15
-    gamma_scaled: bool = True  # grid values are multipliers of tr(M)/n
+    nonneg: bool = False  # dre-v only: solve for r >= 0 at the selected gamma
+    gamma_min: float = selection.DEFAULT_GAMMA_MIN
+    gamma_max: float = selection.DEFAULT_GAMMA_MAX
+    gamma_count: int = selection.DEFAULT_GAMMA_COUNT
+    gamma_scaled: bool = selection.DEFAULT_SCALE_GAMMA  # grid values are multipliers of tr(M)/n
     sigma2_multipliers: list[float] = field(
-        default_factory=lambda: list(DEFAULT_SIGMA2_MULTIPLIERS)
-    )
+        default_factory=lambda: list(selection.DEFAULT_SIGMA2_MULTIPLIERS))
     out_csv: str = "results.csv"
     out_json: str = "results.json"
 
@@ -101,9 +101,7 @@ class ExperimentConfig:
         return SIZES_20D if make_model(model_id).d == 20 else SIZES_1D
 
     def gamma_grid(self) -> np.ndarray:
-        if self.gamma_count == 1:
-            return np.array([self.gamma_min])
-        return np.logspace(np.log10(self.gamma_min), np.log10(self.gamma_max), self.gamma_count)
+        return selection.log_grid(self.gamma_min, self.gamma_max, self.gamma_count)
 
     def to_text(self) -> str:
         """Resolved key=value echo; parse_config reads it back to an equal config."""
@@ -179,19 +177,10 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
 
 
 def _record_rows(records: list[ExperimentRecord]):
+    """The records' fields in order, as _format writes them, with the method by name."""
     for rec in sorted(records, key=lambda r: (r.model_id, r.m, r.method.value, r.draw)):
-        yield [
-            rec.model_id,
-            rec.m,
-            rec.method.value,
-            rec.draw,
-            rec.seed,
-            "" if rec.gamma is None else repr(rec.gamma),
-            "" if rec.sigma2 is None else repr(rec.sigma2),
-            "" if rec.nrmse is None else repr(rec.nrmse),
-            rec.status,
-            rec.message,
-        ]
+        yield [_format(rec.method.value if f.name == "method" else getattr(rec, f.name))
+               for f in fields(rec)]
 
 
 def write_csv(path: str, records: list[ExperimentRecord]):
@@ -288,10 +277,15 @@ def fit_command(args) -> int:
     except ValueError as exc:  # a negative margin or files of different dimensions
         raise ConfigError(str(exc)) from exc
     s = scale(num, den, box)
-    plan = CvPlan(k=args.folds, seed=args.seed)
-    report = cross_validate(s, Method(args.method), plan)
-    weights = report.estimate.predict(den.points)
-    np.savetxt(args.out, weights)
+    # a path that cannot be written fails here, once the inputs are read, and not after the fit
+    with open(args.out, "w") as out:
+        try:
+            report = cross_validate(s, Method(args.method), CvPlan(k=args.folds, seed=args.seed))
+        except BaseException:
+            os.remove(args.out)  # a failed fit leaves no output behind
+            raise
+        weights = report.estimate.predict(den.points)
+        np.savetxt(out, weights)
     sigma_info = "" if report.selected_sigma2 is None else f", sigma2={report.selected_sigma2:g}"
     print(f"selected gamma={report.selected_gamma:g}{sigma_info}; wrote {len(weights)} "
           f"weights to {args.out}")
@@ -321,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("numerator", help="text file, one point per line")
     p_fit.add_argument("denominator", help="text file, one point per line")
     p_fit.add_argument("--method", default="dre-vk-ink", choices=DEFAULT_METHODS)
-    p_fit.add_argument("--folds", type=int, default=5)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--folds", type=int, default=selection.DEFAULT_FOLDS)
+    p_fit.add_argument("--seed", type=int, default=selection.DEFAULT_SEED)
     p_fit.add_argument("--margin", type=float, default=0.0)
     p_fit.add_argument("--out", default="weights.txt")
     return parser

@@ -35,8 +35,8 @@ path. A column that still fails is not solved again another way:
 solve_system reports it as failed, with its gamma in the message, and
 cross-validation records that candidate as failed.
 
-dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 and returns
-the values at the denominator points.
+dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 exactly
+(solve.solve_nonneg) and returns the values at the denominator points.
 """
 
 from __future__ import annotations
@@ -111,12 +111,12 @@ def fit_dre_v(s: ScaledSamples, gamma: float) -> RatioEstimate:
 
 def dre_v_nonneg_values(s: ScaledSamples, gamma: float) -> np.ndarray:
     """DRE-V values at the denominator points minimizing the same quadratic
-    objective under r >= 0, by projected gradient."""
+    objective under r >= 0."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     vm = build_v_matrices(s)
     A = vm.v_dd + (gamma / s.n) * np.eye(s.n)
-    return solve_nonneg(A, v_rhs(vm, s)).solution
+    return solve_nonneg(A, v_rhs(vm, s))
 
 
 def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
@@ -208,7 +208,7 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     if method in (Method.DRE_VK_INK, Method.DRE_VK_RBF):
-        coef = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), f"gamma={gamma}").solution
+        coef = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), f"gamma={gamma}")
     else:
         if method is Method.ULSIF_LIKE:
             X, errors = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K))

@@ -21,11 +21,23 @@ from .kernels import cross_gram, rbf_from_sqdist
 from .solve import solve_regularized  # noqa: F401
 from .vmatrix import VMatrices, build_v_matrices
 
+# the CV defaults, which `vratio run` and `vratio fit` take from here
+DEFAULT_FOLDS = 5
+DEFAULT_SEED = 0
+DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_COUNT = 1e-5, 10.0, 15
+DEFAULT_SCALE_GAMMA = True
 DEFAULT_SIGMA2_MULTIPLIERS = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 class SelectionError(RuntimeError):
     """Every candidate failed to solve."""
+
+
+def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """`count` values from lo to hi, evenly spaced in log; [lo] for a count of 1."""
+    if count == 1:
+        return np.array([lo])
+    return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def default_gamma_grid() -> np.ndarray:
@@ -36,7 +48,7 @@ def default_gamma_grid() -> np.ndarray:
     one grid meaningful across dimensions and kernels: the operator norm of
     the overlap-volume matrices shrinks geometrically with the dimension.
     """
-    return np.logspace(-5.0, 1.0, 15)
+    return log_grid(DEFAULT_GAMMA_MIN, DEFAULT_GAMMA_MAX, DEFAULT_GAMMA_COUNT)
 
 
 def median_sigma2(pooled_points) -> float:
@@ -66,13 +78,13 @@ def _positive_grid(values, what: str) -> np.ndarray:
 
 @dataclass
 class CvPlan:
-    k: int = 5
+    k: int = DEFAULT_FOLDS
     gamma_grid: np.ndarray = field(default_factory=default_gamma_grid)
     sigma2_grid: np.ndarray | None = None  # RBF only; None -> median heuristic grid
-    seed: int = 0
+    seed: int = DEFAULT_SEED
     # interpret gamma_grid as multipliers of tr(M)/n for the method's system
     # matrix M; False means absolute values
-    scale_gamma: bool = True
+    scale_gamma: bool = DEFAULT_SCALE_GAMMA
     # used when sigma2_grid is None: multipliers of the median pairwise
     # squared distance of the pooled scaled data
     sigma2_multipliers: tuple = DEFAULT_SIGMA2_MULTIPLIERS

@@ -33,6 +33,10 @@ of G or of W'G, and then every shift in closed form, with no tridiagonal
 reduction. The residual check stays against K itself. A rank above
 LOW_RANK_MAX_FRAC n, or a shift of 0, sends every column to the dense
 solver up front instead.
+
+solve_nonneg solves the nonnegative quadratic programme exactly, by one
+Cholesky factorisation and one scipy.optimize.nnls call, and is verified
+against the same bound, with the projected gradient in place of Ax - b.
 """
 
 from __future__ import annotations
@@ -41,18 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 RESIDUAL_RTOL = 1e-8
 
 
 class SingularSystemError(RuntimeError):
     """The system is singular to working precision."""
-
-
-@dataclass(frozen=True)
-class SolveReport:
-    solution: np.ndarray
-    residual_norm: float
 
 
 def _check_square(A: np.ndarray, b: np.ndarray):
@@ -73,7 +72,7 @@ def _failure(what: str, res_norm: float, bound: float) -> str:
 _SINGULAR_FAILURE = "system singular to working precision"
 
 
-def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
+def solve_regularized(A, ridge: float, b, context: str = "") -> np.ndarray:
     """Solve (A + ridge * I) x = b.
 
     One LU factorization (scipy.linalg.lu_factor); _verified checks the
@@ -96,7 +95,7 @@ def solve_regularized(A, ridge: float, b, context: str = "") -> SolveReport:
                             apply, b, _SINGULAR_FAILURE)
     if error:
         raise SingularSystemError(error + (f" ({context})" if context else ""))
-    return SolveReport(X[:, 0], float(np.linalg.norm(b - apply(X)[:, 0])))
+    return X[:, 0]
 
 
 def _dormqr_lwork(ncols: int) -> int:
@@ -687,26 +686,33 @@ def solve_product_ridge_low_rank(factor: BrownianFactor, K, gammas, b) -> tuple[
                            lambda X: A @ (K @ X) + X * gammas, b, gammas)
 
 
-def solve_nonneg(A, b, max_iter: int = 100_000, tol: float = 1e-10) -> SolveReport:
-    """Minimize 0.5 x'Ax - b'x subject to x >= 0 by projected gradient.
+def solve_nonneg(A, b) -> np.ndarray:
+    """Minimize 0.5 x'Ax - b'x subject to x >= 0, for a symmetric positive
+    definite A, exactly.
 
-    Step size 1/L with L the infinity-norm bound on the spectral radius.
-    Stops when the projected gradient norm drops below `tol`.
+    With A = L L' (Cholesky), this is the least-squares problem
+    min ||L'x - L^-1 b|| over x >= 0, which scipy.optimize.nnls solves by
+    Lawson & Hanson's active set (Solving Least Squares Problems, 1974).
+    The solution is checked like every other solve: with g = Ax - b, the
+    projected gradient (g where x > 0, min(g, 0) where x = 0) must have norm
+    at most RESIDUAL_RTOL (1 + ||b||). Raises SingularSystemError when A is
+    not positive definite, nnls reaches its iteration limit or the check
+    fails.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_square(A, b)
     if not np.allclose(A, A.T, atol=1e-10 * (1.0 + np.abs(A).max())):
         raise ValueError("A must be symmetric")
-    L = float(np.abs(A).sum(axis=1).max())
-    if L <= 0:
-        L = 1.0
-    x = np.zeros_like(b)
-    for _ in range(max_iter):
-        g = A @ x - b
-        pg = np.where(x > 0, g, np.minimum(g, 0.0))
-        if np.linalg.norm(pg) <= tol:
-            break
-        x = np.maximum(x - g / L, 0.0)
-    res_norm = float(np.linalg.norm(A @ x - b))
-    return SolveReport(x, res_norm)
+    try:
+        L = scipy.linalg.cholesky(A, lower=True)
+        x, _ = scipy.optimize.nnls(L.T, scipy.linalg.solve_triangular(L, b, lower=True))
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
+        raise SingularSystemError(f"nonnegative solve failed: {exc}") from exc
+    g = A @ x - b
+    pg_norm = np.linalg.norm(np.where(x > 0, g, np.minimum(g, 0.0)))
+    bound = _residual_bound(b)
+    if not pg_norm <= bound:
+        raise SingularSystemError(_failure("nonnegative solve: projected gradient",
+                                           pg_norm, bound))
+    return x

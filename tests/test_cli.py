@@ -281,6 +281,41 @@ def test_fit_command_reports_singular_refit(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "w.txt").exists()
 
 
+def test_fit_reports_an_unwritable_output_before_the_fit(tmp_path, capsys, monkeypatch):
+    fits = []
+    monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw: fits.append(a))
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    code = main(["fit", *paths, "--folds", "2", "--out", str(tmp_path / "nodir" / "w.txt")])
+    assert_reported_error(capsys, code, "No such file or directory")
+    assert fits == []
+
+
+def assert_plans_equal(plan, expected):
+    for f in dataclasses.fields(selection.CvPlan):
+        got, want = getattr(plan, f.name), getattr(expected, f.name)
+        assert (got is want is None) or np.array_equal(got, want), f.name
+
+
+def test_run_and_fit_defaults_are_the_cv_defaults(tmp_path, capsys, monkeypatch):
+    plans = []
+    monkeypatch.setattr(cli, "run_experiment", lambda model, m, meth, draws, plan, *a, **kw:
+                        plans.append(plan) or [])
+    config = dataclasses.replace(parse_config(), out_csv=str(tmp_path / "r.csv"),
+                                 out_json=str(tmp_path / "r.json"))
+    cli.run(config)
+
+    def no_fit(s, method, plan):
+        plans.append(plan)
+        raise SelectionError("not fitted")
+
+    monkeypatch.setattr(cli, "cross_validate", no_fit)
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n0.7\n0.8\n", "0.2\n0.4\n0.5\n0.6\n0.9\n")
+    assert main(["fit", *paths]) == 2
+    assert len(plans) > 1
+    for plan in (plans[0], plans[-1]):
+        assert_plans_equal(plan, selection.CvPlan())
+
+
 def test_python_m_vratio_runs_the_cli():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -294,7 +329,7 @@ def test_python_m_vratio_runs_the_cli():
 DELETED_NAMES = (
     "Role", "ecdf_eval", "v_entry", "VDomainError", "gram", "ink1", "kernel_eval",
     "solve_psd_pencil", "Variant", "UnsupportedQueryError", "fit_dre_v_expansion",
-    "validate_command",
+    "validate_command", "SolveReport",
 )
 
 

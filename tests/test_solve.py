@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from scipy.linalg import LinAlgWarning
 
 from vratio import solve
 from vratio.domain import DomainBox, ScaledSamples
-from vratio.estimators import fit_dre_v, fit_ulsif_like, ulsif_rhs, v_rhs
+from vratio.estimators import dre_v_nonneg_values, fit_dre_v, fit_ulsif_like, ulsif_rhs, v_rhs
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
 from vratio import bench, domain
 from vratio.selection import default_gamma_grid, default_sigma2_grid
@@ -40,10 +43,11 @@ def test_solve_regularized_matches_reference():
         A = random_psd(rng, n, ridge=0.0)
         b = rng.normal(size=n)
         gamma = float(rng.uniform(0.01, 1.0))
-        rep = solve_regularized(A, gamma, b)
+        x = solve_regularized(A, gamma, b)
         expected = np.linalg.solve(A + gamma * np.eye(n), b)
-        assert np.allclose(rep.solution, expected, atol=1e-8)
-        assert rep.residual_norm <= RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
+        assert np.allclose(x, expected, atol=1e-8)
+        assert np.linalg.norm((A + gamma * np.eye(n)) @ x - b) <= RESIDUAL_RTOL * (
+            1.0 + np.linalg.norm(b))
 
 
 def test_solve_regularized_singular_raises():
@@ -66,12 +70,11 @@ def test_solve_regularized_refines_slightly_wrong_lu(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", perturbed)
     solves = count_calls(monkeypatch, scipy.linalg, "lu_solve")
-    rep = solve_regularized(A, 0.5, b)
+    x = solve_regularized(A, 0.5, b)
     bound = RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
     assert 2 <= len(solves) <= 3  # the first solve, then one or two corrections
-    assert rep.residual_norm <= bound
-    assert np.linalg.norm((A + 0.5 * np.eye(8)) @ rep.solution - b) <= bound
-    assert np.allclose(rep.solution, np.linalg.solve(A + 0.5 * np.eye(8), b), rtol=0, atol=1e-8)
+    assert np.linalg.norm((A + 0.5 * np.eye(8)) @ x - b) <= bound
+    assert np.allclose(x, np.linalg.solve(A + 0.5 * np.eye(8), b), rtol=0, atol=1e-8)
 
 
 def test_solve_regularized_failure_names_its_context():
@@ -362,7 +365,7 @@ def test_solve_ridge_square_many_matches_lu(monkeypatch):
         assert errors == [None, None, None]
         assert refinements == []  # the first pentadiagonal solve passed
         for j, gamma in enumerate(gammas):
-            want = solve_regularized(K @ K, gamma, b).solution
+            want = solve_regularized(K @ K, gamma, b)
             assert np.allclose(X[:, j], want, rtol=1e-8, atol=1e-10)
             assert np.linalg.norm((K @ K + gamma * np.eye(6)) @ X[:, j] - b) <= (
                 RESIDUAL_RTOL * (1.0 + np.linalg.norm(b)))
@@ -417,7 +420,7 @@ def test_refinement_recovers_from_slightly_wrong_factors(monkeypatch):
     # times the condition number, which is near 1e9 for K K at the smallest gamma
     for j, gamma in enumerate(gammas):
         for got, M in ((X[:, j], V @ K), (Y[:, j], K @ K)):
-            want = solve_regularized(M, gamma, b).solution
+            want = solve_regularized(M, gamma, b)
             assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
 
 
@@ -482,7 +485,7 @@ def test_solve_product_ridge_many_matches_lu(case, monkeypatch):
     assert refinements == [] and lu_calls == []
     M = V @ K
     for j, gamma in enumerate(gammas):
-        want = solve_regularized(M, gamma, b).solution
+        want = solve_regularized(M, gamma, b)
         assert np.linalg.norm(X[:, j] - want) <= 1e-8 * np.linalg.norm(want)
         assert np.linalg.norm(M @ X[:, j] + gamma * X[:, j] - b) <= (
             RESIDUAL_RTOL * (1.0 + np.linalg.norm(b)))
@@ -502,7 +505,7 @@ def test_solve_product_ridge_many_closed_form_at_near_ties(gap, monkeypatch):
     X, errors = solve_product_ridge_many(factor, K, gammas, b)
     assert errors == [None] * len(gammas) and lu_calls == []
     for j, gamma in enumerate(gammas):
-        want = solve_regularized(V @ K, gamma, b).solution
+        want = solve_regularized(V @ K, gamma, b)
         assert np.linalg.norm(X[:, j] - want) <= 1e-8 * np.linalg.norm(want)
 
 
@@ -552,7 +555,7 @@ def test_solve_product_ridge_many_flags_singular_columns(monkeypatch):
     for j, gamma in enumerate(gammas):
         if j != 3:
             assert errors[j] is None
-            want = solve_regularized(M, gamma, b).solution
+            want = solve_regularized(M, gamma, b)
             assert np.linalg.norm(X[:, j] - want) <= 1e-8 * np.linalg.norm(want)
 
 
@@ -580,7 +583,7 @@ def test_solve_product_ridge_many_degenerate_sizes(case):
     X, errors = solve_product_ridge_many(pivoted_cholesky(V), K, gammas, b)
     assert errors == [None] * len(gammas)
     for j, gamma in enumerate(gammas):
-        want = solve_regularized(V @ K, gamma, b).solution
+        want = solve_regularized(V @ K, gamma, b)
         assert np.allclose(X[:, j], want, rtol=1e-8, atol=1e-12)
 
 
@@ -608,7 +611,7 @@ def test_solve_ridge_square_many_degenerate_sizes(n):
     X, errors = solve_ridge_square_many(K, gammas, b)
     assert errors == [None] * len(gammas)
     for j, gamma in enumerate(gammas):
-        assert np.allclose(X[:, j], solve_regularized(K @ K, gamma, b).solution,
+        assert np.allclose(X[:, j], solve_regularized(K @ K, gamma, b),
                            rtol=1e-8, atol=1e-12)
 
 
@@ -744,8 +747,7 @@ def test_solve_nonneg_matches_active_set_enumeration():
     for _ in range(20):
         A = random_psd(rng, 5)
         b = rng.normal(size=5)
-        rep = solve_nonneg(A, b)
-        x = rep.solution
+        x = solve_nonneg(A, b)
         assert np.all(x >= 0.0)
         obj = 0.5 * x @ A @ x - b @ x
         assert obj == pytest.approx(active_set_oracle(A, b), abs=1e-6)
@@ -754,10 +756,47 @@ def test_solve_nonneg_matches_active_set_enumeration():
 def test_solve_nonneg_unconstrained_interior():
     A = np.diag([2.0, 3.0])
     b = np.array([2.0, 6.0])
-    rep = solve_nonneg(A, b)
-    assert np.allclose(rep.solution, [1.0, 2.0], atol=1e-8)
+    assert np.allclose(solve_nonneg(A, b), [1.0, 2.0], atol=1e-8)
 
 
 def test_solve_nonneg_requires_symmetry():
     with pytest.raises(ValueError):
         solve_nonneg(np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones(2))
+
+
+def test_dre_v_nonneg_values_meets_projected_gradient_bound():
+    # a draw of the default nonneg table on which 100,000 projected-gradient
+    # steps stopped at 390 times the bound, with 9 entries wrongly at zero
+    gamma = 0.04905357327794389  # the gamma that CV selects for this draw
+    num, den = bench.sample_model(bench.make_model(1), 200, 3)
+    s = domain.scale(num, den, domain.fit_domain_box(num, den))
+    x = dre_v_nonneg_values(s, gamma)
+    vm = build_v_matrices(s)
+    b = v_rhs(vm, s)
+    g = (vm.v_dd + gamma / s.n * np.eye(s.n)) @ x - b
+    assert np.all(x >= 0.0)
+    assert np.linalg.norm(np.where(x > 0, g, np.minimum(g, 0.0))) <= RESIDUAL_RTOL * (
+        1.0 + np.linalg.norm(b))
+
+
+def test_solve_nonneg_rejects_indefinite():
+    with pytest.raises(SingularSystemError, match="nonnegative solve failed"):
+        solve_nonneg(np.diag([1.0, -1.0]), np.ones(2))
+
+
+def test_solve_nonneg_reports_the_nnls_iteration_limit(monkeypatch):
+    def stopped(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", stopped)
+    with pytest.raises(SingularSystemError, match="Maximum number of iterations"):
+        solve_nonneg(np.diag([2.0, 3.0]), np.ones(2))
+
+
+def test_solve_nonneg_failed_check_names_residual_and_bound(monkeypatch):
+    monkeypatch.setattr(solve, "RESIDUAL_RTOL", -1.0)
+    b = np.array([1.0, -2.0])
+    bound = -(1.0 + np.linalg.norm(b))
+    message = r"projected gradient: residual \S+ > " + re.escape(f"{bound:.3e}") + "$"
+    with pytest.raises(SingularSystemError, match=message):
+        solve_nonneg(np.diag([2.0, 3.0]), b)
