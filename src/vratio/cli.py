@@ -176,6 +176,10 @@ def parse_config(text: str | None = None, overrides: dict | None = None) -> Expe
     return config
 
 
+# the CSV header is the record's field names, with these three renamed
+_CSV_NAMES = {"model_id": "model", "gamma": "gamma_selected", "sigma2": "sigma2_selected"}
+
+
 def _record_rows(records: list[ExperimentRecord]):
     """The records' fields in order, as _format writes them, with the method by name."""
     for rec in sorted(records, key=lambda r: (r.model_id, r.m, r.method.value, r.draw)):
@@ -186,10 +190,7 @@ def _record_rows(records: list[ExperimentRecord]):
 def write_csv(path: str, records: list[ExperimentRecord]):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["model", "m", "method", "draw", "seed", "gamma_selected",
-             "sigma2_selected", "nrmse", "status", "message"]
-        )
+        writer.writerow([_CSV_NAMES.get(f.name, f.name) for f in fields(ExperimentRecord)])
         writer.writerows(_record_rows(records))
 
 
@@ -264,6 +265,11 @@ def _load_sample(path: str) -> SampleSet:
 
 
 def fit_command(args) -> int:
+    # the fit overwrites --out and a failed fit removes it: neither may reach an
+    # input, by the same path, a symbolic link or a hard link
+    if os.path.exists(args.out) and any(os.path.samefile(args.out, path)
+                                        for path in (args.numerator, args.denominator)):
+        raise ConfigError(f"--out must not name an input file, got {args.out!r}")
     num = _load_sample(args.numerator)
     den = _load_sample(args.denominator)
     smallest = min(num.size, den.size)

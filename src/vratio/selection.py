@@ -234,8 +234,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       takes one refinement step against that residual, which the double
       difference J N^-1 J of its right-hand side needs for full accuracy.
       On every path, a column that misses the residual bound after two
-      refinement steps fails its candidate, which no later fold solves
-      again.
+      refinement steps fails its candidate. Every fold still solves the
+      whole gamma grid of every sigma2, failed candidates included, so a
+      column's batch, and with it its bits, never depends on what an
+      earlier fold failed.
 
     The refit is fit_system on all data at the selected gamma (and sigma2),
     with the full-data matrices above: for DRE-V the folds' own
@@ -267,8 +269,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             K = rbf_from_sqdist(D, s2) if uses_rbf else full_K
             scale = _gamma_scale(method, s, full_vm, K)
         gammas.append(plan.gamma_grid * scale)
+    # criterion sums over the folds, NaN once a fold fails the candidate, and
+    # each failed candidate's first message by its (sigma2, gamma) indices
     totals = np.zeros((len(sigma2_values), plan.gamma_grid.size))
-    errors = [[None] * plan.gamma_grid.size for _ in sigma2_values]
+    errors = {}
 
     n_over_l = s.n / s.ell
     all_num = np.arange(s.ell)
@@ -288,12 +292,9 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             gram = np.empty_like(dist)
         factor = factor_system(method, vm, sub.x_prime)
         for i, s2 in enumerate(sigma2_values):
-            live = [j for j, err in enumerate(errors[i]) if err is None]
-            if not live:
-                continue
             if uses_rbf:
                 K = rbf_from_sqdist(dist, s2, out=gram)[:sub.n]
-            coef, errs = solve_system(method, sub, vm, factor, K, gammas[i][live])
+            coef, errs = solve_system(method, sub, vm, factor, K, gammas[i])
             # built after the solve, which needs the most memory
             if uses_rbf:
                 hold_den, hold_num = gram[sub.n:s.n], gram[s.n:]
@@ -303,18 +304,16 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             else:
                 hold_den = _block(full_vm.v_dd, den_hold, train)
                 hold_num = _block(full_vm.v_dn.T, num_hold, train)  # max is symmetric
-            crit = _criteria(coef, hold_den, hold_num, n_over_l)
-            for j, c, err in zip(live, crit, errs):
-                if err is None:
-                    totals[i, j] += c
-                else:
-                    errors[i][j] = err
+            totals[i] += _criteria(coef, hold_den, hold_num, n_over_l)
+            for j, err in enumerate(errs):
+                if err is not None:
+                    totals[i, j] = np.nan
+                    errors.setdefault((i, j), err)
         # drop this fold's matrices and factor before the next fold builds its own
         vm = factor = K = coef = hold_den = hold_num = dist = gram = None
 
     candidates = [
-        Candidate(float(g), s2, float(totals[i, j]) if errors[i][j] is None else np.nan,
-                  errors[i][j])
+        Candidate(float(g), s2, float(totals[i, j]), errors.get((i, j)))
         for i, s2 in enumerate(sigma2_values)
         for j, g in enumerate(gammas[i])
     ]

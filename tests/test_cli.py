@@ -290,6 +290,23 @@ def test_fit_reports_an_unwritable_output_before_the_fit(tmp_path, capsys, monke
     assert fits == []
 
 
+@pytest.mark.parametrize("name,out", [("num.txt", "{tmp}/num.txt"), ("den.txt", "./den.txt"),
+                                      ("num.txt", "link.txt")],
+                         ids=["numerator", "denominator", "hard-link"])
+def test_fit_rejects_an_output_that_names_an_input(tmp_path, capsys, monkeypatch, name, out):
+    # the fit would overwrite the input, and a failed fit would remove it
+    fits = []
+    monkeypatch.setattr(cli, "cross_validate", lambda *a, **kw: fits.append(a))
+    monkeypatch.chdir(tmp_path)
+    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
+    os.link(tmp_path / "num.txt", tmp_path / "link.txt")
+    before = (tmp_path / name).read_bytes()
+    code = main(["fit", *paths, "--folds", "2", "--out", out.format(tmp=tmp_path)])
+    assert_reported_error(capsys, code, "--out must not name an input file")
+    assert (tmp_path / name).read_bytes() == before
+    assert fits == []
+
+
 def assert_plans_equal(plan, expected):
     for f in dataclasses.fields(selection.CvPlan):
         got, want = getattr(plan, f.name), getattr(expected, f.name)

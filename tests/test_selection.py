@@ -161,37 +161,69 @@ def test_cross_validate_all_failures_raise(monkeypatch):
             cross_validate(s, method, CvPlan(k=4, sigma2_grid=np.array([0.5])))
 
 
-def test_cross_validate_partial_failure_excludes_only_that_candidate(monkeypatch):
-    # spoil the column of the otherwise selected gamma in the first fold only
-    rng = np.random.default_rng(58)
-    s = unit_samples(rng, 40, 40, 1)
-    plan = CvPlan(k=4, seed=3)
-    clean = cross_validate(s, Method.DRE_VK_INK, plan)
-    j = [c.gamma for c in clean.candidates].index(clean.selected_gamma)
+def spoil_stacked_solves(monkeypatch, spoiled_call, columns):
+    """Patch solve._stacked_solve to return NaN in `columns` of its solutions
+    on call number `spoiled_call`; returns the list of every call's width."""
     stacked_solve = solve._stacked_solve
     widths = []
 
     def spoiled(bands, rhs):
         factors, X = stacked_solve(bands, rhs)
-        if not widths:
-            X[:, j] = np.nan
+        if len(widths) == spoiled_call:
+            X[:, columns] = np.nan
         widths.append(rhs.shape[1])
         return factors, X
 
     monkeypatch.setattr(solve, "_stacked_solve", spoiled)
+    return widths
+
+
+@pytest.mark.parametrize("fold", ["first", "last"])
+def test_cross_validate_partial_failure_excludes_only_that_candidate(monkeypatch, fold):
+    # spoil the column of the otherwise selected gamma in one fold only
+    rng = np.random.default_rng(58)
+    s = unit_samples(rng, 40, 40, 1)
+    plan = CvPlan(k=4, seed=3)
+    clean = cross_validate(s, Method.DRE_VK_INK, plan)
+    j = [c.gamma for c in clean.candidates].index(clean.selected_gamma)
+    widths = spoil_stacked_solves(monkeypatch, 0 if fold == "first" else plan.k - 1, j)
     report = cross_validate(s, Method.DRE_VK_INK, plan)
     bad = report.candidates[j]
     assert not bad.ok and np.isnan(bad.criterion) and report.failures == 1
     assert bad.error.startswith("system singular to working precision: residual nan")
     assert bad.error.endswith(f"(gamma={bad.gamma})")
-    # the later folds solve only the live gammas
-    n_gammas = len(plan.gamma_grid)
-    assert widths == [n_gammas] + [n_gammas - 1] * (plan.k - 1)
+    # every fold solves the whole grid, so no other column's batch changes
+    assert widths == [len(plan.gamma_grid)] * plan.k
     rest = [c for c in report.candidates if c.ok]
     for c, want in zip(rest, [c for i, c in enumerate(clean.candidates) if i != j]):
-        assert c.gamma == want.gamma and c.criterion == pytest.approx(want.criterion, rel=1e-9)
+        assert c.gamma == want.gamma and c.criterion == want.criterion
     best = min(rest, key=lambda c: (c.criterion, -c.gamma))
     assert report.selected_gamma == best.gamma != clean.selected_gamma
+
+
+def test_cross_validate_rbf_failed_sigma2_leaves_the_others_bit_identical(monkeypatch):
+    # 2-D points take the dense stacked solve, one call per (fold, sigma2);
+    # spoil every column of the otherwise selected sigma2 in the first fold
+    rng = np.random.default_rng(59)
+    s = unit_samples(rng, 40, 40, 2)
+    plan = CvPlan(k=3, seed=4)
+    clean = cross_validate(s, Method.DRE_VK_RBF, plan)
+    sigma2_values = sorted({c.sigma2 for c in clean.candidates})
+    i = sigma2_values.index(clean.selected_sigma2)
+    widths = spoil_stacked_solves(monkeypatch, i, slice(None))
+    report = cross_validate(s, Method.DRE_VK_RBF, plan)
+    assert widths == [len(plan.gamma_grid)] * (plan.k * len(sigma2_values))
+    assert report.failures == len(plan.gamma_grid)
+    for c, want in zip(report.candidates, clean.candidates):
+        assert c.gamma == want.gamma and c.sigma2 == want.sigma2
+        if c.sigma2 == clean.selected_sigma2:
+            assert not c.ok and np.isnan(c.criterion)
+            assert c.error.startswith("system singular to working precision: residual nan")
+        else:
+            assert c.ok and c.criterion == want.criterion
+    best = min((c for c in report.candidates if c.ok), key=lambda c: (c.criterion, -c.gamma))
+    assert (report.selected_sigma2, report.selected_gamma) == (best.sigma2, best.gamma)
+    assert report.selected_sigma2 != clean.selected_sigma2
 
 
 def test_cross_validate_too_few_points_for_folds():
