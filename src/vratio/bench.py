@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .domain import OutOfBoxError, SampleSet, fit_domain_box, scale
+from .domain import OutOfBoxError, SampleSet, as_points, fit_domain_box, scale
 from .estimators import Method, dre_v_nonneg_values
 from .selection import CvPlan, SelectionError, cross_validate
 from .solve import SingularSystemError
@@ -36,7 +36,13 @@ class BetaDist:
         return (g1 / (g1 + g2))[:, None]
 
     def logpdf(self, pts: np.ndarray) -> np.ndarray:
-        return stats.beta.logpdf(pts[:, 0], self.a, self.b)
+        """scipy.stats.beta.logpdf bit for bit: (b-1) log(1-x) + (a-1) log x
+        - log B(a, b) on the closed support [0, 1], -inf outside it, NaN at NaN."""
+        x = pts[:, 0]
+        outside = (x < 0.0) | (x > 1.0)
+        x = np.where(outside, 0.5, x)  # the logs are taken on the support only, as scipy does
+        lp = special.xlog1py(self.b - 1.0, -x) + special.xlogy(self.a - 1.0, x)
+        return np.where(outside, -np.inf, lp - special.betaln(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -92,35 +98,28 @@ def _laplace(loc, variance) -> LaplaceDist:
     return LaplaceDist(loc, np.full_like(loc, np.sqrt(float(variance) / 2.0)))
 
 
-def make_model(model_id: int) -> SyntheticModel:
-    """The seven built-in generator pairs.
+# model id -> the dimension and the numerator and denominator densities, built
+# on each call; Gaussian rows are (mean, variance), and the Laplace second
+# parameter is a variance too
+_MODELS = {
+    1: lambda: (1, BetaDist(0.5, 0.5), Uniform01Dist()),
+    2: lambda: (1, BetaDist(2.0, 2.0), Uniform01Dist()),
+    3: lambda: (1, BetaDist(2.0, 2.0), BetaDist(0.5, 0.5)),
+    4: lambda: (1, GaussianDist(np.array([2.0]), np.array([0.25])),
+                GaussianDist(np.array([1.0]), np.array([0.5]))),
+    5: lambda: (1, _laplace([2.0], 0.25), _laplace([1.0], 0.5)),
+    6: lambda: (20, GaussianDist(np.eye(20)[0], np.ones(20)),
+                GaussianDist(np.zeros(20), np.ones(20))),
+    7: lambda: (20, _laplace(np.eye(20)[0], 1.0), _laplace(np.zeros(20), 1.0)),
+}
+MODEL_IDS = tuple(_MODELS)
 
-    Gaussian rows are (mean, variance); the Laplace second parameter is a
-    variance too.
-    """
-    e1_20 = np.zeros(20)
-    e1_20[0] = 1.0
-    if model_id == 1:
-        return SyntheticModel(1, 1, BetaDist(0.5, 0.5), Uniform01Dist())
-    if model_id == 2:
-        return SyntheticModel(2, 1, BetaDist(2.0, 2.0), Uniform01Dist())
-    if model_id == 3:
-        return SyntheticModel(3, 1, BetaDist(2.0, 2.0), BetaDist(0.5, 0.5))
-    if model_id == 4:
-        return SyntheticModel(
-            4, 1,
-            GaussianDist(np.array([2.0]), np.array([0.25])),
-            GaussianDist(np.array([1.0]), np.array([0.5])),
-        )
-    if model_id == 5:
-        return SyntheticModel(5, 1, _laplace([2.0], 0.25), _laplace([1.0], 0.5))
-    if model_id == 6:
-        return SyntheticModel(
-            6, 20, GaussianDist(e1_20, np.ones(20)), GaussianDist(np.zeros(20), np.ones(20))
-        )
-    if model_id == 7:
-        return SyntheticModel(7, 20, _laplace(e1_20, 1.0), _laplace(np.zeros(20), 1.0))
-    raise ValueError(f"unknown model id {model_id}")
+
+def make_model(model_id: int) -> SyntheticModel:
+    """The built-in generator pair with the given id, one of MODEL_IDS."""
+    if model_id not in _MODELS:
+        raise ValueError(f"unknown model id {model_id}")
+    return SyntheticModel(model_id, *_MODELS[model_id]())
 
 
 def sample_model(model: SyntheticModel, m: int, seed: int) -> tuple[SampleSet, SampleSet]:
@@ -135,9 +134,7 @@ def sample_model(model: SyntheticModel, m: int, seed: int) -> tuple[SampleSet, S
 
 def true_ratio(model: SyntheticModel, points) -> np.ndarray:
     """p1/p2 at raw points, computed as exp of the log-density difference."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = as_points(points)
     lp1 = model.p1.logpdf(pts)
     lp2 = model.p2.logpdf(pts)
     if np.any(lp2 < _P2_FLOOR_LOG):

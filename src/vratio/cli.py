@@ -19,14 +19,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import selection
-from .bench import ExperimentRecord, aggregate, make_model, run_experiment
-from .domain import SampleSet, fit_domain_box, scale
+from .bench import MODEL_IDS, ExperimentRecord, aggregate, make_model, run_experiment
+from .domain import BOX_TOL, SampleSet, fit_domain_box, scale
 from .estimators import Method
 from .selection import CvPlan, SelectionError, cross_validate
 from .solve import SingularSystemError
 
-DEFAULT_MODELS = [1, 2, 3, 4, 5, 6, 7]
-DEFAULT_METHODS = ["dre-v", "dre-vk-ink", "dre-vk-rbf", "ulsif"]
+METHOD_NAMES = [m.value for m in Method]
 SIZES_1D = [50, 100, 200]
 SIZES_20D = [100, 200, 500]
 
@@ -37,9 +36,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    models: list[int] = field(default_factory=lambda: list(DEFAULT_MODELS))
+    models: list[int] = field(default_factory=lambda: list(MODEL_IDS))
     sizes: list[int] | None = None  # None -> per-model defaults by dimension
-    methods: list[str] = field(default_factory=lambda: list(DEFAULT_METHODS))
+    methods: list[str] = field(default_factory=lambda: list(METHOD_NAMES))
     draws: int = 20
     folds: int = selection.DEFAULT_FOLDS
     seed: int = selection.DEFAULT_SEED
@@ -58,10 +57,10 @@ class ExperimentConfig:
         if not self.models or not self.methods:
             raise ConfigError("models and methods must be nonempty")
         for mid in self.models:
-            if mid not in DEFAULT_MODELS:
+            if mid not in MODEL_IDS:
                 raise ConfigError(f"unknown model id {mid}")
         for meth in self.methods:
-            if meth not in DEFAULT_METHODS:
+            if meth not in METHOD_NAMES:
                 raise ConfigError(f"unknown method '{meth}'")
         if self.sizes is not None and (not self.sizes or any(m < 1 for m in self.sizes)):
             raise ConfigError("sizes must be nonempty positive integers")
@@ -316,11 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fit the density ratio numerator/denominator on the box around both "
                     "files (widened by --margin) and write its values at the denominator "
                     "points. The estimate is defined on that box only: a query whose "
-                    "box-scaled coordinate lies more than 1e-12 outside [0, 1] raises "
+                    f"box-scaled coordinate lies more than {BOX_TOL:g} outside [0, 1] raises "
                     "OutOfBoxError, and a point on a face is inside.")
     p_fit.add_argument("numerator", help="text file, one point per line")
     p_fit.add_argument("denominator", help="text file, one point per line")
-    p_fit.add_argument("--method", default="dre-vk-ink", choices=DEFAULT_METHODS)
+    p_fit.add_argument("--method", default="dre-vk-ink", choices=METHOD_NAMES)
     p_fit.add_argument("--folds", type=int, default=selection.DEFAULT_FOLDS)
     p_fit.add_argument("--seed", type=int, default=selection.DEFAULT_SEED)
     p_fit.add_argument("--margin", type=float, default=0.0)

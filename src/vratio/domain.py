@@ -7,6 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# how far outside [0, 1] a box-scaled coordinate may lie and still be clamped
+# onto the face; a point beyond it raises OutOfBoxError
+BOX_TOL = 1e-12
+
+
 class DimensionMismatchError(ValueError):
     """Inputs disagree on the number of coordinates."""
 
@@ -74,17 +79,17 @@ class DomainBox:
     def d(self) -> int:
         return self.lower.shape[0]
 
-    def transform(self, points, tol: float = 1e-12) -> np.ndarray:
-        """Map raw points into [0,1]^d; raises OutOfBoxError beyond `tol`."""
+    def transform(self, points) -> np.ndarray:
+        """Map raw points into [0,1]^d; raises OutOfBoxError beyond BOX_TOL."""
         pts = as_points(points)
         if pts.shape[1] != self.d:
             raise DimensionMismatchError(
                 f"points have dimension {pts.shape[1]}, box has dimension {self.d}"
             )
         z = (pts - self.lower) / (self.upper - self.lower)
-        if not np.all((z >= -tol) & (z <= 1.0 + tol)):  # NaN fails too
+        if not np.all((z >= -BOX_TOL) & (z <= 1.0 + BOX_TOL)):  # NaN fails too
             worst = float(np.max(np.abs(z - 0.5)) - 0.5)
-            raise OutOfBoxError(f"scaled value exits [0,1] by {worst:.3e} (tol={tol:.0e})")
+            raise OutOfBoxError(f"scaled value exits [0,1] by {worst:.3e} (tol={BOX_TOL:.0e})")
         return np.clip(z, 0.0, 1.0)
 
 

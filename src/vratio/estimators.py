@@ -89,8 +89,8 @@ class RatioEstimate:
         """Ratio values at raw points; scaling through the stored box is applied.
 
         The estimate is defined on the box only. A query whose scaled
-        coordinate lies more than 1e-12 outside [0, 1], or is NaN, raises
-        OutOfBoxError; a point on a face is inside, and one within the
+        coordinate lies more than domain.BOX_TOL outside [0, 1], or is NaN,
+        raises OutOfBoxError; a point on a face is inside, and one within the
         tolerance is clamped onto the face.
         """
         return self.predict_scaled(self.box.transform(points))

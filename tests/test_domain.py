@@ -55,11 +55,15 @@ def test_domain_box_transform_endpoints():
 
 def test_domain_box_transform_out_of_box():
     box = DomainBox(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(OutOfBoxError):
+    message = r"^scaled value exits \[0,1\] by 5\.000e-01 \(tol=1e-12\)$"
+    with pytest.raises(OutOfBoxError, match=message):
         box.transform(np.array([[1.5]]))
     # within tolerance the result is clipped into [0, 1]
     z = box.transform(np.array([[1.0 + 1e-15]]))
     assert z[0, 0] == 1.0
+    assert box.transform(np.array([[1.0 + 0.9e-12]]))[0, 0] == 1.0
+    with pytest.raises(OutOfBoxError):
+        box.transform(np.array([[1.0 + 1.1e-12]]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(OutOfBoxError):
             box.transform(np.array([[0.5], [bad]]))
