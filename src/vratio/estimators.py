@@ -30,6 +30,13 @@ RBF Gram K ~ G G' and one thin SVD, unless its rank is too high. The uLSIF
 fit always takes the tridiagonal reduction, and the DRE-VK fit solves by
 LU.
 
+For 1-D points no V-matrix is formed: v_matrices gives V'' and V' as
+vmatrix.min_kernel operators, and every product with them (the right-hand
+side V'1, the residual checks, the DRE-VK refit's V''K) is a sort and
+cumulative sums, O(n log n + nG) for G columns. The dense 1-D builds that
+remain are the INK and RBF Grams, the V'' of the NEAR_TIE_GAP fallback,
+RatioEstimate.predict_scaled and dre_v_nonneg_values.
+
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:
 solve_system reports it as failed, with its gamma in the message, and
@@ -51,7 +58,7 @@ from .kernels import KernelKind, KernelSpec, cross_gram
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
                     solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
                     solve_ridge_square_low_rank, solve_ridge_square_many)
-from .vmatrix import VMatrices, build_v_matrices, cross_v
+from .vmatrix import VMatrices, build_v_matrices, cross_v, min_kernel
 
 
 class Method(enum.Enum):
@@ -96,6 +103,15 @@ class RatioEstimate:
         return self.predict_scaled(self.box.transform(points))
 
 
+def v_matrices(s: ScaledSamples) -> VMatrices:
+    """V'' and V' of `s` as the solvers take them: the arrays of
+    build_v_matrices in d > 1, and min_kernel operators for 1-D points, whose
+    products are a sort and cumulative sums in place of n x n matrices."""
+    if s.d > 1:
+        return build_v_matrices(s)
+    return VMatrices(min_kernel(s.x_prime, s.x_prime), min_kernel(s.x_prime, s.x))
+
+
 def v_rhs(vm: VMatrices, s: ScaledSamples) -> np.ndarray:
     """(n/ell) V' 1, the right-hand side of the V-matrix systems."""
     return (s.n / s.ell) * (vm.v_dn @ np.ones(s.ell))
@@ -106,7 +122,7 @@ def fit_dre_v(s: ScaledSamples, gamma: float) -> RatioEstimate:
     alpha = (n/ell)(V''V'' + (gamma/n)V'')^+ V' 1, so that the estimate
     r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and its
     values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1."""
-    return fit_system(Method.DRE_V, s, gamma, None, build_v_matrices(s), None)
+    return fit_system(Method.DRE_V, s, gamma, None, v_matrices(s), None)
 
 
 def dre_v_nonneg_values(s: ScaledSamples, gamma: float) -> np.ndarray:
@@ -122,7 +138,7 @@ def dre_v_nonneg_values(s: ScaledSamples, gamma: float) -> np.ndarray:
 def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
     """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`."""
     method = Method.DRE_VK_RBF if spec.kind is KernelKind.RBF else Method.DRE_VK_INK
-    return fit_system(method, s, gamma, spec, build_v_matrices(s),
+    return fit_system(method, s, gamma, spec, v_matrices(s),
                       cross_gram(spec, s.x_prime, s.x_prime))
 
 
@@ -159,7 +175,7 @@ def factor_system(method: Method, vm: VMatrices | None, points):
 def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
     """The method's coefficients on `s` for every gamma as the columns of an
     n x G matrix, and per gamma None or the message of its failed residual
-    check. `vm` is build_v_matrices(s) (None for uLSIF), `factor` is
+    check. `vm` is v_matrices(s) (None for uLSIF), `factor` is
     factor_system(method, vm, s.x_prime) and K the Gram matrix of s.x_prime
     (None for DRE-V).
 
@@ -198,7 +214,8 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     and both raise SingularSystemError with the message of the failed column,
     named with its gamma as solve_system names it. DRE-VK solves
     V''K + gamma I, which is generally non-symmetric, by solve_regularized's
-    LU. The refit does not take the low-rank solves of
+    LU; for 1-D points V''K is the min_kernel product, O(n^2) where the
+    dense product is O(n^3). The refit does not take the low-rank solves of
     the 1-D RBF folds. Those meet the same residual bound, but their
     coefficients differ from the dense ones in about the ninth digit: a
     low-rank uLSIF refit moved one seed-0 NRMSE by 1.4e-9 relative, past the

@@ -15,11 +15,12 @@ from .estimators import (
     fit_system,
     kernel_spec_for,
     solve_system,
+    v_matrices,
 )
 from .kernels import cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import solve_regularized  # noqa: F401
-from .vmatrix import VMatrices, build_v_matrices
+from .vmatrix import VMatrices, min_kernel
 
 # the CV defaults, which `vratio run` and `vratio fit` take from here
 DEFAULT_FOLDS = 5
@@ -139,14 +140,16 @@ def _gamma_scale(method: Method, s: ScaledSamples, vm: VMatrices | None, K) -> f
 
     For DRE-V the ridge enters as gamma/n, so the scale is
     tr(V'') (making the effective ridge a multiple of tr(V'')/n); for the
-    kernel fits M is V''K or KK with the ridge applied directly.
+    kernel fits M is V''K or KK with the ridge applied directly. For 1-D
+    points tr(V'') sums the diagonal 1 - x', and tr(V''K) is the min_kernel
+    operator's trace_product, O(n^2) without V''.
     """
     if method is Method.DRE_V:
-        scale = float(np.trace(vm.v_dd))
+        scale = float(np.trace(vm.v_dd) if s.d > 1 else np.sum(1.0 - s.x_prime))
     elif method is Method.ULSIF_LIKE:
         scale = float(np.sum(K * K)) / s.n
-    else:
-        scale = float(np.sum(vm.v_dd * K)) / s.n  # tr(V''K), both symmetric
+    else:  # tr(V''K), both symmetric
+        scale = float(np.sum(vm.v_dd * K) if s.d > 1 else vm.v_dd.trace_product(K)) / s.n
     if not np.isfinite(scale) or scale <= 0.0:
         return 1.0
     return scale
@@ -183,21 +186,31 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     distances between the numerator holdout and the training points, because
     holding them as full-data denominator-by-numerator matrices raised the
     peak memory of `vratio fit` at n = 800 (benchmark workload fit-1d-large)
-    by 5.7% in a prototype.
+    by 5.7% in a prototype. For 1-D points no V-matrix is formed at all:
+    V'', V' and DRE-V's holdout matrices are vmatrix.min_kernel operators of
+    the fold's own points, and each product with them is one stable sort
+    and cumulative sums, O(n log n + nG) per fold. The dense matrices left
+    in 1-D are the INK and RBF Grams and the V'' of the NEAR_TIE_GAP
+    fallback; the estimate's predict_scaled and dre_v_nonneg_values form
+    theirs outside cross-validation.
 
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
-    * once per draw: the full-data V-matrices V'' and V' (all but uLSIF),
-      for INK the Gram matrix K, and for RBF the squared distances D between
-      denominator points, which do not depend on sigma2. They serve the
-      gamma scaling (one exp of D per sigma2 for RBF), every fold and the
-      refit (one exp of D, in place, at the selected sigma2).
-    * once per fold: the blocks V''[train, train] and V'[train, train_num]
-      (all but uLSIF); for DRE-V the holdout blocks V''[hold_den, train] and
-      V'[train, hold_num]', equal to the overlap volumes of those pairs since
-      max is symmetric; for INK the blocks K[train, train] and
-      K[hold_den, train] and one Gram of the numerator holdout against the
-      training points; for RBF the blocks D[train, train] and
+    * once per draw: in d > 1 the full-data V-matrices V'' and V' (all but
+      uLSIF), and for 1-D points their min_kernel operators (sorts of n and
+      ell coordinates); for INK the Gram matrix K, and for RBF the squared
+      distances D between denominator points, which do not depend on
+      sigma2. They serve the gamma scaling (one exp of D per sigma2 for RBF;
+      for 1-D DRE-VK, tr(V''K) by one O(n^2) pass over K per sigma2), every
+      fold and the refit (one exp of D, in place, at the selected sigma2).
+    * once per fold: in d > 1 the blocks V''[train, train] and
+      V'[train, train_num] (all but uLSIF), and for DRE-V the holdout blocks
+      V''[hold_den, train] and V'[train, hold_num]', equal to the overlap
+      volumes of those pairs since max is symmetric; for 1-D points the
+      min_kernel operators of the same pairs of point sets, and the
+      right-hand side V'1 as their product; for INK the blocks
+      K[train, train] and K[hold_den, train] and one Gram of the numerator
+      holdout against the training points; for RBF the blocks D[train, train] and
       D[hold_den, train] and the squared distances of the numerator holdout
       to the training points. The holdout matrices of DRE-V and INK are
       taken after the fold's solve, which needs the most memory (taking
@@ -227,12 +240,14 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       T + gamma I. W'KW costs two triangular products (2n^3 flops), or for
       1-D points O(n^2) cumulative sums of K along both axes in descending
       t. Then one product of each holdout matrix with the
-      n x G coefficient matrix, which scores every gamma.
+      n x G coefficient matrix, which scores every gamma (for 1-D DRE-V
+      O((n + m) G) cumulative sums for m holdout points).
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
       and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
       system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK
-      call) and O(n^2) products with Q and W and for the residual check. On
-      the low-rank path the solve is O(n r) products with the SVD's U, in
+      call) and O(n^2) products with Q and W and for the residual check; for
+      1-D points V'' enters the residual as an O(n) min_kernel product, so a
+      1-D DRE-V column costs O(n) in all. On the low-rank path the solve is O(n r) products with the SVD's U, in
       closed form; the residual check is the same, against the full K, and
       refinement uses the same low-rank inverse. A 1-D DRE-V column always
       takes one refinement step against that residual, which the double
@@ -246,9 +261,9 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     The refit is fit_system on all data at the selected gamma (and sigma2),
     with the full-data matrices above: for DRE-V the folds' own
     solve_system at one gamma, for uLSIF the dense solve_ridge_square_many
-    in every dimension, for DRE-VK an LU of V''K + gamma I. It is what the
-    fit_* functions compute, so a draw's estimate depends on CV only
-    through the selection.
+    in every dimension, for DRE-VK an LU of V''K + gamma I (V''K by one
+    min_kernel product for 1-D points). It is what the fit_* functions
+    compute, so a draw's estimate depends on CV only through the selection.
     """
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     uses_rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
@@ -262,7 +277,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     else:
         sigma2_values = [None]
 
-    full_vm = None if method is Method.ULSIF_LIKE else build_v_matrices(s)
+    full_vm = None if method is Method.ULSIF_LIKE else v_matrices(s)
     ink = kernel_spec_for(method, s.d) if method is Method.DRE_VK_INK else None
     full_K = None if ink is None else cross_gram(ink, s.x_prime, s.x_prime)
     D = cdist(s.x_prime, s.x_prime, "sqeuclidean") if uses_rbf else None
@@ -286,8 +301,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         num_train = np.setdiff1d(all_num, num_hold)
         train = np.setdiff1d(all_den, den_hold)
         sub = s.subset(num_train, train)
-        vm = None if full_vm is None else VMatrices(
-            _block(full_vm.v_dd, train, train), _block(full_vm.v_dn, train, num_train))
+        vm = None
+        if full_vm is not None:
+            vm = v_matrices(sub) if s.d == 1 else VMatrices(
+                _block(full_vm.v_dd, train, train), _block(full_vm.v_dn, train, num_train))
         K = _block(full_K, train, train) if ink is not None else None
         if uses_rbf:
             # rows: training points, denominator holdout, numerator holdout
@@ -305,6 +322,9 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             elif ink is not None:
                 hold_den = _block(full_K, den_hold, train)
                 hold_num = cross_gram(ink, s.x[num_hold], sub.x_prime)
+            elif s.d == 1:
+                hold_den = min_kernel(s.x_prime[den_hold], sub.x_prime)
+                hold_num = min_kernel(s.x[num_hold], sub.x_prime)
             else:
                 hold_den = _block(full_vm.v_dd, den_hold, train)
                 hold_num = _block(full_vm.v_dn.T, num_hold, train)  # max is symmetric

@@ -5,13 +5,19 @@ residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The multi-shift
 solvers solve one system for many shifts from one reduction to a banded
 system per shift. The V-matrix V'' = W W' is factored by factor_v_matrix:
 in closed form for 1-D points (BrownianFactor, V''_ij = min(t_i, t_j)),
-else by pivoted_cholesky (dpstrf). With M = Q T Q' from tridiagonalize:
+else by pivoted_cholesky (dpstrf). A BrownianFactor is built from t alone,
+and the residual checks apply the exact V'' as the MinKernel of t
+(vmatrix.min_kernel): a sort and cumulative sums, O(n log n + nG) for G
+columns, so 1-D solves form no n x n V''. With M = Q T Q' from
+tridiagonalize:
 
 * solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
-* PsdPencilSolver.solve: (S S + c S) x = b, minimal-norm when S is
-  singular. For 1-D points it solves (N + c J) y = J N^-1 J beta with the
-  tridiagonal J = S_u^-1 of S's distinct points, with one refinement step
-  for every column; otherwise S = W W', M = W'W, T T + c T;
+* PsdPencilSolver.solve: (S S + c S) x = b for S singular or not. For 1-D
+  points it solves (N + c J) y = J N^-1 J beta with the tridiagonal
+  J = S_u^-1 of S's distinct points, with one refinement step for every
+  column, and returns the minimal-norm solution; otherwise S = W W',
+  M = W'W, T T + c T, minimal-norm on the range of S plus a null-space
+  part up to dpstrf's tolerance that no estimate sees;
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
   T + gamma I (W'KW by cumulative sums for 1-D points).
 
@@ -45,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .vmatrix import MinKernel, cross_v
 
 RESIDUAL_RTOL = 1e-8
 
@@ -355,10 +363,11 @@ class BrownianFactor:
 
     `group` holds each point's group, -1 at t = 0; `order` sorts the points
     by t and `starts` are the positions in that order where the groups begin.
-    `matrix` is V'' itself, kept for the residual checks.
+    `matrix` is V'' as the MinKernel of t, for the residual checks: its
+    products sum min(t_i, t_j) x_j from the coordinates, not from the gaps.
     """
 
-    matrix: np.ndarray
+    matrix: MinKernel
     group: np.ndarray
     order: np.ndarray
     starts: np.ndarray
@@ -423,16 +432,16 @@ class BrownianFactor:
         return S.T  # equal to S for a symmetric K
 
 
-def _brownian_factor(V: np.ndarray, t: np.ndarray) -> BrownianFactor:
+def _brownian_factor(t: np.ndarray) -> BrownianFactor:
     """The BrownianFactor of V''_ij = min(t_i, t_j)."""
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
+    matrix = MinKernel(t, t)
+    ts = matrix.t_sorted
     new = ts > 0.0
     new[1:] &= ts[1:] != ts[:-1]
     starts = np.flatnonzero(new)
     group = np.empty(t.size, dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    return BrownianFactor(V, group, order, starts, np.diff(ts[starts], prepend=0.0))
+    group[matrix.order] = np.cumsum(new) - 1
+    return BrownianFactor(matrix, group, matrix.order, starts, np.diff(ts[starts], prepend=0.0))
 
 
 # Smallest gap h between the distinct t = 1 - x of 1-D points (and from 0) at
@@ -445,18 +454,23 @@ NEAR_TIE_GAP = 1e-9
 def factor_v_matrix(V, points, pencil: bool = False):
     """W W' = V'' for the overlap-volume matrix V of `points` (n x d).
 
-    1-D points get the closed-form BrownianFactor in O(n log n), others
-    pivoted_cholesky(V). With `pencil` (the DRE-V solver), 1-D points whose
-    smallest gap is below NEAR_TIE_GAP also get pivoted_cholesky(V).
+    1-D points get the closed-form BrownianFactor of t = 1 - x in
+    O(n log n), from the points alone: V is not read and may be None. With
+    `pencil` (the DRE-V solver), 1-D points whose smallest gap is below
+    NEAR_TIE_GAP get pivoted_cholesky of V'' built from the points. Points
+    in d > 1 get pivoted_cholesky(V).
     """
-    V = np.asarray(V, dtype=float)
     points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or V.shape != (points.shape[0],) * 2:
-        raise ValueError("V must be the n x n matrix of n points")
+    if points.ndim != 2:
+        raise ValueError("points must be an n x d array")
     if points.shape[1] == 1:
-        factor = _brownian_factor(V, 1.0 - points[:, 0])  # the diagonal of V
+        factor = _brownian_factor(1.0 - points[:, 0])
         if not pencil or factor.gaps.min(initial=np.inf) >= NEAR_TIE_GAP:
             return factor
+        V = cross_v(points, points)
+    V = np.asarray(V, dtype=float)
+    if V.shape != (points.shape[0],) * 2:
+        raise ValueError("V must be the n x n matrix of n points")
     return pivoted_cholesky(V)
 
 
@@ -482,23 +496,30 @@ class PsdPencilSolver:
     """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD.
 
     The pencil can be exactly singular (S may have zero rows), but the
-    right-hand sides arising here lie in the range of S, which holds the
-    minimal-norm solution. When S is the overlap-volume matrix of `points`,
-    factor_v_matrix chooses the factor S = W W'; otherwise it is
-    pivoted_cholesky(S). A BrownianFactor solves by _solve_grouped_pencil.
-    Otherwise, with W'W = Q T Q' and W beta = b, the solution is x = W Q z
-    with the pentadiagonal (T T + c T) z = Q' beta.
+    right-hand sides arising here lie in the range of S. When S is the
+    overlap-volume matrix of `points`, factor_v_matrix chooses the factor
+    S = W W', and for 1-D points S is not read (it may be None); otherwise
+    it is pivoted_cholesky(S). A BrownianFactor solves by
+    _solve_grouped_pencil and returns the minimal-norm solution. Otherwise,
+    with W'W = Q T Q' and W beta = b, the solution is x = W Q z with the
+    pentadiagonal (T T + c T) z = Q' beta. Its part in the range of S is the
+    minimal-norm solution. Where dpstrf keeps a pivot of rounding size for
+    tied points (1.8e-8 for the points [[1e-6], [1e-6]]), x also carries a
+    null-space part of S up to dpstrf's tolerance; tied points have equal
+    basis functions, so no estimate sees it.
     The factorisations are computed once and shared across values of c.
     """
 
     def __init__(self, S, points=None):
-        S = np.asarray(S, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("S must be square")
-        # the exact comparison first: it is cheaper and settles the usual case
-        if not (np.array_equal(S, S.T)
-                or np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))):
-            raise ValueError("S must be symmetric")
+        points = None if points is None else np.asarray(points, dtype=float)
+        if points is None or points.ndim != 2 or points.shape[1] != 1:
+            S = np.asarray(S, dtype=float)
+            if S.ndim != 2 or S.shape[0] != S.shape[1]:
+                raise ValueError("S must be square")
+            # the exact comparison first: it is cheaper and settles the usual case
+            if not (np.array_equal(S, S.T)
+                    or np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))):
+                raise ValueError("S must be symmetric")
         self._factor = (pivoted_cholesky(S) if points is None
                         else factor_v_matrix(S, points, pencil=True))
         self._tri = None

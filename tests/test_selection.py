@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,12 +26,18 @@ from vratio.selection import (
     median_sigma2,
 )
 from vratio.solve import SingularSystemError
-from vratio.vmatrix import build_v_matrices, cross_v
+from vratio.vmatrix import MinKernel, build_v_matrices, cross_v
 
 
 def unit_samples(rng, n, ell, d):
     box = DomainBox(np.zeros(d), np.ones(d))
     return ScaledSamples(rng.random((n, d)), rng.random((ell, d)), box)
+
+
+def assert_product_within_bound(op, V, X):
+    """op @ X equals V @ X within n eps (|V| @ |X|), n the columns of V."""
+    err = np.abs(op @ X - V @ X)
+    assert np.all(err <= V.shape[1] * np.finfo(float).eps * (np.abs(V) @ np.abs(X)))
 
 
 def test_default_gamma_grid():
@@ -333,14 +341,16 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
 
     def matrix_kind(rows, cols):
         # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
-        return {(8, 16): "holdout", (24, 24): "full"}[(len(rows), len(cols))]
+        return {(8, 16): "holdout", (16, 16): "train", (24, 24): "full"}[(len(rows), len(cols))]
 
     # every build the fit_* functions of the refit could make is counted too
     for module in (selection, estimators):
         monkeypatch.setattr(module, "cross_gram", counter.wrap(
             module.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
-        monkeypatch.setattr(module, "build_v_matrices", counter.wrap(
-            module.build_v_matrices, lambda s: ("v", matrix_kind(s.x_prime, s.x_prime))))
+        monkeypatch.setattr(module, "min_kernel", counter.wrap(
+            module.min_kernel, lambda rows, cols: ("min", matrix_kind(rows, cols))))
+    monkeypatch.setattr(estimators, "build_v_matrices", counter.wrap(
+        estimators.build_v_matrices, lambda s: ("v", matrix_kind(s.x_prime, s.x_prime))))
     monkeypatch.setattr(selection, "cdist", counter.wrap(
         selection.cdist, lambda rows, cols, metric: ("dist", matrix_kind(rows, cols))))
     # the exp of the RBF distances: full data, or one fold's training Gram and
@@ -351,9 +361,19 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     report = cross_validate(s, method, plan)
     assert report.failures == 0
 
-    # the full-data V-matrices (all but uLSIF) are built once per draw; every
-    # fold takes its V-matrices, and DRE-V its holdout matrices, as blocks
-    want = {} if method is Method.ULSIF_LIKE else {("v", "full"): 1}
+    # in d > 1 the full-data V-matrices (all but uLSIF) are built once per
+    # draw; every fold takes its V-matrices, and DRE-V its holdout matrices,
+    # as blocks. 1-D points build no V-matrix: V'' and V' of the full data and
+    # of each fold's own points, and DRE-V's holdout matrices, are min_kernel
+    # operators
+    want = {}
+    if method is not Method.ULSIF_LIKE:
+        if d > 1:
+            want[("v", "full")] = 1
+        else:
+            want.update({("min", "full"): 2, ("min", "train"): 2 * k})
+            if method is Method.DRE_V:
+                want[("min", "holdout")] = 2 * k
     if method is Method.DRE_V:
         # one pivoted Cholesky V'' = W W' and one tridiagonal reduction of W'W
         # per fold and for the refit serve every gamma; no eigh. In 1-D V''
@@ -392,6 +412,26 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     assert counter.counts == want
 
 
+@pytest.mark.parametrize("method", [Method.DRE_V, Method.DRE_VK_INK, Method.DRE_VK_RBF])
+def test_cross_validate_on_distinct_1d_points_forms_no_v_matrix(method, monkeypatch):
+    """On 1-D points of which no two lie closer than NEAR_TIE_GAP,
+    cross-validation and its refit take every V-matrix product from the
+    points: no binding of build_v_matrices or cross_v in the package is
+    called."""
+    s = unit_samples(np.random.default_rng(66), 40, 30, 1)
+    assert np.diff(np.sort(np.concatenate([[0.0], 1.0 - s.x_prime[:, 0]]))).min() > 1e-4
+    counter = CallCounter()
+    for name, module in list(sys.modules.items()):
+        if name == "vratio" or name.startswith("vratio."):
+            for attr in ("build_v_matrices", "cross_v"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, counter.wrap(getattr(module, attr),
+                                                                   lambda *a, attr=attr: attr))
+    report = cross_validate(s, method, CvPlan(k=4, sigma2_grid=[0.3, 1.0]))
+    assert report.failures == 0
+    assert counter.counts == {}
+
+
 @pytest.mark.parametrize("method", [Method.DRE_VK_RBF, Method.ULSIF_LIKE])
 def test_cross_validate_20d_rbf_grams_are_not_factored(method, monkeypatch):
     """20-D RBF Grams are full rank, so no pivoted Cholesky of K is tried:
@@ -427,7 +467,10 @@ def fold_blocks_inputs():
 def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
     """Every matrix a fold uses is a block of a full-data matrix; each must
     equal, bit for bit and in layout, the matrix built from the fold's points
-    with the expressions cross-validation used before."""
+    with the expressions cross-validation used before. For 1-D points the
+    V-matrices are min_kernel operators of the fold's points, not blocks:
+    their products must match the dense matrix's within the bound of
+    tests/test_vmatrix.py."""
     s = fold_blocks_inputs()[case]
     sigma2_values = [0.05, 0.7]
     plan = CvPlan(k=4, seed=9, sigma2_grid=sigma2_values)
@@ -436,14 +479,14 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
 
     # RBF blocks are views of a buffer that the next sigma2 overwrites
     def copy(a):
-        return None if a is None else a.copy(order="K")
+        return a if a is None or isinstance(a, MinKernel) else a.copy(order="K")
 
     def spy_solve(method, sub, vm, factor, K, gammas):
         systems.append((sub, vm, copy(K)))
         return solve_system(method, sub, vm, factor, K, gammas)
 
     def spy_criteria(coef, hold_den, hold_num, n_over_l):
-        holdouts.append((copy(hold_den), copy(hold_num)))
+        holdouts.append((coef.copy(), copy(hold_den), copy(hold_num)))
         return criteria(coef, hold_den, hold_num, n_over_l)
 
     monkeypatch.setattr(selection, "solve_system", spy_solve)
@@ -464,7 +507,7 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
     for f, (num_hold, den_hold) in enumerate(zip(num_folds, den_folds)):
         for i, s2 in enumerate(per_fold):
             sub, vm, K = systems[f * len(per_fold) + i]
-            hold_den, hold_num = holdouts[f * len(per_fold) + i]
+            coef, hold_den, hold_num = holdouts[f * len(per_fold) + i]
             assert np.array_equal(sub.x_prime, s.x_prime[np.setdiff1d(np.arange(s.n), den_hold)])
             assert np.array_equal(sub.x, s.x[np.setdiff1d(np.arange(s.ell), num_hold)])
             want = {
@@ -477,7 +520,15 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
                 want["v_dn"] = (vm.v_dn, old_vm.v_dn)
             if method is not Method.DRE_V:
                 want["K"] = (K, old_build(sub.x_prime, sub.x_prime, s2))
+            # the 1-D V-matrices, DRE-V's holdout matrices among them
+            operators = set() if s.d > 1 else {"v_dd", "v_dn"} | (
+                {"hold_den", "hold_num"} if method is Method.DRE_V else set())
             for name, (got, old) in want.items():
+                if name in operators:
+                    assert isinstance(got, MinKernel), (f, name)
+                    X = np.ones((old.shape[1], 1)) if name == "v_dn" else coef
+                    assert_product_within_bound(got, old, X)
+                    continue
                 assert np.array_equal(got, old), (f, s2, name)
                 assert got.flags.c_contiguous and old.flags.c_contiguous, (f, s2, name)
 

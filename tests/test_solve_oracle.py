@@ -1,14 +1,18 @@
-"""Property tests: every verified solve path against a dense least-squares oracle.
+"""Property tests: every verified solve path against a dense oracle.
 
 Small point sets with ties, points on the box's upper face (zero rows of
 V'') and gaps around NEAR_TIE_GAP drive each solver. Each column a solver
 accepts must lie within the bound of `assert_near_oracle` of
 np.linalg.lstsq applied to the explicitly formed system, the minimal-norm
 solution for the singular pencil; a column it reports as failed is not
-checked.
+checked. The nonnegative solve is checked against an enumeration of its
+active sets. The oracle forms V'' with cross_v, so it also checks the
+solvers' residual products, which for 1-D points sum min(t_i, t_j) x_j by
+cumulative sums.
 """
 
 import numpy as np
+import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
@@ -18,8 +22,11 @@ from vratio.solve import (
     BrownianFactor,
     PivotedCholesky,
     PsdPencilSolver,
+    SingularSystemError,
     factor_v_matrix,
     pivoted_cholesky,
+    solve_nonneg,
+    solve_product_ridge_low_rank,
     solve_product_ridge_many,
     solve_ridge_square_low_rank,
     solve_ridge_square_many,
@@ -42,11 +49,11 @@ _coord = st.one_of(_near, st.floats(0.0, 1.0))
 
 
 @st.composite
-def point_sets(draw):
+def point_sets(draw, dims=(1, 2, 5)):
     """n points in d dimensions, drawn from a pool of at most n distinct
     ones, so that ties are common and Grams can be of low rank."""
     n = draw(st.sampled_from([1, 2, 3, 8]))
-    d = draw(st.sampled_from([1, 2, 5]))
+    d = draw(st.sampled_from(dims))
     pool = [[draw(_coord) for _ in range(d)] for _ in range(draw(st.integers(1, n)))]
     return np.array([draw(st.sampled_from(pool)) for _ in range(n)])
 
@@ -190,3 +197,86 @@ def test_ridge_square_is_near_the_solution(points, gammas, seed, sigma2):
         X, errors = solve(K, gammas, b)
         for j, g in enumerate(gammas):
             assert_near_oracle((K, K), g, np.eye(n), b, X[:, j], n, errors[j])
+
+
+@ORACLE
+@given(point_sets(dims=(1,)), gamma_lists, seeds, kernels)
+@example(np.array([[0.2]] * 3 + [[0.6]] * 3 + [[1.0]] * 2), [1e-12, 1e3], 0, 5.0)
+@example(np.array([[0.0]] * 4 + [[0.7]] * 4), [1e-3], 1, 0.05)
+def test_product_ridge_low_rank_is_near_the_solution(points, gammas, seed, sigma2):
+    A = cross_v(points, points)
+    K = _gram(points, sigma2)
+    b = _range_rhs(A, seed)
+    X, errors = solve_product_ridge_low_rank(factor_v_matrix(None, points), K, gammas, b)
+    n = A.shape[0]
+    for j, g in enumerate(gammas):
+        assert_near_oracle((A, K), g, np.eye(n), b, X[:, j], n, errors[j])
+
+
+def test_product_ridge_low_rank_examples_take_the_low_rank_path(monkeypatch):
+    """Both examples above, with at most 3 distinct points of 8, solve from
+    the SVD of W'G (rank <= LOW_RANK_MAX_FRAC n), with no tridiagonal
+    reduction."""
+    calls = []
+    for name in ("dgesdd", "dsytrd"):
+        original = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            lambda *a, name=name, original=original, **k: (
+                                calls.append(name), original(*a, **k))[1])
+    for points, sigma2 in ((np.array([[0.2]] * 3 + [[0.6]] * 3 + [[1.0]] * 2), 5.0),
+                           (np.array([[0.0]] * 4 + [[0.7]] * 4), 0.05)):
+        A = cross_v(points, points)
+        solve_product_ridge_low_rank(factor_v_matrix(None, points), _gram(points, sigma2),
+                                     [1e-3], _range_rhs(A, 0))
+    assert calls == ["dgesdd", "dgesdd"]
+
+
+def nonneg_oracle(A, b):
+    """The minimizer of 0.5 y'Ay - b'y over y >= 0 for a symmetric positive
+    definite A, by enumerating the free sets F: y_F solves A_FF y_F = b_F and
+    y is 0 elsewhere. Returns the candidate with the smallest natural
+    residual ||y - max(0, y - (Ay - b))||, and that residual; the minimizer's
+    own is at the rounding level."""
+    n = len(b)
+    best, best_res = None, np.inf
+    for mask in range(2**n):
+        free = [i for i in range(n) if mask >> i & 1]
+        y = np.zeros(n)
+        if free:
+            try:
+                y[free] = np.linalg.solve(A[np.ix_(free, free)], b[free])
+            except np.linalg.LinAlgError:
+                continue
+        res = np.linalg.norm(y - np.maximum(0.0, y - (A @ y - b)))
+        if res < best_res:
+            best, best_res = y, res
+    return best, best_res
+
+
+@ORACLE
+@given(point_sets(), st.floats(-12.0, 3.0).map(lambda e: 10.0**e), seeds)
+@example(np.array([[0.2], [0.2], [1.0], [0.6]]), 1e-3, 2)  # ties and the face
+def test_nonneg_is_near_the_solution(points, gamma, seed):
+    """The DRE-V system of dre_v_nonneg_values, A = V'' + (gamma/n) I, with a
+    right-hand side of both signs, so that some bounds are active.
+
+    For a strongly convex quadratic, ||x - y|| <= (1 + ||A||) / lambda_min(A)
+    times the natural residual of x (Pang, Math. Oper. Res. 12, 1987), which
+    is at most its projected gradient: at most the residual bound, plus the
+    rounding of Ax - b, plus the oracle's own residual.
+    """
+    n = points.shape[0]
+    A = cross_v(points, points) + (gamma / n) * np.eye(n)
+    b = np.random.default_rng(seed).standard_normal(n)
+    try:
+        x = solve_nonneg(A, b)
+    except SingularSystemError:
+        return  # a reported failure is not checked
+    y, y_res = nonneg_oracle(A, b)
+    assert np.all(x >= 0.0)
+    eigs = np.linalg.eigvalsh(A)
+    m = np.linalg.norm(np.abs(A), 2)
+    nx, ny, nb = np.linalg.norm(x), np.linalg.norm(y), np.linalg.norm(b)
+    pg = RESIDUAL_RTOL * (1.0 + nb) + 10 * n * EPS * (m * (nx + ny) + nb) + y_res
+    bound = (1.0 + eigs[-1]) / eigs[0] * pg
+    assert np.linalg.norm(x - y) <= bound, (np.linalg.norm(x - y), bound)

@@ -2,10 +2,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vratio.domain import DimensionMismatchError, DomainBox, OutOfBoxError, ScaledSamples
-from vratio.vmatrix import build_v_matrices, cross_v, l2_residual
+from vratio.vmatrix import build_v_matrices, cross_v, l2_residual, min_kernel
+
+EPS = np.finfo(float).eps
 
 
 def v_entry(a, b) -> float:
@@ -99,6 +101,76 @@ def test_build_v_matrices_shapes_and_symmetry():
     assert vm.v_dd.shape == (8, 8)
     assert vm.v_dn.shape == (8, 5)
     assert np.array_equal(vm.v_dd, vm.v_dd.T)
+
+
+@st.composite
+def min_kernel_inputs(draw):
+    """1-D denominator points, numerator points and queries with ties,
+    coordinates at 0 and 1 (t = 1 and t = 0, a zero row of V), queries equal
+    to and between denominator points, and an n x G matrix whose rows span
+    twelve orders of magnitude, so that a sum that cancels would show."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 200]))
+    pool = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                  min_size=1, max_size=4)))
+    tie_frac = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def points(m):
+        return np.where(rng.random(m) < tie_frac, rng.choice(pool, m), rng.random(m))
+
+    den = points(n)
+    grid = np.unique(den)
+    queries = np.concatenate([den[: min(n, 5)], (grid[:-1] + grid[1:])[:5] / 2,
+                              [0.0, 1.0], rng.random(3)])
+    G = draw(st.sampled_from([1, 4]))
+    X = rng.standard_normal((n, G)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 1))
+    return den[:, None], points(int(rng.integers(1, 12)))[:, None], queries[:, None], X
+
+
+def assert_min_kernel_product(rows, cols, X):
+    """min_kernel(rows, cols) @ X against cross_v(rows, cols) @ X.
+
+    Both sum the same entries min(1 - a, 1 - b) times X, and each of the n
+    terms of a sum is rounded at most about n + 1 times in either, so they
+    agree within n eps (|V| @ |X|) for n column points. A row at x = 1 is an
+    exact zero in both.
+    """
+    V = cross_v(rows, cols)
+    got = min_kernel(rows, cols) @ X
+    assert got.shape == (V @ X).shape
+    bound = cols.shape[0] * EPS * (np.abs(V) @ np.abs(X))
+    assert np.all(np.abs(got - V @ X) <= bound)
+    assert np.all(got[rows[:, 0] == 1.0] == 0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(min_kernel_inputs())
+@example((np.array([[0.3], [0.3], [1.0], [0.0]]), np.array([[0.3], [1.0]]),
+          np.array([[0.3], [0.15], [1.0], [0.0], [0.65]]),
+          np.array([[1e6, -1.0], [-1e6, 2.0], [5.0, 5.0], [1e-6, 3.0]])))
+def test_min_kernel_products_match_cross_v(case):
+    """The three 1-D products of the solvers: V''X at the denominator points,
+    V'1 for the right-hand side and the products at holdout points."""
+    den, num, queries, X = case
+    assert_min_kernel_product(den, den, X)
+    assert_min_kernel_product(den, num, np.ones(num.shape[0]))
+    assert_min_kernel_product(queries, den, X)
+    assert_min_kernel_product(queries, den, X[:, 0])
+    # tr(V''K), the gamma scale of DRE-VK, for a symmetric K: each of its sums
+    # adds at most n terms of |V''| * |K|
+    K = X @ X.T
+    V = cross_v(den, den)
+    err = abs(min_kernel(den, den).trace_product(K) - np.sum(V * K))
+    assert err <= 2 * den.shape[0] * EPS * np.sum(np.abs(V) * np.abs(K))
+
+
+def test_min_kernel_rejects_points_outside_the_box_or_in_2d():
+    with pytest.raises(OutOfBoxError):
+        min_kernel([[1.5]], [[0.5]])
+    with pytest.raises(DimensionMismatchError):
+        min_kernel([[0.5, 0.5]], [[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        min_kernel([[0.5]], [[0.5]]) @ np.ones(2)
 
 
 def test_v_dd_positive_semidefinite():
