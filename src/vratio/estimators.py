@@ -18,24 +18,28 @@ have in common, solve_system solves for many gamma at once, and fit_system
 is solve_system at one gamma on all data. The fit_* functions build the
 matrices and call fit_system.
 
-DRE-V solves by PsdPencilSolver given the points, so alpha lies in the range
-of V'': for 1-D points from the closed-form factor of V'' by one tridiagonal
-solve and a mandatory refinement step, unless two distinct points, or a
-point and the box's upper face, lie closer than solve.NEAR_TIE_GAP; then,
-and in d > 1, from a pivoted Cholesky factor of V'' and a tridiagonal
+v_matrices is the one place that chooses the V-matrices' form: arrays in
+d > 1, and for 1-D points vmatrix.min_kernel operators, so that no 1-D
+V-matrix is formed and every product with them (the right-hand side V'1,
+the residual checks, the DRE-VK refit's V''K) is a sort and cumulative
+sums, O(n log n + nG) for G columns. Everything downstream takes its 1-D
+path from that form alone and is given no points: factor_system factors
+V'' by solve.factor_v_matrix, and cross-validation takes the folds' and
+holdouts' V-matrices as vmatrix.block of the full-data ones.
+
+DRE-V solves by PsdPencilSolver, so alpha lies in the range of V'': for a
+MinKernel V'' from its closed-form factor by one tridiagonal solve and a
+mandatory refinement step, unless two distinct points, or a point and the
+box's upper face, lie closer than solve.NEAR_TIE_GAP; then, and for an
+array V'', from a pivoted Cholesky factor of V'' and a tridiagonal
 reduction. uLSIF solves from a tridiagonal reduction of K, and DRE-VK in CV
 from a factor of V'' and a tridiagonal reduction of W'KW. In CV on 1-D
 points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor of the
 RBF Gram K ~ G G' and one thin SVD, unless its rank is too high. The uLSIF
 fit always takes the tridiagonal reduction, and the DRE-VK fit solves by
-LU.
-
-For 1-D points no V-matrix is formed: v_matrices gives V'' and V' as
-vmatrix.min_kernel operators, and every product with them (the right-hand
-side V'1, the residual checks, the DRE-VK refit's V''K) is a sort and
-cumulative sums, O(n log n + nG) for G columns. The dense 1-D builds that
-remain are the INK and RBF Grams, the V'' of the NEAR_TIE_GAP fallback,
-RatioEstimate.predict_scaled and dre_v_nonneg_values.
+LU. The dense 1-D builds that remain are the INK and RBF Grams, the V'' of
+the NEAR_TIE_GAP fallback, RatioEstimate.predict_scaled and
+dre_v_nonneg_values.
 
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:
@@ -106,7 +110,9 @@ class RatioEstimate:
 def v_matrices(s: ScaledSamples) -> VMatrices:
     """V'' and V' of `s` as the solvers take them: the arrays of
     build_v_matrices in d > 1, and min_kernel operators for 1-D points, whose
-    products are a sort and cumulative sums in place of n x n matrices."""
+    products are a sort and cumulative sums in place of n x n matrices. This
+    is the one place that asks the dimension; the solvers and
+    cross-validation take their 1-D paths from the form it returns."""
     if s.d > 1:
         return build_v_matrices(s)
     return VMatrices(min_kernel(s.x_prime, s.x_prime), min_kernel(s.x_prime, s.x))
@@ -161,23 +167,24 @@ def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEst
                       cross_gram(spec, s.x_prime, s.x_prime))
 
 
-def factor_system(method: Method, vm: VMatrices | None, points):
+def factor_system(method: Method, vm: VMatrices | None):
     """The factorisation that every gamma and sigma2 of a sample share, from
-    V'', the overlap volumes of `points`: the PsdPencilSolver for DRE-V, the
-    factor_v_matrix factor for DRE-VK, None for uLSIF."""
+    V'' = vm.v_dd, whose form selects the path: the PsdPencilSolver for
+    DRE-V, the factor_v_matrix factor for DRE-VK, None for uLSIF."""
     if method is Method.DRE_V:
-        return PsdPencilSolver(vm.v_dd, points)
+        return PsdPencilSolver(vm.v_dd)
     if method is Method.ULSIF_LIKE:
         return None
-    return factor_v_matrix(vm.v_dd, points)
+    return factor_v_matrix(vm.v_dd)
 
 
 def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
     """The method's coefficients on `s` for every gamma as the columns of an
     n x G matrix, and per gamma None or the message of its failed residual
-    check. `vm` is v_matrices(s) (None for uLSIF), `factor` is
-    factor_system(method, vm, s.x_prime) and K the Gram matrix of s.x_prime
-    (None for DRE-V).
+    check. `vm` holds the V-matrices of s in the form of v_matrices(s), or
+    blocks of them (None for uLSIF), `factor` is factor_system(method, vm)
+    and K the Gram matrix of s.x_prime (None for DRE-V). The form of V''
+    selected the factor; DRE-V and DRE-VK apply V'' and V' in that form.
 
     The RBF Grams of 1-D points are numerically low rank, so uLSIF and
     DRE-VK-RBF solve them by the low-rank solvers of solve, which hand a
@@ -231,8 +238,7 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
             X, errors = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K))
             (error,) = _with_gammas(errors, [gamma])
         else:
-            X, (error,) = solve_system(method, s, vm, factor_system(method, vm, s.x_prime), K,
-                                       [gamma])
+            X, (error,) = solve_system(method, s, vm, factor_system(method, vm), K, [gamma])
         if error is not None:
             raise SingularSystemError(error)
         coef = X[:, 0]

@@ -20,7 +20,7 @@ from .estimators import (
 from .kernels import cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import solve_regularized  # noqa: F401
-from .vmatrix import VMatrices, min_kernel
+from .vmatrix import VMatrices, block, trace_product
 
 # the CV defaults, which `vratio run` and `vratio fit` take from here
 DEFAULT_FOLDS = 5
@@ -140,24 +140,18 @@ def _gamma_scale(method: Method, s: ScaledSamples, vm: VMatrices | None, K) -> f
 
     For DRE-V the ridge enters as gamma/n, so the scale is
     tr(V'') (making the effective ridge a multiple of tr(V'')/n); for the
-    kernel fits M is V''K or KK with the ridge applied directly. For 1-D
-    points tr(V'') sums the diagonal 1 - x', and tr(V''K) is the min_kernel
-    operator's trace_product, O(n^2) without V''.
+    kernel fits M is V''K or KK with the ridge applied directly. Both traces
+    take V'' in either form; for a MinKernel, tr(V''K) is O(n^2) without V''.
     """
     if method is Method.DRE_V:
-        scale = float(np.trace(vm.v_dd) if s.d > 1 else np.sum(1.0 - s.x_prime))
+        scale = float(vm.v_dd.trace())
     elif method is Method.ULSIF_LIKE:
         scale = float(np.sum(K * K)) / s.n
-    else:  # tr(V''K), both symmetric
-        scale = float(np.sum(vm.v_dd * K) if s.d > 1 else vm.v_dd.trace_product(K)) / s.n
+    else:
+        scale = trace_product(vm.v_dd, K) / s.n
     if not np.isfinite(scale) or scale <= 0.0:
         return 1.0
     return scale
-
-
-def _block(A: np.ndarray, rows, cols) -> np.ndarray:
-    """A[rows][:, cols] in C order, the layout of a matrix built entry by entry."""
-    return np.take(A[rows], cols, axis=1)
 
 
 def _criteria(coef, hold_den, hold_num, n_over_l) -> np.ndarray:
@@ -180,51 +174,55 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
 
     A V-matrix, INK or RBF entry depends only on its pair of points, so a
     block of a full-data matrix, taken with the fold's sorted training
-    indices and holdout indices in fold order, is bit-identical to the matrix
-    built from the fold's points. Every matrix of a fold is such a block
-    except two that each fold builds: the INK Gram and the RBF squared
-    distances between the numerator holdout and the training points, because
-    holding them as full-data denominator-by-numerator matrices raised the
-    peak memory of `vratio fit` at n = 800 (benchmark workload fit-1d-large)
-    by 5.7% in a prototype. For 1-D points no V-matrix is formed at all:
-    V'', V' and DRE-V's holdout matrices are vmatrix.min_kernel operators of
-    the fold's own points, and each product with them is one stable sort
-    and cumulative sums, O(n log n + nG) per fold. The dense matrices left
-    in 1-D are the INK and RBF Grams and the V'' of the NEAR_TIE_GAP
-    fallback; the estimate's predict_scaled and dre_v_nonneg_values form
-    theirs outside cross-validation.
+    indices and holdout indices in fold order, equals the matrix built from
+    the fold's points entry for entry. Every matrix of a fold is such a
+    vmatrix.block, in every dimension, except two that each fold builds:
+    the INK Gram and the RBF squared distances between the numerator holdout
+    and the training points, because holding them as full-data
+    denominator-by-numerator matrices raised the peak memory of `vratio fit`
+    at n = 800 (benchmark workload fit-1d-large) by 5.7% in a prototype.
+    The V-matrices come from estimators.v_matrices: arrays in d > 1, and for
+    1-D points MinKernel operators, whose blocks are the MinKernels of the
+    fold's coordinates and whose products are one stable sort and
+    cumulative sums, O(n log n + nG) per fold. No branch here tests the
+    dimension; the form of V'' selects the solver's path. The dense
+    matrices left in 1-D are the INK and RBF Grams and the V'' of the
+    NEAR_TIE_GAP fallback; the estimate's predict_scaled and
+    dre_v_nonneg_values form theirs outside cross-validation.
 
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
-    * once per draw: in d > 1 the full-data V-matrices V'' and V' (all but
-      uLSIF), and for 1-D points their min_kernel operators (sorts of n and
+    * once per draw: the full-data V-matrices V'' and V' (all but uLSIF),
+      dense in d > 1 and for 1-D points MinKernel operators (sorts of n and
       ell coordinates); for INK the Gram matrix K, and for RBF the squared
       distances D between denominator points, which do not depend on
       sigma2. They serve the gamma scaling (one exp of D per sigma2 for RBF;
-      for 1-D DRE-VK, tr(V''K) by one O(n^2) pass over K per sigma2), every
-      fold and the refit (one exp of D, in place, at the selected sigma2).
-    * once per fold: in d > 1 the blocks V''[train, train] and
-      V'[train, train_num] (all but uLSIF), and for DRE-V the holdout blocks
-      V''[hold_den, train] and V'[train, hold_num]', equal to the overlap
-      volumes of those pairs since max is symmetric; for 1-D points the
-      min_kernel operators of the same pairs of point sets, and the
-      right-hand side V'1 as their product; for INK the blocks
-      K[train, train] and K[hold_den, train] and one Gram of the numerator
-      holdout against the training points; for RBF the blocks D[train, train] and
-      D[hold_den, train] and the squared distances of the numerator holdout
-      to the training points. The holdout matrices of DRE-V and INK are
-      taken after the fold's solve, which needs the most memory (taking
-      every holdout matrix before it raised that peak by 2.5%). Then the
-      factorisation V'' = W W' that every sigma2 and gamma share (all but
-      uLSIF), which drops the zero rows of points on the box's upper face
-      and the repeated rows of ties. For 1-D points it is the closed form
-      W = E C diag(sqrt h) of the sorted t = 1 - x (an O(n log n) sort, no
-      LAPACK), else a pivoted Cholesky (dpstrf, n^3/3 flops). For DRE-V
-      on 1-D points the pencil V''V'' + (gamma/n) V'' then needs nothing
-      more; otherwise the tridiagonal reduction of W'W reduces it to
-      T T + (gamma/n) T. 1-D points of which two distinct t, or the smallest
-      t and 0, lie closer than solve.NEAR_TIE_GAP (1e-9) take the pivoted
-      path for DRE-V, where the closed form loses the residual check.
+      tr(V'') and tr(V''K) by vmatrix.trace_product, for a MinKernel one
+      O(n^2) pass over K per sigma2), every fold and the refit (one exp of
+      D, in place, at the selected sigma2).
+    * once per fold: the blocks V''[train, train] and V'[train, train_num]
+      (all but uLSIF), and for DRE-V the holdout blocks V''[hold_den, train]
+      and V'[train, hold_num]', equal to the overlap volumes of those pairs
+      since the overlap volume is symmetric in its two points; a block of a
+      MinKernel is the MinKernel of the picked coordinates, one sort of
+      them. The right-hand side V'1 is a product with the block. For INK
+      the blocks K[train, train] and K[hold_den, train] and one Gram of the
+      numerator holdout against the training points; for RBF the blocks
+      D[train, train] and D[hold_den, train] and the squared distances of
+      the numerator holdout to the training points. The holdout matrices of
+      DRE-V and INK are taken after the fold's solve, which needs the most
+      memory (taking every holdout matrix before it raised that peak by
+      2.5%). Then the factorisation V'' = W W' that every sigma2 and gamma
+      share (all but uLSIF), which drops the zero rows of points on the
+      box's upper face and the repeated rows of ties. For a MinKernel V''
+      it is the closed form W = E C diag(sqrt h) of the sorted t = 1 - x
+      (from the block's own sort, no LAPACK), for an array a pivoted
+      Cholesky (dpstrf, n^3/3 flops). For DRE-V with the closed form the
+      pencil V''V'' + (gamma/n) V'' then needs nothing more; otherwise the
+      tridiagonal reduction of W'W reduces it to T T + (gamma/n) T. A
+      MinKernel V'' of which two distinct t, or the smallest t and 0, lie
+      closer than solve.NEAR_TIE_GAP (1e-9) takes the pivoted path of its
+      dense form for DRE-V, where the closed form loses the residual check.
     * once per (fold, sigma2): for RBF, one exp of the fold's distances into
       one buffer, which holds the training Gram and both holdout matrices.
       For uLSIF and DRE-VK-RBF on 1-D points, whose Grams are numerically
@@ -246,12 +244,13 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
       system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK
       call) and O(n^2) products with Q and W and for the residual check; for
-      1-D points V'' enters the residual as an O(n) min_kernel product, so a
-      1-D DRE-V column costs O(n) in all. On the low-rank path the solve is O(n r) products with the SVD's U, in
-      closed form; the residual check is the same, against the full K, and
-      refinement uses the same low-rank inverse. A 1-D DRE-V column always
-      takes one refinement step against that residual, which the double
-      difference J N^-1 J of its right-hand side needs for full accuracy.
+      1-D points V'' enters the residual as an O(n) MinKernel product, so a
+      1-D DRE-V column costs O(n) in all. On the low-rank path the solve is
+      O(n r) products with the SVD's U, in closed form; the residual check
+      is the same, against the full K, and refinement uses the same
+      low-rank inverse. A 1-D DRE-V column always takes one refinement step
+      against that residual, which the double difference J N^-1 J of its
+      right-hand side needs for full accuracy.
       On every path, a column that misses the residual bound after two
       refinement steps fails its candidate. Every fold still solves the
       whole gamma grid of every sigma2, failed candidates included, so a
@@ -262,7 +261,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     with the full-data matrices above: for DRE-V the folds' own
     solve_system at one gamma, for uLSIF the dense solve_ridge_square_many
     in every dimension, for DRE-VK an LU of V''K + gamma I (V''K by one
-    min_kernel product for 1-D points). It is what the fit_* functions
+    MinKernel product for 1-D points). It is what the fit_* functions
     compute, so a draw's estimate depends on CV only through the selection.
     """
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
@@ -301,17 +300,15 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         num_train = np.setdiff1d(all_num, num_hold)
         train = np.setdiff1d(all_den, den_hold)
         sub = s.subset(num_train, train)
-        vm = None
-        if full_vm is not None:
-            vm = v_matrices(sub) if s.d == 1 else VMatrices(
-                _block(full_vm.v_dd, train, train), _block(full_vm.v_dn, train, num_train))
-        K = _block(full_K, train, train) if ink is not None else None
+        vm = None if full_vm is None else VMatrices(block(full_vm.v_dd, train, train),
+                                                    block(full_vm.v_dn, train, num_train))
+        K = block(full_K, train, train) if ink is not None else None
         if uses_rbf:
             # rows: training points, denominator holdout, numerator holdout
-            dist = np.vstack([_block(D, np.concatenate([train, den_hold]), train),
+            dist = np.vstack([block(D, np.concatenate([train, den_hold]), train),
                               cdist(s.x[num_hold], sub.x_prime, "sqeuclidean")])
             gram = np.empty_like(dist)
-        factor = factor_system(method, vm, sub.x_prime)
+        factor = factor_system(method, vm)
         for i, s2 in enumerate(sigma2_values):
             if uses_rbf:
                 K = rbf_from_sqdist(dist, s2, out=gram)[:sub.n]
@@ -320,14 +317,11 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
             if uses_rbf:
                 hold_den, hold_num = gram[sub.n:s.n], gram[s.n:]
             elif ink is not None:
-                hold_den = _block(full_K, den_hold, train)
+                hold_den = block(full_K, den_hold, train)
                 hold_num = cross_gram(ink, s.x[num_hold], sub.x_prime)
-            elif s.d == 1:
-                hold_den = min_kernel(s.x_prime[den_hold], sub.x_prime)
-                hold_num = min_kernel(s.x[num_hold], sub.x_prime)
             else:
-                hold_den = _block(full_vm.v_dd, den_hold, train)
-                hold_num = _block(full_vm.v_dn.T, num_hold, train)  # max is symmetric
+                hold_den = block(full_vm.v_dd, den_hold, train)
+                hold_num = block(full_vm.v_dn.T, num_hold, train)  # v(a, b) = v(b, a)
             totals[i] += _criteria(coef, hold_den, hold_num, n_over_l)
             for j, err in enumerate(errs):
                 if err is not None:

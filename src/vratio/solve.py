@@ -3,17 +3,17 @@
 All accepted direct solutions are verified by substitution against the
 residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The multi-shift
 solvers solve one system for many shifts from one reduction to a banded
-system per shift. The V-matrix V'' = W W' is factored by factor_v_matrix:
-in closed form for 1-D points (BrownianFactor, V''_ij = min(t_i, t_j)),
-else by pivoted_cholesky (dpstrf). A BrownianFactor is built from t alone,
-and the residual checks apply the exact V'' as the MinKernel of t
-(vmatrix.min_kernel): a sort and cumulative sums, O(n log n + nG) for G
-columns, so 1-D solves form no n x n V''. With M = Q T Q' from
-tridiagonalize:
+system per shift. The V-matrix V'' = W W' is factored by factor_v_matrix,
+and V's form selects how: the vmatrix.MinKernel operator of 1-D points,
+V''_ij = min(t_i, t_j), gets the closed form BrownianFactor from its own
+sort of t, and an array gets pivoted_cholesky (dpstrf). The residual
+checks apply V'' in the form it came in, a MinKernel by a sort and
+cumulative sums, O(n log n + nG) for G columns, so 1-D solves form no
+n x n V''. With M = Q T Q' from tridiagonalize:
 
 * solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
-* PsdPencilSolver.solve: (S S + c S) x = b for S singular or not. For 1-D
-  points it solves (N + c J) y = J N^-1 J beta with the tridiagonal
+* PsdPencilSolver.solve: (S S + c S) x = b for S singular or not. For a
+  MinKernel S it solves (N + c J) y = J N^-1 J beta with the tridiagonal
   J = S_u^-1 of S's distinct points, with one refinement step for every
   column, and returns the minimal-norm solution; otherwise S = W W',
   M = W'W, T T + c T, minimal-norm on the range of S plus a null-space
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .vmatrix import MinKernel, cross_v
+from .vmatrix import MinKernel
 
 RESIDUAL_RTOL = 1e-8
 
@@ -361,15 +361,15 @@ class BrownianFactor:
     box's upper face, zero rows of V'') belong to none, so neither needs a
     special case. W is applied by cumulative sums and never formed.
 
-    `group` holds each point's group, -1 at t = 0; `order` sorts the points
-    by t and `starts` are the positions in that order where the groups begin.
-    `matrix` is V'' as the MinKernel of t, for the residual checks: its
-    products sum min(t_i, t_j) x_j from the coordinates, not from the gaps.
+    `matrix` is V'' itself, the MinKernel of t: its `order` sorts the points
+    by t, and its products, which the residual checks use, sum
+    min(t_i, t_j) x_j from the coordinates, not from the gaps. `group` holds
+    each point's group, -1 at t = 0, and `starts` are the positions in that
+    order where the groups begin.
     """
 
     matrix: MinKernel
     group: np.ndarray
-    order: np.ndarray
     starts: np.ndarray
     gaps: np.ndarray
 
@@ -384,7 +384,7 @@ class BrownianFactor:
 
     def on_groups(self, B: np.ndarray) -> np.ndarray:
         """The rows of the n x G matrix B at one point of each group."""
-        return B[self.order[self.starts]]
+        return B[self.matrix.order[self.starts]]
 
     def on_points(self, Z: np.ndarray) -> np.ndarray:
         """E Z for an r x G matrix Z: each point takes its group's row, 0 at t = 0."""
@@ -405,7 +405,7 @@ class BrownianFactor:
     def _descending(self):
         """The points at t > 0 in descending order of t, and the position in
         that order of the last point of each group."""
-        desc = self.order[self.starts[0]:][::-1]
+        desc = self.matrix.order[self.starts[0]:][::-1]
         return desc, desc.size - 1 - (self.starts - self.starts[0])
 
     def apply_t(self, B: np.ndarray) -> np.ndarray:
@@ -432,16 +432,15 @@ class BrownianFactor:
         return S.T  # equal to S for a symmetric K
 
 
-def _brownian_factor(t: np.ndarray) -> BrownianFactor:
-    """The BrownianFactor of V''_ij = min(t_i, t_j)."""
-    matrix = MinKernel(t, t)
-    ts = matrix.t_sorted
+def _brownian_factor(V: MinKernel) -> BrownianFactor:
+    """The BrownianFactor of V''_ij = min(t_i, t_j), from V's sort of t."""
+    ts = V.t_sorted
     new = ts > 0.0
     new[1:] &= ts[1:] != ts[:-1]
     starts = np.flatnonzero(new)
-    group = np.empty(t.size, dtype=np.intp)
-    group[matrix.order] = np.cumsum(new) - 1
-    return BrownianFactor(matrix, group, matrix.order, starts, np.diff(ts[starts], prepend=0.0))
+    group = np.empty(ts.size, dtype=np.intp)
+    group[V.order] = np.cumsum(new) - 1
+    return BrownianFactor(V, group, starts, np.diff(ts[starts], prepend=0.0))
 
 
 # Smallest gap h between the distinct t = 1 - x of 1-D points (and from 0) at
@@ -451,26 +450,23 @@ def _brownian_factor(t: np.ndarray) -> BrownianFactor:
 NEAR_TIE_GAP = 1e-9
 
 
-def factor_v_matrix(V, points, pencil: bool = False):
-    """W W' = V'' for the overlap-volume matrix V of `points` (n x d).
+def factor_v_matrix(V, *, pencil: bool = False):
+    """W W' = V'' for an overlap-volume matrix V, by V's form.
 
-    1-D points get the closed-form BrownianFactor of t = 1 - x in
-    O(n log n), from the points alone: V is not read and may be None. With
-    `pencil` (the DRE-V solver), 1-D points whose smallest gap is below
-    NEAR_TIE_GAP get pivoted_cholesky of V'' built from the points. Points
-    in d > 1 get pivoted_cholesky(V).
+    A MinKernel, the V'' of 1-D points with s = t = 1 - x, gets the
+    closed-form BrownianFactor in O(n log n) from its own sort of t. With
+    `pencil` (the DRE-V solver), one whose smallest gap is below
+    NEAR_TIE_GAP gets pivoted_cholesky of its dense form instead, which
+    equals the cross_v matrix of the points entry for entry. An array gets
+    pivoted_cholesky(V).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be an n x d array")
-    if points.shape[1] == 1:
-        factor = _brownian_factor(1.0 - points[:, 0])
+    if isinstance(V, MinKernel):
+        if not np.array_equal(V.s, V.t):
+            raise ValueError("a MinKernel V'' must have s = t")
+        factor = _brownian_factor(V)
         if not pencil or factor.gaps.min(initial=np.inf) >= NEAR_TIE_GAP:
             return factor
-        V = cross_v(points, points)
-    V = np.asarray(V, dtype=float)
-    if V.shape != (points.shape[0],) * 2:
-        raise ValueError("V must be the n x n matrix of n points")
+        V = V.dense()
     return pivoted_cholesky(V)
 
 
@@ -496,13 +492,13 @@ class PsdPencilSolver:
     """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD.
 
     The pencil can be exactly singular (S may have zero rows), but the
-    right-hand sides arising here lie in the range of S. When S is the
-    overlap-volume matrix of `points`, factor_v_matrix chooses the factor
-    S = W W', and for 1-D points S is not read (it may be None); otherwise
-    it is pivoted_cholesky(S). A BrownianFactor solves by
-    _solve_grouped_pencil and returns the minimal-norm solution. Otherwise,
-    with W'W = Q T Q' and W beta = b, the solution is x = W Q z with the
-    pentadiagonal (T T + c T) z = Q' beta. Its part in the range of S is the
+    right-hand sides arising here lie in the range of S. S is a symmetric
+    array or, for the V'' of 1-D points, a MinKernel with s = t, and
+    factor_v_matrix(S, pencil=True) chooses the factor S = W W' by that
+    form. A BrownianFactor solves by _solve_grouped_pencil and returns the
+    minimal-norm solution. Otherwise, with W'W = Q T Q' and W beta = b, the
+    solution is x = W Q z with the pentadiagonal (T T + c T) z = Q' beta.
+    Its part in the range of S is the
     minimal-norm solution. Where dpstrf keeps a pivot of rounding size for
     tied points (1.8e-8 for the points [[1e-6], [1e-6]]), x also carries a
     null-space part of S up to dpstrf's tolerance; tied points have equal
@@ -510,9 +506,8 @@ class PsdPencilSolver:
     The factorisations are computed once and shared across values of c.
     """
 
-    def __init__(self, S, points=None):
-        points = None if points is None else np.asarray(points, dtype=float)
-        if points is None or points.ndim != 2 or points.shape[1] != 1:
+    def __init__(self, S):
+        if not isinstance(S, MinKernel):
             S = np.asarray(S, dtype=float)
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError("S must be square")
@@ -520,8 +515,7 @@ class PsdPencilSolver:
             if not (np.array_equal(S, S.T)
                     or np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))):
                 raise ValueError("S must be symmetric")
-        self._factor = (pivoted_cholesky(S) if points is None
-                        else factor_v_matrix(S, points, pencil=True))
+        self._factor = factor_v_matrix(S, pencil=True)
         self._tri = None
         if isinstance(self._factor, PivotedCholesky):
             W = self._factor.L[:, : self._factor.rank]
@@ -552,7 +546,7 @@ class PsdPencilSolver:
 
 def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
     """Solve (S S + c S) x = b for every c in `cs`, with S = factor.matrix
-    the overlap volumes of 1-D points and b in the range of S.
+    the MinKernel of 1-D points and b in the range of S.
 
     With S_u = min(u_k, u_l) on the groups, S = E S_u E' and N = E'E. For
     b = E beta the minimal-norm solution is x = E y with

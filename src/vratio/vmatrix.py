@@ -6,8 +6,11 @@ where both step functions theta(x - a) and theta(x - b) are one:
     prod_k [1 - max(a^k, b^k)]
 
 For 1-D points that entry is min(1 - a, 1 - b), the Brownian covariance of
-t = 1 - x, and min_kernel applies the matrix by a sort and cumulative sums
-without forming it.
+t = 1 - x, and min_kernel gives the matrix as a MinKernel operator, which
+applies it by a sort and cumulative sums without forming it. A V-matrix is
+an array or a MinKernel, and its form alone selects the 1-D paths: block
+takes its sub-matrices and trace_product its trace against a kernel Gram in
+either form, and solve.factor_v_matrix factors it by its form.
 """
 
 from __future__ import annotations
@@ -60,28 +63,41 @@ class MinKernel:
     product against O(mnG) for the dense product. Each sum adds
     only terms of |M| |X|, so the result lies within about n eps (|M| @ |X|)
     of the exact product, as the dense product does. A zero s_i gives an
-    exact zero row.
+    exact zero row. `t` is kept in its given order, for `T` and `dense`.
     """
 
     def __init__(self, s, t):
         self.s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        self.order = np.argsort(t, kind="stable")
-        self.t_sorted = t[self.order]
+        self.t = np.asarray(t, dtype=float)
+        self.order = np.argsort(self.t, kind="stable")
+        self.t_sorted = self.t[self.order]
         # the number of t_j <= s_i, and of t_j > s_i
         self.positions = np.searchsorted(self.t_sorted, self.s, side="right")
-        self._above = t.size - self.positions
+        self._above = self.t.size - self.positions
 
     @property
     def shape(self) -> tuple:
-        return (self.s.size, self.t_sorted.size)
+        return (self.s.size, self.t.size)
+
+    @property
+    def T(self) -> MinKernel:
+        """The n x m transpose min(t_j, s_i), with its own sort of s."""
+        return MinKernel(self.t, self.s)
+
+    def dense(self) -> np.ndarray:
+        """M as an m x n array."""
+        return np.minimum.outer(self.s, self.t)
+
+    def trace(self) -> float:
+        """The sum of the diagonal min(s_i, t_i) of a square M."""
+        return float(np.sum(np.minimum(self.s, self.t)))
 
     def __matmul__(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         cols = X[:, None] if X.ndim == 1 else X
         n, G = cols.shape
-        if n != self.t_sorted.size:
-            raise ValueError(f"X has {n} rows, expected {self.t_sorted.size}")
+        if n != self.t.size:
+            raise ValueError(f"X has {n} rows, expected {self.t.size}")
         # sums[0, k] adds t_j X_j over the k smallest t, sums[1, k] X_j over the k largest
         sums = np.empty((2, n + 1, G))
         sums[:, 0] = 0.0
@@ -129,13 +145,33 @@ def build_v_matrices(s: ScaledSamples) -> VMatrices:
     return VMatrices(v_dd, v_dn)
 
 
+def block(V, rows, cols):
+    """V[rows][:, cols] of an array or a MinKernel: an array in C order, the
+    layout of a matrix built entry by entry, or the MinKernel of the rows'
+    s and the columns' t. An entry depends only on its pair of points, so
+    either equals the V-matrix of those points entry for entry."""
+    if isinstance(V, MinKernel):
+        return MinKernel(V.s[rows], V.t[cols])
+    return np.take(V[rows], cols, axis=1)
+
+
+def trace_product(V, K) -> float:
+    """tr(V K) for a symmetric V-matrix V in either form and a symmetric K:
+    sum(V * K) for an array, MinKernel.trace_product for an operator."""
+    if isinstance(V, MinKernel):
+        return V.trace_product(K)
+    return float(np.sum(V * K))
+
+
 def l2_residual(s: ScaledSamples, r, vm: VMatrices | None = None) -> float:
     """Exact squared L2 distance between the weighted denominator and numerator
     empirical measures, including the r-independent term.
 
     Expands to (1/n^2) r'V''r - (2/(n ell)) r'V'1 + (1/ell^2) 1'V'''1 where
     V''' collects overlap volumes of numerator pairs. `vm`, when given, must
-    be build_v_matrices(s); it saves rebuilding it.
+    be the V-matrices of s in either form, build_v_matrices(s) or
+    estimators.v_matrices(s); it saves rebuilding them. Each V enters only
+    through V.T @ x, the product NumPy computes for x @ V.
     """
     rv = np.atleast_1d(np.asarray(r, dtype=float))
     if rv.shape[0] != s.n:
@@ -144,9 +180,9 @@ def l2_residual(s: ScaledSamples, r, vm: VMatrices | None = None) -> float:
     v_nn = cross_v(s.x, s.x)
     ones = np.ones(s.ell)
     val = (
-        rv @ vm.v_dd @ rv / s.n**2
-        - 2.0 * (rv @ vm.v_dn @ ones) / (s.n * s.ell)
-        + ones @ v_nn @ ones / s.ell**2
+        (vm.v_dd.T @ rv) @ rv / s.n**2
+        - 2.0 * ((vm.v_dn.T @ rv) @ ones) / (s.n * s.ell)
+        + (v_nn.T @ ones) @ ones / s.ell**2
     )
     # round-off can push an exact zero slightly negative
     return max(float(val), 0.0)

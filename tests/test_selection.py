@@ -309,9 +309,11 @@ class CallCounter:
         self.counts = {}
 
     def wrap(self, fn, label):
+        """fn, counting each call under label(*args) unless that is None."""
         def counted(*args, **kwargs):
             key = label(*args)
-            self.counts[key] = self.counts.get(key, 0) + 1
+            if key is not None:
+                self.counts[key] = self.counts.get(key, 0) + 1
             return fn(*args, **kwargs)
         return counted
 
@@ -347,8 +349,12 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     for module in (selection, estimators):
         monkeypatch.setattr(module, "cross_gram", counter.wrap(
             module.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
-        monkeypatch.setattr(module, "min_kernel", counter.wrap(
-            module.min_kernel, lambda rows, cols: ("min", matrix_kind(rows, cols))))
+    monkeypatch.setattr(estimators, "min_kernel", counter.wrap(
+        estimators.min_kernel, lambda rows, cols: ("min", matrix_kind(rows, cols))))
+    # the min_kernel operators of the folds are blocks of the full-data ones
+    monkeypatch.setattr(selection, "block", counter.wrap(
+        selection.block, lambda V, rows, cols: ("min", matrix_kind(rows, cols))
+        if isinstance(V, MinKernel) else None))
     monkeypatch.setattr(estimators, "build_v_matrices", counter.wrap(
         estimators.build_v_matrices, lambda s: ("v", matrix_kind(s.x_prime, s.x_prime))))
     monkeypatch.setattr(selection, "cdist", counter.wrap(

@@ -28,7 +28,7 @@ from vratio.solve import (
     solve_ridge_square_low_rank,
     solve_ridge_square_many,
 )
-from vratio.vmatrix import build_v_matrices, cross_v
+from vratio.vmatrix import build_v_matrices, cross_v, min_kernel
 
 
 def random_psd(rng, n, ridge=0.1):
@@ -186,6 +186,12 @@ def pencil_cases():
             for name, (x_den, x_num, full) in cases.items()}
 
 
+def v_form(points, V):
+    """V'' of `points` in the form the estimators give it: the MinKernel of
+    1-D points, else the array V."""
+    return min_kernel(points, points) if points.shape[1] == 1 else V
+
+
 def assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank):
     want = eigh_pencil_reference(S, cs, b)
     # S x are the DRE-V values at the denominator points
@@ -212,7 +218,7 @@ def test_pencil_solve_many_of_points_matches_eigh_reference(case, monkeypatch):
     x_den, S, b, full_rank = pencil_cases()[case]
     cs = np.logspace(-6.0, 1.0, 8)
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dpstrf", "dsytrd")
-    X, errors = PsdPencilSolver(S, x_den).solve(cs, b)
+    X, errors = PsdPencilSolver(v_form(x_den, S)).solve(cs, b)
     assert errors == [None] * len(cs)
     assert (calls == []) == (x_den.shape[1] == 1)
     assert_pencil_matches_eigh_reference(S, b, X, cs, full_rank)
@@ -233,7 +239,7 @@ def brownian_cases():
 def test_brownian_factor_reproduces_v_with_the_rank_of_pivoted_cholesky(case):
     x = brownian_cases()[case][:, None]
     V = cross_v(x, x)
-    f = factor_v_matrix(V, x)
+    f = factor_v_matrix(min_kernel(x, x))
     assert isinstance(f, BrownianFactor)
     assert f.rank == pivoted_cholesky(V).rank == len(np.unique(x[x < 1.0]))
     W = f.expand(np.eye(f.rank))
@@ -248,7 +254,7 @@ def test_brownian_congruence_equals_the_dtrmm_form(case):
     x = brownian_cases()[case][:, None]
     V = cross_v(x, x)
     K = cross_gram(KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1), x, x)
-    f = factor_v_matrix(V, x)
+    f = factor_v_matrix(min_kernel(x, x))
     S = f.congruence(K)
     assert S.flags.f_contiguous and S.shape == (f.rank, f.rank)
     W = f.expand(np.eye(f.rank))
@@ -263,19 +269,27 @@ def test_brownian_congruence_equals_the_dtrmm_form(case):
 def test_factor_v_matrix_chooses_by_dimension_and_gap():
     rng = np.random.default_rng(31)
     x = rng.random((30, 1))
-    V = cross_v(x, x)
-    assert isinstance(factor_v_matrix(V, x), BrownianFactor)
-    assert isinstance(factor_v_matrix(V, x, pencil=True), BrownianFactor)
+    V = min_kernel(x, x)
+    assert isinstance(factor_v_matrix(V), BrownianFactor)
+    assert isinstance(factor_v_matrix(V, pencil=True), BrownianFactor)
     x2 = rng.random((30, 2))
-    assert isinstance(factor_v_matrix(cross_v(x2, x2), x2), PivotedCholesky)
+    assert isinstance(factor_v_matrix(cross_v(x2, x2)), PivotedCholesky)
     # a near-tie below NEAR_TIE_GAP sends only the DRE-V pencil to pivoted_cholesky
     near = x.copy()
     near[1] = near[0] + NEAR_TIE_GAP / 4
-    V = cross_v(near, near)
-    assert isinstance(factor_v_matrix(V, near), BrownianFactor)
-    assert isinstance(factor_v_matrix(V, near, pencil=True), PivotedCholesky)
+    V = min_kernel(near, near)
+    assert isinstance(factor_v_matrix(V), BrownianFactor)
+    assert isinstance(factor_v_matrix(V, pencil=True), PivotedCholesky)
     near[:, 0] = [1.0 - NEAR_TIE_GAP / 4] + [0.5] * 29  # t = 1 - x close to 0
-    assert isinstance(factor_v_matrix(cross_v(near, near), near, pencil=True), PivotedCholesky)
+    assert isinstance(factor_v_matrix(min_kernel(near, near), pencil=True), PivotedCholesky)
+
+
+def test_factor_v_matrix_rejects_a_min_kernel_that_is_not_v_dd():
+    x = np.array([[0.2], [0.5]])
+    with pytest.raises(ValueError, match="s = t"):
+        factor_v_matrix(min_kernel(x, x[::-1]))
+    with pytest.raises(ValueError, match="s = t"):
+        PsdPencilSolver(min_kernel(x, np.array([[0.2], [0.5], [0.9]])))
 
 
 def extended_reference_values(S, c, b):
@@ -305,7 +319,7 @@ def test_closed_form_pencil_values_as_accurate_as_pivoted_path():
         cs = default_gamma_grid() * np.trace(S) / s.n
         want = [extended_reference_values(S, c, b) for c in cs]
         for closed_form in errors:
-            solver = PsdPencilSolver(S, s.x_prime if closed_form else None)
+            solver = PsdPencilSolver(min_kernel(s.x_prime, s.x_prime) if closed_form else S)
             X, errs = solver.solve(cs, b)
             assert errs == [None] * len(cs)
             errors[closed_form] += [float(np.linalg.norm(S @ X[:, j] - w) / np.linalg.norm(w))
@@ -329,7 +343,8 @@ def test_closed_form_pencil_fails_no_more_near_tie_columns(n):
             S, b = dre_v_system(x[:, None], rng.random((n, 1)))
             cs = default_gamma_grid() * np.trace(S) / n
             for closed_form in failed:
-                solver = PsdPencilSolver(S, x[:, None] if closed_form else None)
+                solver = PsdPencilSolver(min_kernel(x[:, None], x[:, None]) if closed_form
+                                         else S)
                 _, errs = solver.solve(cs, b)
                 failed[closed_form] += sum(err is not None for err in errs)
         assert failed[True] <= failed[False], gap
@@ -499,7 +514,7 @@ def test_solve_product_ridge_many_closed_form_at_near_ties(gap, monkeypatch):
     x[1::7] = np.minimum(x[:-1:7] + gap, 1.0)
     V, K, b, gammas = product_system(x, rng.random((120, 1)),
                                      KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1))
-    factor = factor_v_matrix(V, x)
+    factor = factor_v_matrix(min_kernel(x, x))
     assert isinstance(factor, BrownianFactor)
     lu_calls = count_lu_factor(monkeypatch)
     X, errors = solve_product_ridge_many(factor, K, gammas, b)
@@ -593,11 +608,11 @@ def test_banded_solves_of_order_one(closed_form):
     x = np.array([[0.2]])
     V, K, b, _ = product_system(x, np.array([[0.5], [0.7]]),
                                 KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1))
-    factor = factor_v_matrix(V, x) if closed_form else pivoted_cholesky(V)
+    factor = factor_v_matrix(min_kernel(x, x)) if closed_form else pivoted_cholesky(V)
     X, errors = solve_product_ridge_many(factor, K, [0.1], b)
     assert errors == [None]
     assert np.allclose(X[:, 0], b / (V[0, 0] * K[0, 0] + 0.1))
-    got, errors = PsdPencilSolver(V, x if closed_form else None).solve([0.1], b)
+    got, errors = PsdPencilSolver(min_kernel(x, x) if closed_form else V).solve([0.1], b)
     assert errors == [None]
     assert np.allclose(got[:, 0], b / (V[0, 0] ** 2 + 0.1 * V[0, 0]))
 
@@ -635,7 +650,7 @@ def low_rank_systems(s, sigma2):
     vm = build_v_matrices(s)
     grid = default_gamma_grid()
     return (K, ulsif_rhs(s, K), grid * np.sum(K * K) / s.n,
-            factor_v_matrix(vm.v_dd, s.x_prime), v_rhs(vm, s), grid * np.sum(vm.v_dd * K) / s.n)
+            factor_v_matrix(min_kernel(s.x_prime, s.x_prime)), v_rhs(vm, s), grid * np.sum(vm.v_dd * K) / s.n)
 
 
 @pytest.mark.parametrize("n", [40, 160])

@@ -9,13 +9,27 @@ checked. The nonnegative solve is checked against an enumeration of its
 active sets. The oracle forms V'' with cross_v, so it also checks the
 solvers' residual products, which for 1-D points sum min(t_i, t_j) x_j by
 cumulative sums.
+
+At the CV level, every candidate criterion of cross_validate, for all four
+methods on a dozen points in 1-D and 2-D, must lie within the bound of
+`assert_cv_matches_dense_recompute` of the criterion recomputed from each
+fold's own points with cross_v, cross_gram and np.linalg.lstsq. That checks
+the folds' and holdouts' matrices, which cross-validation takes as blocks
+of the full-data ones, and the gamma scaling.
 """
 
+from functools import partial
+
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+from vratio import selection
+from vratio.domain import DomainBox, ScaledSamples
+from vratio.estimators import Method, kernel_spec_for, rect_identity_ones
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
+from vratio.selection import CvPlan, SelectionError, cross_validate, make_folds
 from vratio.solve import (
     NEAR_TIE_GAP,
     RESIDUAL_RTOL,
@@ -31,7 +45,7 @@ from vratio.solve import (
     solve_ridge_square_low_rank,
     solve_ridge_square_many,
 )
-from vratio.vmatrix import cross_v
+from vratio.vmatrix import MinKernel, cross_v, min_kernel
 
 EPS = np.finfo(float).eps
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -106,6 +120,12 @@ def assert_near_oracle(products, shift, shifted, b, x, rank, error):
     assert np.linalg.norm(x - y) <= bound, (np.linalg.norm(x - y), bound)
 
 
+def v_form(points, V):
+    """V'' of `points` in the form the estimators give it: the MinKernel of
+    1-D points, else the array V."""
+    return min_kernel(points, points) if points.shape[1] == 1 else V
+
+
 def _range_rhs(S, seed):
     """S c for a random c: in the range of S, with exact zeros at its zero
     rows and equal entries at its tied rows."""
@@ -138,7 +158,7 @@ def test_pencil_is_near_the_minimal_norm_solution(points, cs, seed):
     b = _range_rhs(S, seed)
     rank = structural_rank(points)
     n = S.shape[0]
-    for solver in (PsdPencilSolver(S, points), PsdPencilSolver(S)):
+    for solver in (PsdPencilSolver(v_form(points, S)), PsdPencilSolver(S)):
         X, errors = solver.solve(cs, b)
         for j, c in enumerate(cs):
             x = range_part(points, X[:, j])
@@ -149,14 +169,15 @@ def test_pencil_is_near_the_minimal_norm_solution(points, cs, seed):
 
 def test_pencil_paths_are_the_ones_named():
     """The examples above take the closed form, its switch to the pivoted
-    path, and the pivoted path itself when no points are given."""
-    def factor(pts, given=True):
-        return type(PsdPencilSolver(cross_v(pts, pts), pts if given else None)._factor)
+    path, and the pivoted path itself when V'' is given as an array."""
+    def factor(pts, operator=True):
+        return type(PsdPencilSolver(min_kernel(pts, pts) if operator
+                                    else cross_v(pts, pts))._factor)
 
     near = np.array([[0.5], [0.5 + 0.5 * NEAR_TIE_GAP], [1.0]])
     assert factor(np.array([[0.1], [0.4], [0.8]])) is BrownianFactor
     assert factor(near) is PivotedCholesky
-    assert factor(np.array([[0.1], [0.4], [0.8]]), given=False) is PivotedCholesky
+    assert factor(np.array([[0.1], [0.4], [0.8]]), operator=False) is PivotedCholesky
 
 
 # the INK-spline kernel, or the RBF kernel at a narrow or a wide sigma2 per
@@ -178,7 +199,7 @@ def test_product_ridge_is_near_the_solution(points, gammas, seed, pivoted, sigma
     A = cross_v(points, points)
     K = _gram(points, sigma2)
     b = _range_rhs(A, seed)
-    factor = pivoted_cholesky(A) if pivoted else factor_v_matrix(A, points)
+    factor = pivoted_cholesky(A) if pivoted else factor_v_matrix(v_form(points, A))
     X, errors = solve_product_ridge_many(factor, K, gammas, b)
     n = A.shape[0]
     for j, g in enumerate(gammas):
@@ -187,7 +208,7 @@ def test_product_ridge_is_near_the_solution(points, gammas, seed, pivoted, sigma
 
 @ORACLE
 @given(point_sets(), gamma_lists, seeds, kernels)
-@example(np.linspace(0.0, 1.0, 8)[:, None], [1e-12, 1e3], 0, 5.0)  # low rank
+@example(np.array([[0.1]] * 3 + [[0.5]] * 3 + [[0.9]] * 2), [1e-12, 1e3], 0, 5.0)  # low rank
 @example(np.linspace(0.0, 1.0, 8)[:, None], [1e-12, 1e3], 0, 0.05)  # the hand-off
 def test_ridge_square_is_near_the_solution(points, gammas, seed, sigma2):
     K = _gram(points, sigma2)
@@ -207,28 +228,50 @@ def test_product_ridge_low_rank_is_near_the_solution(points, gammas, seed, sigma
     A = cross_v(points, points)
     K = _gram(points, sigma2)
     b = _range_rhs(A, seed)
-    X, errors = solve_product_ridge_low_rank(factor_v_matrix(None, points), K, gammas, b)
+    X, errors = solve_product_ridge_low_rank(factor_v_matrix(min_kernel(points, points)), K,
+                                             gammas, b)
     n = A.shape[0]
     for j, g in enumerate(gammas):
         assert_near_oracle((A, K), g, np.eye(n), b, X[:, j], n, errors[j])
 
 
-def test_product_ridge_low_rank_examples_take_the_low_rank_path(monkeypatch):
-    """Both examples above, with at most 3 distinct points of 8, solve from
-    the SVD of W'G (rank <= LOW_RANK_MAX_FRAC n), with no tridiagonal
-    reduction."""
+def count_svd_and_tridiagonal(monkeypatch) -> list:
+    """The names of the dgesdd and dsytrd calls from now on, in call order."""
     calls = []
     for name in ("dgesdd", "dsytrd"):
         original = getattr(scipy.linalg.lapack, name)
         monkeypatch.setattr(scipy.linalg.lapack, name,
                             lambda *a, name=name, original=original, **k: (
                                 calls.append(name), original(*a, **k))[1])
+    return calls
+
+
+def test_product_ridge_low_rank_examples_take_the_low_rank_path(monkeypatch):
+    """Both examples above, with at most 3 distinct points of 8, solve from
+    the SVD of W'G (rank <= LOW_RANK_MAX_FRAC n), with no tridiagonal
+    reduction."""
+    calls = count_svd_and_tridiagonal(monkeypatch)
     for points, sigma2 in ((np.array([[0.2]] * 3 + [[0.6]] * 3 + [[1.0]] * 2), 5.0),
                            (np.array([[0.0]] * 4 + [[0.7]] * 4), 0.05)):
         A = cross_v(points, points)
-        solve_product_ridge_low_rank(factor_v_matrix(None, points), _gram(points, sigma2),
+        solve_product_ridge_low_rank(factor_v_matrix(min_kernel(points, points)),
+                                     _gram(points, sigma2),
                                      [1e-3], _range_rhs(A, 0))
     assert calls == ["dgesdd", "dgesdd"]
+
+
+def test_ridge_square_examples_take_the_paths_named(monkeypatch):
+    """The low-rank example above, 3 distinct points of 8 at a wide sigma2,
+    solves from the SVD of G (rank <= LOW_RANK_MAX_FRAC n) with no
+    tridiagonal reduction; the hand-off example, 8 distinct points at a
+    narrow sigma2, reduces K and takes no SVD."""
+    calls = count_svd_and_tridiagonal(monkeypatch)
+    for points, sigma2, want in (
+            (np.array([[0.1]] * 3 + [[0.5]] * 3 + [[0.9]] * 2), 5.0, ["dgesdd"]),
+            (np.linspace(0.0, 1.0, 8)[:, None], 0.05, ["dsytrd"])):
+        calls.clear()
+        solve_ridge_square_low_rank(_gram(points, sigma2), [1e-12, 1e3], np.ones(8))
+        assert calls == want
 
 
 def nonneg_oracle(A, b):
@@ -280,3 +323,152 @@ def test_nonneg_is_near_the_solution(points, gamma, seed):
     pg = RESIDUAL_RTOL * (1.0 + nb) + 10 * n * EPS * (m * (nx + ny) + nb) + y_res
     bound = (1.0 + eigs[-1]) / eigs[0] * pg
     assert np.linalg.norm(x - y) <= bound, (np.linalg.norm(x - y), bound)
+
+
+# the CV-level oracle: a dozen denominator and nine numerator points, three
+# folds, four gammas and two RBF widths per draw
+CV_PLAN = dict(k=3, gamma_grid=np.logspace(-5.0, 1.0, 4), sigma2_grid=[0.1, 2.0])
+CV_ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+# a near-tie below NEAR_TIE_GAP in every fold's training points: five copies
+# each of 0.3 and 0.3 + NEAR_TIE_GAP / 2 outlast any holdout of four
+NEAR_TIE_DEN = np.array([[0.3]] * 5 + [[0.3 + 0.5 * NEAR_TIE_GAP]] * 5 + [[1.0], [0.7]])
+NEAR_TIE_NUM = np.array([[0.3], [0.3], [0.5], [0.7], [1.0], [0.1], [0.9], [0.3], [0.6]])
+
+
+@st.composite
+def cv_samples(draw):
+    """12 denominator and 9 numerator points in [0, 1]^d, d in {1, 2}, from
+    one pool of coordinates of _coord, so that ties within and between the
+    samples, points on the upper face and gaps around NEAR_TIE_GAP are
+    common."""
+    d = draw(st.sampled_from([1, 2]))
+    pool = [[draw(_coord) for _ in range(d)] for _ in range(draw(st.integers(3, 12)))]
+    den, num = ([draw(st.sampled_from(pool)) for _ in range(size)] for size in (12, 9))
+    return np.array(den), np.array(num)
+
+
+def fold_system(method, spec, x_tr, z_tr, gamma):
+    """The fold's system matrix, as (P1, P2, shift, Z) with M = P1 P2 + shift Z,
+    and right-hand side, formed with cross_v and cross_gram from the fold's
+    training points x_tr (denominator) and z_tr (numerator)."""
+    n, ell = len(x_tr), len(z_tr)
+    V = cross_v(x_tr, x_tr)
+    b = n / ell * cross_v(x_tr, z_tr).sum(axis=1)
+    if method is Method.DRE_V:
+        return (V, V, gamma / n, V), b
+    K = cross_gram(spec, x_tr, x_tr)
+    if method is Method.ULSIF_LIKE:
+        return (K, K, gamma, np.eye(n)), n / ell * K @ rect_identity_ones(n, ell)
+    return (V, K, gamma, np.eye(n)), b
+
+
+def dense_gamma_scale(method, spec, x_den):
+    """tr(M)/n of the full-data system matrix, from cross_v and cross_gram."""
+    n = len(x_den)
+    V = cross_v(x_den, x_den)
+    if method is Method.DRE_V:
+        scale = np.trace(V)
+    else:
+        K = cross_gram(spec, x_den, x_den)
+        scale = np.sum((K if method is Method.ULSIF_LIKE else V) * K) / n
+    return scale if np.isfinite(scale) and scale > 0.0 else 1.0
+
+
+def assert_cv_matches_dense_recompute(den, num, seed, monkeypatch):
+    """cross_validate's every candidate against a per-candidate recompute.
+
+    Each fold's matrices are formed from that fold's own points with cross_v
+    and cross_gram, and each gamma is solved by y = lstsq(M, b), the
+    minimal-norm solution. The fold's criterion of y is
+    c(y) = 0.5 ||H y||^2 - lam 1'H_n y, with H and H_n the holdout matrices
+    and lam = n/ell of all the data.
+
+    The tolerance: the fold's coefficient column x, taken from the criterion
+    call, has a residual r = b - M x of norm at most
+    rho = RESIDUAL_RTOL (1 + ||b||) + 10 n eps (m ||x|| + ||b||), the
+    residual bound plus the rounding of the solver's own products
+    (m = || |P1| |P2| + shift |Z| ||_2 as in assert_near_oracle). Its part
+    in the range of M (range_part for DRE-V, where H and H_n see nothing
+    else) is y - M^+ r, with M^+ the pseudo-inverse of M at its structural
+    rank. With g = H'H y - lam H_n'1,
+
+        |c(x) - c(y)| <= ||M^+' g|| rho + 0.5 ||H M^+||_2^2 rho^2,
+
+    plus the rounding of both criteria, at most 10 (n + m_h) eps
+    (||a||^2 + lam sum(a_n)) for a = |H| (|x| + |y|), a_n the same of H_n
+    and m_h the holdout size. The tolerance of a candidate is the sum over
+    its folds. A candidate reported as failed is not checked. Each gamma is
+    also checked against the grid times tr(M)/n of the formed full-data M.
+    """
+    s = ScaledSamples(den, num, DomainBox(np.zeros(den.shape[1]), np.ones(den.shape[1])))
+    plan = CvPlan(seed=seed, **CV_PLAN)
+    lam = s.n / s.ell
+    num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
+    for method in Method:
+        columns = []
+
+        def spy(coef, hold_den, hold_num, n_over_l, criteria=selection._criteria):
+            columns.append(coef.copy())
+            return criteria(coef, hold_den, hold_num, n_over_l)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "_criteria", spy)
+            try:
+                report = cross_validate(s, method, plan)
+            except SelectionError:
+                continue  # every candidate reported failed
+        sigma2s = plan.sigma2_grid if method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE) else [None]
+        G = plan.gamma_grid.size
+        for i, s2 in enumerate(sigma2s):
+            spec = kernel_spec_for(method, s.d, None if s2 is None else float(s2))
+            build = cross_v if spec is None else partial(cross_gram, spec)
+            scale = dense_gamma_scale(method, spec, s.x_prime)
+            for j, cand in enumerate(report.candidates[i * G:(i + 1) * G]):
+                # tr(M) sums nonnegative terms: the rounding is relative
+                assert cand.gamma == pytest.approx(plan.gamma_grid[j] * scale, rel=1e-12)
+                if not cand.ok:
+                    continue
+                want = tol = 0.0
+                for f, (num_hold, den_hold) in enumerate(zip(num_folds, den_folds)):
+                    train = np.setdiff1d(np.arange(s.n), den_hold)
+                    x_tr, z_tr = s.x_prime[train], s.x[np.setdiff1d(np.arange(s.ell), num_hold)]
+                    (p1, p2, shift, Z), b = fold_system(method, spec, x_tr, z_tr, cand.gamma)
+                    M = p1 @ p2 + shift * Z
+                    y = np.linalg.lstsq(M, b, rcond=None)[0]
+                    x = columns[f * len(sigma2s) + i][:, j]
+                    H, H_n = build(s.x_prime[den_hold], x_tr), build(s.x[num_hold], x_tr)
+                    want += 0.5 * np.sum((H @ y) ** 2) - lam * np.sum(H_n @ y)
+
+                    n = len(train)
+                    rank = structural_rank(x_tr) if method is Method.DRE_V else n
+                    m = np.linalg.norm(np.abs(p1) @ np.abs(p2) + shift * np.abs(Z), 2)
+                    nb = np.linalg.norm(b)
+                    rho = RESIDUAL_RTOL * (1.0 + nb) + 10 * n * EPS * (m * np.linalg.norm(x) + nb)
+                    U, sv, Wt = np.linalg.svd(M)
+                    pinv = Wt[:rank].T @ (U[:, :rank] / sv[:rank]).T
+                    g = H.T @ (H @ y) - lam * H_n.sum(axis=0)
+                    tol += (np.linalg.norm(pinv.T @ g) * rho
+                            + 0.5 * np.linalg.norm(H @ pinv, 2) ** 2 * rho**2)
+                    a, a_n = (np.abs(A) @ (np.abs(x) + np.abs(y)) for A in (H, H_n))
+                    tol += 10 * (n + len(H) + len(H_n)) * EPS * (a @ a + lam * a_n.sum())
+                assert abs(cand.criterion - want) <= tol, (method, s2, cand, want, tol)
+
+
+@CV_ORACLE
+@given(cv_samples(), seeds)
+@example((NEAR_TIE_DEN, NEAR_TIE_NUM), 0)  # the DRE-V folds take the dense fallback
+def test_cross_validation_is_near_the_dense_recompute(samples, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_cv_matches_dense_recompute(*samples, seed, monkeypatch)
+
+
+def test_cv_near_tie_example_takes_the_dense_fallback(monkeypatch):
+    """Every DRE-V fold of the example above factors the dense form of its
+    MinKernel V'', which the closed form leaves at a gap below NEAR_TIE_GAP."""
+    calls = []
+    dense = MinKernel.dense
+    monkeypatch.setattr(MinKernel, "dense", lambda self: calls.append(self.shape) or dense(self))
+    s = ScaledSamples(NEAR_TIE_DEN, NEAR_TIE_NUM, DomainBox(np.zeros(1), np.ones(1)))
+    cross_validate(s, Method.DRE_V, CvPlan(seed=0, **CV_PLAN))
+    # three folds of 8 training points and the refit on all 12
+    assert calls == [(8, 8)] * 3 + [(12, 12)]

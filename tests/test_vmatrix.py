@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vratio.domain import DimensionMismatchError, DomainBox, OutOfBoxError, ScaledSamples
-from vratio.vmatrix import build_v_matrices, cross_v, l2_residual, min_kernel
+from vratio.estimators import v_matrices
+from vratio.vmatrix import (MinKernel, block, build_v_matrices, cross_v, l2_residual, min_kernel,
+                            trace_product)
 
 EPS = np.finfo(float).eps
 
@@ -226,6 +228,47 @@ def test_l2_residual_reuses_given_v_matrices():
     s = unit_samples(rng, 7, 5, 2)
     r = rng.normal(size=7)
     assert l2_residual(s, r, vm=build_v_matrices(s)) == l2_residual(s, r)
+
+
+def test_l2_residual_takes_the_operators_of_1d_points():
+    """With the MinKernel V-matrices of estimators.v_matrices, which
+    cross-validation holds for 1-D points, l2_residual is the dense result
+    within 4 max(n, ell) eps times its terms in absolute value: each product
+    with V, dense or not, lies within n eps (|V| @ |r|) of the exact one."""
+    rng = np.random.default_rng(11)
+    den = points_with_ties_and_faces(rng, 40, 1)
+    s = ScaledSamples(den, rng.random((30, 1)), DomainBox(np.zeros(1), np.ones(1)))
+    r = rng.normal(size=s.n)
+    vm, dense = v_matrices(s), build_v_matrices(s)
+    assert isinstance(vm.v_dd, MinKernel) and isinstance(vm.v_dn, MinKernel)
+    ar, ones = np.abs(r), np.ones(s.ell)
+    terms = ar @ dense.v_dd @ ar / s.n**2 + 2.0 * (ar @ dense.v_dn @ ones) / (s.n * s.ell)
+    err = abs(l2_residual(s, r, vm=vm) - l2_residual(s, r, vm=dense))
+    assert err <= 4 * max(s.n, s.ell) * EPS * terms
+
+
+def test_min_kernel_dense_transpose_and_blocks_equal_cross_v():
+    """dense(), T and block of a min_kernel operator equal cross_v of the
+    same points entry for entry: ties, 0, 1 and neighbouring floats
+    included. block of an array is the C-ordered sub-matrix."""
+    rng = np.random.default_rng(12)
+    rows = points_with_ties_and_faces(rng, 20, 1)
+    rows[15] = np.nextafter(rows[14], 1.0)
+    rows[16] = np.nextafter(1.0, 0.0)
+    cols = np.vstack([points_with_ties_and_faces(rng, 16, 1), rows[10:]])
+    op, V = min_kernel(rows, cols), cross_v(rows, cols)
+    assert np.array_equal(op.dense(), V)
+    assert np.array_equal(op.T.dense(), V.T)
+    picks = ([3, 0, 7, 19, 7], [25, 1, 2, 13])
+    got = block(V, *picks)
+    assert np.array_equal(got, V[np.ix_(*picks)]) and got.flags.c_contiguous
+    assert np.array_equal(block(op, *picks).dense(), cross_v(rows[picks[0]], cols[picks[1]]))
+    square = min_kernel(rows, rows)
+    K = rng.random((20, 20))
+    K = K + K.T
+    assert trace_product(square, K) == pytest.approx(trace_product(cross_v(rows, rows), K),
+                                                     rel=1e-13)
+    assert square.trace() == pytest.approx(np.trace(cross_v(rows, rows)), rel=1e-15)
 
 
 def test_l2_residual_length_check():
