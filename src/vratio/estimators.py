@@ -18,14 +18,18 @@ have in common, solve_system solves for many gamma at once, and fit_system
 is solve_system at one gamma on all data. The fit_* functions build the
 matrices and call fit_system.
 
-v_matrices is the one place that chooses the V-matrices' form: arrays in
-d > 1, and for 1-D points vmatrix.min_kernel operators, so that no 1-D
-V-matrix is formed and every product with them (the right-hand side V'1,
-the residual checks, the DRE-VK refit's V''K) is a sort and cumulative
+The fits and cross-validation take V'' and V' from
+vmatrix.build_v_matrices, and the DRE-V estimate's predictions their V from
+vmatrix.v_matrix, which picks the form from the points: arrays in d > 1,
+and for 1-D points vmatrix.MinKernel operators, so that no 1-D V-matrix is
+formed and every product with them (the right-hand side V'1, the residual
+checks, the DRE-VK refit's V''K, the predictions) is a sort and cumulative
 sums, O(n log n + nG) for G columns. Everything downstream takes its 1-D
 path from that form alone and is given no points: factor_system factors
 V'' by solve.factor_v_matrix, and cross-validation takes the folds' and
-holdouts' V-matrices as vmatrix.block of the full-data ones.
+holdouts' V-matrices as vmatrix.block of the full-data ones. The one other
+dimension test on the solve path is solve_system's, which picks the
+low-rank solvers for the RBF Grams of 1-D points.
 
 DRE-V solves by PsdPencilSolver, so alpha lies in the range of V'': for a
 MinKernel V'' from its closed-form factor by one tridiagonal solve and a
@@ -38,8 +42,7 @@ points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor of the
 RBF Gram K ~ G G' and one thin SVD, unless its rank is too high. The uLSIF
 fit always takes the tridiagonal reduction, and the DRE-VK fit solves by
 LU. The dense 1-D builds that remain are the INK and RBF Grams, the V'' of
-the NEAR_TIE_GAP fallback, RatioEstimate.predict_scaled and
-dre_v_nonneg_values.
+the NEAR_TIE_GAP fallback and the V'' of dre_v_nonneg_values.
 
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:
@@ -62,7 +65,7 @@ from .kernels import KernelKind, KernelSpec, cross_gram
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
                     solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
                     solve_ridge_square_low_rank, solve_ridge_square_many)
-from .vmatrix import VMatrices, build_v_matrices, cross_v, min_kernel
+from .vmatrix import VMatrices, build_v_matrices, cross_v, v_matrix
 
 
 class Method(enum.Enum):
@@ -93,7 +96,7 @@ class RatioEstimate:
         """Ratio values at points already mapped into [0,1]^d."""
         pts = as_points(points)
         if self.kernel is None:
-            return cross_v(pts, self.centers) @ self.coef
+            return v_matrix(pts, self.centers) @ self.coef
         return cross_gram(self.kernel, pts, self.centers) @ self.coef
 
     def predict(self, points) -> np.ndarray:
@@ -107,17 +110,6 @@ class RatioEstimate:
         return self.predict_scaled(self.box.transform(points))
 
 
-def v_matrices(s: ScaledSamples) -> VMatrices:
-    """V'' and V' of `s` as the solvers take them: the arrays of
-    build_v_matrices in d > 1, and min_kernel operators for 1-D points, whose
-    products are a sort and cumulative sums in place of n x n matrices. This
-    is the one place that asks the dimension; the solvers and
-    cross-validation take their 1-D paths from the form it returns."""
-    if s.d > 1:
-        return build_v_matrices(s)
-    return VMatrices(min_kernel(s.x_prime, s.x_prime), min_kernel(s.x_prime, s.x))
-
-
 def v_rhs(vm: VMatrices, s: ScaledSamples) -> np.ndarray:
     """(n/ell) V' 1, the right-hand side of the V-matrix systems."""
     return (s.n / s.ell) * (vm.v_dn @ np.ones(s.ell))
@@ -128,23 +120,24 @@ def fit_dre_v(s: ScaledSamples, gamma: float) -> RatioEstimate:
     alpha = (n/ell)(V''V'' + (gamma/n)V'')^+ V' 1, so that the estimate
     r(x) = sum_i alpha_i v(x'_i, x) is defined at arbitrary points and its
     values at the denominator points solve (V'' + (gamma/n) I) r = (n/ell) V' 1."""
-    return fit_system(Method.DRE_V, s, gamma, None, v_matrices(s), None)
+    return fit_system(Method.DRE_V, s, gamma, None, build_v_matrices(s), None)
 
 
 def dre_v_nonneg_values(s: ScaledSamples, gamma: float) -> np.ndarray:
     """DRE-V values at the denominator points minimizing the same quadratic
-    objective under r >= 0."""
+    objective under r >= 0. solve_nonneg's Cholesky takes V'' as an array,
+    so V'' is formed here in every dimension."""
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    vm = build_v_matrices(s)
-    A = vm.v_dd + (gamma / s.n) * np.eye(s.n)
-    return solve_nonneg(A, v_rhs(vm, s))
+    v_dd = cross_v(s.x_prime, s.x_prime)
+    vm = VMatrices(v_dd, v_matrix(s.x_prime, s.x))
+    return solve_nonneg(v_dd + (gamma / s.n) * np.eye(s.n), v_rhs(vm, s))
 
 
 def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
     """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`."""
     method = Method.DRE_VK_RBF if spec.kind is KernelKind.RBF else Method.DRE_VK_INK
-    return fit_system(method, s, gamma, spec, v_matrices(s),
+    return fit_system(method, s, gamma, spec, build_v_matrices(s),
                       cross_gram(spec, s.x_prime, s.x_prime))
 
 
@@ -181,16 +174,17 @@ def factor_system(method: Method, vm: VMatrices | None):
 def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
     """The method's coefficients on `s` for every gamma as the columns of an
     n x G matrix, and per gamma None or the message of its failed residual
-    check. `vm` holds the V-matrices of s in the form of v_matrices(s), or
-    blocks of them (None for uLSIF), `factor` is factor_system(method, vm)
-    and K the Gram matrix of s.x_prime (None for DRE-V). The form of V''
-    selected the factor; DRE-V and DRE-VK apply V'' and V' in that form.
+    check. `vm` holds build_v_matrices(s) or blocks of it (None for
+    uLSIF), `factor` is factor_system(method, vm) and K the Gram matrix of
+    s.x_prime (None for DRE-V). The form of V'' selected the factor; DRE-V
+    and DRE-VK apply V'' and V' in that form.
 
     The RBF Grams of 1-D points are numerically low rank, so uLSIF and
     DRE-VK-RBF solve them by the low-rank solvers of solve, which hand a
     Gram of too high a rank to the dense ones up front. In d > 1 they are
     full rank, and the dense solvers run without a pivoted Cholesky of K
-    first.
+    first. This test of s.d picks the solver for K; vmatrix.v_matrix alone
+    picks a V-matrix's form.
     """
     gammas = np.asarray(gammas, dtype=float)
     low_rank = s.d == 1

@@ -15,12 +15,11 @@ from .estimators import (
     fit_system,
     kernel_spec_for,
     solve_system,
-    v_matrices,
 )
 from .kernels import cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import solve_regularized  # noqa: F401
-from .vmatrix import VMatrices, block, trace_product
+from .vmatrix import VMatrices, block, build_v_matrices, trace_product
 
 # the CV defaults, which `vratio run` and `vratio fit` take from here
 DEFAULT_FOLDS = 5
@@ -93,8 +92,11 @@ class CvPlan:
         if self.sigma2_grid is not None:
             self.sigma2_grid = _positive_grid(self.sigma2_grid, "sigma2 grid")
         _positive_grid(self.sigma2_multipliers, "sigma2 multipliers")
-        if self.k < 2:
-            raise ValueError("fold count must be at least 2")
+        # np.array_split would silently truncate a fold count of 2.5 to 2 folds
+        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
+            raise ValueError(f"fold count must be an integer of at least 2, got {self.k!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -181,14 +183,16 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     and the training points, because holding them as full-data
     denominator-by-numerator matrices raised the peak memory of `vratio fit`
     at n = 800 (benchmark workload fit-1d-large) by 5.7% in a prototype.
-    The V-matrices come from estimators.v_matrices: arrays in d > 1, and for
-    1-D points MinKernel operators, whose blocks are the MinKernels of the
-    fold's coordinates and whose products are one stable sort and
-    cumulative sums, O(n log n + nG) per fold. No branch here tests the
-    dimension; the form of V'' selects the solver's path. The dense
-    matrices left in 1-D are the INK and RBF Grams and the V'' of the
-    NEAR_TIE_GAP fallback; the estimate's predict_scaled and
-    dre_v_nonneg_values form theirs outside cross-validation.
+    The V-matrices come from vmatrix.build_v_matrices, whose v_matrix picks
+    their form from the points: arrays in d > 1, and for 1-D points
+    MinKernel operators, whose blocks are the MinKernels of the fold's
+    coordinates and whose products are one stable sort and cumulative sums,
+    O(n log n + nG) per fold. No branch here tests the dimension; the form
+    of V'' selects the solver's path. The dense matrices left in 1-D are
+    the INK and RBF Grams and the V'' of the NEAR_TIE_GAP fallback. The
+    returned estimate predicts through v_matrix too, so `vratio fit` forms
+    no other 1-D V-matrix; only dre_v_nonneg_values, outside
+    cross-validation, forms its V''.
 
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
@@ -276,7 +280,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     else:
         sigma2_values = [None]
 
-    full_vm = None if method is Method.ULSIF_LIKE else v_matrices(s)
+    full_vm = None if method is Method.ULSIF_LIKE else build_v_matrices(s)
     ink = kernel_spec_for(method, s.d) if method is Method.DRE_VK_INK else None
     full_K = None if ink is None else cross_gram(ink, s.x_prime, s.x_prime)
     D = cdist(s.x_prime, s.x_prime, "sqeuclidean") if uses_rbf else None

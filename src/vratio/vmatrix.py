@@ -7,10 +7,13 @@ where both step functions theta(x - a) and theta(x - b) are one:
 
 For 1-D points that entry is min(1 - a, 1 - b), the Brownian covariance of
 t = 1 - x, and min_kernel gives the matrix as a MinKernel operator, which
-applies it by a sort and cumulative sums without forming it. A V-matrix is
-an array or a MinKernel, and its form alone selects the 1-D paths: block
-takes its sub-matrices and trace_product its trace against a kernel Gram in
-either form, and solve.factor_v_matrix factors it by its form.
+applies it by a sort and cumulative sums without forming it. v_matrix is the
+one place that picks a V-matrix's form from its points: a MinKernel for 1-D
+points, the array of cross_v otherwise. build_v_matrices, the fits,
+cross-validation, the DRE-V estimate's predictions and l2_residual take
+their V-matrices from it. Downstream the form alone selects the 1-D paths:
+block takes its sub-matrices and trace_product its trace against a kernel
+Gram in either form, and solve.factor_v_matrix factors it by its form.
 """
 
 from __future__ import annotations
@@ -113,7 +116,10 @@ class MinKernel:
     def trace_product(self, K) -> float:
         """tr(M K) for the square M of s = t, such as V'', and a symmetric K,
         without the product: in the sorted order of t, min(t_a, t_b) is t_a
-        for a <= b, so tr(M K) = sum_a t_a (K_aa + 2 sum_{b > a} K_ab)."""
+        for a <= b, so tr(M K) = sum_a t_a (K_aa + 2 sum_{b > a} K_ab).
+        ValueError unless s equals t, as solve.factor_v_matrix requires."""
+        if not np.array_equal(self.s, self.t):
+            raise ValueError("a MinKernel V'' must have s = t")
         P = np.take(np.take(np.asarray(K, dtype=float), self.order, axis=0), self.order, axis=1)
         return float(self.t_sorted @ (2.0 * np.triu(P).sum(axis=1) - np.diagonal(P)))
 
@@ -128,6 +134,14 @@ def min_kernel(rows, cols) -> MinKernel:
     return MinKernel(1.0 - rp[:, 0], 1.0 - cp[:, 0])
 
 
+def v_matrix(rows, cols) -> np.ndarray | MinKernel:
+    """The V-matrix of the row and column points in the form the solvers take:
+    min_kernel(rows, cols) for 1-D points, cross_v(rows, cols) otherwise.
+    Both equal cross_v entry for entry. This is the one test of the
+    dimension that picks a V-matrix's form."""
+    return min_kernel(rows, cols) if as_points(rows).shape[1] == 1 else cross_v(rows, cols)
+
+
 @dataclass(frozen=True)
 class VMatrices:
     """The n x n denominator Gram matrix and the n x ell denominator-numerator
@@ -138,11 +152,10 @@ class VMatrices:
 
 
 def build_v_matrices(s: ScaledSamples) -> VMatrices:
-    """Build V'' (denominator x denominator) and V' (denominator x numerator)."""
-    v_dd = cross_v(s.x_prime, s.x_prime)
-    v_dn = cross_v(s.x_prime, s.x)
-    # maximum.outer is exactly symmetric, so v_dd is symmetric by construction
-    return VMatrices(v_dd, v_dn)
+    """V'' (denominator x denominator) and V' (denominator x numerator) by
+    v_matrix: arrays in d > 1, MinKernel operators for 1-D points. An array
+    V'' is exactly symmetric, since maximum.outer builds its entries."""
+    return VMatrices(v_matrix(s.x_prime, s.x_prime), v_matrix(s.x_prime, s.x))
 
 
 def block(V, rows, cols):
@@ -168,16 +181,16 @@ def l2_residual(s: ScaledSamples, r, vm: VMatrices | None = None) -> float:
     empirical measures, including the r-independent term.
 
     Expands to (1/n^2) r'V''r - (2/(n ell)) r'V'1 + (1/ell^2) 1'V'''1 where
-    V''' collects overlap volumes of numerator pairs. `vm`, when given, must
-    be the V-matrices of s in either form, build_v_matrices(s) or
-    estimators.v_matrices(s); it saves rebuilding them. Each V enters only
-    through V.T @ x, the product NumPy computes for x @ V.
+    V''' collects overlap volumes of numerator pairs. Every V comes from
+    v_matrix, so none is formed for 1-D points. `vm`, when given, must be the
+    V-matrices of s, such as build_v_matrices(s); it saves rebuilding them.
+    Each V enters only through V.T @ x, the product NumPy computes for x @ V.
     """
     rv = np.atleast_1d(np.asarray(r, dtype=float))
     if rv.shape[0] != s.n:
         raise ValueError(f"r has length {rv.shape[0]}, expected n={s.n}")
     vm = build_v_matrices(s) if vm is None else vm
-    v_nn = cross_v(s.x, s.x)
+    v_nn = v_matrix(s.x, s.x)
     ones = np.ones(s.ell)
     val = (
         (vm.v_dd.T @ rv) @ rv / s.n**2

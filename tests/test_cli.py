@@ -376,7 +376,7 @@ def test_import_leaves_scipy_stats_and_optimize_unloaded():
 DELETED_NAMES = (
     "Role", "ecdf_eval", "v_entry", "VDomainError", "gram", "ink1", "kernel_eval",
     "solve_psd_pencil", "Variant", "UnsupportedQueryError", "fit_dre_v_expansion",
-    "validate_command", "SolveReport", "DEFAULT_MODELS", "DEFAULT_METHODS",
+    "validate_command", "SolveReport", "DEFAULT_MODELS", "DEFAULT_METHODS", "v_matrices",
 )
 
 

@@ -17,12 +17,17 @@ from vratio.estimators import (
 )
 from vratio.kernels import KernelKind, KernelSpec, cross_gram
 from vratio.solve import SingularSystemError
-from vratio.vmatrix import build_v_matrices, cross_v
+from vratio.vmatrix import VMatrices, build_v_matrices, cross_v
 
 
 def unit_samples(rng, n, ell, d):
     box = DomainBox(np.zeros(d), np.ones(d))
     return ScaledSamples(rng.random((n, d)), rng.random((ell, d)), box)
+
+
+def dense_v_matrices(s):
+    """V'' and V' of s as arrays, also for 1-D points."""
+    return VMatrices(cross_v(s.x_prime, s.x_prime), cross_v(s.x_prime, s.x))
 
 
 def test_dre_v_solves_regularized_system():
@@ -69,7 +74,7 @@ def test_dre_v_direct_and_expansion_forms_agree():
         ell = int(rng.integers(5, 31))
         d = int(rng.integers(1, 3))
         s = unit_samples(rng, n, ell, d)
-        vm = build_v_matrices(s)
+        vm = dense_v_matrices(s)
         b = (n / ell) * vm.v_dn.sum(axis=1)
         for gamma in gammas:
             direct = np.linalg.solve(vm.v_dd + gamma / n * np.eye(n), b)
@@ -92,7 +97,7 @@ def test_dre_v_objective_local_optimality():
     rng = np.random.default_rng(35)
     s = unit_samples(rng, 10, 8, 1)
     gamma = 0.1
-    vm = build_v_matrices(s)
+    vm = dense_v_matrices(s)
     M = vm.v_dd + gamma / s.n * np.eye(s.n)
     b = (s.n / s.ell) * vm.v_dn @ np.ones(s.ell)
 
@@ -143,6 +148,22 @@ def test_dre_v_prediction_is_overlap_volume_expansion():
     est = fit_dre_v(s, 0.1)
     q = rng.random((4, 2))
     assert np.array_equal(est.predict_scaled(q), cross_v(q, s.x_prime) @ est.coef)
+
+
+def test_dre_v_prediction_of_1d_points_is_the_min_kernel_product():
+    """For 1-D points predict_scaled applies the V-matrix as a MinKernel: it
+    equals the product with cross_v within n eps (|V| @ |coef|), at
+    queries on the centers, between them and on both faces."""
+    rng = np.random.default_rng(41)
+    x_den = rng.random((30, 1))
+    x_den[5:8] = x_den[0]
+    x_den[9] = 1.0
+    s = ScaledSamples(x_den, rng.random((20, 1)), DomainBox(np.zeros(1), np.ones(1)))
+    est = fit_dre_v(s, 0.1)
+    q = np.concatenate([s.x_prime[:10], rng.random((6, 1)), [[0.0], [1.0]]])
+    V = cross_v(q, s.x_prime)
+    err = np.abs(est.predict_scaled(q) - V @ est.coef)
+    assert np.all(err <= s.n * np.finfo(float).eps * (np.abs(V) @ np.abs(est.coef)))
 
 
 def test_rect_identity_ones():

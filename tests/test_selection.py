@@ -6,7 +6,7 @@ import scipy.linalg
 
 from scipy.spatial.distance import cdist
 
-from vratio import estimators, selection, solve
+from vratio import estimators, selection, solve, vmatrix
 from vratio.domain import DomainBox, SampleSet, ScaledSamples, fit_domain_box, scale
 from vratio.estimators import (
     Method,
@@ -26,7 +26,7 @@ from vratio.selection import (
     median_sigma2,
 )
 from vratio.solve import SingularSystemError
-from vratio.vmatrix import MinKernel, build_v_matrices, cross_v
+from vratio.vmatrix import MinKernel, build_v_matrices, cross_v, l2_residual
 
 
 def unit_samples(rng, n, ell, d):
@@ -81,6 +81,26 @@ def test_cv_plan_validation():
             CvPlan(**{name: values})
     plan = CvPlan(gamma_grid=np.array([1.0, 0.01]))
     assert np.all(np.diff(plan.gamma_grid) > 0)  # sorted on construction
+
+
+@pytest.mark.parametrize("k", [2.5, 3.9, 3.0, True, "3", 1, 0])
+def test_cv_plan_rejects_a_fold_count_that_is_not_an_integer_of_at_least_2(k):
+    # np.array_split would run 2.5 as 2 folds and 3.9 as 3
+    with pytest.raises(ValueError, match="fold count must be an integer of at least 2"):
+        CvPlan(k=k)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, np.float64(3.0), None, "0"])
+def test_cv_plan_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        CvPlan(seed=seed)
+
+
+def test_cv_plan_takes_numpy_integers():
+    plan = CvPlan(k=np.int64(3), seed=np.uint32(7))
+    got, want = make_folds(9, 9, plan.k, plan.seed), make_folds(9, 9, 3, 7)
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(a, b)
 
 
 def test_make_folds_partition():
@@ -247,7 +267,7 @@ def naive_cv(s, method, plan, sigma2_values):
 
     Returns {(gamma, sigma2): criterion, or None if a fold's solve failed}.
     """
-    vdd = build_v_matrices(s).v_dd
+    vdd = cross_v(s.x_prime, s.x_prime)
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
     out = {}
     for s2 in sigma2_values:
@@ -349,14 +369,15 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     for module in (selection, estimators):
         monkeypatch.setattr(module, "cross_gram", counter.wrap(
             module.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
-    monkeypatch.setattr(estimators, "min_kernel", counter.wrap(
-        estimators.min_kernel, lambda rows, cols: ("min", matrix_kind(rows, cols))))
+    # vmatrix.v_matrix builds every V-matrix by one of these two
+    monkeypatch.setattr(vmatrix, "min_kernel", counter.wrap(
+        vmatrix.min_kernel, lambda rows, cols: ("min", matrix_kind(rows, cols))))
+    monkeypatch.setattr(vmatrix, "cross_v", counter.wrap(
+        vmatrix.cross_v, lambda rows, cols: ("v", matrix_kind(rows, cols))))
     # the min_kernel operators of the folds are blocks of the full-data ones
     monkeypatch.setattr(selection, "block", counter.wrap(
         selection.block, lambda V, rows, cols: ("min", matrix_kind(rows, cols))
         if isinstance(V, MinKernel) else None))
-    monkeypatch.setattr(estimators, "build_v_matrices", counter.wrap(
-        estimators.build_v_matrices, lambda s: ("v", matrix_kind(s.x_prime, s.x_prime))))
     monkeypatch.setattr(selection, "cdist", counter.wrap(
         selection.cdist, lambda rows, cols, metric: ("dist", matrix_kind(rows, cols))))
     # the exp of the RBF distances: full data, or one fold's training Gram and
@@ -367,15 +388,15 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     report = cross_validate(s, method, plan)
     assert report.failures == 0
 
-    # in d > 1 the full-data V-matrices (all but uLSIF) are built once per
-    # draw; every fold takes its V-matrices, and DRE-V its holdout matrices,
-    # as blocks. 1-D points build no V-matrix: V'' and V' of the full data and
-    # of each fold's own points, and DRE-V's holdout matrices, are min_kernel
-    # operators
+    # in d > 1 the full-data V-matrices V'' and V' (all but uLSIF) are built
+    # once per draw; every fold takes its V-matrices, and DRE-V its holdout
+    # matrices, as blocks. 1-D points build no V-matrix: V'' and V' of the
+    # full data and of each fold's own points, and DRE-V's holdout matrices,
+    # are min_kernel operators
     want = {}
     if method is not Method.ULSIF_LIKE:
         if d > 1:
-            want[("v", "full")] = 1
+            want[("v", "full")] = 2
         else:
             want.update({("min", "full"): 2, ("min", "train"): 2 * k})
             if method is Method.DRE_V:
@@ -420,20 +441,20 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
 
 @pytest.mark.parametrize("method", [Method.DRE_V, Method.DRE_VK_INK, Method.DRE_VK_RBF])
 def test_cross_validate_on_distinct_1d_points_forms_no_v_matrix(method, monkeypatch):
-    """On 1-D points of which no two lie closer than NEAR_TIE_GAP,
-    cross-validation and its refit take every V-matrix product from the
-    points: no binding of build_v_matrices or cross_v in the package is
-    called."""
+    """On 1-D points of which no two lie closer than NEAR_TIE_GAP, the path
+    of `vratio fit` (cross-validation, its refit and the estimate's
+    predictions) and l2_residual take every V-matrix product from the points:
+    no binding of cross_v in the package and no MinKernel.dense is called."""
     s = unit_samples(np.random.default_rng(66), 40, 30, 1)
     assert np.diff(np.sort(np.concatenate([[0.0], 1.0 - s.x_prime[:, 0]]))).min() > 1e-4
     counter = CallCounter()
     for name, module in list(sys.modules.items()):
-        if name == "vratio" or name.startswith("vratio."):
-            for attr in ("build_v_matrices", "cross_v"):
-                if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, counter.wrap(getattr(module, attr),
-                                                                   lambda *a, attr=attr: attr))
+        if (name == "vratio" or name.startswith("vratio.")) and hasattr(module, "cross_v"):
+            monkeypatch.setattr(module, "cross_v", counter.wrap(module.cross_v,
+                                                                lambda *a: "cross_v"))
+    monkeypatch.setattr(MinKernel, "dense", counter.wrap(MinKernel.dense, lambda *a: "dense"))
     report = cross_validate(s, method, CvPlan(k=4, sigma2_grid=[0.3, 1.0]))
+    l2_residual(s, report.estimate.predict(s.x_prime))
     assert report.failures == 0
     assert counter.counts == {}
 
@@ -521,9 +542,8 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
                 "hold_num": (hold_num, old_build(s.x[num_hold], sub.x_prime, s2)),
             }
             if vm is not None:
-                old_vm = build_v_matrices(sub)
-                want["v_dd"] = (vm.v_dd, old_vm.v_dd)
-                want["v_dn"] = (vm.v_dn, old_vm.v_dn)
+                want["v_dd"] = (vm.v_dd, cross_v(sub.x_prime, sub.x_prime))
+                want["v_dn"] = (vm.v_dn, cross_v(sub.x_prime, sub.x))
             if method is not Method.DRE_V:
                 want["K"] = (K, old_build(sub.x_prime, sub.x_prime, s2))
             # the 1-D V-matrices, DRE-V's holdout matrices among them

@@ -28,7 +28,7 @@ from vratio.solve import (
     solve_ridge_square_low_rank,
     solve_ridge_square_many,
 )
-from vratio.vmatrix import build_v_matrices, cross_v, min_kernel
+from vratio.vmatrix import build_v_matrices, cross_v, min_kernel, trace_product
 
 
 def random_psd(rng, n, ridge=0.1):
@@ -650,7 +650,7 @@ def low_rank_systems(s, sigma2):
     vm = build_v_matrices(s)
     grid = default_gamma_grid()
     return (K, ulsif_rhs(s, K), grid * np.sum(K * K) / s.n,
-            factor_v_matrix(min_kernel(s.x_prime, s.x_prime)), v_rhs(vm, s), grid * np.sum(vm.v_dd * K) / s.n)
+            factor_v_matrix(vm.v_dd), v_rhs(vm, s), grid * trace_product(vm.v_dd, K) / s.n)
 
 
 @pytest.mark.parametrize("n", [40, 160])
@@ -786,9 +786,8 @@ def test_dre_v_nonneg_values_meets_projected_gradient_bound():
     num, den = bench.sample_model(bench.make_model(1), 200, 3)
     s = domain.scale(num, den, domain.fit_domain_box(num, den))
     x = dre_v_nonneg_values(s, gamma)
-    vm = build_v_matrices(s)
-    b = v_rhs(vm, s)
-    g = (vm.v_dd + gamma / s.n * np.eye(s.n)) @ x - b
+    b = v_rhs(build_v_matrices(s), s)
+    g = (cross_v(s.x_prime, s.x_prime) + gamma / s.n * np.eye(s.n)) @ x - b
     assert np.all(x >= 0.0)
     assert np.linalg.norm(np.where(x > 0, g, np.minimum(g, 0.0))) <= RESIDUAL_RTOL * (
         1.0 + np.linalg.norm(b))

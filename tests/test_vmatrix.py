@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vratio.domain import DimensionMismatchError, DomainBox, OutOfBoxError, ScaledSamples
-from vratio.estimators import v_matrices
-from vratio.vmatrix import (MinKernel, block, build_v_matrices, cross_v, l2_residual, min_kernel,
-                            trace_product)
+from vratio.vmatrix import (MinKernel, VMatrices, block, build_v_matrices, cross_v, l2_residual,
+                            min_kernel, trace_product, v_matrix)
 
 EPS = np.finfo(float).eps
 
@@ -231,7 +230,7 @@ def test_l2_residual_reuses_given_v_matrices():
 
 
 def test_l2_residual_takes_the_operators_of_1d_points():
-    """With the MinKernel V-matrices of estimators.v_matrices, which
+    """With the MinKernel V-matrices of build_v_matrices, which
     cross-validation holds for 1-D points, l2_residual is the dense result
     within 4 max(n, ell) eps times its terms in absolute value: each product
     with V, dense or not, lies within n eps (|V| @ |r|) of the exact one."""
@@ -239,7 +238,8 @@ def test_l2_residual_takes_the_operators_of_1d_points():
     den = points_with_ties_and_faces(rng, 40, 1)
     s = ScaledSamples(den, rng.random((30, 1)), DomainBox(np.zeros(1), np.ones(1)))
     r = rng.normal(size=s.n)
-    vm, dense = v_matrices(s), build_v_matrices(s)
+    vm = build_v_matrices(s)
+    dense = VMatrices(cross_v(s.x_prime, s.x_prime), cross_v(s.x_prime, s.x))
     assert isinstance(vm.v_dd, MinKernel) and isinstance(vm.v_dn, MinKernel)
     ar, ones = np.abs(r), np.ones(s.ell)
     terms = ar @ dense.v_dd @ ar / s.n**2 + 2.0 * (ar @ dense.v_dn @ ones) / (s.n * s.ell)
@@ -269,6 +269,50 @@ def test_min_kernel_dense_transpose_and_blocks_equal_cross_v():
     assert trace_product(square, K) == pytest.approx(trace_product(cross_v(rows, rows), K),
                                                      rel=1e-13)
     assert square.trace() == pytest.approx(np.trace(cross_v(rows, rows)), rel=1e-15)
+
+
+@st.composite
+def v_matrix_inputs(draw):
+    """Row and column points of one dimension, 1 or 2, drawn from a small
+    pool that holds 0 and 1, so that rows tie with rows and with columns and
+    lie on both faces of the box."""
+    d = draw(st.sampled_from([1, 2]))
+    coord = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    pool = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=6))
+
+    def points():
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+        return np.array([pool[i] for i in picks])
+
+    return points(), points()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(v_matrix_inputs())
+@example((np.array([[0.0], [1.0], [0.3], [0.3]]), np.array([[0.3], [1.0], [0.0]])))
+@example((np.array([[0.0, 1.0], [0.3, 0.3], [0.3, 0.3]]), np.array([[1.0, 0.0], [0.3, 0.3]])))
+def test_v_matrix_equals_cross_v(case):
+    """v_matrix picks the form by the points' dimension, a MinKernel for 1-D
+    points and an array otherwise, and either equals cross_v entry for entry."""
+    rows, cols = case
+    V = v_matrix(rows, cols)
+    assert isinstance(V, MinKernel) == (rows.shape[1] == 1)
+    got = V.dense() if isinstance(V, MinKernel) else V
+    assert np.array_equal(got, cross_v(rows, cols))
+
+
+def test_trace_product_rejects_a_min_kernel_that_is_not_square_in_its_points():
+    """tr(V K) of a MinKernel holds only for s = t; other points raise instead
+    of the sum for V'' (2.92 here, where tr(cross_v(x, y) K) is 2.09)."""
+    x, y = np.array([0.2, 0.5, 0.9]), np.array([0.1, 0.6, 0.3])
+    K = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    assert np.trace(cross_v(x, y) @ K) == pytest.approx(2.09)
+    for V in (min_kernel(x, y), MinKernel(x, y)):
+        with pytest.raises(ValueError, match="must have s = t"):
+            V.trace_product(K)
+        with pytest.raises(ValueError, match="must have s = t"):
+            trace_product(V, K)
+    assert trace_product(min_kernel(x, x), K) == pytest.approx(np.trace(cross_v(x, x) @ K))
 
 
 def test_l2_residual_length_check():
