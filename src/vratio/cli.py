@@ -3,6 +3,15 @@
 A `vratio run` setting is one `ExperimentConfig` field and nothing else: its
 config-file key, its parser (from the field's annotation), its line in the
 `to_text` echo and its `--key-name` flag all follow from the field.
+
+The CV settings are checked once, by the selection.CvPlan that both commands
+build from them: its fold count, seed, gamma grid and sigma2 multipliers.
+`vratio run` builds its plan in ExperimentConfig.plan and `vratio fit` before
+it opens --out, and both report the plan's ValueError as a ConfigError. The
+CLI checks only what no plan can: the model ids and methods, the sizes and
+draws, that the fold count does not exceed the smallest sample size, the
+margin, distinct output paths and the gamma spec 0 < min <= max < inf, whose
+check precedes log_grid (log10 of 0 would warn).
 """
 
 from __future__ import annotations
@@ -64,31 +73,25 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method '{meth}'")
         if self.sizes is not None and (not self.sizes or any(m < 1 for m in self.sizes)):
             raise ConfigError("sizes must be nonempty positive integers")
-        # a repeated value would run and count every cell (or CV candidate) it names more than once
+        # a repeated value would run and count every cell it names more than once
         for name, values in (("models", self.models), ("sizes", self.sizes or []),
-                             ("methods", self.methods),
-                             ("sigma2_multipliers", self.sigma2_multipliers)):
+                             ("methods", self.methods)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values}")
         if self.draws < 1:
             raise ConfigError("draws must be at least 1")
-        if self.folds < 2:
-            raise ConfigError("folds must be at least 2")
         smallest = min(min(self.sizes_for(mid)) for mid in self.models)
         if self.folds > smallest:
             raise ConfigError(f"folds must not exceed the smallest sample size {smallest}, "
                               f"got {self.folds}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.margin < np.inf:
             raise ConfigError(f"margin must be nonnegative and finite, got {self.margin}")
         if (not 0 < self.gamma_min <= self.gamma_max < np.inf) or self.gamma_count < 1:
             raise ConfigError("gamma grid spec must satisfy 0 < min <= max < inf, count >= 1")
-        if len(set(self.gamma_grid())) < self.gamma_count:
-            raise ConfigError(f"gamma grid must not repeat a value: {self.gamma_count} values "
-                              f"from {self.gamma_min!r} to {self.gamma_max!r}")
-        if not self.sigma2_multipliers or not all(0 < v < np.inf for v in self.sigma2_multipliers):
-            raise ConfigError("sigma2 multipliers must be finite and positive")
+        try:
+            self.plan()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # the JSON would overwrite the CSV
         if os.path.realpath(self.out_csv) == os.path.realpath(self.out_json):
             raise ConfigError(f"out_csv and out_json must name different files, "
@@ -99,8 +102,16 @@ class ExperimentConfig:
             return self.sizes
         return SIZES_20D if make_model(model_id).d == 20 else SIZES_1D
 
-    def gamma_grid(self) -> np.ndarray:
-        return selection.log_grid(self.gamma_min, self.gamma_max, self.gamma_count)
+    def plan(self) -> CvPlan:
+        """The CV plan of every draw; ValueError for settings that CvPlan rejects."""
+        return CvPlan(
+            k=self.folds,
+            gamma_grid=selection.log_grid(self.gamma_min, self.gamma_max, self.gamma_count),
+            sigma2_grid=None,  # per-draw median heuristic times the configured multipliers
+            seed=self.seed,
+            scale_gamma=self.gamma_scaled,
+            sigma2_multipliers=tuple(self.sigma2_multipliers),
+        )
 
     def to_text(self) -> str:
         """Resolved key=value echo; parse_config reads it back to an equal config."""
@@ -224,14 +235,7 @@ def print_table(config: ExperimentConfig, records: list[ExperimentRecord], out=N
 
 def run(config: ExperimentConfig) -> int:
     config.validate()
-    plan = CvPlan(
-        k=config.folds,
-        gamma_grid=config.gamma_grid(),
-        sigma2_grid=None,  # per-draw median heuristic times the configured multipliers
-        seed=config.seed,
-        scale_gamma=config.gamma_scaled,
-        sigma2_multipliers=tuple(config.sigma2_multipliers),
-    )
+    plan = config.plan()
     # create both outputs up front: a path that cannot be written fails before any draw
     for path in (config.out_csv, config.out_json):
         open(path, "w").close()
@@ -272,20 +276,19 @@ def fit_command(args) -> int:
     num = _load_sample(args.numerator)
     den = _load_sample(args.denominator)
     smallest = min(num.size, den.size)
-    if not 2 <= args.folds <= smallest:
-        raise ConfigError(f"--folds must be from 2 to the smaller sample size {smallest}, "
+    if args.folds > smallest:
+        raise ConfigError(f"--folds must not exceed the smaller sample size {smallest}, "
                           f"got {args.folds}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     try:
+        plan = CvPlan(k=args.folds, seed=args.seed)
         box = fit_domain_box(num, den, margin=args.margin)
-    except ValueError as exc:  # a negative margin or files of different dimensions
+    except ValueError as exc:  # a bad fold count, seed or margin, or files of different dimensions
         raise ConfigError(str(exc)) from exc
     s = scale(num, den, box)
     # a path that cannot be written fails here, once the inputs are read, and not after the fit
     with open(args.out, "w") as out:
         try:
-            report = cross_validate(s, Method(args.method), CvPlan(k=args.folds, seed=args.seed))
+            report = cross_validate(s, Method(args.method), plan)
         except BaseException:
             os.remove(args.out)  # a failed fit leaves no output behind
             raise

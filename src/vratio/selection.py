@@ -67,15 +67,38 @@ def default_sigma2_grid(pooled_points, multipliers=DEFAULT_SIGMA2_MULTIPLIERS) -
 
 
 def _positive_grid(values, what: str) -> np.ndarray:
-    """`values` sorted, or ValueError unless they are nonempty, finite and positive."""
+    """`values` sorted, or ValueError unless they are nonempty, finite, positive
+    and distinct: a repeated value would score the same candidate twice."""
     grid = np.sort(np.asarray(values, dtype=float))
     if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
         raise ValueError(f"{what} must be nonempty, finite and positive")
+    if np.any(grid[1:] == grid[:-1]):
+        raise ValueError(f"{what} must not repeat a value, got {grid.tolist()}")
     return grid
+
+
+def _check_folds_and_seed(k, seed):
+    """ValueError unless the fold count k is an integer of at least 2 and the
+    seed a nonnegative integer."""
+    # np.array_split would silently truncate a fold count of 2.5 to 2 folds
+    if not isinstance(k, (int, np.integer)) or k < 2:
+        raise ValueError(f"fold count must be an integer of at least 2, got {k!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass
 class CvPlan:
+    """The settings of one cross-validation, checked on construction.
+
+    ValueError for a fold count k that is not an integer of at least 2, a
+    seed that is not a nonnegative integer, and a gamma grid, sigma2 grid
+    (when given) or tuple of sigma2 multipliers that is empty or holds a
+    value that is not finite and positive or a repeated value. The grids
+    are stored sorted. The bound k <= min(n, ell) depends on the samples,
+    so make_folds checks it.
+    """
+
     k: int = DEFAULT_FOLDS
     gamma_grid: np.ndarray = field(default_factory=default_gamma_grid)
     sigma2_grid: np.ndarray | None = None  # RBF only; None -> median heuristic grid
@@ -88,15 +111,11 @@ class CvPlan:
     sigma2_multipliers: tuple = DEFAULT_SIGMA2_MULTIPLIERS
 
     def __post_init__(self):
-        self.gamma_grid = _positive_grid(self.gamma_grid, "gamma grid")
+        self.gamma_grid = _positive_grid(self.gamma_grid, "gamma_grid")
         if self.sigma2_grid is not None:
-            self.sigma2_grid = _positive_grid(self.sigma2_grid, "sigma2 grid")
-        _positive_grid(self.sigma2_multipliers, "sigma2 multipliers")
-        # np.array_split would silently truncate a fold count of 2.5 to 2 folds
-        if not isinstance(self.k, (int, np.integer)) or self.k < 2:
-            raise ValueError(f"fold count must be an integer of at least 2, got {self.k!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            self.sigma2_grid = _positive_grid(self.sigma2_grid, "sigma2_grid")
+        _positive_grid(self.sigma2_multipliers, "sigma2_multipliers")
+        _check_folds_and_seed(self.k, self.seed)
 
 
 @dataclass(frozen=True)
@@ -125,12 +144,13 @@ def make_folds(n: int, ell: int, k: int, seed: int):
     """Independently shuffle both index sets and split each into k near-equal parts.
 
     Returns (numerator_folds, denominator_folds), each a list of k holdout
-    index arrays.
+    index arrays. ValueError, with CvPlan's messages, for a k that is not an
+    integer of at least 2 or a seed that is not a nonnegative integer, and
+    for k > min(n, ell).
     """
+    _check_folds_and_seed(k, seed)
     if k > min(n, ell):
         raise ValueError(f"k={k} exceeds min(n, ell)={min(n, ell)}")
-    if k < 2:
-        raise ValueError("fold count must be at least 2")
     rng = np.random.default_rng(seed)
     num_folds = np.array_split(rng.permutation(ell), k)
     den_folds = np.array_split(rng.permutation(n), k)
@@ -344,12 +364,9 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         detail = "; ".join(c.error for c in candidates[:5])
         raise SelectionError(f"all {len(candidates)} candidates failed to solve: {detail}")
 
-    best = None
-    for cand in valid:  # grid order: sigma2 then gamma, both ascending
-        if best is None or cand.criterion < best.criterion or (
-            cand.criterion == best.criterion and cand.gamma >= best.gamma
-        ):
-            best = cand
+    # the smallest criterion, then the larger gamma, then the later candidate
+    # in grid order (sigma2 then gamma, both ascending)
+    best = min(reversed(valid), key=lambda c: (c.criterion, -c.gamma))
 
     if uses_rbf:
         full_K = rbf_from_sqdist(D, best.sigma2, out=D)

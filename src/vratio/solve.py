@@ -450,23 +450,17 @@ def _brownian_factor(V: MinKernel) -> BrownianFactor:
 NEAR_TIE_GAP = 1e-9
 
 
-def factor_v_matrix(V, *, pencil: bool = False):
+def factor_v_matrix(V):
     """W W' = V'' for an overlap-volume matrix V, by V's form.
 
     A MinKernel, the V'' of 1-D points with s = t = 1 - x, gets the
-    closed-form BrownianFactor in O(n log n) from its own sort of t. With
-    `pencil` (the DRE-V solver), one whose smallest gap is below
-    NEAR_TIE_GAP gets pivoted_cholesky of its dense form instead, which
-    equals the cross_v matrix of the points entry for entry. An array gets
-    pivoted_cholesky(V).
+    closed-form BrownianFactor in O(n log n) from its own sort of t. An
+    array gets pivoted_cholesky(V).
     """
     if isinstance(V, MinKernel):
         if not np.array_equal(V.s, V.t):
             raise ValueError("a MinKernel V'' must have s = t")
-        factor = _brownian_factor(V)
-        if not pencil or factor.gaps.min(initial=np.inf) >= NEAR_TIE_GAP:
-            return factor
-        V = V.dense()
+        return _brownian_factor(V)
     return pivoted_cholesky(V)
 
 
@@ -494,9 +488,11 @@ class PsdPencilSolver:
     The pencil can be exactly singular (S may have zero rows), but the
     right-hand sides arising here lie in the range of S. S is a symmetric
     array or, for the V'' of 1-D points, a MinKernel with s = t, and
-    factor_v_matrix(S, pencil=True) chooses the factor S = W W' by that
-    form. A BrownianFactor solves by _solve_grouped_pencil and returns the
-    minimal-norm solution. Otherwise, with W'W = Q T Q' and W beta = b, the
+    factor_v_matrix(S) chooses the factor S = W W' by that form, except
+    that a MinKernel whose smallest gap is below NEAR_TIE_GAP gets
+    pivoted_cholesky of its dense form, which equals the cross_v matrix of
+    the points entry for entry. A BrownianFactor solves by
+    _solve_grouped_pencil and returns the minimal-norm solution. Otherwise, with W'W = Q T Q' and W beta = b, the
     solution is x = W Q z with the pentadiagonal (T T + c T) z = Q' beta.
     Its part in the range of S is the
     minimal-norm solution. Where dpstrf keeps a pivot of rounding size for
@@ -515,7 +511,10 @@ class PsdPencilSolver:
             if not (np.array_equal(S, S.T)
                     or np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))):
                 raise ValueError("S must be symmetric")
-        self._factor = factor_v_matrix(S, pencil=True)
+        self._factor = factor_v_matrix(S)
+        if (isinstance(self._factor, BrownianFactor)
+                and self._factor.gaps.min(initial=np.inf) < NEAR_TIE_GAP):
+            self._factor = pivoted_cholesky(S.dense())
         self._tri = None
         if isinstance(self._factor, PivotedCholesky):
             W = self._factor.L[:, : self._factor.rank]

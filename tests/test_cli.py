@@ -63,7 +63,7 @@ def test_parse_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         parse_config("draws\n")
     for text in ("sigma2_multipliers = 1.0,nan\n", "sigma2_multipliers = inf\n"):
-        with pytest.raises(ConfigError, match="sigma2 multipliers must be finite"):
+        with pytest.raises(ConfigError, match="sigma2_multipliers must be nonempty, finite"):
             parse_config(text)
 
 
@@ -82,9 +82,9 @@ def test_sizes_for_dimension_defaults():
 
 def test_gamma_grid_from_config():
     config = parse_config("gamma_min = 0.01\ngamma_max = 1.0\ngamma_count = 3\n")
-    assert np.allclose(config.gamma_grid(), [0.01, 0.1, 1.0])
+    assert np.allclose(config.plan().gamma_grid, [0.01, 0.1, 1.0])
     single = parse_config("gamma_min = 0.5\ngamma_max = 0.5\ngamma_count = 1\n")
-    assert np.allclose(single.gamma_grid(), [0.5])
+    assert np.allclose(single.plan().gamma_grid, [0.5])
 
 
 def test_write_csv_exact_layout(tmp_path):
@@ -235,19 +235,6 @@ def test_fit_command_rejects_files_of_different_dimensions(tmp_path, capsys):
     paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2 0.1\n0.4 0.3\n0.5 0.9\n")
     assert_reported_error(capsys, main(["fit", *paths, "--folds", "2"]),
                           "numerator dimension 1 != denominator dimension 2")
-
-
-def test_fit_command_rejects_negative_seed(tmp_path, capsys):
-    paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
-    code = main(["fit", *paths, "--folds", "2", "--seed", "-1"])
-    assert_reported_error(capsys, code, "--seed must be nonnegative, got -1")
-
-
-def test_run_rejects_negative_seed(tmp_path, capsys):
-    code = main(run_args(tmp_path, "s", ["--models", "2", "--sizes", "20", "--draws", "1",
-                                         "--seed", "-1"]))
-    assert_reported_error(capsys, code, "seed must be nonnegative, got -1")
-    assert not (tmp_path / "s.csv").exists()
 
 
 @pytest.mark.parametrize("flag,value,fragment", [
@@ -482,7 +469,7 @@ def test_empty_sizes_flag_means_the_per_model_defaults(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("text,fragment", [
-    ("gamma_count = 3\ngamma_min = 0.5\ngamma_max = 0.5\n", "gamma grid must not repeat a value"),
+    ("gamma_count = 3\ngamma_min = 0.5\ngamma_max = 0.5\n", "gamma_grid must not repeat a value"),
     ("sigma2_multipliers = 1,1\n", "sigma2_multipliers must not repeat a value"),
     ("sigma2_multipliers = 0.3,3e-1\n", "sigma2_multipliers must not repeat a value"),
 ])
@@ -528,3 +515,19 @@ def test_run_rejects_one_file_for_both_outputs(tmp_path, capsys):
         code = main(["run", "--draws", "1", "--out-csv", str(same), "--out-json", str(other)])
         assert_reported_error(capsys, code, "must name different files")
     assert not same.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "fit"])
+@pytest.mark.parametrize("flag,value,message", [
+    pytest.param("--folds", "1", "fold count must be an integer of at least 2, got 1", id="folds"),
+    pytest.param("--seed", "-1", "seed must be a nonnegative integer, got -1", id="seed"),
+])
+def test_run_and_fit_report_the_cv_plans_message(tmp_path, capsys, command, flag, value, message):
+    if command == "run":
+        argv = run_args(tmp_path, "s", ["--models", "2", "--sizes", "20", "--draws", "1"])
+    else:
+        argv = ["fit", *write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n"),
+                "--folds", "2"]  # a later flag wins
+    assert_reported_error(capsys, main([*argv, flag, value]), message)
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [] if command == "run" else ["den.txt", "num.txt"])

@@ -125,6 +125,43 @@ def test_make_folds_rejects_too_many_folds():
         make_folds(3, 10, 4, seed=0)
 
 
+@pytest.mark.parametrize("k,seed,message", [
+    (2.5, 0, "fold count must be an integer of at least 2, got 2.5"),  # not run as 2 folds
+    (1, 0, "fold count must be an integer of at least 2, got 1"),
+    (3, -1, "seed must be a nonnegative integer, got -1"),
+])
+def test_make_folds_rejects_what_cv_plan_rejects(k, seed, message):
+    with pytest.raises(ValueError, match=message):
+        make_folds(10, 10, k, seed)
+    with pytest.raises(ValueError, match=message):
+        CvPlan(k=k, seed=seed)
+
+
+@pytest.mark.parametrize("name,values", [
+    ("gamma_grid", [1.0, 1.0]), ("gamma_grid", [0.1, 1.0, 0.1]),
+    ("sigma2_grid", [0.3, 3e-1]), ("sigma2_multipliers", (0.5, 0.5)),
+])
+def test_cv_plan_rejects_a_repeated_grid_value(name, values):
+    with pytest.raises(ValueError, match=f"{name} must not repeat a value"):
+        CvPlan(**{name: values})
+
+
+@pytest.mark.parametrize("method,sigma2_grid", [
+    (Method.DRE_V, None), (Method.DRE_VK_RBF, [0.3, 1.0]),
+])
+def test_cross_validate_breaks_ties_toward_the_larger_gamma_then_the_later_sigma2(
+        monkeypatch, method, sigma2_grid):
+    """Equal criteria everywhere: unscaled, every sigma2 has the same gammas,
+    and the largest gamma of the last sigma2 wins."""
+    monkeypatch.setattr(selection, "_criteria", lambda coef, *holdout: np.zeros(coef.shape[1]))
+    s = unit_samples(np.random.default_rng(57), 20, 20, 1)
+    plan = CvPlan(k=4, gamma_grid=[1e-2, 1e-1, 1.0], sigma2_grid=sigma2_grid, scale_gamma=False)
+    report = cross_validate(s, method, plan)
+    assert report.failures == 0
+    assert report.selected_gamma == 1.0
+    assert report.selected_sigma2 == (None if sigma2_grid is None else 1.0)
+
+
 def test_cross_validate_report_structure():
     rng = np.random.default_rng(51)
     s = unit_samples(rng, 40, 40, 1)

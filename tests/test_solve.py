@@ -271,7 +271,7 @@ def test_factor_v_matrix_chooses_by_dimension_and_gap():
     x = rng.random((30, 1))
     V = min_kernel(x, x)
     assert isinstance(factor_v_matrix(V), BrownianFactor)
-    assert isinstance(factor_v_matrix(V, pencil=True), BrownianFactor)
+    assert isinstance(PsdPencilSolver(V)._factor, BrownianFactor)
     x2 = rng.random((30, 2))
     assert isinstance(factor_v_matrix(cross_v(x2, x2)), PivotedCholesky)
     # a near-tie below NEAR_TIE_GAP sends only the DRE-V pencil to pivoted_cholesky
@@ -279,9 +279,9 @@ def test_factor_v_matrix_chooses_by_dimension_and_gap():
     near[1] = near[0] + NEAR_TIE_GAP / 4
     V = min_kernel(near, near)
     assert isinstance(factor_v_matrix(V), BrownianFactor)
-    assert isinstance(factor_v_matrix(V, pencil=True), PivotedCholesky)
+    assert isinstance(PsdPencilSolver(V)._factor, PivotedCholesky)
     near[:, 0] = [1.0 - NEAR_TIE_GAP / 4] + [0.5] * 29  # t = 1 - x close to 0
-    assert isinstance(factor_v_matrix(min_kernel(near, near), pencil=True), PivotedCholesky)
+    assert isinstance(PsdPencilSolver(min_kernel(near, near))._factor, PivotedCholesky)
 
 
 def test_factor_v_matrix_rejects_a_min_kernel_that_is_not_v_dd():
