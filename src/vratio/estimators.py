@@ -12,11 +12,19 @@ that predicts anywhere in the box:
 * fit_ulsif_like  -- the baseline obtained by replacing the V-matrices with
                      identities and the RKHS norm with alpha'alpha
 
-Each method's system is solved in one place, which cross-validation and the
-fits share: factor_system factors what every gamma and sigma2 of a sample
-have in common, solve_system solves for many gamma at once, and fit_system
-is solve_system at one gamma on all data. The fit_* functions build the
-matrices and call fit_system.
+The four methods solve one integral equation and differ in three choices:
+the expansion's basis (overlap volumes, the INK spline or the RBF kernel),
+whether the V-matrices enter, and the regulariser. SYSTEMS holds those
+choices as one System per Method, and cross-validation and the fits read
+that entry in place of testing the method: its `kernel` (None for overlap
+volumes), from which kernel_spec_for derives the KernelSpec; `uses_v`;
+`factor`, what every gamma and sigma2 of a sample have in common; `scale`,
+the mean eigenvalue of the system matrix by which CV scales its gamma
+grid; `solve`, for many gamma at once; and `refit_lu`. solve_system calls
+the entry's solve and names each failed column with its gamma. fit_system
+is solve_system at one gamma on all data on the dense path, or for the
+entries with refit_lu (DRE-VK) one LU of V''K + gamma I. The fit_*
+functions build the matrices and call fit_system.
 
 The fits and cross-validation take V'' and V' from
 vmatrix.build_v_matrices, and the DRE-V estimate's predictions their V from
@@ -25,11 +33,11 @@ and for 1-D points vmatrix.MinKernel operators, so that no 1-D V-matrix is
 formed and every product with them (the right-hand side V'1, the residual
 checks, the DRE-VK refit's V''K, the predictions) is a sort and cumulative
 sums, O(n log n + nG) for G columns. Everything downstream takes its 1-D
-path from that form alone and is given no points: factor_system factors
-V'' by solve.factor_v_matrix, and cross-validation takes the folds' and
-holdouts' V-matrices as vmatrix.block of the full-data ones. The one other
-dimension test on the solve path is solve_system's, which picks the
-low-rank solvers for the RBF Grams of 1-D points.
+path from that form alone and is given no points: DRE-VK's factor is
+solve.factor_v_matrix of V'', and cross-validation takes the folds'
+V-matrices as vmatrix.block of the full-data ones. The one other dimension
+test on the solve path is cross-validation's, which passes solve_system
+`low_rank` for the RBF Grams of 1-D points.
 
 DRE-V solves by PsdPencilSolver, so alpha lies in the range of V'': for a
 MinKernel V'' from its closed-form factor by one tridiagonal solve and a
@@ -56,7 +64,8 @@ dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 exactly
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +74,7 @@ from .kernels import KernelKind, KernelSpec, cross_gram
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
                     solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
                     solve_ridge_square_low_rank, solve_ridge_square_many)
-from .vmatrix import VMatrices, build_v_matrices, cross_v, v_matrix
+from .vmatrix import VMatrices, build_v_matrices, cross_v, trace_product, v_matrix
 
 
 class Method(enum.Enum):
@@ -160,50 +169,72 @@ def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEst
                       cross_gram(spec, s.x_prime, s.x_prime))
 
 
-def factor_system(method: Method, vm: VMatrices | None):
-    """The factorisation that every gamma and sigma2 of a sample share, from
+def _solve_product(s, vm, factor, K, gammas, low_rank):
+    solve = solve_product_ridge_low_rank if low_rank else solve_product_ridge_many
+    return solve(factor, K, gammas, v_rhs(vm, s))
+
+
+def _solve_square(s, vm, factor, K, gammas, low_rank):
+    solve = solve_ridge_square_low_rank if low_rank else solve_ridge_square_many
+    return solve(K, gammas, ulsif_rhs(s, K))
+
+
+@dataclass(frozen=True)
+class System:
+    """One method's entry in SYSTEMS: its basis, whether V-matrices enter,
+    and how its system is factored, scaled and solved.
+
+    `factor(vm)` factors what every gamma and sigma2 of a sample share, from
     V'' = vm.v_dd, whose form selects the path: the PsdPencilSolver for
-    DRE-V, the factor_v_matrix factor for DRE-VK, None for uLSIF."""
-    if method is Method.DRE_V:
-        return PsdPencilSolver(vm.v_dd)
-    if method is Method.ULSIF_LIKE:
-        return None
-    return factor_v_matrix(vm.v_dd)
+    DRE-V, the factor_v_matrix factor for DRE-VK, None for uLSIF.
+    `scale(s, vm, K)` is the mean eigenvalue tr(M)/n of the full-data system
+    matrix M: for DRE-V the ridge enters as gamma/n, so it is tr(V''); for
+    DRE-VK M is V''K and for uLSIF KK, with the ridge applied directly. Both
+    traces take V'' in either form; for a MinKernel, tr(V''K) is O(n^2)
+    without V''. `solve(s, vm, factor, K, gammas, low_rank)` returns the
+    n x G coefficients and per gamma None or its failure message;
+    `low_rank` takes the low-rank solvers of solve, which hand a Gram of too
+    high a rank to the dense ones up front.
+    """
+
+    kernel: KernelKind | None  # the expansion's basis; None for overlap volumes
+    uses_v: bool               # whether V'' and V' enter the system
+    factor: Callable
+    scale: Callable
+    solve: Callable
+    refit_lu: bool = False     # fit_system solves V''K + gamma I by solve_regularized's LU
 
 
-def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor, K, gammas):
+_DRE_VK = System(KernelKind.INK_SPLINE_LINEAR, True, lambda vm: factor_v_matrix(vm.v_dd),
+                 lambda s, vm, K: trace_product(vm.v_dd, K) / s.n, _solve_product, refit_lu=True)
+SYSTEMS = {
+    Method.DRE_V: System(
+        None, True, lambda vm: PsdPencilSolver(vm.v_dd), lambda s, vm, K: float(vm.v_dd.trace()),
+        lambda s, vm, factor, K, gammas, low_rank: factor.solve(gammas / s.n, v_rhs(vm, s))),
+    Method.DRE_VK_INK: _DRE_VK,
+    Method.DRE_VK_RBF: replace(_DRE_VK, kernel=KernelKind.RBF),
+    Method.ULSIF_LIKE: System(KernelKind.RBF, False, lambda vm: None,
+                              lambda s, vm, K: float(np.sum(K * K)) / s.n, _solve_square),
+}
+
+
+def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor, K, gammas,
+                 low_rank: bool = False):
     """The method's coefficients on `s` for every gamma as the columns of an
     n x G matrix, and per gamma None or the message of its failed residual
-    check. `vm` holds build_v_matrices(s) or blocks of it (None for
-    uLSIF), `factor` is factor_system(method, vm) and K the Gram matrix of
+    check, named with its gamma the way solve_regularized names its context.
+    `vm` holds build_v_matrices(s) or blocks of it (None for uLSIF),
+    `factor` is SYSTEMS[method].factor(vm) and K the Gram matrix of
     s.x_prime (None for DRE-V). The form of V'' selected the factor; DRE-V
-    and DRE-VK apply V'' and V' in that form.
-
-    The RBF Grams of 1-D points are numerically low rank, so uLSIF and
-    DRE-VK-RBF solve them by the low-rank solvers of solve, which hand a
-    Gram of too high a rank to the dense ones up front. In d > 1 they are
+    and DRE-VK apply V'' and V' in that form. `low_rank` is for the RBF
+    Grams of 1-D points, which are numerically low rank; in d > 1 they are
     full rank, and the dense solvers run without a pivoted Cholesky of K
-    first. This test of s.d picks the solver for K; vmatrix.v_matrix alone
-    picks a V-matrix's form.
+    first. cross_validate sets it; vmatrix.v_matrix alone picks a
+    V-matrix's form.
     """
     gammas = np.asarray(gammas, dtype=float)
-    low_rank = s.d == 1
-    if method is Method.DRE_V:
-        X, errors = factor.solve(gammas / s.n, v_rhs(vm, s))
-    elif method is Method.ULSIF_LIKE:
-        solve = solve_ridge_square_low_rank if low_rank else solve_ridge_square_many
-        X, errors = solve(K, gammas, ulsif_rhs(s, K))
-    else:
-        solve = (solve_product_ridge_low_rank if low_rank and method is Method.DRE_VK_RBF
-                 else solve_product_ridge_many)
-        X, errors = solve(factor, K, gammas, v_rhs(vm, s))
-    return X, _with_gammas(errors, gammas)
-
-
-def _with_gammas(errors, gammas) -> list:
-    """Each failed column's message with its gamma, the way
-    solve_regularized names its context."""
-    return [None if err is None else f"{err} (gamma={g})" for err, g in zip(errors, gammas)]
+    X, errors = SYSTEMS[method].solve(s, vm, factor, K, gammas, low_rank)
+    return X, [None if err is None else f"{err} (gamma={g})" for err, g in zip(errors, gammas)]
 
 
 def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec | None,
@@ -211,28 +242,25 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     """The method's estimate on all of `s` at `gamma`, with `spec` its kernel
     (None for DRE-V) and `vm` and K as for solve_system.
 
-    DRE-V takes solve_system at [gamma] and uLSIF solve_ridge_square_many,
-    and both raise SingularSystemError with the message of the failed column,
-    named with its gamma as solve_system names it. DRE-VK solves
-    V''K + gamma I, which is generally non-symmetric, by solve_regularized's
-    LU; for 1-D points V''K is the min_kernel product, O(n^2) where the
-    dense product is O(n^3). The refit does not take the low-rank solves of
-    the 1-D RBF folds. Those meet the same residual bound, but their
-    coefficients differ from the dense ones in about the ninth digit: a
-    low-rank uLSIF refit moved one seed-0 NRMSE by 1.4e-9 relative, past the
-    1e-9 to which tests/golden_seed0.json and the benchmark reference pin
-    the reported estimates. CV only ranks the candidates.
+    DRE-V and uLSIF take solve_system at [gamma] on the dense path, and
+    raise SingularSystemError with the message of the failed column. DRE-VK
+    solves V''K + gamma I, which is generally non-symmetric, by
+    solve_regularized's LU; for 1-D points V''K is the min_kernel product,
+    O(n^2) where the dense product is O(n^3). The refit does not take the
+    low-rank solves of the 1-D RBF folds. Those meet the same residual
+    bound, but their coefficients differ from the dense ones in about the
+    ninth digit: a low-rank uLSIF refit moved one seed-0 NRMSE by 1.4e-9
+    relative, past the 1e-9 to which tests/golden_seed0.json and the
+    benchmark reference pin the reported estimates. CV only ranks the
+    candidates.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    if method in (Method.DRE_VK_INK, Method.DRE_VK_RBF):
+    system = SYSTEMS[method]
+    if system.refit_lu:
         coef = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), f"gamma={gamma}")
     else:
-        if method is Method.ULSIF_LIKE:
-            X, errors = solve_ridge_square_many(K, [gamma], ulsif_rhs(s, K))
-            (error,) = _with_gammas(errors, [gamma])
-        else:
-            X, (error,) = solve_system(method, s, vm, factor_system(method, vm), K, [gamma])
+        X, (error,) = solve_system(method, s, vm, system.factor(vm), K, [gamma])
         if error is not None:
             raise SingularSystemError(error)
         coef = X[:, 0]
@@ -240,9 +268,9 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
 
 
 def kernel_spec_for(method: Method, d: int, sigma2: float | None = None) -> KernelSpec | None:
-    """KernelSpec used by a method, or None for the kernel-free DRE-V."""
-    if method is Method.DRE_V:
+    """KernelSpec used by a method, or None for the kernel-free DRE-V; only
+    the RBF kernel takes `sigma2`."""
+    kind = SYSTEMS[method].kernel
+    if kind is None:
         return None
-    if method is Method.DRE_VK_INK:
-        return KernelSpec(KernelKind.INK_SPLINE_LINEAR, d)
-    return KernelSpec(KernelKind.RBF, d, sigma2=sigma2)
+    return KernelSpec(kind, d, sigma2=sigma2 if kind is KernelKind.RBF else None)

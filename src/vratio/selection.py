@@ -8,18 +8,11 @@ import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .domain import ScaledSamples, as_points
-from .estimators import (
-    Method,
-    RatioEstimate,
-    factor_system,
-    fit_system,
-    kernel_spec_for,
-    solve_system,
-)
-from .kernels import cross_gram, rbf_from_sqdist
+from .estimators import SYSTEMS, Method, RatioEstimate, fit_system, kernel_spec_for, solve_system
+from .kernels import KernelKind, KernelSpec, cross_gram, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import solve_regularized  # noqa: F401
-from .vmatrix import VMatrices, block, build_v_matrices, trace_product
+from .vmatrix import VMatrices, block, build_v_matrices, v_matrix
 
 # the CV defaults, which `vratio run` and `vratio fit` take from here
 DEFAULT_FOLDS = 5
@@ -157,23 +150,17 @@ def make_folds(n: int, ell: int, k: int, seed: int):
     return num_folds, den_folds
 
 
-def _gamma_scale(method: Method, s: ScaledSamples, vm: VMatrices | None, K) -> float:
-    """Mean eigenvalue tr(M)/n of the method's full-data system matrix M.
-
-    For DRE-V the ridge enters as gamma/n, so the scale is
-    tr(V'') (making the effective ridge a multiple of tr(V'')/n); for the
-    kernel fits M is V''K or KK with the ridge applied directly. Both traces
-    take V'' in either form; for a MinKernel, tr(V''K) is O(n^2) without V''.
-    """
-    if method is Method.DRE_V:
-        scale = float(vm.v_dd.trace())
-    elif method is Method.ULSIF_LIKE:
-        scale = float(np.sum(K * K)) / s.n
-    else:
-        scale = trace_product(vm.v_dd, K) / s.n
-    if not np.isfinite(scale) or scale <= 0.0:
-        return 1.0
-    return scale
+def _basis(kernel: KernelKind | None, d: int):
+    """The function of two point sets that builds a method's matrices in
+    cross-validation, the full-data basis of which each fold takes blocks
+    and each fold's numerator holdout: the V-matrix for DRE-V, the INK Gram,
+    or for RBF the squared distances, which do not depend on sigma2."""
+    if kernel is None:
+        return v_matrix
+    if kernel is KernelKind.RBF:
+        return lambda rows, cols: cdist(rows, cols, "sqeuclidean")
+    spec = KernelSpec(kernel, d)
+    return lambda rows, cols: cross_gram(spec, rows, cols)
 
 
 def _criteria(coef, hold_den, hold_num, n_over_l) -> np.ndarray:
@@ -194,21 +181,28 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     are recorded and excluded from selection; every accepted fold solution
     passes the residual check of `solve`.
 
-    A V-matrix, INK or RBF entry depends only on its pair of points, so a
-    block of a full-data matrix, taken with the fold's sorted training
+    The method's entry in estimators.SYSTEMS says what to build and how to
+    solve; nothing here tests the method. Its kernel picks one basis
+    function of two point sets (_basis): the V-matrix for DRE-V, the INK
+    Gram, or the RBF squared distances, of which every sigma2's Gram is an
+    exp. A V-matrix, INK or RBF entry depends only on its pair of points,
+    so a block of a full-data matrix, taken with the fold's sorted training
     indices and holdout indices in fold order, equals the matrix built from
-    the fold's points entry for entry. Every matrix of a fold is such a
-    vmatrix.block, in every dimension, except two that each fold builds:
-    the INK Gram and the RBF squared distances between the numerator holdout
-    and the training points, because holding them as full-data
-    denominator-by-numerator matrices raised the peak memory of `vratio fit`
+    the fold's points entry for entry. Every fold takes its training
+    matrices and its denominator holdout as vmatrix.block of the full-data
+    basis and V-matrices, and builds its numerator holdout from the points
+    with the basis function, because holding it as a full-data
+    denominator-by-numerator matrix raised the peak memory of `vratio fit`
     at n = 800 (benchmark workload fit-1d-large) by 5.7% in a prototype.
     The V-matrices come from vmatrix.build_v_matrices, whose v_matrix picks
     their form from the points: arrays in d > 1, and for 1-D points
     MinKernel operators, whose blocks are the MinKernels of the fold's
     coordinates and whose products are one stable sort and cumulative sums,
-    O(n log n + nG) per fold. No branch here tests the dimension; the form
-    of V'' selects the solver's path. The dense matrices left in 1-D are
+    O(n log n + nG) per fold. The form of V'' selects the solver's path.
+    The one test of the dimension here passes solve_system `low_rank` for
+    the RBF Grams of 1-D points, which are numerically low rank; in d > 1
+    they are full rank, and the dense solvers run without a pivoted
+    Cholesky of K first. The dense matrices left in 1-D are
     the INK and RBF Grams and the V'' of the NEAR_TIE_GAP fallback. The
     returned estimate predicts through v_matrix too, so `vratio fit` forms
     no other 1-D V-matrix; only dre_v_nonneg_values, outside
@@ -225,11 +219,14 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       O(n^2) pass over K per sigma2), every fold and the refit (one exp of
       D, in place, at the selected sigma2).
     * once per fold: the blocks V''[train, train] and V'[train, train_num]
-      (all but uLSIF), and for DRE-V the holdout blocks V''[hold_den, train]
-      and V'[train, hold_num]', equal to the overlap volumes of those pairs
-      since the overlap volume is symmetric in its two points; a block of a
-      MinKernel is the MinKernel of the picked coordinates, one sort of
-      them. The right-hand side V'1 is a product with the block. For INK
+      (all but uLSIF), and for DRE-V the holdout block V''[hold_den, train]
+      and the V-matrix of the numerator holdout against the training
+      points, v_matrix(x[hold_num], x'[train]): in d > 1 one cross_v of the
+      size of the block of V' transposed that it replaces, entry for entry
+      equal to it since the overlap volume is symmetric in its two points.
+      A block of a MinKernel, and a 1-D holdout's v_matrix, is the
+      MinKernel of the picked coordinates, one sort of them. The
+      right-hand side V'1 is a product with the block. For INK
       the blocks K[train, train] and K[hold_den, train] and one Gram of the
       numerator holdout against the training points; for RBF the blocks
       D[train, train] and D[hold_den, train] and the squared distances of
@@ -282,71 +279,64 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       earlier fold failed.
 
     The refit is fit_system on all data at the selected gamma (and sigma2),
-    with the full-data matrices above: for DRE-V the folds' own
-    solve_system at one gamma, for uLSIF the dense solve_ridge_square_many
-    in every dimension, for DRE-VK an LU of V''K + gamma I (V''K by one
-    MinKernel product for 1-D points). It is what the fit_* functions
-    compute, so a draw's estimate depends on CV only through the selection.
+    with the full-data matrices above: for DRE-V and uLSIF the folds'
+    solve_system at one gamma on its dense path (for uLSIF
+    solve_ridge_square_many in every dimension), for DRE-VK an LU of
+    V''K + gamma I (V''K by one MinKernel product for 1-D points). It is
+    what the fit_* functions compute, so a draw's estimate depends on CV
+    only through the selection.
     """
+    system = SYSTEMS[method]
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
-    uses_rbf = method in (Method.DRE_VK_RBF, Method.ULSIF_LIKE)
-    if uses_rbf:
-        sigma2_grid = (
-            plan.sigma2_grid
-            if plan.sigma2_grid is not None
-            else default_sigma2_grid(s.pooled(), plan.sigma2_multipliers)
-        )
+    rbf = system.kernel is KernelKind.RBF
+    sigma2_values = [None]
+    if rbf:
+        sigma2_grid = plan.sigma2_grid
+        if sigma2_grid is None:
+            sigma2_grid = default_sigma2_grid(s.pooled(), plan.sigma2_multipliers)
         sigma2_values = [float(v) for v in sigma2_grid]
-    else:
-        sigma2_values = [None]
 
-    full_vm = None if method is Method.ULSIF_LIKE else build_v_matrices(s)
-    ink = kernel_spec_for(method, s.d) if method is Method.DRE_VK_INK else None
-    full_K = None if ink is None else cross_gram(ink, s.x_prime, s.x_prime)
-    D = cdist(s.x_prime, s.x_prime, "sqeuclidean") if uses_rbf else None
+    basis = _basis(system.kernel, s.d)
+    full_vm = build_v_matrices(s) if system.uses_v else None
+    # the basis of the full data: V'', the INK Gram or the RBF distances D
+    B = full_vm.v_dd if system.kernel is None else basis(s.x_prime, s.x_prime)
+    full_K = None if system.kernel is None or rbf else B  # a Gram that no sigma2 changes
     gammas = []
     for s2 in sigma2_values:
         scale = 1.0
         if plan.scale_gamma:
-            K = rbf_from_sqdist(D, s2) if uses_rbf else full_K
-            scale = _gamma_scale(method, s, full_vm, K)
-        gammas.append(plan.gamma_grid * scale)
+            scale = system.scale(s, full_vm, rbf_from_sqdist(B, s2) if rbf else full_K)
+        gammas.append(plan.gamma_grid * (scale if np.isfinite(scale) and scale > 0.0 else 1.0))
     # criterion sums over the folds, NaN once a fold fails the candidate, and
     # each failed candidate's first message by its (sigma2, gamma) indices
     totals = np.zeros((len(sigma2_values), plan.gamma_grid.size))
     errors = {}
 
-    n_over_l = s.n / s.ell
-    all_num = np.arange(s.ell)
-    all_den = np.arange(s.n)
+    # the RBF Grams of 1-D points are numerically low rank
+    low_rank = rbf and s.d == 1
 
     for num_hold, den_hold in zip(num_folds, den_folds):
-        num_train = np.setdiff1d(all_num, num_hold)
-        train = np.setdiff1d(all_den, den_hold)
+        num_train = np.setdiff1d(np.arange(s.ell), num_hold)
+        train = np.setdiff1d(np.arange(s.n), den_hold)
         sub = s.subset(num_train, train)
         vm = None if full_vm is None else VMatrices(block(full_vm.v_dd, train, train),
                                                     block(full_vm.v_dn, train, num_train))
-        K = block(full_K, train, train) if ink is not None else None
-        if uses_rbf:
+        K = None if full_K is None else block(B, train, train)
+        if rbf:
             # rows: training points, denominator holdout, numerator holdout
-            dist = np.vstack([block(D, np.concatenate([train, den_hold]), train),
-                              cdist(s.x[num_hold], sub.x_prime, "sqeuclidean")])
+            dist = np.vstack([block(B, np.concatenate([train, den_hold]), train),
+                              basis(s.x[num_hold], sub.x_prime)])
             gram = np.empty_like(dist)
-        factor = factor_system(method, vm)
+        factor = system.factor(vm)
         for i, s2 in enumerate(sigma2_values):
-            if uses_rbf:
+            if rbf:
                 K = rbf_from_sqdist(dist, s2, out=gram)[:sub.n]
-            coef, errs = solve_system(method, sub, vm, factor, K, gammas[i])
-            # built after the solve, which needs the most memory
-            if uses_rbf:
+            coef, errs = solve_system(method, sub, vm, factor, K, gammas[i], low_rank)
+            if rbf:
                 hold_den, hold_num = gram[sub.n:s.n], gram[s.n:]
-            elif ink is not None:
-                hold_den = block(full_K, den_hold, train)
-                hold_num = cross_gram(ink, s.x[num_hold], sub.x_prime)
-            else:
-                hold_den = block(full_vm.v_dd, den_hold, train)
-                hold_num = block(full_vm.v_dn.T, num_hold, train)  # v(a, b) = v(b, a)
-            totals[i] += _criteria(coef, hold_den, hold_num, n_over_l)
+            else:  # built after the solve, which needs the most memory
+                hold_den, hold_num = block(B, den_hold, train), basis(s.x[num_hold], sub.x_prime)
+            totals[i] += _criteria(coef, hold_den, hold_num, s.n / s.ell)
             for j, err in enumerate(errs):
                 if err is not None:
                     totals[i, j] = np.nan
@@ -368,8 +358,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     # in grid order (sigma2 then gamma, both ascending)
     best = min(reversed(valid), key=lambda c: (c.criterion, -c.gamma))
 
-    if uses_rbf:
-        full_K = rbf_from_sqdist(D, best.sigma2, out=D)
+    if rbf:
+        full_K = rbf_from_sqdist(B, best.sigma2, out=B)
     estimate = fit_system(method, s, best.gamma, kernel_spec_for(method, s.d, best.sigma2),
                           full_vm, full_K)
     return CvReport(

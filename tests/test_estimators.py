@@ -4,10 +4,10 @@ import pytest
 from vratio import solve
 from vratio.domain import DomainBox, OutOfBoxError, ScaledSamples
 from vratio.estimators import (
+    SYSTEMS,
     Method,
     RatioEstimate,
     dre_v_nonneg_values,
-    factor_system,
     fit_dre_v,
     fit_dre_vk,
     fit_ulsif_like,
@@ -235,7 +235,7 @@ def test_fits_raise_the_failing_columns_message(method, monkeypatch):
     vm = None if spec is not None else build_v_matrices(s)
     K = None if spec is None else cross_gram(spec, s.x_prime, s.x_prime)
     monkeypatch.setattr(solve, "RESIDUAL_RTOL", -1.0)
-    _, (error,) = solve_system(method, s, vm, factor_system(method, vm), K, [gamma])
+    _, (error,) = solve_system(method, s, vm, SYSTEMS[method].factor(vm), K, [gamma])
     assert error is not None and f"(gamma={gamma})" in error
     with pytest.raises(SingularSystemError) as exc:
         if spec is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -203,6 +204,21 @@ def test_cross_validate_unscaled_gammas_match_grid():
     plan = CvPlan(k=5, gamma_grid=np.array([1e-2, 1.0]), scale_gamma=False)
     report = cross_validate(s, Method.DRE_V, plan)
     assert [c.gamma for c in report.candidates] == [1e-2, 1.0]
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_cross_validate_zero_gamma_scale_falls_back_to_the_grid(method):
+    # every denominator point lies at the pooled maximum and scales to 1, so
+    # the overlap volumes of the denominator vanish and tr(V'') = tr(V''K) = 0;
+    # uLSIF's K is all ones there, and tr(KK)/n = n
+    num = SampleSet(np.array([[0.1], [0.2], [0.3], [0.4], [0.45]]))
+    den = SampleSet(np.full((5, 1), 0.5))
+    s = scale(num, den, fit_domain_box(num, den))
+    assert np.all(s.x_prime == 1.0)
+    plan = CvPlan(gamma_grid=np.array([1e-2, 1.0]), sigma2_grid=[0.5])
+    report = cross_validate(s, method, plan)
+    scale_ = s.n if method is Method.ULSIF_LIKE else 1.0
+    assert [c.gamma for c in report.candidates] == [1e-2 * scale_, 1.0 * scale_]
 
 
 def test_cross_validate_deterministic_given_seed():
@@ -426,14 +442,17 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     assert report.failures == 0
 
     # in d > 1 the full-data V-matrices V'' and V' (all but uLSIF) are built
-    # once per draw; every fold takes its V-matrices, and DRE-V its holdout
-    # matrices, as blocks. 1-D points build no V-matrix: V'' and V' of the
-    # full data and of each fold's own points, and DRE-V's holdout matrices,
-    # are min_kernel operators
+    # once per draw; every fold takes its V-matrices, and DRE-V its
+    # denominator-holdout matrix, as blocks, and DRE-V builds the V-matrix
+    # of its numerator holdout. 1-D points build no V-matrix: V'' and V' of
+    # the full data and of each fold's own points, and DRE-V's holdout
+    # matrices, are min_kernel operators
     want = {}
     if method is not Method.ULSIF_LIKE:
         if d > 1:
             want[("v", "full")] = 2
+            if method is Method.DRE_V:
+                want[("v", "holdout")] = k
         else:
             want.update({("min", "full"): 2, ("min", "train"): 2 * k})
             if method is Method.DRE_V:
@@ -529,31 +548,33 @@ def fold_blocks_inputs():
 @pytest.mark.parametrize("case", list(fold_blocks_inputs()))
 @pytest.mark.parametrize("method", list(Method))
 def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
-    """Every matrix a fold uses is a block of a full-data matrix; each must
-    equal, bit for bit and in layout, the matrix built from the fold's points
-    with the expressions cross-validation used before. For 1-D points the
-    V-matrices are min_kernel operators of the fold's points, not blocks:
-    their products must match the dense matrix's within the bound of
-    tests/test_vmatrix.py."""
+    """Every matrix a fold uses is a block of a full-data matrix, or for the
+    numerator holdout built from its points by the method's basis function;
+    each must equal, bit for bit and in layout, the matrix built from the
+    fold's points with the expressions cross-validation used before. For
+    1-D points the V-matrices are min_kernel operators of the fold's points,
+    not blocks: their products must match the dense matrix's within the
+    bound of tests/test_vmatrix.py."""
     s = fold_blocks_inputs()[case]
     sigma2_values = [0.05, 0.7]
     plan = CvPlan(k=4, seed=9, sigma2_grid=sigma2_values)
     systems, holdouts = [], []
-    solve_system, criteria = selection.solve_system, selection._criteria
+    system, criteria = estimators.SYSTEMS[method], selection._criteria
 
     # RBF blocks are views of a buffer that the next sigma2 overwrites
     def copy(a):
         return a if a is None or isinstance(a, MinKernel) else a.copy(order="K")
 
-    def spy_solve(method, sub, vm, factor, K, gammas):
-        systems.append((sub, vm, copy(K)))
-        return solve_system(method, sub, vm, factor, K, gammas)
+    def spy_solve(sub, vm, factor, K, gammas, low_rank):
+        if sub is not s:  # the refit on all data is not a fold's
+            systems.append((sub, vm, copy(K)))
+        return system.solve(sub, vm, factor, K, gammas, low_rank)
 
     def spy_criteria(coef, hold_den, hold_num, n_over_l):
         holdouts.append((coef.copy(), copy(hold_den), copy(hold_num)))
         return criteria(coef, hold_den, hold_num, n_over_l)
 
-    monkeypatch.setattr(selection, "solve_system", spy_solve)
+    monkeypatch.setitem(estimators.SYSTEMS, method, dataclasses.replace(system, solve=spy_solve))
     monkeypatch.setattr(selection, "_criteria", spy_criteria)
     cross_validate(s, method, plan)
 
