@@ -45,12 +45,16 @@ mandatory refinement step, unless two distinct points, or a point and the
 box's upper face, lie closer than solve.NEAR_TIE_GAP; then, and for an
 array V'', from a pivoted Cholesky factor of V'' and a tridiagonal
 reduction. uLSIF solves from a tridiagonal reduction of K, and DRE-VK in CV
-from a factor of V'' and a tridiagonal reduction of W'KW. In CV on 1-D
-points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor of the
-RBF Gram K ~ G G' and one thin SVD, unless its rank is too high. The uLSIF
-fit always takes the tridiagonal reduction, and the DRE-VK fit solves by
-LU. The dense 1-D builds that remain are the INK and RBF Grams, the V'' of
-the NEAR_TIE_GAP fallback and the V'' of dre_v_nonneg_values.
+from a factor of V'' and, in d > 1, a tridiagonal reduction of W'KW. In CV
+on 1-D points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor
+of the RBF Gram K ~ G G' and one thin SVD, unless its rank is too high;
+then, and for DRE-VK-INK, DRE-VK solves from a low-rank factor of W'KW
+and one thin SVD, and reduces W'KW only when that rank is too high too
+(the INK folds' W'KW has rank 95-112 of 639-640 at m = 800, but 31-112
+of 159-160 at m = 200). The uLSIF fit always takes the tridiagonal
+reduction, and the DRE-VK fit solves by LU. The dense 1-D builds that
+remain are the INK and RBF Grams, the V'' of the NEAR_TIE_GAP fallback and
+the V'' of dre_v_nonneg_values.
 
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:
@@ -194,7 +198,10 @@ class System:
     without V''. `solve(s, vm, factor, K, gammas, low_rank)` returns the
     n x G coefficients and per gamma None or its failure message;
     `low_rank` takes the low-rank solvers of solve, which hand a Gram of too
-    high a rank to the dense ones up front.
+    high a rank to the dense ones up front. DRE-VK's dense solver,
+    solve_product_ridge_many, tries a low-rank factor of W'KW for the
+    closed-form factor of 1-D points whatever `low_rank` says, since W'KW
+    is of low rank there for the INK Gram too.
     """
 
     kernel: KernelKind | None  # the expansion's basis; None for overlap volumes

@@ -258,9 +258,16 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       the non-symmetric V''K is similar, so that V''K + gamma I reduces to
       T + gamma I. W'KW costs two triangular products (2n^3 flops), or for
       1-D points O(n^2) cumulative sums of K along both axes in descending
-      t. Then one product of each holdout matrix with the
-      n x G coefficient matrix, which scores every gamma (for 1-D DRE-V
-      O((n + m) G) cumulative sums for m holdout points).
+      t. For 1-D points DRE-VK first tries W'KW ~ Z Z' by a pivoted
+      Cholesky (dpstrf, O(n^2 r)) and one thin SVD of Z in O(n r^2), and
+      solves every gamma in closed form from it with no dsytrd, as from K
+      above; only a rank above 0.4 n reduces W'KW. For INK, W'KW has rank
+      95-112 of 639-640 in the folds at n = 800 (benchmark workload
+      fit-1d-large), and 31-112 of 159-160 at m = 200, where 141 of 200
+      INK folds (seed 7) reduce it after the dpstrf. Then one product of
+      each holdout matrix with the n x G coefficient matrix, which scores
+      every gamma (for 1-D DRE-V O((n + m) G) cumulative sums for m holdout
+      points).
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
       and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
       system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK

@@ -19,7 +19,8 @@ n x n V''. With M = Q T Q' from tridiagonalize:
   M = W'W, T T + c T, minimal-norm on the range of S plus a null-space
   part up to dpstrf's tolerance that no estimate sees;
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
-  T + gamma I (W'KW by cumulative sums for 1-D points).
+  T + gamma I (W'KW by cumulative sums for 1-D points, and reduced only
+  when it is not of low rank, below).
 
 Every banded system, tridiagonal or pentadiagonal, is in lower band
 storage, and the systems of all shifts go into one LAPACK dpbsv call
@@ -38,7 +39,12 @@ K ~ G G' by pivoted_cholesky cut at its tolerance, one thin SVD (dgesdd)
 of G or of W'G, and then every shift in closed form, with no tridiagonal
 reduction. The residual check stays against K itself. A rank above
 LOW_RANK_MAX_FRAC n, or a shift of 0, sends every column to the dense
-solver up front instead.
+solver up front instead. For 1-D points that dense solver,
+solve_product_ridge_many with the closed-form factor, takes the same
+closed form from a low-rank factor of W'KW itself before it reduces it:
+W'KW of the INK Gram is of low rank where the Gram is not (rank 95-112 of
+639-640 in the folds of the n = 800 fits of model-2 data), so every 1-D
+DRE-VK fold tries it.
 
 solve_nonneg solves the nonnegative quadratic programme exactly, by one
 Cholesky factorisation and one scipy.optimize.nnls call, and is verified
@@ -589,6 +595,17 @@ def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
     = b. A K has real eigenvalues >= 0, so for gamma > 0 this is the unique
     solution, and each gamma costs one O(n) tridiagonal solve.
 
+    For the closed-form factor of 1-D points, S is numerically low rank: V''
+    has eigenvalues that decay like k^-2 and the INK and RBF Grams like k^-4
+    or faster. For INK, dpstrf cuts S at rank 95-112 of 639-640 in the
+    folds of the n = 800 fits of model-2 data, and at 31-112 of 159-160 at
+    m = 200 (seed 7 of the benchmark). So S ~ U diag(s^2) U' by
+    _low_rank_basis of S itself first, and every gamma is solved in closed
+    form by _low_rank_solve, as solve_product_ridge_low_rank does from K;
+    only a rank above LOW_RANK_MAX_FRAC r, or a gamma of 0, takes the
+    tridiagonal reduction. An array factor (d > 1) reduces S directly: its
+    S has full rank r (392-395 on the 20-D models at m = 500).
+
     Columns whose residual misses the bound are refined up to twice with the
     same factors. Returns the n x G solutions and per column None or the
     failure message of its residual check.
@@ -597,13 +614,23 @@ def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
     K, gammas, b = _ridge_inputs(K, gammas, b)
     if K.shape != A.shape:
         raise ValueError("K must match the shape of the factored matrix")
-    tri = tridiagonalize(factor.congruence(K), overwrite=True)
+    S = factor.congruence(K)
+    found = None
+    if isinstance(factor, BrownianFactor):
+        found = _low_rank_basis(S, lambda G: G, gammas)
+    tri = None if found is not None else tridiagonalize(S, overwrite=True)
+    del S  # not read again (dsytrd overwrote it): free it before the solves
+
+    def apply(X):
+        return A @ (K @ X) + X * gammas
+
+    if found is not None:
+        return _low_rank_solve(*found, 2, factor.range_coords, factor.expand, apply, b, gammas)
     # T + gamma I per gamma: the diagonal and the sub-diagonal padded by one
     bands = np.zeros((2, gammas.size, factor.rank))
     bands[0] = tri.diag + gammas[:, None]
     bands[1, :, :-1] = tri.off
-    return _multi_shift_solve(bands, *_factored_basis(factor, tri),
-                              lambda X: A @ (K @ X) + X * gammas, b, _SINGULAR_FAILURE)
+    return _multi_shift_solve(bands, *_factored_basis(factor, tri), apply, b, _SINGULAR_FAILURE)
 
 
 # Largest rank of pivoted_cholesky(K), as a fraction of K's order n, at which

@@ -474,12 +474,17 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
         # one pivoted Cholesky of V'' per fold (the closed form in 1-D) and one
         # tridiagonal reduction per (fold, sigma2) serve every gamma; only the
         # refit uses LU. In 1-D the RBF Gram of each (fold, sigma2) is factored
-        # by a pivoted Cholesky, and only the dense path reduces W'KW
+        # by a pivoted Cholesky, and only the dense path reduces W'KW. That
+        # path factors W'KW by a pivoted Cholesky first and reduces it only
+        # above the cut: here W'KW has rank 16 of 16 for INK, and 10 of 16
+        # for RBF at sigma2 = 0.3, both above 9.6
         want.update({"dsytrd": k * S, "lu_factor": 1})
         if d > 1:
             want["dpstrf"] = k
         elif method is Method.DRE_VK_RBF:
-            want.update({"dpstrf": k * S, "dsytrd": k})
+            want.update({"dpstrf": k * S + k, "dsytrd": k})
+        else:
+            want["dpstrf"] = k
     if method is Method.DRE_VK_INK:
         # the full-data Gram serves the gamma scaling, the training and
         # denominator-holdout blocks and the refit; the numerator holdout is
@@ -518,17 +523,25 @@ def test_cross_validate_on_distinct_1d_points_forms_no_v_matrix(method, monkeypa
 @pytest.mark.parametrize("method", [Method.DRE_VK_RBF, Method.ULSIF_LIKE])
 def test_cross_validate_20d_rbf_grams_are_not_factored(method, monkeypatch):
     """20-D RBF Grams are full rank, so no pivoted Cholesky of K is tried:
-    the only dpstrf calls are DRE-VK's one factor of V'' per fold."""
+    the only dpstrf calls are DRE-VK's one factor of V'' per fold. As a
+    positive control, the same spies on 1-D points count the low-rank
+    solver and its dpstrf of K once per (fold, sigma2); both Grams there
+    have rank far below the cut, and V'' has its closed-form factor."""
     k = 3
-    s = unit_samples(np.random.default_rng(65), 30, 24, 20)
     counter = CallCounter()
     monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counter.wrap(
         scipy.linalg.lapack.dpstrf, lambda *a: "dpstrf"))
-    for name in ("solve_ridge_square_low_rank", "solve_product_ridge_low_rank"):
+    low_rank = {Method.ULSIF_LIKE: "solve_ridge_square_low_rank",
+                Method.DRE_VK_RBF: "solve_product_ridge_low_rank"}
+    for name in low_rank.values():
         monkeypatch.setattr(estimators, name, counter.wrap(getattr(estimators, name),
                                                            lambda *a, name=name: name))
-    cross_validate(s, method, CvPlan(k=k, sigma2_grid=[2.0, 8.0]))
+    plan = CvPlan(k=k, sigma2_grid=[2.0, 8.0])
+    cross_validate(unit_samples(np.random.default_rng(65), 30, 24, 20), method, plan)
     assert counter.counts == ({} if method is Method.ULSIF_LIKE else {"dpstrf": k})
+    counter.counts.clear()
+    cross_validate(unit_samples(np.random.default_rng(65), 30, 24, 1), method, plan)
+    assert counter.counts == {"dpstrf": 2 * k, low_rank[method]: 2 * k}
 
 
 def fold_blocks_inputs():

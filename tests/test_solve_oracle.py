@@ -274,6 +274,91 @@ def test_ridge_square_examples_take_the_paths_named(monkeypatch):
         assert calls == want
 
 
+def check_product_ridge_1d(points, K, gammas, seed) -> list:
+    """solve_product_ridge_many with the closed-form factor of 1-D `points`
+    and the PSD matrix K, against the formed system M = V''K + gamma I.
+
+    For gamma > 0, or V''K nonsingular, M is nonsingular, so the oracle's
+    lstsq is the dense np.linalg.solve. Every accepted column must meet the
+    residual bound on M, up to the rounding of the formed product (the eps
+    term of assert_near_oracle), and lie within assert_near_oracle's bound
+    of the oracle. Returns the per-column errors.
+    """
+    A = cross_v(points, points)
+    b = _range_rhs(A, seed)
+    X, errors = solve_product_ridge_many(factor_v_matrix(min_kernel(points, points)), K,
+                                         gammas, b)
+    n, nb = A.shape[0], np.linalg.norm(b)
+    m = np.linalg.norm(A, 2) * np.linalg.norm(K, 2) + max(gammas)
+    for j, g in enumerate(gammas):
+        if errors[j] is None:
+            x = X[:, j]
+            residual = np.linalg.norm(b - (A @ (K @ x) + g * x))
+            assert residual <= (RESIDUAL_RTOL * (1.0 + nb)
+                                + 10 * n * EPS * (m * np.linalg.norm(x) + nb))
+        assert_near_oracle((A, K), g, np.eye(n), b, X[:, j], n, errors[j])
+    return errors
+
+
+@st.composite
+def tied_1d_points(draw):
+    """24 or 48 1-D points drawn from a pool of at most 40 coordinates that
+    holds 1.0, the box's upper face (t = 0, a zero row of V''), so that
+    every set has ties and most have points on the face."""
+    n = draw(st.sampled_from([24, 48]))
+    pool = [1.0] + [draw(_coord) for _ in range(draw(st.integers(1, 40)))]
+    return np.array([[draw(st.sampled_from(pool))] for _ in range(n)])
+
+
+@ORACLE
+@given(tied_1d_points(), gamma_lists, seeds, kernels)
+def test_product_ridge_1d_is_near_the_solution(points, gammas, seed, sigma2):
+    """1-D points solve from a low-rank factor of W'KW when its rank is at
+    most LOW_RANK_MAX_FRAC of V'''s and from its tridiagonal reduction
+    otherwise; either way every accepted column is near the dense solve."""
+    check_product_ridge_1d(points, _gram(points, sigma2), gammas, seed)
+
+
+def _ties_and_face(distinct, ties=8, face=8, seed=5):
+    """`distinct` uniform 1-D points, `ties` copies of 0.3 and `face` points
+    at 1.0, on the box's upper face."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[0.3] * ties, [1.0] * face, rng.random(distinct)])[:, None]
+
+
+# points, the Gram of _gram's sigma2 or a function of its shape, gammas,
+# and the dgesdd (low-rank) and dsytrd (tridiagonal) calls of the solve
+PRODUCT_1D_PATHS = {
+    # W'KW of the INK Gram has rank about 100 of 385, as on n = 800 fits
+    "ink-low-rank": (_ties_and_face(384), None, [1e-6, 1e-2, 1.0], ["dgesdd"]),
+    "rbf-low-rank": (_ties_and_face(24), 1.0, [1e-6, 1.0], ["dgesdd"]),
+    # rank 1 of W'KW for the all-ones K, and rank 0 for the zero K, which
+    # leaves the SVD no column, so the tridiagonal reduction solves
+    "rank-1": (_ties_and_face(10), np.ones, [1e-3, 10.0], ["dgesdd"]),
+    "rank-0": (_ties_and_face(10), np.zeros, [1e-3, 10.0], ["dsytrd"]),
+    # every point on the face: V'' = 0 and W'KW is 0 x 0, reduced by no call
+    "all-on-face": (np.ones((4, 1)), None, [1e-3], []),
+    # 16 distinct INK points: W'KW has full rank 16, above the cut of 6.4
+    "above-the-cut": (np.linspace(0.0, 0.9, 16)[:, None], None, [1e-3, 1.0], ["dsytrd"]),
+    # rbf-low-rank with a gamma of 0, which the low-rank inverse divides by:
+    # every column goes dense, and V''K, singular for the face points, fails
+    # that one
+    "gamma-0": (_ties_and_face(24), 1.0, [0.0, 1.0], ["dsytrd"]),
+}
+
+
+@pytest.mark.parametrize("case", list(PRODUCT_1D_PATHS))
+def test_product_ridge_1d_examples_take_the_paths_named(case, monkeypatch):
+    """Each example above solves every column on the path named, and every
+    column of a gamma > 0 is accepted and near the dense solve."""
+    points, gram, gammas, want = PRODUCT_1D_PATHS[case]
+    K = gram((len(points),) * 2) if callable(gram) else _gram(points, gram)
+    calls = count_svd_and_tridiagonal(monkeypatch)
+    errors = check_product_ridge_1d(points, K, gammas, 0)
+    assert calls == want
+    assert [err for err, g in zip(errors, gammas) if g > 0] == [None] * sum(g > 0 for g in gammas)
+
+
 def nonneg_oracle(A, b):
     """The minimizer of 0.5 y'Ay - b'y over y >= 0 for a symmetric positive
     definite A, by enumerating the free sets F: y_F solves A_FF y_F = b_F and
