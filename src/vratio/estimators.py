@@ -32,7 +32,13 @@ vmatrix.v_matrix, which picks the form from the points: arrays in d > 1,
 and for 1-D points vmatrix.MinKernel operators, so that no 1-D V-matrix is
 formed and every product with them (the right-hand side V'1, the residual
 checks, the DRE-VK refit's V''K, the predictions) is a sort and cumulative
-sums, O(n log n + nG) for G columns. Everything downstream takes its 1-D
+sums, O(n log n + nG) for G columns. Likewise the fits, cross-validation
+and the kernel estimates' predictions take every Gram from
+kernels.gram_matrix: for the INK kernel of 1-D points a kernels.InkKernel
+operator, whose products (the residual checks, the holdout scores, the
+predictions) are four cumulative sums, and from whose generators DRE-VK's
+gamma scale tr(V''K) and each fold's W'KW come in closed form; arrays
+otherwise. Everything downstream takes its 1-D
 path from that form alone and is given no points: DRE-VK's factor is
 solve.factor_v_matrix of V'', and cross-validation takes the folds'
 V-matrices as vmatrix.block of the full-data ones. The one other dimension
@@ -49,12 +55,14 @@ from a factor of V'' and, in d > 1, a tridiagonal reduction of W'KW. In CV
 on 1-D points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor
 of the RBF Gram K ~ G G' and one thin SVD, unless its rank is too high;
 then, and for DRE-VK-INK, DRE-VK solves from a low-rank factor of W'KW
-and one thin SVD, and reduces W'KW only when that rank is too high too
-(the INK folds' W'KW has rank 95-112 of 639-640 at m = 800, but 31-112
-of 159-160 at m = 200). The uLSIF fit always takes the tridiagonal
+(for INK in closed form from the InkKernel's generators) and one thin
+SVD, and reduces W'KW only when that rank is too high too (the INK folds'
+W'KW has rank 95-112 of 639-640 at m = 800, but 31-112 of 159-160 at
+m = 200). The uLSIF fit always takes the tridiagonal
 reduction, and the DRE-VK fit solves by LU. The dense 1-D builds that
-remain are the INK and RBF Grams, the V'' of the NEAR_TIE_GAP fallback and
-the V'' of dre_v_nonneg_values.
+remain are the RBF Grams, the full-data INK Gram of the DRE-VK refit's LU
+(InkKernel.dense), the V'' of the NEAR_TIE_GAP fallback and the V'' of
+dre_v_nonneg_values.
 
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:
@@ -74,7 +82,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import DomainBox, ScaledSamples, as_points
-from .kernels import KernelKind, KernelSpec, cross_gram
+from .kernels import InkKernel, KernelKind, KernelSpec, gram_matrix
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
                     solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
                     solve_ridge_square_low_rank, solve_ridge_square_many)
@@ -110,7 +118,7 @@ class RatioEstimate:
         pts = as_points(points)
         if self.kernel is None:
             return v_matrix(pts, self.centers) @ self.coef
-        return cross_gram(self.kernel, pts, self.centers) @ self.coef
+        return gram_matrix(self.kernel, pts, self.centers) @ self.coef
 
     def predict(self, points) -> np.ndarray:
         """Ratio values at raw points; scaling through the stored box is applied.
@@ -151,7 +159,7 @@ def fit_dre_vk(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimat
     """Kernel expansion r(x) = sum_i alpha_i k(x'_i, x) in the RKHS of `spec`."""
     method = Method.DRE_VK_RBF if spec.kind is KernelKind.RBF else Method.DRE_VK_INK
     return fit_system(method, s, gamma, spec, build_v_matrices(s),
-                      cross_gram(spec, s.x_prime, s.x_prime))
+                      gram_matrix(spec, s.x_prime, s.x_prime))
 
 
 def rect_identity_ones(n: int, ell: int) -> np.ndarray:
@@ -170,7 +178,7 @@ def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEst
     """Baseline with identity matrices in place of the V-matrices and ridge
     regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde."""
     return fit_system(Method.ULSIF_LIKE, s, gamma, spec, None,
-                      cross_gram(spec, s.x_prime, s.x_prime))
+                      gram_matrix(spec, s.x_prime, s.x_prime))
 
 
 def _solve_product(s, vm, factor, K, gammas, low_rank):
@@ -195,13 +203,18 @@ class System:
     matrix M: for DRE-V the ridge enters as gamma/n, so it is tr(V''); for
     DRE-VK M is V''K and for uLSIF KK, with the ridge applied directly. Both
     traces take V'' in either form; for a MinKernel, tr(V''K) is O(n^2)
-    without V''. `solve(s, vm, factor, K, gammas, low_rank)` returns the
-    n x G coefficients and per gamma None or its failure message;
+    without V'', and O(n) in closed form for the InkKernel K of 1-D points.
+    K is what kernels.gram_matrix gives: the InkKernel operator for INK on
+    1-D points, which DRE-VK's solve takes as it is and the LU refit of
+    fit_system as InkKernel.dense(), and an array otherwise.
+    `solve(s, vm, factor, K, gammas, low_rank)` returns the n x G
+    coefficients and per gamma None or its failure message;
     `low_rank` takes the low-rank solvers of solve, which hand a Gram of too
     high a rank to the dense ones up front. DRE-VK's dense solver,
     solve_product_ridge_many, tries a low-rank factor of W'KW for the
     closed-form factor of 1-D points whatever `low_rank` says, since W'KW
-    is of low rank there for the INK Gram too.
+    is of low rank there for the INK Gram too; for the InkKernel it forms
+    W'KW in closed form, O(n log n + r^2), not from a dense Gram.
     """
 
     kernel: KernelKind | None  # the expansion's basis; None for overlap volumes
@@ -252,9 +265,10 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     DRE-V and uLSIF take solve_system at [gamma] on the dense path, and
     raise SingularSystemError with the message of the failed column. DRE-VK
     solves V''K + gamma I, which is generally non-symmetric, by
-    solve_regularized's LU; for 1-D points V''K is the min_kernel product,
-    O(n^2) where the dense product is O(n^3). The refit does not take the
-    low-rank solves of the 1-D RBF folds. Those meet the same residual
+    solve_regularized's LU, of an array K (an InkKernel's dense(), equal to
+    cross_gram entry for entry); for 1-D points V''K is the min_kernel
+    product, O(n^2) where the dense product is O(n^3). The refit does not
+    take the low-rank solves of the 1-D RBF folds. Those meet the same residual
     bound, but their coefficients differ from the dense ones in about the
     ninth digit: a low-rank uLSIF refit moved one seed-0 NRMSE by 1.4e-9
     relative, past the 1e-9 to which tests/golden_seed0.json and the
@@ -265,7 +279,8 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
         raise ValueError("gamma must be positive")
     system = SYSTEMS[method]
     if system.refit_lu:
-        coef = solve_regularized(vm.v_dd @ K, gamma, v_rhs(vm, s), f"gamma={gamma}")
+        dense = K.dense() if isinstance(K, InkKernel) else K
+        coef = solve_regularized(vm.v_dd @ dense, gamma, v_rhs(vm, s), f"gamma={gamma}")
     else:
         X, (error,) = solve_system(method, s, vm, system.factor(vm), K, [gamma])
         if error is not None:

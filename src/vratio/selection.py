@@ -9,7 +9,9 @@ from scipy.spatial.distance import cdist, pdist
 
 from .domain import ScaledSamples, as_points
 from .estimators import SYSTEMS, Method, RatioEstimate, fit_system, kernel_spec_for, solve_system
-from .kernels import KernelKind, KernelSpec, cross_gram, rbf_from_sqdist
+# cross_gram is not called here; benchmarks/test_benchmark.py checks this binding
+from .kernels import cross_gram  # noqa: F401
+from .kernels import KernelKind, KernelSpec, gram_matrix, rbf_from_sqdist
 # solve_regularized is not called here; benchmarks/test_benchmark.py checks this binding
 from .solve import solve_regularized  # noqa: F401
 from .vmatrix import VMatrices, block, build_v_matrices, v_matrix
@@ -153,14 +155,15 @@ def make_folds(n: int, ell: int, k: int, seed: int):
 def _basis(kernel: KernelKind | None, d: int):
     """The function of two point sets that builds a method's matrices in
     cross-validation, the full-data basis of which each fold takes blocks
-    and each fold's numerator holdout: the V-matrix for DRE-V, the INK Gram,
-    or for RBF the squared distances, which do not depend on sigma2."""
+    and each fold's numerator holdout: the V-matrix for DRE-V, the INK Gram
+    (kernels.gram_matrix: an InkKernel operator for 1-D points), or for RBF
+    the squared distances, which do not depend on sigma2."""
     if kernel is None:
         return v_matrix
     if kernel is KernelKind.RBF:
         return lambda rows, cols: cdist(rows, cols, "sqeuclidean")
     spec = KernelSpec(kernel, d)
-    return lambda rows, cols: cross_gram(spec, rows, cols)
+    return lambda rows, cols: gram_matrix(spec, rows, cols)
 
 
 def _criteria(coef, hold_den, hold_num, n_over_l) -> np.ndarray:
@@ -199,25 +202,32 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     MinKernel operators, whose blocks are the MinKernels of the fold's
     coordinates and whose products are one stable sort and cumulative sums,
     O(n log n + nG) per fold. The form of V'' selects the solver's path.
+    The INK Grams come from kernels.gram_matrix, which picks their form
+    the same way: for 1-D points InkKernel operators, whose blocks are the
+    InkKernels of the fold's coordinates, whose products are one stable
+    sort and four cumulative sums, and from whose generators the gamma
+    scale tr(V''K) and each fold's W'KW come in closed form.
     The one test of the dimension here passes solve_system `low_rank` for
     the RBF Grams of 1-D points, which are numerically low rank; in d > 1
     they are full rank, and the dense solvers run without a pivoted
-    Cholesky of K first. The dense matrices left in 1-D are
-    the INK and RBF Grams and the V'' of the NEAR_TIE_GAP fallback. The
-    returned estimate predicts through v_matrix too, so `vratio fit` forms
-    no other 1-D V-matrix; only dre_v_nonneg_values, outside
+    Cholesky of K first. The dense matrices left in 1-D are the RBF Grams,
+    the full-data INK Gram that the refit's LU factors (InkKernel.dense)
+    and the V'' of the NEAR_TIE_GAP fallback. The returned estimate
+    predicts through v_matrix and gram_matrix too, so `vratio fit` forms no
+    other 1-D V-matrix or INK Gram; only dre_v_nonneg_values, outside
     cross-validation, forms its V''.
 
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
     * once per draw: the full-data V-matrices V'' and V' (all but uLSIF),
       dense in d > 1 and for 1-D points MinKernel operators (sorts of n and
-      ell coordinates); for INK the Gram matrix K, and for RBF the squared
-      distances D between denominator points, which do not depend on
-      sigma2. They serve the gamma scaling (one exp of D per sigma2 for RBF;
-      tr(V'') and tr(V''K) by vmatrix.trace_product, for a MinKernel one
-      O(n^2) pass over K per sigma2), every fold and the refit (one exp of
-      D, in place, at the selected sigma2).
+      ell coordinates); for INK the Gram matrix K (for 1-D points an
+      InkKernel, one sort), and for RBF the squared distances D between
+      denominator points, which do not depend on sigma2. They serve the
+      gamma scaling (one exp of D per sigma2 for RBF; tr(V'') and tr(V''K)
+      by vmatrix.trace_product, for a MinKernel one O(n^2) pass over an
+      array K per sigma2 and O(n) prefix sums for an InkKernel), every fold
+      and the refit (one exp of D, in place, at the selected sigma2).
     * once per fold: the blocks V''[train, train] and V'[train, train_num]
       (all but uLSIF), and for DRE-V the holdout block V''[hold_den, train]
       and the V-matrix of the numerator holdout against the training
@@ -228,9 +238,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       MinKernel of the picked coordinates, one sort of them. The
       right-hand side V'1 is a product with the block. For INK
       the blocks K[train, train] and K[hold_den, train] and one Gram of the
-      numerator holdout against the training points; for RBF the blocks
-      D[train, train] and D[hold_den, train] and the squared distances of
-      the numerator holdout to the training points. The holdout matrices of
+      numerator holdout against the training points (for 1-D points
+      InkKernels of the picked coordinates, one sort each); for RBF the
+      blocks D[train, train] and D[hold_den, train] and the squared
+      distances of the numerator holdout to the training points. The holdout matrices of
       DRE-V and INK are taken after the fold's solve, which needs the most
       memory (taking every holdout matrix before it raised that peak by
       2.5%). Then the factorisation V'' = W W' that every sigma2 and gamma
@@ -257,8 +268,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK, to which
       the non-symmetric V''K is similar, so that V''K + gamma I reduces to
       T + gamma I. W'KW costs two triangular products (2n^3 flops), or for
-      1-D points O(n^2) cumulative sums of K along both axes in descending
-      t. For 1-D points DRE-VK first tries W'KW ~ Z Z' by a pivoted
+      1-D points O(n^2) cumulative sums of an RBF K along both axes in
+      descending t, and for the INK InkKernel O(n + r^2): prefix sums of its
+      generators read at the group ends, and one (r x 3)(3 x r) product.
+      For 1-D points DRE-VK first tries W'KW ~ Z Z' by a pivoted
       Cholesky (dpstrf, O(n^2 r)) and one thin SVD of Z in O(n r^2), and
       solves every gamma in closed form from it with no dsytrd, as from K
       above; only a rank above 0.4 n reduces W'KW. For INK, W'KW has rank
@@ -266,14 +279,15 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       fit-1d-large), and 31-112 of 159-160 at m = 200, where 141 of 200
       INK folds (seed 7) reduce it after the dpstrf. Then one product of
       each holdout matrix with the n x G coefficient matrix, which scores
-      every gamma (for 1-D DRE-V O((n + m) G) cumulative sums for m holdout
-      points).
+      every gamma (for 1-D DRE-V and INK O((n + m) G) cumulative sums for m
+      holdout points).
     * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
       and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
       system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK
       call) and O(n^2) products with Q and W and for the residual check; for
       1-D points V'' enters the residual as an O(n) MinKernel product, so a
-      1-D DRE-V column costs O(n) in all. On the low-rank path the solve is
+      1-D DRE-V column costs O(n) in all, and K enters a 1-D INK residual
+      as an O(n) InkKernel product. On the low-rank path the solve is
       O(n r) products with the SVD's U, in closed form; the residual check
       is the same, against the full K, and refinement uses the same
       low-rank inverse. A 1-D DRE-V column always takes one refinement step
@@ -289,9 +303,9 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     with the full-data matrices above: for DRE-V and uLSIF the folds'
     solve_system at one gamma on its dense path (for uLSIF
     solve_ridge_square_many in every dimension), for DRE-VK an LU of
-    V''K + gamma I (V''K by one MinKernel product for 1-D points). It is
-    what the fit_* functions compute, so a draw's estimate depends on CV
-    only through the selection.
+    V''K + gamma I (V''K by one MinKernel product for 1-D points, of the
+    INK Gram's dense() there). It is what the fit_* functions compute, so
+    a draw's estimate depends on CV only through the selection.
     """
     system = SYSTEMS[method]
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)

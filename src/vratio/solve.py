@@ -9,7 +9,9 @@ V''_ij = min(t_i, t_j), gets the closed form BrownianFactor from its own
 sort of t, and an array gets pivoted_cholesky (dpstrf). The residual
 checks apply V'' in the form it came in, a MinKernel by a sort and
 cumulative sums, O(n log n + nG) for G columns, so 1-D solves form no
-n x n V''. With M = Q T Q' from tridiagonalize:
+n x n V''. K is an array, or for the INK kernel of 1-D points an
+InkKernel operator, which the residual checks apply by four cumulative
+sums. With M = Q T Q' from tridiagonalize:
 
 * solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
 * PsdPencilSolver.solve: (S S + c S) x = b for S singular or not. For a
@@ -19,8 +21,9 @@ n x n V''. With M = Q T Q' from tridiagonalize:
   M = W'W, T T + c T, minimal-norm on the range of S plus a null-space
   part up to dpstrf's tolerance that no estimate sees;
 * solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
-  T + gamma I (W'KW by cumulative sums for 1-D points, and reduced only
-  when it is not of low rank, below).
+  T + gamma I (for 1-D points, W'KW in closed form from the generators of
+  the kernels.InkKernel Gram, or by cumulative sums of an array K, and
+  reduced only when it is not of low rank, below).
 
 Every banded system, tridiagonal or pentadiagonal, is in lower band
 storage, and the systems of all shifts go into one LAPACK dpbsv call
@@ -58,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .kernels import InkKernel
 from .vmatrix import MinKernel
 
 RESIDUAL_RTOL = 1e-8
@@ -67,8 +71,8 @@ class SingularSystemError(RuntimeError):
     """The system is singular to working precision."""
 
 
-def _check_square(A: np.ndarray, b: np.ndarray):
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+def _check_square(A, b: np.ndarray):
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be a square matrix")
     if b.shape != (A.shape[0],):
         raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
@@ -266,9 +270,10 @@ def _verified(X, correct, apply, b, what: str, refine_once: bool = False):
 
 
 def _ridge_inputs(K, gammas, b):
-    """K, gammas and b as float arrays; ValueError unless K is square, b has
-    its order and every gamma is nonnegative."""
-    K = np.asarray(K, dtype=float)
+    """K (an array or an InkKernel), gammas and b as float arrays;
+    ValueError unless K is square, b has its order and every gamma is
+    nonnegative."""
+    K = K if isinstance(K, InkKernel) else np.asarray(K, dtype=float)
     b = np.asarray(b, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
     _check_square(K, b)
@@ -423,16 +428,39 @@ class BrownianFactor:
         desc, last = self._descending()
         return np.sqrt(self.gaps)[:, None] * np.cumsum(B[desc], axis=0)[last]
 
-    def congruence(self, K: np.ndarray) -> np.ndarray:
-        """W' K W for a symmetric n x n K, r x r in Fortran order, in O(n^2)
-        flops: C'E'KEC by the cumulative sums of apply_t along both axes of K,
-        then sqrt(h) on both sides."""
+    def congruence(self, K) -> np.ndarray:
+        """W' K W for a symmetric n x n K, r x r in Fortran order: C'E'KEC,
+        then sqrt(h) on both sides.
+
+        (C'E'KEC)_kl sums K over the points with t >= u_k and t >= u_l, in
+        ascending x = 1 - t the first e_k and e_l points, e_k = n - starts[k].
+        For an array K that takes O(n^2) flops, the cumulative sums of
+        apply_t along both axes of K. For the InkKernel of V''s own points
+        it is a closed form in O(n log n + r^2): for e_k <= e_l, the rows i
+        from e_k to e_l against the first e_k columns a hold p(x_a) +
+        q(x_a) x_i, so the entry is a_k + P_k N_l + Q_k X_l, with P, Q, N
+        and X the prefix sums of p(x), q(x), 1 and x, F the prefix double sum
+        of K and a = F - P N - Q X, all read at the group ends: the lower
+        triangle of one (r x 3)(3 x r) product, mirrored. ValueError unless
+        the InkKernel's points are V''s, 1 - x = t.
+        """
+        root = np.sqrt(self.gaps)
+        if isinstance(K, InkKernel):
+            x, sums, g = K.prefix_sums(self.matrix.t)
+            ends = x.size - self.starts
+            P, Q, X = sums[:, ends]
+            N = ends.astype(float)
+            # the factors (a, P, Q) by group and (1, N, X) by group, times sqrt(h)
+            lo = np.column_stack([np.cumsum(g)[ends - 1] - P * N - Q * X, P, Q]) * root[:, None]
+            hi = np.array([np.ones(N.size), N, X]) * root
+            # the lower triangle of their product and the upper of its transpose,
+            # each one BLAS product
+            return np.where(np.tri(root.size, dtype=bool), lo @ hi, hi.T @ lo.T).T
         if not self.rank:
             return np.zeros((0, 0), order="F")
         desc, last = self._descending()
         S = np.cumsum(K[desc], axis=0)[last]
         S = np.take(np.cumsum(np.take(S, desc, axis=1), axis=1), last, axis=1)
-        root = np.sqrt(self.gaps)
         S *= root[:, None]
         S *= root
         return S.T  # equal to S for a symmetric K
@@ -585,8 +613,10 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
 
 def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
     """Solve (A K + gamma I) x = b for every gamma, with A = W W' given by
-    `factor` (a PivotedCholesky or BrownianFactor), K symmetric PSD and b in
-    the range of A.
+    `factor` (a PivotedCholesky or BrownianFactor), K symmetric PSD (an
+    array, or with a BrownianFactor the InkKernel of its points, whose
+    W'KW factor.congruence takes in closed form and whose products the
+    residual checks apply) and b in the range of A.
 
     A K is not symmetric, but it is similar to the symmetric S = W' K W
     (Golub & Van Loan, Matrix Computations, 8.7). With S = Q T Q' from one

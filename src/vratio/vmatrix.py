@@ -13,7 +13,9 @@ points, the array of cross_v otherwise. build_v_matrices, the fits,
 cross-validation, the DRE-V estimate's predictions and l2_residual take
 their V-matrices from it. Downstream the form alone selects the 1-D paths:
 block takes its sub-matrices and trace_product its trace against a kernel
-Gram in either form, and solve.factor_v_matrix factors it by its form.
+Gram in either form (for a MinKernel and the kernels.InkKernel of its
+points in closed form), and solve.factor_v_matrix factors it by its form.
+MinKernel is the kernels.SemiseparableKernel of p(u) = u and q = 0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DimensionMismatchError, OutOfBoxError, ScaledSamples, as_points
+from .kernels import InkKernel, SemiseparableKernel
 
 
 def _box_points(rows, cols):
@@ -53,39 +56,16 @@ def cross_v(rows, cols) -> np.ndarray:
     return out
 
 
-class MinKernel:
-    """The m x n matrix M_ij = min(s_i, t_j) of s, t >= 0 as an operator:
-    M @ X is the product with an n x G matrix (or a vector) X, computed
-    without forming M.
-
-    With t sorted, the sum over j splits at s_i into sum_{t_j <= s_i} t_j X_j
-    and s_i sum_{t_j > s_i} X_j: a cumulative sum of t_j X_j from the
-    smallest t up and one of X_j from the largest t down, both in one
-    cumsum call and each read at s_i's position in the sorted t. That is
-    one stable sort of t, kept in `order`, and O((m + n) G) flops per
-    product against O(mnG) for the dense product. Each sum adds
-    only terms of |M| |X|, so the result lies within about n eps (|M| @ |X|)
-    of the exact product, as the dense product does. A zero s_i gives an
-    exact zero row. `t` is kept in its given order, for `T` and `dense`.
+class MinKernel(SemiseparableKernel):
+    """The m x n matrix M_ij = min(s_i, t_j) of s, t >= 0 as a
+    kernels.SemiseparableKernel with p(u) = u and q = 0: M @ X adds t_j X_j
+    over t_j <= s_i and s_i times X_j over t_j > s_i, two cumulative sums.
+    A zero s_i gives an exact zero row.
     """
 
-    def __init__(self, s, t):
-        self.s = np.asarray(s, dtype=float)
-        self.t = np.asarray(t, dtype=float)
-        self.order = np.argsort(self.t, kind="stable")
-        self.t_sorted = self.t[self.order]
-        # the number of t_j <= s_i, and of t_j > s_i
-        self.positions = np.searchsorted(self.t_sorted, self.s, side="right")
-        self._above = self.t.size - self.positions
-
-    @property
-    def shape(self) -> tuple:
-        return (self.s.size, self.t.size)
-
-    @property
-    def T(self) -> MinKernel:
-        """The n x m transpose min(t_j, s_i), with its own sort of s."""
-        return MinKernel(self.t, self.s)
+    @staticmethod
+    def p(u):
+        return u
 
     def dense(self) -> np.ndarray:
         """M as an m x n array."""
@@ -95,31 +75,22 @@ class MinKernel:
         """The sum of the diagonal min(s_i, t_i) of a square M."""
         return float(np.sum(np.minimum(self.s, self.t)))
 
-    def __matmul__(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        cols = X[:, None] if X.ndim == 1 else X
-        n, G = cols.shape
-        if n != self.t.size:
-            raise ValueError(f"X has {n} rows, expected {self.t.size}")
-        # sums[0, k] adds t_j X_j over the k smallest t, sums[1, k] X_j over the k largest
-        sums = np.empty((2, n + 1, G))
-        sums[:, 0] = 0.0
-        ascending = cols[self.order]
-        np.multiply(ascending, self.t_sorted[:, None], out=sums[0, 1:])
-        sums[1, 1:] = ascending[::-1]
-        np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
-        out = sums[1, self._above]
-        out *= self.s[:, None]
-        out += sums[0, self.positions]
-        return out[:, 0] if X.ndim == 1 else out
-
     def trace_product(self, K) -> float:
         """tr(M K) for the square M of s = t, such as V'', and a symmetric K,
-        without the product: in the sorted order of t, min(t_a, t_b) is t_a
-        for a <= b, so tr(M K) = sum_a t_a (K_aa + 2 sum_{b > a} K_ab).
-        ValueError unless s equals t, as solve.factor_v_matrix requires."""
+        without the product. ValueError unless s equals t, as
+        solve.factor_v_matrix requires.
+
+        For an array K: in the sorted order of t, min(t_a, t_b) is t_a for
+        a <= b, so tr(M K) = sum_a t_a (K_aa + 2 sum_{b > a} K_ab), one
+        O(n^2) pass. For the InkKernel of the points x = 1 - t, in O(n):
+        in ascending x, min(t_a, t_b) is t_b for a <= b, so tr(M K) =
+        sum_b t_b g_b with g from InkKernel.prefix_sums.
+        """
         if not np.array_equal(self.s, self.t):
             raise ValueError("a MinKernel V'' must have s = t")
+        if isinstance(K, InkKernel):
+            x, _, g = K.prefix_sums(self.t)
+            return float((1.0 - x) @ g)
         P = np.take(np.take(np.asarray(K, dtype=float), self.order, axis=0), self.order, axis=1)
         return float(self.t_sorted @ (2.0 * np.triu(P).sum(axis=1) - np.diagonal(P)))
 
@@ -159,18 +130,20 @@ def build_v_matrices(s: ScaledSamples) -> VMatrices:
 
 
 def block(V, rows, cols):
-    """V[rows][:, cols] of an array or a MinKernel: an array in C order, the
-    layout of a matrix built entry by entry, or the MinKernel of the rows'
-    s and the columns' t. An entry depends only on its pair of points, so
-    either equals the V-matrix of those points entry for entry."""
-    if isinstance(V, MinKernel):
-        return MinKernel(V.s[rows], V.t[cols])
+    """V[rows][:, cols] of an array or an operator (a MinKernel V-matrix or
+    an InkKernel Gram): an array in C order, the layout of a matrix built
+    entry by entry, or the operator of the same kind of the rows' s and the
+    columns' t. An entry depends only on its pair of points, so either
+    equals the matrix of those points entry for entry."""
+    if isinstance(V, SemiseparableKernel):
+        return type(V)(V.s[rows], V.t[cols])
     return np.take(V[rows], cols, axis=1)
 
 
 def trace_product(V, K) -> float:
-    """tr(V K) for a symmetric V-matrix V in either form and a symmetric K:
-    sum(V * K) for an array, MinKernel.trace_product for an operator."""
+    """tr(V K) for a symmetric V-matrix V in either form and a symmetric K,
+    an array or the InkKernel of V's points: sum(V * K) for an array V,
+    MinKernel.trace_product for an operator."""
     if isinstance(V, MinKernel):
         return V.trace_product(K)
     return float(np.sum(V * K))

@@ -58,3 +58,31 @@ def test_no_common_key_fails(tmp_path):
     assert code == 1
     assert lines == ["0 common draws, 0 changed selections, 0 NRMSEs identical by repr, "
                      "largest relative NRMSE difference 0"]
+
+
+def test_a_shift_within_the_rounding_bound_is_reported_but_passes(tmp_path):
+    first = [draw("r0/a"), draw("r0/b", sigma2=0.3), draw("r0/c")]
+    second = [draw("r0/a", gamma=0.5 * (1 + 2**-50)), draw("r0/b", sigma2=0.3 * (1 + 5e-13)),
+              draw("r0/c")]
+    code, lines = run_tool(tmp_path, first, second)
+    assert code == 0
+    assert lines == [
+        "2 gamma or sigma2 values moved by rounding (at most 1e-12 relative), "
+        "largest relative shift 5e-13",
+        "3 common draws, 0 changed selections, 3 NRMSEs identical by repr, "
+        "largest relative NRMSE difference 0",
+    ]
+
+
+def test_a_shift_beyond_the_rounding_bound_is_a_changed_selection(tmp_path):
+    first = [draw("r0/a"), draw("r0/b", sigma2=0.3)]
+    second = [draw("r0/a", gamma=0.5 * (1 + 3e-12)), draw("r0/b", sigma2=0.3 * (1 + 1e-15))]
+    code, lines = run_tool(tmp_path, first, second)
+    assert code == 1
+    assert lines == [
+        f"r0/a: gamma 0.5 -> {0.5 * (1 + 3e-12)!r}",
+        "1 gamma or sigma2 values moved by rounding (at most 1e-12 relative), "
+        "largest relative shift 1.11e-15",
+        "2 common draws, 1 changed selections, 2 NRMSEs identical by repr, "
+        "largest relative NRMSE difference 0",
+    ]

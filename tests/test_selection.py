@@ -7,7 +7,7 @@ import scipy.linalg
 
 from scipy.spatial.distance import cdist
 
-from vratio import estimators, selection, solve, vmatrix
+from vratio import estimators, kernels, selection, solve, vmatrix
 from vratio.domain import DomainBox, SampleSet, ScaledSamples, fit_domain_box, scale
 from vratio.estimators import (
     Method,
@@ -16,7 +16,7 @@ from vratio.estimators import (
     fit_ulsif_like,
     kernel_spec_for,
 )
-from vratio.kernels import cross_gram
+from vratio.kernels import InkKernel, cross_gram
 from vratio.selection import (
     CvPlan,
     SelectionError,
@@ -418,19 +418,23 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
         # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
         return {(8, 16): "holdout", (16, 16): "train", (24, 24): "full"}[(len(rows), len(cols))]
 
-    # every build the fit_* functions of the refit could make is counted too
-    for module in (selection, estimators):
-        monkeypatch.setattr(module, "cross_gram", counter.wrap(
-            module.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
+    # kernels.gram_matrix builds every Gram by one of these two, and an
+    # InkKernel's dense() by cross_gram
+    monkeypatch.setattr(kernels, "cross_gram", counter.wrap(
+        kernels.cross_gram, lambda spec, rows, cols: ("gram", matrix_kind(rows, cols))))
+    monkeypatch.setattr(kernels, "InkKernel", counter.wrap(
+        kernels.InkKernel, lambda rows, cols: ("ink", matrix_kind(rows, cols))))
     # vmatrix.v_matrix builds every V-matrix by one of these two
     monkeypatch.setattr(vmatrix, "min_kernel", counter.wrap(
         vmatrix.min_kernel, lambda rows, cols: ("min", matrix_kind(rows, cols))))
     monkeypatch.setattr(vmatrix, "cross_v", counter.wrap(
         vmatrix.cross_v, lambda rows, cols: ("v", matrix_kind(rows, cols))))
-    # the min_kernel operators of the folds are blocks of the full-data ones
+    # the min_kernel and InkKernel operators of the folds are blocks of the
+    # full-data ones
     monkeypatch.setattr(selection, "block", counter.wrap(
         selection.block, lambda V, rows, cols: ("min", matrix_kind(rows, cols))
-        if isinstance(V, MinKernel) else None))
+        if isinstance(V, MinKernel) else ("ink", matrix_kind(rows, cols))
+        if isinstance(V, InkKernel) else None))
     monkeypatch.setattr(selection, "cdist", counter.wrap(
         selection.cdist, lambda rows, cols, metric: ("dist", matrix_kind(rows, cols))))
     # the exp of the RBF distances: full data, or one fold's training Gram and
@@ -488,8 +492,13 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     if method is Method.DRE_VK_INK:
         # the full-data Gram serves the gamma scaling, the training and
         # denominator-holdout blocks and the refit; the numerator holdout is
-        # built per fold
-        want.update({("gram", "full"): 1, ("gram", "holdout"): k})
+        # built per fold. For 1-D points all of them are InkKernel operators,
+        # and only the refit's LU forms the full-data Gram, by dense()
+        if d > 1:
+            want.update({("gram", "full"): 1, ("gram", "holdout"): k})
+        else:
+            want.update({("gram", "full"): 1, ("ink", "full"): 1, ("ink", "train"): k,
+                         ("ink", "holdout"): 2 * k})
     elif rbf:
         # the squared distances of the full data serve every sigma2, fold and
         # the refit; those of the numerator holdout are computed per fold. One
@@ -518,6 +527,27 @@ def test_cross_validate_on_distinct_1d_points_forms_no_v_matrix(method, monkeypa
     l2_residual(s, report.estimate.predict(s.x_prime))
     assert report.failures == 0
     assert counter.counts == {}
+
+
+def test_cross_validate_on_1d_points_forms_the_ink_gram_only_for_the_refit(monkeypatch):
+    """On 1-D points, DRE-VK-INK's cross-validation, its refit and the
+    estimate's predictions take every INK Gram as an InkKernel operator:
+    the gamma scale, the folds' W'KW and residual checks, the holdouts and
+    the predictions form none, and cross_gram runs once, for the full-data
+    Gram of the refit's LU (InkKernel.dense). A negative query still
+    raises as cross_gram does."""
+    s = unit_samples(np.random.default_rng(67), 40, 30, 1)
+    counter = CallCounter()
+    for name, module in list(sys.modules.items()):
+        if (name == "vratio" or name.startswith("vratio.")) and hasattr(module, "cross_gram"):
+            monkeypatch.setattr(module, "cross_gram", counter.wrap(
+                module.cross_gram, lambda spec, rows, cols: (len(rows), len(cols))))
+    report = cross_validate(s, Method.DRE_VK_INK, CvPlan(k=4))
+    report.estimate.predict(s.pooled())
+    assert report.failures == 0
+    assert counter.counts == {(40, 40): 1}
+    with pytest.raises(ValueError, match="nonnegative"):
+        report.estimate.predict_scaled([[0.5], [-0.1]])
 
 
 @pytest.mark.parametrize("method", [Method.DRE_VK_RBF, Method.ULSIF_LIKE])
@@ -567,7 +597,8 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
     fold's points with the expressions cross-validation used before. For
     1-D points the V-matrices are min_kernel operators of the fold's points,
     not blocks: their products must match the dense matrix's within the
-    bound of tests/test_vmatrix.py."""
+    bound of tests/test_vmatrix.py. The 1-D INK Grams are InkKernel
+    operators, whose dense() must equal cross_gram of the fold's points."""
     s = fold_blocks_inputs()[case]
     sigma2_values = [0.05, 0.7]
     plan = CvPlan(k=4, seed=9, sigma2_grid=sigma2_values)
@@ -576,7 +607,7 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
 
     # RBF blocks are views of a buffer that the next sigma2 overwrites
     def copy(a):
-        return a if a is None or isinstance(a, MinKernel) else a.copy(order="K")
+        return a if a is None or isinstance(a, (MinKernel, InkKernel)) else a.copy(order="K")
 
     def spy_solve(sub, vm, factor, K, gammas, low_rank):
         if sub is not s:  # the refit on all data is not a fold's
@@ -620,7 +651,13 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
             # the 1-D V-matrices, DRE-V's holdout matrices among them
             operators = set() if s.d > 1 else {"v_dd", "v_dn"} | (
                 {"hold_den", "hold_num"} if method is Method.DRE_V else set())
+            inks = {"K", "hold_den", "hold_num"} if (
+                s.d == 1 and method is Method.DRE_VK_INK) else set()
             for name, (got, old) in want.items():
+                if name in inks:
+                    assert isinstance(got, InkKernel), (f, name)
+                    assert np.array_equal(got.dense(), old), (f, name)
+                    continue
                 if name in operators:
                     assert isinstance(got, MinKernel), (f, name)
                     X = np.ones((old.shape[1], 1)) if name == "v_dn" else coef
