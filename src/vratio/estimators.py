@@ -53,16 +53,16 @@ array V'', from a pivoted Cholesky factor of V'' and a tridiagonal
 reduction. uLSIF solves from a tridiagonal reduction of K, and DRE-VK in CV
 from a factor of V'' and, in d > 1, a tridiagonal reduction of W'KW. In CV
 on 1-D points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor
-of the RBF Gram K ~ G G' and one thin SVD, unless its rank is too high;
-then, and for DRE-VK-INK, DRE-VK solves from a low-rank factor of W'KW
-(for INK in closed form from the InkKernel's generators) and one thin
-SVD, and reduces W'KW only when that rank is too high too (the INK folds'
-W'KW has rank 95-112 of 639-640 at m = 800, but 31-112 of 159-160 at
-m = 200). The uLSIF fit always takes the tridiagonal
-reduction, and the DRE-VK fit solves by LU. The dense 1-D builds that
-remain are the RBF Grams, the full-data INK Gram of the DRE-VK refit's LU
-(InkKernel.dense), the V'' of the NEAR_TIE_GAP fallback and the V'' of
-dre_v_nonneg_values.
+of the RBF Gram K ~ G G', one r x r eigendecomposition (dsyevd) and the
+Woodbury inverse, unless its rank is too high; then, and for DRE-VK-INK,
+DRE-VK solves from a low-rank factor of W'KW (for INK in closed form from
+the InkKernel's generators) in the same way, and reduces W'KW only when
+that rank is too high too (the INK folds' W'KW has rank 95-112 of 639-640
+at m = 800, but 31-112 of 159-160 at m = 200). The uLSIF fit always takes
+the tridiagonal reduction, and the DRE-VK fit solves by LU. The dense 1-D
+builds that remain are the RBF Grams, the full-data INK Gram of the DRE-VK
+refit's LU (InkKernel.dense), the V'' of the NEAR_TIE_GAP fallback and the
+V'' of dre_v_nonneg_values.
 
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:

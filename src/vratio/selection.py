@@ -259,7 +259,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       one buffer, which holds the training Gram and both holdout matrices.
       For uLSIF and DRE-VK-RBF on 1-D points, whose Grams are numerically
       low rank, a pivoted Cholesky K ~ G G' (dpstrf, O(n^2 r) flops for rank
-      r) and one thin SVD in O(n r^2): of G for uLSIF, and of W'G for
+      r) and one eigendecomposition (dsyevd, O(r^3)) of the r x r Gram Z'Z,
+      with its products in O(n r^2): of Z = G for uLSIF, and of Z = W'G for
       DRE-VK, which reverse cumulative sums over the groups of t give in
       O(n r). No dsytrd runs then. A rank above solve.LOW_RANK_MAX_FRAC n
       (0.4 n) takes the dense path below after the dpstrf. Otherwise, for
@@ -270,9 +271,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       T + gamma I. W'KW costs two triangular products (2n^3 flops), or for
       1-D points O(n^2) cumulative sums of an RBF K along both axes in
       descending t, and for the INK InkKernel O(n + r^2): prefix sums of its
-      generators read at the group ends, and one (r x 3)(3 x r) product.
+      generators read at the group ends, and one (r x 3)(3 x r) product,
+      whose lower triangle, the one dpstrf and dsytrd read, is W'KW.
       For 1-D points DRE-VK first tries W'KW ~ Z Z' by a pivoted
-      Cholesky (dpstrf, O(n^2 r)) and one thin SVD of Z in O(n r^2), and
+      Cholesky (dpstrf, O(n^2 r)) and one dsyevd of the r x r Z'Z, and
       solves every gamma in closed form from it with no dsytrd, as from K
       above; only a rank above 0.4 n reduces W'KW. For INK, W'KW has rank
       95-112 of 639-640 in the folds at n = 800 (benchmark workload
@@ -288,7 +290,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       1-D points V'' enters the residual as an O(n) MinKernel product, so a
       1-D DRE-V column costs O(n) in all, and K enters a 1-D INK residual
       as an O(n) InkKernel product. On the low-rank path the solve is
-      O(n r) products with the SVD's U, in closed form; the residual check
+      O(n r) products with Y = Z V of Z'Z = V diag(lam) V', by the Woodbury
+      inverse (I - Y diag(phi) Y') / gamma, in closed form; the residual check
       is the same, against the full K, and refinement uses the same
       low-rank inverse. A 1-D DRE-V column always takes one refinement step
       against that residual, which the double difference J N^-1 J of its

@@ -38,16 +38,16 @@ with its message; no other solver tries it again.
 
 solve_ridge_square_low_rank and solve_product_ridge_low_rank solve the same
 systems for a numerically low-rank K, such as the RBF Gram of 1-D points:
-K ~ G G' by pivoted_cholesky cut at its tolerance, one thin SVD (dgesdd)
-of G or of W'G, and then every shift in closed form, with no tridiagonal
-reduction. The residual check stays against K itself. A rank above
-LOW_RANK_MAX_FRAC n, or a shift of 0, sends every column to the dense
-solver up front instead. For 1-D points that dense solver,
-solve_product_ridge_many with the closed-form factor, takes the same
-closed form from a low-rank factor of W'KW itself before it reduces it:
-W'KW of the INK Gram is of low rank where the Gram is not (rank 95-112 of
-639-640 in the folds of the n = 800 fits of model-2 data), so every 1-D
-DRE-VK fold tries it.
+K ~ G G' by pivoted_cholesky cut at its tolerance, one eigendecomposition
+(dsyevd) of the r x r Gram Z'Z of Z = G or Z = W'G, and then every shift
+by the Woodbury inverse in closed form, with no tridiagonal reduction. The
+residual check stays against K itself. A rank above LOW_RANK_MAX_FRAC n,
+or a shift of 0, sends every column to the dense solver up front instead.
+For 1-D points that dense solver, solve_product_ridge_many with the
+closed-form factor, takes the same closed form from a low-rank factor of
+W'KW itself before it reduces it: W'KW of the INK Gram is of low rank
+where the Gram is not (rank 95-112 of 639-640 in the folds of the n = 800
+fits of model-2 data), so every 1-D DRE-VK fold tries it.
 
 solve_nonneg solves the nonnegative quadratic programme exactly, by one
 Cholesky factorisation and one scipy.optimize.nnls call, and is verified
@@ -305,7 +305,10 @@ class PivotedCholesky:
 
     `L` is n x n lower triangular with the columns from `rank` on zero and
     `perm` holds P as indices: (P' A P) = A[perm][:, perm] = L L'. `matrix` is
-    A itself, kept for the residual checks.
+    A itself, kept for the residual checks. dpstrf reads only the lower
+    triangle of A, so only that triangle of `matrix` need be defined: that
+    of BrownianFactor.congruence of an InkKernel, whose strict upper
+    triangle is not W'KW.
     """
 
     matrix: np.ndarray
@@ -440,9 +443,10 @@ class BrownianFactor:
         from e_k to e_l against the first e_k columns a hold p(x_a) +
         q(x_a) x_i, so the entry is a_k + P_k N_l + Q_k X_l, with P, Q, N
         and X the prefix sums of p(x), q(x), 1 and x, F the prefix double sum
-        of K and a = F - P N - Q X, all read at the group ends: the lower
-        triangle of one (r x 3)(3 x r) product, mirrored. ValueError unless
-        the InkKernel's points are V''s, 1 - x = t.
+        of K and a = F - P N - Q X, all read at the group ends: one
+        (r x 3)(3 x r) product, of which only the lower triangle is W'KW and
+        is defined, since its only readers, dpstrf and dsytrd, read only that
+        triangle. ValueError unless the InkKernel's points are V''s, 1 - x = t.
         """
         root = np.sqrt(self.gaps)
         if isinstance(K, InkKernel):
@@ -453,9 +457,9 @@ class BrownianFactor:
             # the factors (a, P, Q) by group and (1, N, X) by group, times sqrt(h)
             lo = np.column_stack([np.cumsum(g)[ends - 1] - P * N - Q * X, P, Q]) * root[:, None]
             hi = np.array([np.ones(N.size), N, X]) * root
-            # the lower triangle of their product and the upper of its transpose,
-            # each one BLAS product
-            return np.where(np.tri(root.size, dtype=bool), lo @ hi, hi.T @ lo.T).T
+            # their product as the transpose of hi' lo': one BLAS product, in
+            # Fortran order, the layout dpstrf and dsytrd take without a copy
+            return (hi.T @ lo.T).T
         if not self.rank:
             return np.zeros((0, 0), order="F")
         desc, last = self._descending()
@@ -629,9 +633,10 @@ def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
     has eigenvalues that decay like k^-2 and the INK and RBF Grams like k^-4
     or faster. For INK, dpstrf cuts S at rank 95-112 of 639-640 in the
     folds of the n = 800 fits of model-2 data, and at 31-112 of 159-160 at
-    m = 200 (seed 7 of the benchmark). So S ~ U diag(s^2) U' by
-    _low_rank_basis of S itself first, and every gamma is solved in closed
-    form by _low_rank_solve, as solve_product_ridge_low_rank does from K;
+    m = 200 (seed 7 of the benchmark). So S ~ Y Y' by _low_rank_basis of S
+    itself first, a pivoted Cholesky S ~ G G' and one dsyevd of the r x r
+    G'G, and every gamma is solved by the Woodbury inverse of
+    _low_rank_solve, as solve_product_ridge_low_rank does from K;
     only a rank above LOW_RANK_MAX_FRAC r, or a gamma of 0, takes the
     tridiagonal reduction. An array factor (d > 1) reduces S directly: its
     S has full rank r (392-395 on the 20-D models at m = 500).
@@ -665,18 +670,21 @@ def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
 
 # Largest rank of pivoted_cholesky(K), as a fraction of K's order n, at which
 # the low-rank solvers solve from the factor; above it they pass every column
-# to the dense solver, which is then faster. Timed on RBF Grams of 1-D points
-# with 15 gammas, the crossover lies near 0.8 n at n = 40, 0.5 n at n = 80,
-# 0.4 n at n = 160 and n = 640.
+# to the dense solver. Timed by tools/low_rank_crossover.py (RBF Grams of
+# uniform 1-D points, 15 gammas, one BLAS thread), the low-rank path is the
+# faster at every rank at n = 40, up to about 0.75 n at n = 80, 0.55-0.7 n at
+# n = 160 and 0.55 n at n = 640; the INK W'KW of 160 points, rank 0.6 n,
+# solves in about the same time either way. 0.4 n lies below all of them.
 LOW_RANK_MAX_FRAC = 0.4
 
 
 def _low_rank_basis(K: np.ndarray, basis, gammas):
-    """U and s of the thin SVD basis(G) = U diag(s) V' (LAPACK dgesdd) for
-    K ~ G G' from pivoted_cholesky(K), cut at dpstrf's tolerance; None, for
-    the dense solver, when a gamma is 0 (the low-rank inverse divides by
-    it), G has more than LOW_RANK_MAX_FRAC n columns, basis(G) is empty or
-    the SVD fails."""
+    """_eig_basis of basis(G) for K ~ G G' from pivoted_cholesky(K), cut at
+    dpstrf's tolerance (Harbrecht, Peters & Schneider, On the low-rank
+    approximation by the pivoted Cholesky decomposition, Appl. Numer. Math.
+    2012); None, for the dense solver, when a gamma is 0 (the
+    low-rank inverse divides by it), G has more than LOW_RANK_MAX_FRAC n
+    columns, basis(G) is empty or dsyevd fails."""
     if not np.all(gammas > 0):
         return None
     chol = pivoted_cholesky(K)
@@ -686,31 +694,38 @@ def _low_rank_basis(K: np.ndarray, basis, gammas):
     G = np.empty((n, r), order="F")
     G[chol.perm] = chol.L[:, :r]
     Z = basis(G)
-    if not min(Z.shape):
-        return None
-    U, s, _, info = scipy.linalg.lapack.dgesdd(Z, full_matrices=0)
-    return None if info else (U, s)
+    return _eig_basis(Z) if min(Z.shape) else None
 
 
-def _low_rank_solve(U, s, power: int, reduce, expand, apply, b, gammas):
-    """Solve apply(X) = b for every gamma from the basis U, s that
-    _low_rank_basis found for a PSD K.
+def _eig_basis(Z: np.ndarray):
+    """Y = Z V and lam, clipped at 0, from one LAPACK dsyevd of the r x r
+    Z'Z = V diag(lam) V', in O(n r^2 + r^3) for an n x r Z. Then
+    Z Z' = Y Y' and Y'Y = diag(lam). None if dsyevd fails."""
+    lam, V, info = scipy.linalg.lapack.dsyevd(Z.T @ Z, lower=1, overwrite_a=1)
+    return None if info else (Z @ V, np.maximum(lam, 0.0))
 
-    The reduced system matrix at gamma is taken as U diag(s^power) U' +
-    gamma I, whose inverse U diag(1 / (s^power + gamma)) U' +
-    (I - U U') / gamma costs O(mr) per column (Harbrecht, Peters &
-    Schneider, On the low-rank approximation by the pivoted Cholesky
-    decomposition, Appl. Numer. Math. 2012). `reduce` and `expand` map to
-    and from the reduced coordinates as for _multi_shift_solve. `apply` uses
-    K itself, so _verified checks every column against the full system and
-    refines it with the same inverse; same returns as _verified.
+
+def _low_rank_solve(Y, lam, power: int, reduce, expand, apply, b, gammas):
+    """Solve apply(X) = b for every gamma from the basis Y, lam that
+    _low_rank_basis found for a PSD K ~ Y Y'.
+
+    The reduced system matrix at gamma is taken as Y diag(lam) Y' + gamma I
+    for power 2 and, for power 4, (Y Y')(Y Y') + gamma I = Y diag(lam^2) Y'
+    + gamma I. By the Sherman-Morrison-Woodbury identity (Golub & Van Loan,
+    Matrix Computations, 2.1.4), with Y'Y = diag(lam), its inverse is
+    (I - Y diag(phi) Y') / gamma, phi = 1 / (lam + gamma) for power 2 and
+    lam / (lam^2 + gamma) for power 4: O(nr) per column, and nothing divides
+    by a small lam. `reduce` and `expand` map to and from the reduced
+    coordinates as for _multi_shift_solve. `apply` uses K itself, so
+    _verified checks every column against the full system and refines it
+    with the same inverse; same returns as _verified.
     """
-    eigs = s**power
+    lam = lam[:, None]
+    top, lam_p = (1.0, lam) if power == 2 else (lam, lam * lam)
 
     def inverse(B, shifts):
         C = reduce(B)
-        UC = U.T @ C
-        return expand(U @ (UC / (eigs[:, None] + shifts)) + (C - U @ UC) / shifts)
+        return expand((C - Y @ (top / (lam_p + shifts) * (Y.T @ C))) / shifts)
 
     return _verified(inverse(b[:, None], gammas), lambda R, bad: inverse(R, gammas[bad]),
                      apply, b, _SINGULAR_FAILURE)
@@ -720,11 +735,11 @@ def solve_ridge_square_low_rank(K, gammas, b) -> tuple[np.ndarray, list]:
     """solve_ridge_square_many for a numerically low-rank PSD K, such as the
     RBF Gram of 1-D points.
 
-    K ~ G G' = U diag(s^2) U' (_low_rank_basis of G itself), so
-    K K + gamma I ~ U diag(s^4 + gamma) U' + gamma (I - U U'). Each column is
-    checked against K K + gamma I as _low_rank_solve describes. Without a
-    low-rank basis, solve_ridge_square_many solves every column. Same
-    returns.
+    K ~ G G' = Y Y' (_low_rank_basis of G itself), so
+    K K + gamma I ~ Y diag(lam^2) Y' + gamma I, which _low_rank_solve
+    inverts at power 4. Each column is checked against K K + gamma I as
+    _low_rank_solve describes. Without a low-rank basis,
+    solve_ridge_square_many solves every column. Same returns.
     """
     K, gammas, b = _ridge_inputs(K, gammas, b)
     found = _low_rank_basis(K, lambda G: G, gammas)
@@ -739,11 +754,12 @@ def solve_product_ridge_low_rank(factor: BrownianFactor, K, gammas, b) -> tuple[
     closed-form factor V'' = W W' of 1-D points.
 
     K ~ G G' makes W'KW ~ Z Z' with Z = W'G, which apply_t forms in O(nr);
-    with Z = U diag(s) V', T + gamma I of solve_product_ridge_many becomes
-    U diag(s^2 + gamma) U' + gamma (I - U U') in the coordinates c of
-    W c = b. Each column is checked against V''K + gamma I as
-    _low_rank_solve describes. Without a low-rank basis,
-    solve_product_ridge_many solves every column. Same returns.
+    with Z Z' = Y Y' from _low_rank_basis, T + gamma I of
+    solve_product_ridge_many becomes Y diag(lam) Y' + gamma I in the
+    coordinates c of W c = b, which _low_rank_solve inverts at power 2.
+    Each column is checked against V''K + gamma I as _low_rank_solve
+    describes. Without a low-rank basis, solve_product_ridge_many solves
+    every column. Same returns.
     """
     A = factor.matrix
     K, gammas, b = _ridge_inputs(K, gammas, b)

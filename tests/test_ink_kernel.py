@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from vratio.domain import DimensionMismatchError
 from vratio.kernels import InkKernel, KernelKind, KernelSpec, cross_gram, gram_matrix
 from vratio.solve import (RESIDUAL_RTOL, factor_v_matrix, pivoted_cholesky,
-                          solve_product_ridge_many)
+                          solve_product_ridge_many, tridiagonalize)
 from vratio.vmatrix import block, cross_v, min_kernel, trace_product
 
 EPS = np.finfo(float).eps
@@ -96,7 +96,9 @@ def test_ink_kernel_matches_cross_gram(case):
     factor = factor_v_matrix(V)
     S, want = factor.congruence(K), factor.congruence(D)
     assert S.shape == want.shape == (factor.rank, factor.rank) and S.flags.f_contiguous
-    assert np.all(np.abs(S - want) <= 16 * (n + 1) * EPS * np.abs(want))
+    # only the closed form's lower triangle is defined
+    low = np.tri(factor.rank, dtype=bool)
+    assert np.all(np.abs(S - want)[low] <= 16 * (n + 1) * EPS * np.abs(want)[low])
     # dpstrf's cut falls within rounding of a pivot in about 1 of 400 such
     # sets, so the ranks may differ there by one (a 200-point set gave 107
     # against 108, with pivots at 1.06 and 1.00 times the tolerance)
@@ -123,15 +125,42 @@ def test_ink_kernel_matches_cross_gram(case):
 def test_congruence_of_640_uniform_points_has_the_rank_and_pivots_of_the_cumsum_form():
     """On the points of an n = 800 fit's fold (uniform, 640 points) the closed
     form of W'KW gives dpstrf the same rank and pivots as the cumulative
-    sums over the dense Gram, within 4 n eps entrywise."""
+    sums over the dense Gram, within 4 n eps on the lower triangle, the
+    closed form's only defined one."""
     x = np.random.default_rng(7).random(640)
     factor = factor_v_matrix(min_kernel(x[:, None], x[:, None]))
     S = factor.congruence(InkKernel(x, x))
     want = factor.congruence(cross_gram(INK, x[:, None], x[:, None]))
-    assert np.all(np.abs(S - want) <= 4 * x.size * EPS * np.abs(want))
+    low = np.tri(factor.rank, dtype=bool)
+    assert np.all(np.abs(S - want)[low] <= 4 * x.size * EPS * np.abs(want)[low])
     got, ref = pivoted_cholesky(S), pivoted_cholesky(want)
     assert 80 <= got.rank == ref.rank <= 130
     assert np.array_equal(got.perm[:got.rank], ref.perm[:ref.rank])
+
+
+@ONE_D
+@given(ink_inputs())
+def test_congruence_needs_only_its_lower_triangle(case):
+    """dpstrf and dsytrd read only the lower triangle, the closed form's only
+    defined one: with the strict upper triangle NaN, pivoted_cholesky and
+    tridiagonalize (and its Q products) give bit for bit what they give on
+    the lower triangle mirrored."""
+    x, _, X = case
+    factor = factor_v_matrix(min_kernel(x[:, None], x[:, None]))
+    S = factor.congruence(InkKernel(x, x))
+    upper = np.triu_indices(factor.rank, 1)
+    mirrored = np.array(S, order="F")
+    mirrored[upper] = S.T[upper]
+    S[upper] = np.nan
+    got, want = pivoted_cholesky(S), pivoted_cholesky(mirrored)
+    assert got.rank == want.rank
+    assert np.array_equal(got.perm, want.perm) and np.array_equal(got.L, want.L)
+    got, want = tridiagonalize(S), tridiagonalize(mirrored)
+    B = X[: factor.rank]
+    for a, b in ((got.diag, want.diag), (got.off, want.off), (got.tau, want.tau),
+                 (np.tril(got.reflectors), np.tril(want.reflectors)),
+                 (got.q(B), want.q(B)), (got.qt(B), want.qt(B))):
+        assert np.array_equal(a, b)
 
 
 def test_ink_kernel_refuses_what_cross_gram_refuses():

@@ -687,10 +687,10 @@ def test_low_rank_rank_above_cut_off_takes_dense_path(monkeypatch):
     s = low_rank_cases()[40]
     K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, 1e-3)  # K is near I
     assert pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * 40
-    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dgesdd")
+    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dsyevd")
     X, errors = solve_ridge_square_low_rank(K, gammas, b)
     Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv)
-    assert calls == ["dsytrd", "dsytrd"]  # one per solver, no SVD
+    assert calls == ["dsytrd", "dsytrd"]  # one per solver, no eigendecomposition
     for got, (want, want_errors) in ((X, solve_ridge_square_many(K, gammas, b)),
                                      (Y, solve_product_ridge_many(factor, K, gammas_v, bv))):
         assert np.array_equal(got, want) and want_errors == [None] * len(gammas)
@@ -703,7 +703,7 @@ def test_low_rank_gamma_0_takes_dense_path(monkeypatch):
     K, b, gammas, *_ = low_rank_systems(s, 0.5)
     assert pivoted_cholesky(K).rank <= solve.LOW_RANK_MAX_FRAC * 40
     gammas[0] = 0.0
-    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dgesdd")
+    calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dsyevd")
     X, errors = solve_ridge_square_low_rank(K, gammas, b)
     assert calls == ["dsytrd"]
     want, want_errors = solve_ridge_square_many(K, gammas, b)
@@ -711,17 +711,19 @@ def test_low_rank_gamma_0_takes_dense_path(monkeypatch):
 
 
 def spoil_low_rank_basis(monkeypatch, below: float):
-    """Make dgesdd return the singular values under `below` times the largest
-    twice too large: a column whose gamma is small next to the spoiled
-    eigenvalues misses by more than two refinement steps can mend."""
-    dgesdd = scipy.linalg.lapack.dgesdd
+    """Make dsyevd of Z'Z return the eigenvalues under `below`^2 times the
+    largest four times too large, the squares of singular values of Z under
+    `below` times the largest twice too large: a column whose gamma is small
+    next to the spoiled eigenvalues misses by more than two refinement steps
+    can mend."""
+    dsyevd = scipy.linalg.lapack.dsyevd
 
     def spoiled(*args, **kwargs):
-        u, s, vt, info = dgesdd(*args, **kwargs)
-        s[s < below * s[0]] *= 2.0
-        return u, s, vt, info
+        lam, v, info = dsyevd(*args, **kwargs)
+        lam[lam < below**2 * lam[-1]] *= 4.0
+        return lam, v, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", spoiled)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", spoiled)
 
 
 def test_low_rank_failed_columns_stay_failed(monkeypatch):

@@ -37,6 +37,8 @@ from vratio.solve import (
     PivotedCholesky,
     PsdPencilSolver,
     SingularSystemError,
+    _eig_basis,
+    _low_rank_solve,
     factor_v_matrix,
     pivoted_cholesky,
     solve_nonneg,
@@ -235,10 +237,10 @@ def test_product_ridge_low_rank_is_near_the_solution(points, gammas, seed, sigma
         assert_near_oracle((A, K), g, np.eye(n), b, X[:, j], n, errors[j])
 
 
-def count_svd_and_tridiagonal(monkeypatch) -> list:
-    """The names of the dgesdd and dsytrd calls from now on, in call order."""
+def count_eig_and_tridiagonal(monkeypatch) -> list:
+    """The names of the dsyevd and dsytrd calls from now on, in call order."""
     calls = []
-    for name in ("dgesdd", "dsytrd"):
+    for name in ("dsyevd", "dsytrd"):
         original = getattr(scipy.linalg.lapack, name)
         monkeypatch.setattr(scipy.linalg.lapack, name,
                             lambda *a, name=name, original=original, **k: (
@@ -248,26 +250,26 @@ def count_svd_and_tridiagonal(monkeypatch) -> list:
 
 def test_product_ridge_low_rank_examples_take_the_low_rank_path(monkeypatch):
     """Both examples above, with at most 3 distinct points of 8, solve from
-    the SVD of W'G (rank <= LOW_RANK_MAX_FRAC n), with no tridiagonal
-    reduction."""
-    calls = count_svd_and_tridiagonal(monkeypatch)
+    the eigendecomposition of the Gram of W'G (rank <= LOW_RANK_MAX_FRAC n),
+    with no tridiagonal reduction."""
+    calls = count_eig_and_tridiagonal(monkeypatch)
     for points, sigma2 in ((np.array([[0.2]] * 3 + [[0.6]] * 3 + [[1.0]] * 2), 5.0),
                            (np.array([[0.0]] * 4 + [[0.7]] * 4), 0.05)):
         A = cross_v(points, points)
         solve_product_ridge_low_rank(factor_v_matrix(min_kernel(points, points)),
                                      _gram(points, sigma2),
                                      [1e-3], _range_rhs(A, 0))
-    assert calls == ["dgesdd", "dgesdd"]
+    assert calls == ["dsyevd", "dsyevd"]
 
 
 def test_ridge_square_examples_take_the_paths_named(monkeypatch):
     """The low-rank example above, 3 distinct points of 8 at a wide sigma2,
-    solves from the SVD of G (rank <= LOW_RANK_MAX_FRAC n) with no
-    tridiagonal reduction; the hand-off example, 8 distinct points at a
-    narrow sigma2, reduces K and takes no SVD."""
-    calls = count_svd_and_tridiagonal(monkeypatch)
+    solves from the eigendecomposition of G'G (rank <= LOW_RANK_MAX_FRAC n)
+    with no tridiagonal reduction; the hand-off example, 8 distinct points at
+    a narrow sigma2, reduces K and takes no eigendecomposition."""
+    calls = count_eig_and_tridiagonal(monkeypatch)
     for points, sigma2, want in (
-            (np.array([[0.1]] * 3 + [[0.5]] * 3 + [[0.9]] * 2), 5.0, ["dgesdd"]),
+            (np.array([[0.1]] * 3 + [[0.5]] * 3 + [[0.9]] * 2), 5.0, ["dsyevd"]),
             (np.linspace(0.0, 1.0, 8)[:, None], 0.05, ["dsytrd"])):
         calls.clear()
         solve_ridge_square_low_rank(_gram(points, sigma2), [1e-12, 1e3], np.ones(8))
@@ -327,14 +329,14 @@ def _ties_and_face(distinct, ties=8, face=8, seed=5):
 
 
 # points, the Gram of _gram's sigma2 or a function of its shape, gammas,
-# and the dgesdd (low-rank) and dsytrd (tridiagonal) calls of the solve
+# and the dsyevd (low-rank) and dsytrd (tridiagonal) calls of the solve
 PRODUCT_1D_PATHS = {
     # W'KW of the INK Gram has rank about 100 of 385, as on n = 800 fits
-    "ink-low-rank": (_ties_and_face(384), None, [1e-6, 1e-2, 1.0], ["dgesdd"]),
-    "rbf-low-rank": (_ties_and_face(24), 1.0, [1e-6, 1.0], ["dgesdd"]),
+    "ink-low-rank": (_ties_and_face(384), None, [1e-6, 1e-2, 1.0], ["dsyevd"]),
+    "rbf-low-rank": (_ties_and_face(24), 1.0, [1e-6, 1.0], ["dsyevd"]),
     # rank 1 of W'KW for the all-ones K, and rank 0 for the zero K, which
-    # leaves the SVD no column, so the tridiagonal reduction solves
-    "rank-1": (_ties_and_face(10), np.ones, [1e-3, 10.0], ["dgesdd"]),
+    # leaves the eigendecomposition no column, so the tridiagonal reduction solves
+    "rank-1": (_ties_and_face(10), np.ones, [1e-3, 10.0], ["dsyevd"]),
     "rank-0": (_ties_and_face(10), np.zeros, [1e-3, 10.0], ["dsytrd"]),
     # every point on the face: V'' = 0 and W'KW is 0 x 0, reduced by no call
     "all-on-face": (np.ones((4, 1)), None, [1e-3], []),
@@ -353,10 +355,66 @@ def test_product_ridge_1d_examples_take_the_paths_named(case, monkeypatch):
     column of a gamma > 0 is accepted and near the dense solve."""
     points, gram, gammas, want = PRODUCT_1D_PATHS[case]
     K = gram((len(points),) * 2) if callable(gram) else _gram(points, gram)
-    calls = count_svd_and_tridiagonal(monkeypatch)
+    calls = count_eig_and_tridiagonal(monkeypatch)
     errors = check_product_ridge_1d(points, K, gammas, 0)
     assert calls == want
     assert [err for err, g in zip(errors, gammas) if g > 0] == [None] * sum(g > 0 for g in gammas)
+
+
+# a rank-1 Z with three columns whose Z'Z has, from dsyevd, an eigenvalue
+# of -7.8e-17, which _eig_basis clips to 0
+NEGATIVE_EIG = np.outer([0.13, -0.13, 0.64, 0.1], [1.0, 3.0, 1.0])
+
+
+def test_woodbury_example_has_a_negative_eigenvalue():
+    lam = scipy.linalg.lapack.dsyevd(NEGATIVE_EIG.T @ NEGATIVE_EIG, lower=1)[0]
+    assert lam.min() < 0.0
+    Y, clipped = _eig_basis(NEGATIVE_EIG)
+    assert clipped.min() == 0.0 and Y.shape == NEGATIVE_EIG.shape
+
+
+@st.composite
+def woodbury_factors(draw):
+    """An n x r factor Z of K = Z Z', r = 0, 1 or more, with columns of
+    scales six orders apart; in half the sets a column repeats another, up
+    to a factor, so that Z'Z is singular and dsyevd may give a negative
+    eigenvalue."""
+    n = draw(st.sampled_from([1, 4, 12]))
+    r = draw(st.sampled_from([0, 1, 2, 5]))
+    rng = np.random.default_rng(draw(seeds))
+    Z = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-3.0, 3.0, r)
+    if r > 1 and draw(st.booleans()):
+        Z[:, -1] = Z[:, 0] * draw(st.sampled_from([1.0, -3.0, 1e-4]))
+    return Z
+
+
+@ORACLE
+@given(woodbury_factors(), st.sampled_from([2, 4]),
+       st.lists(st.floats(-8.0, 1.0).map(lambda e: 10.0**e), min_size=1, max_size=4), seeds)
+@example(NEGATIVE_EIG, 2, [1e-8, 1e-3, 10.0], 0)
+@example(NEGATIVE_EIG, 4, [1e-8, 1e-3, 10.0], 0)
+@example(np.zeros((4, 0)), 4, [1e-8, 10.0], 0)  # rank 0: x = b / gamma
+def test_woodbury_inverse_is_near_the_solution(Z, power, scales, seed):
+    """_low_rank_solve from _eig_basis(Z) at power 2, (K + gamma I) x = b,
+    and power 4, (K K + gamma I) x = b, for K = Z Z' and gamma from 1e-8 to
+    10 times the norm of K or K K. Every column is accepted by _verified,
+    and lies within assert_near_oracle's bound of the formed system's
+    lstsq solution."""
+    K = Z @ Z.T
+    n = K.shape[0]
+    P = K if power == 2 else K @ K
+    gammas = np.array(scales) * (np.linalg.norm(P, 2) or 1.0)
+    b = np.random.default_rng(seed).standard_normal(n)
+    Y, lam = _eig_basis(Z)
+
+    def apply(X):
+        return (K @ X if power == 2 else K @ (K @ X)) + X * gammas
+
+    X, errors = _low_rank_solve(Y, lam, power, lambda B: B, lambda C: C, apply, b, gammas)
+    assert errors == [None] * gammas.size
+    products = (Z, Z.T) if power == 2 else (K, K)
+    for j, g in enumerate(gammas):
+        assert_near_oracle(products, g, np.eye(n), b, X[:, j], n, errors[j])
 
 
 def nonneg_oracle(A, b):
