@@ -15,7 +15,8 @@ their V-matrices from it. Downstream the form alone selects the 1-D paths:
 block takes its sub-matrices and trace_product its trace against a kernel
 Gram in either form (for a MinKernel and the kernels.InkKernel of its
 points in closed form), and solve.factor_v_matrix factors it by its form.
-MinKernel is the kernels.SemiseparableKernel of p(u) = u and q = 0.
+MinKernel is the kernels.SemiseparableKernel of p(u) = u and q = 0. cross_v
+is the row-blocked product kernels._coordinate_product, as is the INK Gram.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DimensionMismatchError, OutOfBoxError, ScaledSamples, as_points
-from .kernels import InkKernel, SemiseparableKernel
+from .kernels import InkKernel, SemiseparableKernel, _coordinate_product
 
 
 def _box_points(rows, cols):
@@ -43,17 +44,7 @@ def _box_points(rows, cols):
 def cross_v(rows, cols) -> np.ndarray:
     """Overlap volumes prod_k (1 - max(a^k, b^k)) for all row x column point pairs."""
     rp, cp = _box_points(rows, cols)
-    # the first coordinate's factor is built in `out` itself (1.0 * v == v),
-    # the others in one reused buffer
-    out = np.empty((rp.shape[0], cp.shape[0]))
-    buf = out if rp.shape[1] == 1 else np.empty_like(out)
-    for k in range(rp.shape[1]):
-        term = out if k == 0 else buf
-        np.maximum(rp[:, k, None], cp[None, :, k], out=term)
-        np.subtract(1.0, term, out=term)
-        if k:
-            out *= term
-    return out
+    return _coordinate_product(rp, cp, lambda a, b: 1.0 - np.maximum(a, b))
 
 
 class MinKernel(SemiseparableKernel):
@@ -125,7 +116,7 @@ class VMatrices:
 def build_v_matrices(s: ScaledSamples) -> VMatrices:
     """V'' (denominator x denominator) and V' (denominator x numerator) by
     v_matrix: arrays in d > 1, MinKernel operators for 1-D points. An array
-    V'' is exactly symmetric, since maximum.outer builds its entries."""
+    V'' is exactly symmetric, since each factor 1 - max(a, b) is."""
     return VMatrices(v_matrix(s.x_prime, s.x_prime), v_matrix(s.x_prime, s.x))
 
 

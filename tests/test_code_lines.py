@@ -25,13 +25,15 @@ def run_tool(*paths) -> list[tuple[int, str]]:
 def test_code_lines_counts_each_file_and_the_total(tmp_path):
     for name, (text, _) in SOURCES.items():
         (tmp_path / name).write_text(text)
-    *per_file, total = run_tool(tmp_path)
+    *per_file, total, docs = run_tool(tmp_path)
     assert {Path(name).name: count for count, name in per_file} == {
         name: want for name, (_, want) in SOURCES.items()}
     assert total == (sum(count for count, _ in per_file), "total")
+    # the docstrings of docs.py span 2 + 1 + 2 lines; strings.py has none
+    assert docs == (5, "docstring total")
 
 
 def test_code_lines_on_one_file(tmp_path):
     path = tmp_path / "call.py"
     path.write_text(SOURCES["call.py"][0])
-    assert run_tool(path) == [(3, str(path)), (3, "total")]
+    assert run_tool(path) == [(3, str(path)), (3, "total"), (0, "docstring total")]

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from vratio.kernels import KernelKind, KernelSpec, cross_gram
+from vratio import kernels
+from vratio.kernels import InkKernel, KernelKind, KernelSpec, cross_gram, gram_matrix
+from vratio.vmatrix import cross_v
 
 
 def ink1(x, y):
@@ -94,6 +96,19 @@ def test_kernel_spec_validation():
         KernelSpec(KernelKind.INK_SPLINE_LINEAR, d=0)
 
 
+@pytest.mark.parametrize("d, sigma2", [(1.5, 1.0), (2.0, 1.0), ("2", 1.0), (None, 1.0),
+                                       (1, np.nan), (1, np.inf), (1, -np.inf), (1, 0.0)])
+def test_kernel_spec_rejects_non_integer_dimension_and_non_finite_width(d, sigma2):
+    with pytest.raises(ValueError):
+        KernelSpec(KernelKind.RBF, d=d, sigma2=sigma2)
+
+
+def test_kernel_spec_takes_numpy_integers_and_floats():
+    spec = KernelSpec(KernelKind.RBF, d=np.int64(3), sigma2=np.float64(0.5))
+    assert spec.d == 3 and spec.sigma2 == 0.5
+    assert KernelSpec(KernelKind.INK_SPLINE_LINEAR, d=np.int32(2)).d == 2
+
+
 def test_ink_gram_is_coordinatewise_product():
     rng = np.random.default_rng(12)
     pts = rng.random((7, 3))
@@ -145,10 +160,51 @@ def test_ink_gram_rejects_negative_coordinates():
 
 
 @pytest.mark.parametrize("d", [1, 20])
-def test_ink_cross_gram_equals_reference_exactly(d):
+def test_ink_cross_gram_matches_reference_within_rounding(d):
+    """cross_gram's p(min) + q(min) max against the textbook form, on points
+    with ties and on the faces of the box. Each form rounds each coordinate's
+    factor about eight times on nonnegative terms (p's subtraction 1 - u^3/6
+    at most 1.4-fold, as u^3/6 <= 1/6), and the product once per coordinate:
+    within 12 eps per coordinate, so 12 d eps relative."""
     rng = np.random.default_rng(40 + d)
     rows = points_with_ties_and_faces(rng, 31, d)
     cols = np.vstack([points_with_ties_and_faces(rng, 24, d), rows[:6]])
     spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d)
-    assert np.array_equal(cross_gram(spec, rows, cols), ink_gram_reference(rows, cols))
-    assert np.array_equal(cross_gram(spec, rows, rows), ink_gram_reference(rows, rows))
+    bound = 12 * d * np.finfo(float).eps
+    for other in (cols, rows):
+        want = ink_gram_reference(rows, other)
+        assert np.max(np.abs(cross_gram(spec, rows, other) - want) / want) <= bound
+
+
+@pytest.mark.parametrize("d", [1, 20])
+def test_blocked_builds_equal_row_by_row_builds(d):
+    """With more rows than one block holds, cross_v and the INK cross_gram
+    equal the matrices built one row at a time bit for bit: each entry
+    multiplies its factors in coordinate order, whatever its block."""
+    rng = np.random.default_rng(50 + d)
+    cols = points_with_ties_and_faces(rng, 2000, d)
+    rows = np.vstack([points_with_ties_and_faces(rng, 40, d), cols[:9]])
+    assert rows.shape[0] > 2 * (kernels._BLOCK_ENTRIES // cols.shape[0])
+    spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d)
+    for build in (cross_v, lambda a, b: cross_gram(spec, a, b)):
+        by_row = np.vstack([build(row[None], cols) for row in rows])
+        assert np.array_equal(build(rows, cols), by_row)
+
+
+@pytest.mark.parametrize("d", [1, 20])
+def test_ink_gram_rejects_nan_coordinates(d):
+    rows = np.full((3, d), 0.5)
+    rows[1, -1] = np.nan
+    spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d)
+    for a, b in ((rows, rows[:1]), (rows[:1], rows)):
+        with pytest.raises(ValueError):
+            cross_gram(spec, a, b)
+        with pytest.raises(ValueError):
+            gram_matrix(spec, a, b)
+
+
+def test_ink_kernel_rejects_nan_coordinates():
+    x = np.array([0.2, np.nan, 0.7])
+    for s, t in ((x, x[:1]), (x[:1], x)):
+        with pytest.raises(ValueError):
+            InkKernel(s, t)

@@ -1,8 +1,8 @@
 """Count code lines of Python sources: the size metric the ROADMAP tracks.
 
 A code line holds at least one token other than a comment, a newline or an
-indent. Module, class and function docstrings are left out. Prints the count
-per file and the total:
+indent. Module, class and function docstrings are left out of it. Prints the
+count per file, the total, and the total of the lines the docstrings span:
 
     python3 tools/code_lines.py src/vratio
 """
@@ -27,7 +27,8 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
+def code_lines(path: Path) -> tuple[int, int]:
+    """The code lines of a file, and the lines its docstrings span."""
     source = path.read_text()
     skip = docstring_lines(ast.parse(source))
     lines = set()
@@ -35,7 +36,7 @@ def code_lines(path: Path) -> int:
         for tok in tokenize.generate_tokens(fh.readline):
             if tok.type not in _BLANK:
                 lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - skip)
+    return len(lines - skip), len(skip)
 
 
 def main(argv: list[str]) -> int:
@@ -43,12 +44,14 @@ def main(argv: list[str]) -> int:
     for arg in argv or ["src/vratio"]:
         root = Path(arg)
         paths.extend(sorted(root.rglob("*.py")) if root.is_dir() else [root])
-    total = 0
+    total = docs = 0
     for path in paths:
-        count = code_lines(path)
+        count, doc_count = code_lines(path)
         total += count
+        docs += doc_count
         print(f"{count:6d} {path}")
     print(f"{total:6d} total")
+    print(f"{docs:6d} docstring total")
     return 0
 
 
