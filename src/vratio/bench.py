@@ -179,7 +179,7 @@ def run_draw(model: SyntheticModel, m: int, method: Method, seed: int, plan: CvP
     if nonneg and method is Method.DRE_V:
         pred = dre_v_nonneg_values(s, report.selected_gamma)
     else:
-        pred = report.estimate.predict(den.points)
+        pred = report.values
     truth = true_ratio(model, den.points)
     return ExperimentRecord(
         model_id=model.id, m=m, method=method, draw=0, seed=seed,

@@ -292,7 +292,7 @@ def fit_command(args) -> int:
         except BaseException:
             os.remove(args.out)  # a failed fit leaves no output behind
             raise
-        weights = report.estimate.predict(den.points)
+        weights = report.values
         np.savetxt(out, weights)
     sigma_info = "" if report.selected_sigma2 is None else f", sigma2={report.selected_sigma2:g}"
     print(f"selected gamma={report.selected_gamma:g}{sigma_info}; wrote {len(weights)} "

@@ -21,12 +21,15 @@ class OutOfBoxError(ValueError):
 
 
 def as_points(points) -> np.ndarray:
-    """Coerce input to a float (m, d) array; 1-d input becomes a column of 1-d points."""
+    """Coerce input to a float (m, d) array with d >= 1; 1-d input becomes a
+    column of 1-d points."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be a 1-d or 2-d array, got ndim={pts.ndim}")
+    if pts.shape[1] == 0:
+        raise ValueError("points must have at least one coordinate, got (m, 0)")
     return pts
 
 

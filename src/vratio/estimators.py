@@ -59,10 +59,7 @@ DRE-VK solves from a low-rank factor of W'KW (for INK in closed form from
 the InkKernel's generators) in the same way, and reduces W'KW only when
 that rank is too high too (the INK folds' W'KW has rank 95-112 of 639-640
 at m = 800, but 31-112 of 159-160 at m = 200). The uLSIF fit always takes
-the tridiagonal reduction, and the DRE-VK fit solves by LU. The dense 1-D
-builds that remain are the RBF Grams, the full-data INK Gram of the DRE-VK
-refit's LU (InkKernel.dense), the V'' of the NEAR_TIE_GAP fallback and the
-V'' of dre_v_nonneg_values.
+the tridiagonal reduction, and the DRE-VK fit solves by LU (fit_system).
 
 Each gamma's solution is checked by substitution and refined on its own
 path. A column that still fails is not solved again another way:
@@ -82,11 +79,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import DomainBox, ScaledSamples, as_points
-from .kernels import InkKernel, KernelKind, KernelSpec, gram_matrix
+from .kernels import _PRODUCT_COLUMNS, InkKernel, KernelKind, KernelSpec, gram_matrix
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
                     solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
                     solve_ridge_square_low_rank, solve_ridge_square_many)
-from .vmatrix import VMatrices, build_v_matrices, cross_v, trace_product, v_matrix
+from .vmatrix import MinKernel, VMatrices, build_v_matrices, cross_v, trace_product, v_matrix
 
 
 class Method(enum.Enum):
@@ -205,8 +202,7 @@ class System:
     traces take V'' in either form; for a MinKernel, tr(V''K) is O(n^2)
     without V'', and O(n) in closed form for the InkKernel K of 1-D points.
     K is what kernels.gram_matrix gives: the InkKernel operator for INK on
-    1-D points, which DRE-VK's solve takes as it is and the LU refit of
-    fit_system as InkKernel.dense(), and an array otherwise.
+    1-D points, an array otherwise.
     `solve(s, vm, factor, K, gammas, low_rank)` returns the n x G
     coefficients and per gamma None or its failure message;
     `low_rank` takes the low-rank solvers of solve, which hand a Gram of too
@@ -257,6 +253,20 @@ def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor,
     return X, [None if err is None else f"{err} (gamma={g})" for err, g in zip(errors, gammas)]
 
 
+def _product(v_dd, K) -> np.ndarray:
+    """V''K as a C-ordered array, the layout whose residual bits the golden
+    outputs pin; for a MinKernel V'' filled in blocks of columns from those
+    of K alone, so an InkKernel K is never formed whole."""
+    if not isinstance(v_dd, MinKernel):
+        return v_dd @ K
+    out = np.empty(K.shape)
+    for j in range(0, K.shape[1], _PRODUCT_COLUMNS):
+        cols = slice(j, j + _PRODUCT_COLUMNS)
+        out[:, cols] = v_dd @ (InkKernel(K.s, K.t[cols]).dense() if isinstance(K, InkKernel)
+                               else K[:, cols])
+    return out
+
+
 def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec | None,
                vm: VMatrices | None, K) -> RatioEstimate:
     """The method's estimate on all of `s` at `gamma`, with `spec` its kernel
@@ -264,23 +274,17 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
 
     DRE-V and uLSIF take solve_system at [gamma] on the dense path, and
     raise SingularSystemError with the message of the failed column. DRE-VK
-    solves V''K + gamma I, which is generally non-symmetric, by
-    solve_regularized's LU, of an array K (an InkKernel's dense(), equal to
-    cross_gram entry for entry); for 1-D points V''K is the min_kernel
-    product, O(n^2) where the dense product is O(n^3). The refit does not
-    take the low-rank solves of the 1-D RBF folds. Those meet the same residual
-    bound, but their coefficients differ from the dense ones in about the
-    ninth digit: a low-rank uLSIF refit moved one seed-0 NRMSE by 1.4e-9
-    relative, past the 1e-9 to which tests/golden_seed0.json and the
-    benchmark reference pin the reported estimates. CV only ranks the
-    candidates.
+    solves the generally non-symmetric V''K + gamma I by solve_regularized's
+    LU of the formed V''K (_product). The refit does not take the low-rank
+    solves of the 1-D RBF folds: their coefficients differ from the dense
+    ones in about the ninth digit, past the 1e-9 to which
+    tests/golden_seed0.json and the benchmark reference pin the estimates.
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     system = SYSTEMS[method]
     if system.refit_lu:
-        dense = K.dense() if isinstance(K, InkKernel) else K
-        coef = solve_regularized(vm.v_dd @ dense, gamma, v_rhs(vm, s), f"gamma={gamma}")
+        coef = solve_regularized(_product(vm.v_dd, K), gamma, v_rhs(vm, s), f"gamma={gamma}")
     else:
         X, (error,) = solve_system(method, s, vm, system.factor(vm), K, [gamma])
         if error is not None:

@@ -133,6 +133,7 @@ class CvReport:
     selected_sigma2: float | None
     estimate: RatioEstimate
     failures: int
+    values: np.ndarray  # the estimate at its centers, estimate.predict of the denominator points
 
 
 def make_folds(n: int, ell: int, k: int, seed: int):
@@ -210,12 +211,10 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     The one test of the dimension here passes solve_system `low_rank` for
     the RBF Grams of 1-D points, which are numerically low rank; in d > 1
     they are full rank, and the dense solvers run without a pivoted
-    Cholesky of K first. The dense matrices left in 1-D are the RBF Grams,
-    the full-data INK Gram that the refit's LU factors (InkKernel.dense)
-    and the V'' of the NEAR_TIE_GAP fallback. The returned estimate
-    predicts through v_matrix and gram_matrix too, so `vratio fit` forms no
-    other 1-D V-matrix or INK Gram; only dre_v_nonneg_values, outside
-    cross-validation, forms its V''.
+    Cholesky of K first. The returned estimate predicts through v_matrix
+    and gram_matrix too. The report's `values` are the estimate at its
+    centers, the full-data V'' (DRE-V) or Gram applied to its coefficients:
+    estimate.predict of the denominator points, without rebuilding either.
 
     Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
 
@@ -303,12 +302,8 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
       earlier fold failed.
 
     The refit is fit_system on all data at the selected gamma (and sigma2),
-    with the full-data matrices above: for DRE-V and uLSIF the folds'
-    solve_system at one gamma on its dense path (for uLSIF
-    solve_ridge_square_many in every dimension), for DRE-VK an LU of
-    V''K + gamma I (V''K by one MinKernel product for 1-D points, of the
-    INK Gram's dense() there). It is what the fit_* functions compute, so
-    a draw's estimate depends on CV only through the selection.
+    with the full-data matrices above. It is what the fit_* functions
+    compute, so a draw's estimate depends on CV only through the selection.
     """
     system = SYSTEMS[method]
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
@@ -393,4 +388,5 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         selected_sigma2=best.sigma2,
         estimate=estimate,
         failures=sum(1 for c in candidates if not c.ok),
+        values=(full_vm.v_dd if full_K is None else full_K) @ estimate.coef,
     )

@@ -42,9 +42,10 @@ def _box_points(rows, cols):
 
 
 def cross_v(rows, cols) -> np.ndarray:
-    """Overlap volumes prod_k (1 - max(a^k, b^k)) for all row x column point pairs."""
+    """Overlap volumes prod_k (1 - max(a^k, b^k)) for all row x column point
+    pairs, as min(1 - a^k, 1 - b^k), equal in floating point (see min_kernel)."""
     rp, cp = _box_points(rows, cols)
-    return _coordinate_product(rp, cp, lambda a, b: 1.0 - np.maximum(a, b))
+    return _coordinate_product(1.0 - rp, 1.0 - cp, np.minimum)
 
 
 class MinKernel(SemiseparableKernel):

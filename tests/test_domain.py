@@ -136,3 +136,11 @@ def test_scaled_samples_rejects_points_outside_unit_box():
         ScaledSamples(np.array([[np.nan], [0.5]]), np.array([[0.5]]), box)
     with pytest.raises(OutOfBoxError):
         ScaledSamples(np.array([[0.5]]), np.array([[0.5], [np.nan]]), box)
+
+
+def test_points_without_coordinates_are_rejected_once():
+    """A (m, 0) array has no dimension to scale, build or fit: as_points,
+    which every point set passes through, raises a clear ValueError."""
+    for make in (as_points, SampleSet):
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            make(np.empty((3, 0)))

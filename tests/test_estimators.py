@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,16 @@ from vratio.estimators import (
     dre_v_nonneg_values,
     fit_dre_v,
     fit_dre_vk,
+    fit_system,
     fit_ulsif_like,
     kernel_spec_for,
     rect_identity_ones,
     solve_system,
+    v_rhs,
 )
-from vratio.kernels import KernelKind, KernelSpec, cross_gram
+from vratio.kernels import InkKernel, KernelKind, KernelSpec, cross_gram, gram_matrix
 from vratio.solve import SingularSystemError
-from vratio.vmatrix import VMatrices, build_v_matrices, cross_v
+from vratio.vmatrix import VMatrices, build_v_matrices, cross_v, trace_product
 
 
 def unit_samples(rng, n, ell, d):
@@ -260,3 +264,38 @@ def test_ratio_estimate_validation():
         RatioEstimate(np.ones(2), centers, box, 0.1)
     with pytest.raises(ValueError):
         RatioEstimate(np.ones(1), centers, box, 0.0)
+
+
+@pytest.mark.parametrize("d, kind", [(1, KernelKind.INK_SPLINE_LINEAR), (1, KernelKind.RBF),
+                                     (20, KernelKind.INK_SPLINE_LINEAR), (20, KernelKind.RBF)])
+def test_dre_vk_refit_is_the_lu_of_the_formed_product(d, kind):
+    """The refit builds V''K in blocks of columns, for 1-D points from those
+    columns of K alone, and its coefficients are those of solve_regularized
+    on the C-ordered V''K formed from the whole Gram, bit for bit."""
+    s = unit_samples(np.random.default_rng(73), 150, 120, d)
+    spec = KernelSpec(kind, d, 0.2 if kind is KernelKind.RBF else None)
+    method = Method.DRE_VK_RBF if kind is KernelKind.RBF else Method.DRE_VK_INK
+    vm = build_v_matrices(s)
+    K = gram_matrix(spec, s.x_prime, s.x_prime)
+    gamma = 1e-3 * trace_product(vm.v_dd, K) / s.n
+    estimate = fit_system(method, s, gamma, spec, vm, K)
+    formed = np.ascontiguousarray(vm.v_dd @ (K.dense() if isinstance(K, InkKernel) else K))
+    assert np.array_equal(estimate.coef, solve.solve_regularized(formed, gamma, v_rhs(vm, s)))
+
+
+def test_1d_ink_refit_holds_about_two_n_by_n_arrays():
+    """V''K and the LU's copy of it: the refit forms no n x n INK Gram and no
+    n x n prefix sums (the formed Gram and one product's prefix sums took
+    about 6 n^2 doubles)."""
+    n = 600
+    s = unit_samples(np.random.default_rng(79), n, n, 1)
+    spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1)
+    vm = build_v_matrices(s)
+    K = gram_matrix(spec, s.x_prime, s.x_prime)
+    tracemalloc.start()
+    try:
+        fit_system(Method.DRE_VK_INK, s, 1e-3, spec, vm, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * n * n * 8 <= peak <= 2.2 * n * n * 8

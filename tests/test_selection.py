@@ -8,6 +8,7 @@ import scipy.linalg
 from scipy.spatial.distance import cdist
 
 from vratio import estimators, kernels, selection, solve, vmatrix
+from vratio.bench import make_model, sample_model
 from vratio.domain import DomainBox, SampleSet, ScaledSamples, fit_domain_box, scale
 from vratio.estimators import (
     Method,
@@ -533,10 +534,11 @@ def test_cross_validate_on_1d_points_forms_the_ink_gram_only_for_the_refit(monke
     """On 1-D points, DRE-VK-INK's cross-validation, its refit and the
     estimate's predictions take every INK Gram as an InkKernel operator:
     the gamma scale, the folds' W'KW and residual checks, the holdouts and
-    the predictions form none, and cross_gram runs once, for the full-data
-    Gram of the refit's LU (InkKernel.dense). A negative query still
-    raises as cross_gram does."""
-    s = unit_samples(np.random.default_rng(67), 40, 30, 1)
+    the predictions form none, and cross_gram runs only for the refit's
+    V''K, on blocks of at most kernels._PRODUCT_COLUMNS columns, so no
+    n x n Gram is formed. A negative query still raises as cross_gram does."""
+    n = 2 * kernels._PRODUCT_COLUMNS + 9
+    s = unit_samples(np.random.default_rng(67), n, 30, 1)
     counter = CallCounter()
     for name, module in list(sys.modules.items()):
         if (name == "vratio" or name.startswith("vratio.")) and hasattr(module, "cross_gram"):
@@ -545,7 +547,7 @@ def test_cross_validate_on_1d_points_forms_the_ink_gram_only_for_the_refit(monke
     report = cross_validate(s, Method.DRE_VK_INK, CvPlan(k=4))
     report.estimate.predict(s.pooled())
     assert report.failures == 0
-    assert counter.counts == {(40, 40): 1}
+    assert counter.counts == {(n, kernels._PRODUCT_COLUMNS): 2, (n, 9): 1}
     with pytest.raises(ValueError, match="nonnegative"):
         report.estimate.predict_scaled([[0.5], [-0.1]])
 
@@ -729,3 +731,15 @@ def test_cross_validate_degenerate_sizes_match_naive_fits(method, case):
     for cand, want in zip(report.candidates, naive.values()):
         assert cand.criterion == pytest.approx(want, rel=1e-8, abs=1e-12 * scale_)
     assert np.all(np.isfinite(report.estimate.predict_scaled(s.pooled())))
+
+
+@pytest.mark.parametrize("model_id", [2, 6])
+@pytest.mark.parametrize("method", list(Method))
+def test_reported_values_are_the_predictions_at_the_denominator_points(method, model_id):
+    """CvReport.values applies the full-data V'' or Gram that the refit
+    held to the coefficients: estimate.predict of the raw denominator points,
+    bit for bit, since the box maps them onto the centers exactly."""
+    num, den = sample_model(make_model(model_id), 80, 5)
+    s = scale(num, den, fit_domain_box(num, den))
+    report = cross_validate(s, method, CvPlan(k=3, gamma_grid=[1e-3, 1e-1]))
+    assert np.array_equal(report.values, report.estimate.predict(den.points))
