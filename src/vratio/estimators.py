@@ -79,7 +79,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import DomainBox, ScaledSamples, as_points
-from .kernels import _PRODUCT_COLUMNS, InkKernel, KernelKind, KernelSpec, gram_matrix
+from .kernels import InkKernel, KernelKind, KernelSpec, gram_matrix
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
                     solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
                     solve_ridge_square_low_rank, solve_ridge_square_many)
@@ -251,6 +251,15 @@ def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor,
     gammas = np.asarray(gammas, dtype=float)
     X, errors = SYSTEMS[method].solve(s, vm, factor, K, gammas, low_rank)
     return X, [None if err is None else f"{err} (gamma={g})" for err, g in zip(errors, gammas)]
+
+
+# columns per block of _product: a block's temporaries, about 8 n x 64
+# doubles, stay below the n^2 of the LU's copy of V''K from n = 512 on. At
+# n = 800, one 1-D INK product peaked at 1.48 n^2 doubles with 64 columns and
+# 1.96 n^2 with 128 (tracemalloc), and took 13.7-14.2 ms with 64, 12.3-13.0 ms
+# with 128 and 18.8-19.6 ms in one block (best of 5, one BLAS thread, 2-core
+# x86-64)
+_PRODUCT_COLUMNS = 64
 
 
 def _product(v_dd, K) -> np.ndarray:

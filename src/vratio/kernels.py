@@ -75,60 +75,46 @@ def _check_nonnegative(*points):
         raise ValueError("INK-spline inputs must be nonnegative")
 
 
-# entries per row block of _coordinate_product: each block-sized buffer of a
-# factor is 96 KiB, small enough to stay in cache between coordinates (with
-# 256 KiB blocks a fresh process built the 1-D 200 x 200 Gram 2.5 times
-# slower, on a 2-core x86-64 machine)
+# entries per row block of _coordinate_product: each block-sized temporary
+# of a factor is 96 KiB, under glibc's default 128 KiB mmap and trim
+# thresholds, so blocks reuse heap pages in cache instead of faulting in
+# fresh ones (with 256 KiB blocks a fresh process built the 1-D 200 x 200
+# Gram 2.5 times slower, on a 2-core x86-64 machine)
 _BLOCK_ENTRIES = 12 * 1024
 
-# columns per block of SemiseparableKernel.__matmul__, whose prefix sums of a
-# block then stay in cache: MinKernel @ (800 x 800) took 15.5-19.6 ms in one
-# block, 12.8 ms in blocks of 32 columns, 8.6-10.7 ms of 64 and 9.4-11.2 ms of
-# 128 (timeit, best of 5, one BLAS thread, 2-core x86-64)
-_PRODUCT_COLUMNS = 64
 
-
-def _coordinate_product(rows, cols, factor, buffers: int = 0) -> np.ndarray:
-    """prod_k factor(rows[:, k, None], cols[None, :, k], *work, out=...) over
-    the coordinates k of (n, d) rows and (m, d) cols, built _BLOCK_ENTRIES // m
-    rows at a time into block buffers allocated once: `out` takes the
-    factor's values and `work` is `buffers` scratch buffers of its shape.
-    The factors multiply in coordinate order, so no entry depends on the
-    block size.
+def _coordinate_product(rows, cols, factor) -> np.ndarray:
+    """prod_k factor(rows[:, k, None], cols[None, :, k]) over the coordinates
+    k of (n, d) rows and (m, d) cols, built _BLOCK_ENTRIES // m rows at a time
+    so that the factors' temporaries stay in cache. The factors multiply in
+    coordinate order, so no entry depends on the block size.
     """
     out = np.empty((rows.shape[0], cols.shape[0]))
     step = max(1, _BLOCK_ENTRIES // max(1, cols.shape[0]))
-    scratch = np.empty((1 + buffers, min(step, rows.shape[0]), cols.shape[0]))
     for start in range(0, rows.shape[0], step):
         part = rows[start:start + step]
         block = out[start:start + step]
-        term, *work = scratch[:, :part.shape[0]]
-        factor(part[:, 0, None], cols[None, :, 0], *work, out=block)
+        block[...] = factor(part[:, 0, None], cols[None, :, 0])
         for k in range(1, rows.shape[1]):
-            block *= factor(part[:, k, None], cols[None, :, k], *work, out=term)
+            block *= factor(part[:, k, None], cols[None, :, k])
     return out
 
 
-# the INK generators p(u) = 1 - u^3/6 and q(u) = u + u^2/2, into `out` when given
-def _ink_p(u, out=None):
-    out = np.multiply(u, u, out=out)
-    out *= u
-    out /= 6.0
-    return np.subtract(1.0, out, out=out)
+def _ink_p(u):
+    return 1.0 - u * u * u / 6.0
 
 
-def _ink_q(u, out=None):
-    out = np.multiply(0.5, u, out=out)
-    out *= u
-    return np.add(u, out, out=out)
+def _ink_q(u):
+    return u + 0.5 * u * u
 
 
-def _ink_factor(a, b, mn, work, out):
-    # q(mn) max + p(mn), written into the block buffers
-    np.minimum(a, b, out=mn)
-    _ink_q(mn, out=out)
-    out *= np.maximum(a, b, out=work)
-    out += _ink_p(mn, out=work)
+def _ink_factor(a, b):
+    # q(mn) max + p(mn) in place: fewer block-sized temporaries are alive at
+    # once, which keeps the 1-D 200 x 200 Gram on reused heap pages
+    mn = np.minimum(a, b)
+    out = _ink_q(mn)
+    out *= np.maximum(a, b)
+    out += _ink_p(mn)
     return out
 
 
@@ -141,7 +127,7 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
         sq = cdist(rp, cp, "sqeuclidean")
         return rbf_from_sqdist(sq, spec.sigma2, out=sq)
     _check_nonnegative(rp, cp)
-    return _coordinate_product(rp, cp, _ink_factor, buffers=2)
+    return _coordinate_product(rp, cp, _ink_factor)
 
 
 class SemiseparableKernel:
@@ -188,11 +174,6 @@ class SemiseparableKernel:
         n, G = cols.shape
         if n != self.t.size:
             raise ValueError(f"X has {n} rows, expected {self.t.size}")
-        if G > _PRODUCT_COLUMNS:  # one product below per block of columns
-            out = np.empty((self.s.size, G), order="F")
-            for j in range(0, G, _PRODUCT_COLUMNS):
-                out[:, j:j + _PRODUCT_COLUMNS] = self @ cols[:, j:j + _PRODUCT_COLUMNS]
-            return out
         # over the k smallest t, sums[0, k] adds p(t_j) X_j and sums[2, k]
         # q(t_j) X_j; over the k largest, sums[1, k] adds X_j and sums[3, k] t_j X_j
         sums = np.empty((2 if self.q is None else 4, n + 1, G))

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from vratio import kernels
 from vratio.kernels import InkKernel, KernelKind, KernelSpec, cross_gram, gram_matrix
-from vratio.vmatrix import cross_v, min_kernel
+from vratio.vmatrix import cross_v
 
 
 def ink1(x, y):
@@ -208,21 +208,6 @@ def test_ink_kernel_rejects_nan_coordinates():
     for s, t in ((x, x[:1]), (x[:1], x)):
         with pytest.raises(ValueError):
             InkKernel(s, t)
-
-
-@pytest.mark.parametrize("G", [kernels._PRODUCT_COLUMNS - 1, kernels._PRODUCT_COLUMNS,
-                               kernels._PRODUCT_COLUMNS + 1, 2 * kernels._PRODUCT_COLUMNS + 3])
-def test_wide_semiseparable_products_equal_the_column_by_column_product(G):
-    """A product wider than _PRODUCT_COLUMNS is taken in blocks of columns;
-    each column's cumulative sums are those of the column alone, so the
-    result is the column-by-column product bit for bit, also on ties, on 0
-    and on the upper face 1."""
-    rng = np.random.default_rng(71)
-    x = points_with_ties_and_faces(rng, 90, 1)[:, 0]
-    X = rng.standard_normal((90, G))
-    for op in (min_kernel(x, x), min_kernel(x[:30], x), InkKernel(x, x), InkKernel(x[:30], x)):
-        by_column = np.column_stack([op @ X[:, j] for j in range(G)])
-        assert np.array_equal(op @ X, by_column)
 
 
 def test_builds_reject_points_without_coordinates():

@@ -535,9 +535,9 @@ def test_cross_validate_on_1d_points_forms_the_ink_gram_only_for_the_refit(monke
     estimate's predictions take every INK Gram as an InkKernel operator:
     the gamma scale, the folds' W'KW and residual checks, the holdouts and
     the predictions form none, and cross_gram runs only for the refit's
-    V''K, on blocks of at most kernels._PRODUCT_COLUMNS columns, so no
+    V''K, on blocks of at most estimators._PRODUCT_COLUMNS columns, so no
     n x n Gram is formed. A negative query still raises as cross_gram does."""
-    n = 2 * kernels._PRODUCT_COLUMNS + 9
+    n = 2 * estimators._PRODUCT_COLUMNS + 9
     s = unit_samples(np.random.default_rng(67), n, 30, 1)
     counter = CallCounter()
     for name, module in list(sys.modules.items()):
@@ -547,7 +547,7 @@ def test_cross_validate_on_1d_points_forms_the_ink_gram_only_for_the_refit(monke
     report = cross_validate(s, Method.DRE_VK_INK, CvPlan(k=4))
     report.estimate.predict(s.pooled())
     assert report.failures == 0
-    assert counter.counts == {(n, kernels._PRODUCT_COLUMNS): 2, (n, 9): 1}
+    assert counter.counts == {(n, estimators._PRODUCT_COLUMNS): 2, (n, 9): 1}
     with pytest.raises(ValueError, match="nonnegative"):
         report.estimate.predict_scaled([[0.5], [-0.1]])
 
