@@ -15,56 +15,22 @@ that predicts anywhere in the box:
 The four methods solve one integral equation and differ in three choices:
 the expansion's basis (overlap volumes, the INK spline or the RBF kernel),
 whether the V-matrices enter, and the regulariser. SYSTEMS holds those
-choices as one System per Method, and cross-validation and the fits read
-that entry in place of testing the method: its `kernel` (None for overlap
-volumes), from which kernel_spec_for derives the KernelSpec; `uses_v`;
-`factor`, what every gamma and sigma2 of a sample have in common; `scale`,
-the mean eigenvalue of the system matrix by which CV scales its gamma
-grid; `solve`, for many gamma at once; and `refit_lu`. solve_system calls
-the entry's solve and names each failed column with its gamma. fit_system
-is solve_system at one gamma on all data on the dense path, or for the
-entries with refit_lu (DRE-VK) one LU of V''K + gamma I. The fit_*
-functions build the matrices and call fit_system.
+choices as one System per Method; cross-validation and the fits read that
+entry in place of testing the method. solve_system solves an entry for many
+gamma and names each failed column with its gamma; fit_system solves it at
+one gamma on all data. The fit_* functions build the matrices and call
+fit_system.
 
-The fits and cross-validation take V'' and V' from
-vmatrix.build_v_matrices, and the DRE-V estimate's predictions their V from
-vmatrix.v_matrix, which picks the form from the points: arrays in d > 1,
-and for 1-D points vmatrix.MinKernel operators, so that no 1-D V-matrix is
-formed and every product with them (the right-hand side V'1, the residual
-checks, the DRE-VK refit's V''K, the predictions) is a sort and cumulative
-sums, O(n log n + nG) for G columns. Likewise the fits, cross-validation
-and the kernel estimates' predictions take every Gram from
-kernels.gram_matrix: for the INK kernel of 1-D points a kernels.InkKernel
-operator, whose products (the residual checks, the holdout scores, the
-predictions) are four cumulative sums, and from whose generators DRE-VK's
-gamma scale tr(V''K) and each fold's W'KW come in closed form; arrays
-otherwise. Everything downstream takes its 1-D
-path from that form alone and is given no points: DRE-VK's factor is
-solve.factor_v_matrix of V'', and cross-validation takes the folds'
-V-matrices as vmatrix.block of the full-data ones. The one other dimension
-test on the solve path is cross-validation's, which passes solve_system
-`low_rank` for the RBF Grams of 1-D points.
-
-DRE-V solves by PsdPencilSolver, so alpha lies in the range of V'': for a
-MinKernel V'' from its closed-form factor by one tridiagonal solve and a
-mandatory refinement step, unless two distinct points, or a point and the
-box's upper face, lie closer than solve.NEAR_TIE_GAP; then, and for an
-array V'', from a pivoted Cholesky factor of V'' and a tridiagonal
-reduction. uLSIF solves from a tridiagonal reduction of K, and DRE-VK in CV
-from a factor of V'' and, in d > 1, a tridiagonal reduction of W'KW. In CV
-on 1-D points, uLSIF and DRE-VK-RBF solve instead from a low-rank factor
-of the RBF Gram K ~ G G', one r x r eigendecomposition (dsyevd) and the
-Woodbury inverse, unless its rank is too high; then, and for DRE-VK-INK,
-DRE-VK solves from a low-rank factor of W'KW (for INK in closed form from
-the InkKernel's generators) in the same way, and reduces W'KW only when
-that rank is too high too (the INK folds' W'KW has rank 95-112 of 639-640
-at m = 800, but 31-112 of 159-160 at m = 200). The uLSIF fit always takes
-the tridiagonal reduction, and the DRE-VK fit solves by LU (fit_system).
-
-Each gamma's solution is checked by substitution and refined on its own
-path. A column that still fails is not solved again another way:
-solve_system reports it as failed, with its gamma in the message, and
-cross-validation records that candidate as failed.
+Every V-matrix comes from vmatrix.v_matrix and every Gram from
+kernels.gram_matrix, which pick the form from the points: operators for
+1-D points (MinKernel, and InkKernel for INK), arrays otherwise. Everything
+downstream takes its path from that form alone and is given no points.
+DRE-V solves by solve.PsdPencilSolver, so alpha lies in the range of V'';
+uLSIF by solve.solve_ridge_square_many; DRE-VK by
+solve.solve_product_ridge_many in CV and by one LU in its refit. Each
+gamma's solution is checked by substitution and refined on its own
+path; a column that still fails is reported as failed, not solved again
+another way. README "Cost" has the paths and their costs.
 
 dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 exactly
 (solve.solve_nonneg) and returns the values at the denominator points.
@@ -81,8 +47,7 @@ import numpy as np
 from .domain import DomainBox, ScaledSamples, as_points
 from .kernels import InkKernel, KernelKind, KernelSpec, gram_matrix
 from .solve import (PsdPencilSolver, SingularSystemError, factor_v_matrix, solve_nonneg,
-                    solve_product_ridge_low_rank, solve_product_ridge_many, solve_regularized,
-                    solve_ridge_square_low_rank, solve_ridge_square_many)
+                    solve_product_ridge_many, solve_regularized, solve_ridge_square_many)
 from .vmatrix import MinKernel, VMatrices, build_v_matrices, cross_v, trace_product, v_matrix
 
 
@@ -173,19 +138,12 @@ def ulsif_rhs(s: ScaledSamples, K: np.ndarray) -> np.ndarray:
 
 def fit_ulsif_like(s: ScaledSamples, spec: KernelSpec, gamma: float) -> RatioEstimate:
     """Baseline with identity matrices in place of the V-matrices and ridge
-    regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde."""
+    regularizer alpha'alpha: solves (KK + gamma I) alpha = (n/ell) K itilde.
+    ValueError unless `spec` is the RBF kernel of SYSTEMS[Method.ULSIF_LIKE]."""
+    if spec.kind is not SYSTEMS[Method.ULSIF_LIKE].kernel:
+        raise ValueError(f"fit_ulsif_like takes the RBF kernel, got {spec.kind.value}")
     return fit_system(Method.ULSIF_LIKE, s, gamma, spec, None,
                       gram_matrix(spec, s.x_prime, s.x_prime))
-
-
-def _solve_product(s, vm, factor, K, gammas, low_rank):
-    solve = solve_product_ridge_low_rank if low_rank else solve_product_ridge_many
-    return solve(factor, K, gammas, v_rhs(vm, s))
-
-
-def _solve_square(s, vm, factor, K, gammas, low_rank):
-    solve = solve_ridge_square_low_rank if low_rank else solve_ridge_square_many
-    return solve(K, gammas, ulsif_rhs(s, K))
 
 
 @dataclass(frozen=True)
@@ -194,23 +152,14 @@ class System:
     and how its system is factored, scaled and solved.
 
     `factor(vm)` factors what every gamma and sigma2 of a sample share, from
-    V'' = vm.v_dd, whose form selects the path: the PsdPencilSolver for
-    DRE-V, the factor_v_matrix factor for DRE-VK, None for uLSIF.
-    `scale(s, vm, K)` is the mean eigenvalue tr(M)/n of the full-data system
-    matrix M: for DRE-V the ridge enters as gamma/n, so it is tr(V''); for
-    DRE-VK M is V''K and for uLSIF KK, with the ridge applied directly. Both
-    traces take V'' in either form; for a MinKernel, tr(V''K) is O(n^2)
-    without V'', and O(n) in closed form for the InkKernel K of 1-D points.
-    K is what kernels.gram_matrix gives: the InkKernel operator for INK on
-    1-D points, an array otherwise.
+    V'' = vm.v_dd: the PsdPencilSolver for DRE-V, factor_v_matrix for
+    DRE-VK, None for uLSIF. `scale(s, vm, K)` is the mean eigenvalue
+    tr(M)/n of the full-data system matrix M: tr(V'') for DRE-V, whose
+    ridge enters as gamma/n, tr(V''K)/n for DRE-VK and tr(KK)/n for uLSIF.
     `solve(s, vm, factor, K, gammas, low_rank)` returns the n x G
-    coefficients and per gamma None or its failure message;
-    `low_rank` takes the low-rank solvers of solve, which hand a Gram of too
-    high a rank to the dense ones up front. DRE-VK's dense solver,
-    solve_product_ridge_many, tries a low-rank factor of W'KW for the
-    closed-form factor of 1-D points whatever `low_rank` says, since W'KW
-    is of low rank there for the INK Gram too; for the InkKernel it forms
-    W'KW in closed form, O(n log n + r^2), not from a dense Gram.
+    coefficients and per gamma None or its failure message; it passes
+    `low_rank` to the solver (solve_product_ridge_many or
+    solve_ridge_square_many). K is what kernels.gram_matrix gives.
     """
 
     kernel: KernelKind | None  # the expansion's basis; None for overlap volumes
@@ -222,15 +171,19 @@ class System:
 
 
 _DRE_VK = System(KernelKind.INK_SPLINE_LINEAR, True, lambda vm: factor_v_matrix(vm.v_dd),
-                 lambda s, vm, K: trace_product(vm.v_dd, K) / s.n, _solve_product, refit_lu=True)
+                 lambda s, vm, K: trace_product(vm.v_dd, K) / s.n,
+                 lambda s, vm, factor, K, gammas, low_rank: solve_product_ridge_many(
+                     factor, K, gammas, v_rhs(vm, s), low_rank), refit_lu=True)
 SYSTEMS = {
     Method.DRE_V: System(
         None, True, lambda vm: PsdPencilSolver(vm.v_dd), lambda s, vm, K: float(vm.v_dd.trace()),
         lambda s, vm, factor, K, gammas, low_rank: factor.solve(gammas / s.n, v_rhs(vm, s))),
     Method.DRE_VK_INK: _DRE_VK,
     Method.DRE_VK_RBF: replace(_DRE_VK, kernel=KernelKind.RBF),
-    Method.ULSIF_LIKE: System(KernelKind.RBF, False, lambda vm: None,
-                              lambda s, vm, K: float(np.sum(K * K)) / s.n, _solve_square),
+    Method.ULSIF_LIKE: System(
+        KernelKind.RBF, False, lambda vm: None, lambda s, vm, K: float(np.sum(K * K)) / s.n,
+        lambda s, vm, factor, K, gammas, low_rank: solve_ridge_square_many(
+            K, gammas, ulsif_rhs(s, K), low_rank)),
 }
 
 
@@ -241,12 +194,9 @@ def solve_system(method: Method, s: ScaledSamples, vm: VMatrices | None, factor,
     check, named with its gamma the way solve_regularized names its context.
     `vm` holds build_v_matrices(s) or blocks of it (None for uLSIF),
     `factor` is SYSTEMS[method].factor(vm) and K the Gram matrix of
-    s.x_prime (None for DRE-V). The form of V'' selected the factor; DRE-V
-    and DRE-VK apply V'' and V' in that form. `low_rank` is for the RBF
-    Grams of 1-D points, which are numerically low rank; in d > 1 they are
-    full rank, and the dense solvers run without a pivoted Cholesky of K
-    first. cross_validate sets it; vmatrix.v_matrix alone picks a
-    V-matrix's form.
+    s.x_prime (None for DRE-V). `low_rank` makes the uLSIF and DRE-VK
+    solvers try K's low-rank basis first; cross_validate sets it for the
+    RBF Grams of 1-D points, which are numerically low rank.
     """
     gammas = np.asarray(gammas, dtype=float)
     X, errors = SYSTEMS[method].solve(s, vm, factor, K, gammas, low_rank)
@@ -281,7 +231,7 @@ def fit_system(method: Method, s: ScaledSamples, gamma: float, spec: KernelSpec 
     """The method's estimate on all of `s` at `gamma`, with `spec` its kernel
     (None for DRE-V) and `vm` and K as for solve_system.
 
-    DRE-V and uLSIF take solve_system at [gamma] on the dense path, and
+    DRE-V and uLSIF take solve_system at [gamma] without `low_rank`, and
     raise SingularSystemError with the message of the failed column. DRE-VK
     solves the generally non-symmetric V''K + gamma I by solve_regularized's
     LU of the formed V''K (_product). The refit does not take the low-rank

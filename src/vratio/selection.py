@@ -183,127 +183,26 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     The fold criterion sums are deterministic given the plan seed; ties are
     broken toward the larger gamma. Candidates whose solve fails on any fold
     are recorded and excluded from selection; every accepted fold solution
-    passes the residual check of `solve`.
+    passes the residual check of `solve`. SelectionError if every candidate
+    fails.
 
     The method's entry in estimators.SYSTEMS says what to build and how to
     solve; nothing here tests the method. Its kernel picks one basis
-    function of two point sets (_basis): the V-matrix for DRE-V, the INK
-    Gram, or the RBF squared distances, of which every sigma2's Gram is an
-    exp. A V-matrix, INK or RBF entry depends only on its pair of points,
-    so a block of a full-data matrix, taken with the fold's sorted training
-    indices and holdout indices in fold order, equals the matrix built from
-    the fold's points entry for entry. Every fold takes its training
+    function of two point sets (_basis). A V-matrix, INK or RBF entry
+    depends only on its pair of points, so each fold takes its training
     matrices and its denominator holdout as vmatrix.block of the full-data
-    basis and V-matrices, and builds its numerator holdout from the points
-    with the basis function, because holding it as a full-data
-    denominator-by-numerator matrix raised the peak memory of `vratio fit`
-    at n = 800 (benchmark workload fit-1d-large) by 5.7% in a prototype.
-    The V-matrices come from vmatrix.build_v_matrices, whose v_matrix picks
-    their form from the points: arrays in d > 1, and for 1-D points
-    MinKernel operators, whose blocks are the MinKernels of the fold's
-    coordinates and whose products are one stable sort and cumulative sums,
-    O(n log n + nG) per fold. The form of V'' selects the solver's path.
-    The INK Grams come from kernels.gram_matrix, which picks their form
-    the same way: for 1-D points InkKernel operators, whose blocks are the
-    InkKernels of the fold's coordinates, whose products are one stable
-    sort and four cumulative sums, and from whose generators the gamma
-    scale tr(V''K) and each fold's W'KW come in closed form.
-    The one test of the dimension here passes solve_system `low_rank` for
-    the RBF Grams of 1-D points, which are numerically low rank; in d > 1
-    they are full rank, and the dense solvers run without a pivoted
-    Cholesky of K first. The returned estimate predicts through v_matrix
-    and gram_matrix too. The report's `values` are the estimate at its
-    centers, the full-data V'' (DRE-V) or Gram applied to its coefficients:
-    estimate.predict of the denominator points, without rebuilding either.
+    ones, equal entry for entry to the matrices of the fold's points, and
+    builds its numerator holdout from the points. Every fold solves the
+    whole gamma grid of every sigma2, so a column's batch, and with it its
+    bits, never depends on what an earlier fold failed. The one dimension
+    test passes solve_system `low_rank` for the RBF Grams of 1-D points.
 
-    Cost model, with S sigma2 values (1 without RBF), G gammas and k folds:
-
-    * once per draw: the full-data V-matrices V'' and V' (all but uLSIF),
-      dense in d > 1 and for 1-D points MinKernel operators (sorts of n and
-      ell coordinates); for INK the Gram matrix K (for 1-D points an
-      InkKernel, one sort), and for RBF the squared distances D between
-      denominator points, which do not depend on sigma2. They serve the
-      gamma scaling (one exp of D per sigma2 for RBF; tr(V'') and tr(V''K)
-      by vmatrix.trace_product, for a MinKernel one O(n^2) pass over an
-      array K per sigma2 and O(n) prefix sums for an InkKernel), every fold
-      and the refit (one exp of D, in place, at the selected sigma2).
-    * once per fold: the blocks V''[train, train] and V'[train, train_num]
-      (all but uLSIF), and for DRE-V the holdout block V''[hold_den, train]
-      and the V-matrix of the numerator holdout against the training
-      points, v_matrix(x[hold_num], x'[train]): in d > 1 one cross_v of the
-      size of the block of V' transposed that it replaces, entry for entry
-      equal to it since the overlap volume is symmetric in its two points.
-      A block of a MinKernel, and a 1-D holdout's v_matrix, is the
-      MinKernel of the picked coordinates, one sort of them. The
-      right-hand side V'1 is a product with the block. For INK
-      the blocks K[train, train] and K[hold_den, train] and one Gram of the
-      numerator holdout against the training points (for 1-D points
-      InkKernels of the picked coordinates, one sort each); for RBF the
-      blocks D[train, train] and D[hold_den, train] and the squared
-      distances of the numerator holdout to the training points. The holdout matrices of
-      DRE-V and INK are taken after the fold's solve, which needs the most
-      memory (taking every holdout matrix before it raised that peak by
-      2.5%). Then the factorisation V'' = W W' that every sigma2 and gamma
-      share (all but uLSIF), which drops the zero rows of points on the
-      box's upper face and the repeated rows of ties. For a MinKernel V''
-      it is the closed form W = E C diag(sqrt h) of the sorted t = 1 - x
-      (from the block's own sort, no LAPACK), for an array a pivoted
-      Cholesky (dpstrf, n^3/3 flops). For DRE-V with the closed form the
-      pencil V''V'' + (gamma/n) V'' then needs nothing more; otherwise the
-      tridiagonal reduction of W'W reduces it to T T + (gamma/n) T. A
-      MinKernel V'' of which two distinct t, or the smallest t and 0, lie
-      closer than solve.NEAR_TIE_GAP (1e-9) takes the pivoted path of its
-      dense form for DRE-V, where the closed form loses the residual check.
-    * once per (fold, sigma2): for RBF, one exp of the fold's distances into
-      one buffer, which holds the training Gram and both holdout matrices.
-      For uLSIF and DRE-VK-RBF on 1-D points, whose Grams are numerically
-      low rank, a pivoted Cholesky K ~ G G' (dpstrf, O(n^2 r) flops for rank
-      r) and one eigendecomposition (dsyevd, O(r^3)) of the r x r Gram Z'Z,
-      with its products in O(n r^2): of Z = G for uLSIF, and of Z = W'G for
-      DRE-VK, which reverse cumulative sums over the groups of t give in
-      O(n r). No dsytrd runs then. A rank above solve.LOW_RANK_MAX_FRAC n
-      (0.4 n) takes the dense path below after the dpstrf. Otherwise, for
-      uLSIF and DRE-VK one Householder tridiagonal reduction (dsytrd,
-      4n^3/3 flops) that serves every gamma: of K for uLSIF, so that
-      KK + gamma I = Q (T T + gamma I) Q', and of W'KW for DRE-VK, to which
-      the non-symmetric V''K is similar, so that V''K + gamma I reduces to
-      T + gamma I. W'KW costs two triangular products (2n^3 flops), or for
-      1-D points O(n^2) cumulative sums of an RBF K along both axes in
-      descending t, and for the INK InkKernel O(n + r^2): prefix sums of its
-      generators read at the group ends, and one (r x 3)(3 x r) product,
-      whose lower triangle, the one dpstrf and dsytrd read, is W'KW.
-      For 1-D points DRE-VK first tries W'KW ~ Z Z' by a pivoted
-      Cholesky (dpstrf, O(n^2 r)) and one dsyevd of the r x r Z'Z, and
-      solves every gamma in closed form from it with no dsytrd, as from K
-      above; only a rank above 0.4 n reduces W'KW. For INK, W'KW has rank
-      95-112 of 639-640 in the folds at n = 800 (benchmark workload
-      fit-1d-large), and 31-112 of 159-160 at m = 200, where 141 of 200
-      INK folds (seed 7) reduce it after the dpstrf. Then one product of
-      each holdout matrix with the n x G coefficient matrix, which scores
-      every gamma (for 1-D DRE-V and INK O((n + m) G) cumulative sums for m
-      holdout points).
-    * per (fold, sigma2, gamma): an O(n) banded Cholesky solve (T T + gamma I
-      and T T + (gamma/n) T are pentadiagonal, T + gamma I and the 1-D DRE-V
-      system (N + (gamma/n) J) tridiagonal; all gammas go into one LAPACK
-      call) and O(n^2) products with Q and W and for the residual check; for
-      1-D points V'' enters the residual as an O(n) MinKernel product, so a
-      1-D DRE-V column costs O(n) in all, and K enters a 1-D INK residual
-      as an O(n) InkKernel product. On the low-rank path the solve is
-      O(n r) products with Y = Z V of Z'Z = V diag(lam) V', by the Woodbury
-      inverse (I - Y diag(phi) Y') / gamma, in closed form; the residual check
-      is the same, against the full K, and refinement uses the same
-      low-rank inverse. A 1-D DRE-V column always takes one refinement step
-      against that residual, which the double difference J N^-1 J of its
-      right-hand side needs for full accuracy.
-      On every path, a column that misses the residual bound after two
-      refinement steps fails its candidate. Every fold still solves the
-      whole gamma grid of every sigma2, failed candidates included, so a
-      column's batch, and with it its bits, never depends on what an
-      earlier fold failed.
-
-    The refit is fit_system on all data at the selected gamma (and sigma2),
-    with the full-data matrices above. It is what the fit_* functions
-    compute, so a draw's estimate depends on CV only through the selection.
+    The refit is fit_system on all data at the selected gamma (and sigma2)
+    with the full-data matrices, so a draw's estimate depends on CV only
+    through the selection. The report's `values` are the estimate at its
+    centers from the refit's V'' (DRE-V) or Gram: estimate.predict of the
+    denominator points, without rebuilding either. README "Cost" has the
+    cost per draw, fold, (fold, sigma2) and gamma.
     """
     system = SYSTEMS[method]
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)

@@ -1,57 +1,29 @@
 """Solvers for the regularized normal systems.
 
-All accepted direct solutions are verified by substitution against the
-residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||). The multi-shift
-solvers solve one system for many shifts from one reduction to a banded
-system per shift. The V-matrix V'' = W W' is factored by factor_v_matrix,
-and V's form selects how: the vmatrix.MinKernel operator of 1-D points,
-V''_ij = min(t_i, t_j), gets the closed form BrownianFactor from its own
-sort of t, and an array gets pivoted_cholesky (dpstrf). The residual
-checks apply V'' in the form it came in, a MinKernel by a sort and
-cumulative sums, O(n log n + nG) for G columns, so 1-D solves form no
-n x n V''. K is an array, or for the INK kernel of 1-D points an
-InkKernel operator, which the residual checks apply by four cumulative
-sums. With M = Q T Q' from tridiagonalize:
+Every accepted direct solution is verified by substitution against the
+residual bound ||Ax - b|| <= RESIDUAL_RTOL * (1 + ||b||): _verified checks
+each column and refines one that misses it up to twice with the same
+factors; a column that still misses it is returned as failed with its
+message, and no other solver tries it again. The residual checks apply
+V'' and K in the form they came in, so no operator is formed for them.
 
-* solve_ridge_square_many: (K K + gamma I) x = b; M = K, T T + gamma I;
-* PsdPencilSolver.solve: (S S + c S) x = b for S singular or not. For a
-  MinKernel S it solves (N + c J) y = J N^-1 J beta with the tridiagonal
-  J = S_u^-1 of S's distinct points, with one refinement step for every
-  column, and returns the minimal-norm solution; otherwise S = W W',
-  M = W'W, T T + c T, minimal-norm on the range of S plus a null-space
-  part up to dpstrf's tolerance that no estimate sees;
-* solve_product_ridge_many: (A K + gamma I) x = b; A = W W', M = W'KW,
-  T + gamma I (for 1-D points, W'KW in closed form from the generators of
-  the kernels.InkKernel Gram, or by cumulative sums of an array K, and
-  reduced only when it is not of low rank, below).
+Each multi-shift solver factors its system once and solves it for many
+shifts:
 
-Every banded system, tridiagonal or pentadiagonal, is in lower band
-storage, and the systems of all shifts go into one LAPACK dpbsv call
-(_stacked_solve); refinement reuses its Cholesky factors through dpbtrs
-(_stacked_resolve). _multi_shift_solve maps the solutions back.
+* solve_ridge_square_many: (K K + gamma I) x = b, for uLSIF;
+* solve_product_ridge_many: (V''K + gamma I) x = b with V'' = W W' from
+  factor_v_matrix, for DRE-VK;
+* PsdPencilSolver: (S S + c S) x = b for a PSD S, for DRE-V.
 
-_verified is the one check-and-refine loop: it checks every column of the
-multi-shift and low-rank solvers and of the LU solution of
-solve_regularized, and refines a column that misses the bound up to twice
-with the same factors. A column that still misses it is returned as failed
-with its message; no other solver tries it again.
+factor_v_matrix picks the factor of V'' by its form: the closed-form
+BrownianFactor for the vmatrix.MinKernel of 1-D points, pivoted_cholesky
+(dpstrf) for an array. The first two solvers try a low-rank basis and the
+Woodbury inverse before one tridiagonal reduction (dsytrd) with banded
+solves (dpbsv). Each solver's docstring names its paths; README "Cost"
+gives their order and costs.
 
-solve_ridge_square_low_rank and solve_product_ridge_low_rank solve the same
-systems for a numerically low-rank K, such as the RBF Gram of 1-D points:
-K ~ G G' by pivoted_cholesky cut at its tolerance, one eigendecomposition
-(dsyevd) of the r x r Gram Z'Z of Z = G or Z = W'G, and then every shift
-by the Woodbury inverse in closed form, with no tridiagonal reduction. The
-residual check stays against K itself. A rank above LOW_RANK_MAX_FRAC n,
-or a shift of 0, sends every column to the dense solver up front instead.
-For 1-D points that dense solver, solve_product_ridge_many with the
-closed-form factor, takes the same closed form from a low-rank factor of
-W'KW itself before it reduces it: W'KW of the INK Gram is of low rank
-where the Gram is not (rank 95-112 of 639-640 in the folds of the n = 800
-fits of model-2 data), so every 1-D DRE-VK fold tries it.
-
-solve_nonneg solves the nonnegative quadratic programme exactly, by one
-Cholesky factorisation and one scipy.optimize.nnls call, and is verified
-against the same bound, with the projected gradient in place of Ax - b.
+solve_regularized (one LU) and solve_nonneg (one Cholesky and one
+scipy.optimize.nnls call) check their solutions against the same bound.
 """
 
 from __future__ import annotations
@@ -269,10 +241,12 @@ def _verified(X, correct, apply, b, what: str, refine_once: bool = False):
     return X, errors
 
 
-def _ridge_inputs(K, gammas, b):
-    """K (an array or an InkKernel), gammas and b as float arrays;
-    ValueError unless K is square, b has its order and every gamma is
-    nonnegative."""
+def _ridge_inputs(K, gammas, b, array_only: bool):
+    """K (an array or, unless `array_only`, an InkKernel), gammas and b as
+    float arrays; ValueError unless K is square, b has its order and every
+    gamma is nonnegative, and for an InkKernel K with `array_only`."""
+    if array_only and isinstance(K, InkKernel):
+        raise ValueError("K must be an array here, not an InkKernel")
     K = K if isinstance(K, InkKernel) else np.asarray(K, dtype=float)
     b = np.asarray(b, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
@@ -282,21 +256,29 @@ def _ridge_inputs(K, gammas, b):
     return K, gammas, b
 
 
-def solve_ridge_square_many(K, gammas, b) -> tuple[np.ndarray, list]:
-    """Solve (K @ K + gamma I) x = b for every gamma, K symmetric.
+def solve_ridge_square_many(K, gammas, b, low_rank=False) -> tuple[np.ndarray, list]:
+    """Solve (K @ K + gamma I) x = b for every gamma, K a symmetric array.
 
-    One tridiagonal reduction K = Q T Q' turns every system into
-    K K + gamma I = Q (T T + gamma I) Q', whose middle factor is
-    pentadiagonal: each gamma costs an O(n) banded Cholesky solve and
-    K @ K is never formed. Returns the n x G solutions and per column None
-    or the failure message of its residual check.
+    With `low_rank`, K ~ G G' = Y Y' by _low_rank_basis of K itself, and
+    _low_rank_solve inverts Y diag(lam^2) Y' + gamma I at power 4. Otherwise,
+    or when that basis is refused, one tridiagonal reduction K = Q T Q'
+    gives K K + gamma I = Q (T T + gamma I) Q', whose middle factor is
+    pentadiagonal: one O(n) banded solve per gamma, and K @ K is never
+    formed. Returns the n x G solutions and per column None or the failure
+    message of its residual check. ValueError for an InkKernel K.
     """
-    K, gammas, b = _ridge_inputs(K, gammas, b)
+    K, gammas, b = _ridge_inputs(K, gammas, b, array_only=True)
+
+    def apply(X):
+        return K @ (K @ X) + X * gammas
+
+    found = _low_rank_basis(K, lambda G: G, gammas) if low_rank else None
+    if found is not None:
+        return _low_rank_solve(*found, 4, lambda B: B, lambda Y: Y, apply, b, gammas)
     tri = tridiagonalize(K)
     bands = _square_bands(tri, gammas.size)
     bands[0] += gammas[:, None]
-    return _multi_shift_solve(bands, tri.qt, tri.q, lambda X: K @ (K @ X) + X * gammas,
-                              b, _SINGULAR_FAILURE)
+    return _multi_shift_solve(bands, tri.qt, tri.q, apply, b, _SINGULAR_FAILURE)
 
 
 @dataclass(frozen=True)
@@ -615,50 +597,37 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
                               _PENCIL_FAILURE, refine_once=True)
 
 
-def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
+def solve_product_ridge_many(factor, K, gammas, b, low_rank=False) -> tuple[np.ndarray, list]:
     """Solve (A K + gamma I) x = b for every gamma, with A = W W' given by
     `factor` (a PivotedCholesky or BrownianFactor), K symmetric PSD (an
-    array, or with a BrownianFactor the InkKernel of its points, whose
-    W'KW factor.congruence takes in closed form and whose products the
-    residual checks apply) and b in the range of A.
+    array, or with a BrownianFactor the InkKernel of its points) and b in
+    the range of A.
 
-    A K is not symmetric, but it is similar to the symmetric S = W' K W
-    (Golub & Van Loan, Matrix Computations, 8.7). With S = Q T Q' from one
-    tridiagonal reduction and W c = b, x = W Q (T + gamma I)^-1 Q' c solves
-    every system: (A K + gamma I) x = W Q (T + gamma I)(T + gamma I)^-1 Q' c
-    = b. A K has real eigenvalues >= 0, so for gamma > 0 this is the unique
-    solution, and each gamma costs one O(n) tridiagonal solve.
-
-    For the closed-form factor of 1-D points, S is numerically low rank: V''
-    has eigenvalues that decay like k^-2 and the INK and RBF Grams like k^-4
-    or faster. For INK, dpstrf cuts S at rank 95-112 of 639-640 in the
-    folds of the n = 800 fits of model-2 data, and at 31-112 of 159-160 at
-    m = 200 (seed 7 of the benchmark). So S ~ Y Y' by _low_rank_basis of S
-    itself first, a pivoted Cholesky S ~ G G' and one dsyevd of the r x r
-    G'G, and every gamma is solved by the Woodbury inverse of
-    _low_rank_solve, as solve_product_ridge_low_rank does from K;
-    only a rank above LOW_RANK_MAX_FRAC r, or a gamma of 0, takes the
-    tridiagonal reduction. An array factor (d > 1) reduces S directly: its
-    S has full rank r (392-395 on the 20-D models at m = 500).
-
-    Columns whose residual misses the bound are refined up to twice with the
-    same factors. Returns the n x G solutions and per column None or the
-    failure message of its residual check.
+    A K is similar to the symmetric S = W' K W (Golub & Van Loan, Matrix
+    Computations, 8.7): with W c = b, x = W (S + gamma I)^-1 c. Three
+    paths, each taken only when the one before is refused (README "Cost"):
+    with `low_rank`, for a BrownianFactor and an array K, _low_rank_basis
+    of K with Z = W'G; for a BrownianFactor, _low_rank_basis of S; one
+    tridiagonal reduction S = Q T Q' and an O(n) solve of T + gamma I per
+    gamma. Returns the n x G solutions and per column None or the failure
+    message of its residual check. ValueError for an InkKernel K with
+    `low_rank`.
     """
     A = factor.matrix
-    K, gammas, b = _ridge_inputs(K, gammas, b)
+    K, gammas, b = _ridge_inputs(K, gammas, b, array_only=low_rank)
     if K.shape != A.shape:
         raise ValueError("K must match the shape of the factored matrix")
-    S = factor.congruence(K)
-    found = None
-    if isinstance(factor, BrownianFactor):
-        found = _low_rank_basis(S, lambda G: G, gammas)
-    tri = None if found is not None else tridiagonalize(S, overwrite=True)
-    del S  # not read again (dsytrd overwrote it): free it before the solves
 
     def apply(X):
         return A @ (K @ X) + X * gammas
 
+    found = _low_rank_basis(K, factor.apply_t, gammas) if low_rank else None
+    if found is None:
+        S = factor.congruence(K)
+        if isinstance(factor, BrownianFactor):
+            found = _low_rank_basis(S, lambda G: G, gammas)
+        tri = None if found is not None else tridiagonalize(S, overwrite=True)
+        del S  # not read again (dsytrd overwrote it): free it before the solves
     if found is not None:
         return _low_rank_solve(*found, 2, factor.range_coords, factor.expand, apply, b, gammas)
     # T + gamma I per gamma: the diagonal and the sub-diagonal padded by one
@@ -669,8 +638,8 @@ def solve_product_ridge_many(factor, K, gammas, b) -> tuple[np.ndarray, list]:
 
 
 # Largest rank of pivoted_cholesky(K), as a fraction of K's order n, at which
-# the low-rank solvers solve from the factor; above it they pass every column
-# to the dense solver. Timed by tools/low_rank_crossover.py (RBF Grams of
+# a solver solves from the factor; above it the solver takes its next path
+# (README "Cost"). Timed by tools/low_rank_crossover.py (RBF Grams of
 # uniform 1-D points, 15 gammas, one BLAS thread), the low-rank path is the
 # faster at every rank at n = 40, up to about 0.75 n at n = 80, 0.55-0.7 n at
 # n = 160 and 0.55 n at n = 640; the INK W'KW of 160 points, rank 0.6 n,
@@ -682,7 +651,7 @@ def _low_rank_basis(K: np.ndarray, basis, gammas):
     """_eig_basis of basis(G) for K ~ G G' from pivoted_cholesky(K), cut at
     dpstrf's tolerance (Harbrecht, Peters & Schneider, On the low-rank
     approximation by the pivoted Cholesky decomposition, Appl. Numer. Math.
-    2012); None, for the dense solver, when a gamma is 0 (the
+    2012); None, for the solver's next path, when a gamma is 0 (the
     low-rank inverse divides by it), G has more than LOW_RANK_MAX_FRAC n
     columns, basis(G) is empty or dsyevd fails."""
     if not np.all(gammas > 0):
@@ -729,47 +698,6 @@ def _low_rank_solve(Y, lam, power: int, reduce, expand, apply, b, gammas):
 
     return _verified(inverse(b[:, None], gammas), lambda R, bad: inverse(R, gammas[bad]),
                      apply, b, _SINGULAR_FAILURE)
-
-
-def solve_ridge_square_low_rank(K, gammas, b) -> tuple[np.ndarray, list]:
-    """solve_ridge_square_many for a numerically low-rank PSD K, such as the
-    RBF Gram of 1-D points.
-
-    K ~ G G' = Y Y' (_low_rank_basis of G itself), so
-    K K + gamma I ~ Y diag(lam^2) Y' + gamma I, which _low_rank_solve
-    inverts at power 4. Each column is checked against K K + gamma I as
-    _low_rank_solve describes. Without a low-rank basis,
-    solve_ridge_square_many solves every column. Same returns.
-    """
-    K, gammas, b = _ridge_inputs(K, gammas, b)
-    found = _low_rank_basis(K, lambda G: G, gammas)
-    if found is None:
-        return solve_ridge_square_many(K, gammas, b)
-    return _low_rank_solve(*found, 4, lambda B: B, lambda Y: Y,
-                           lambda X: K @ (K @ X) + X * gammas, b, gammas)
-
-
-def solve_product_ridge_low_rank(factor: BrownianFactor, K, gammas, b) -> tuple[np.ndarray, list]:
-    """solve_product_ridge_many for a numerically low-rank PSD K and the
-    closed-form factor V'' = W W' of 1-D points.
-
-    K ~ G G' makes W'KW ~ Z Z' with Z = W'G, which apply_t forms in O(nr);
-    with Z Z' = Y Y' from _low_rank_basis, T + gamma I of
-    solve_product_ridge_many becomes Y diag(lam) Y' + gamma I in the
-    coordinates c of W c = b, which _low_rank_solve inverts at power 2.
-    Each column is checked against V''K + gamma I as _low_rank_solve
-    describes. Without a low-rank basis, solve_product_ridge_many solves
-    every column. Same returns.
-    """
-    A = factor.matrix
-    K, gammas, b = _ridge_inputs(K, gammas, b)
-    if K.shape != A.shape:
-        raise ValueError("K must match the shape of the factored matrix")
-    found = _low_rank_basis(K, factor.apply_t, gammas)
-    if found is None:
-        return solve_product_ridge_many(factor, K, gammas, b)
-    return _low_rank_solve(*found, 2, factor.range_coords, factor.expand,
-                           lambda X: A @ (K @ X) + X * gammas, b, gammas)
 
 
 def solve_nonneg(A, b) -> np.ndarray:

@@ -218,14 +218,21 @@ def test_estimators_reject_nonpositive_gamma():
     rng = np.random.default_rng(42)
     s = unit_samples(rng, 5, 5, 1)
     spec = KernelSpec(KernelKind.INK_SPLINE_LINEAR, d=1)
+    rbf = KernelSpec(KernelKind.RBF, d=1, sigma2=0.5)
     for fn in (lambda: fit_dre_v(s, 0.0), lambda: fit_dre_vk(s, spec, -1.0),
-               lambda: fit_ulsif_like(s, spec, 0.0), lambda: dre_v_nonneg_values(s, 0.0)):
-        with pytest.raises(ValueError):
+               lambda: fit_ulsif_like(s, rbf, 0.0), lambda: dre_v_nonneg_values(s, 0.0)):
+        with pytest.raises(ValueError, match="gamma must be positive"):
             fn()
     for fn in (fit_dre_v, dre_v_nonneg_values,
-               lambda s, g: fit_dre_vk(s, spec, g), lambda s, g: fit_ulsif_like(s, spec, g)):
+               lambda s, g: fit_dre_vk(s, spec, g), lambda s, g: fit_ulsif_like(s, rbf, g)):
         with pytest.raises(ValueError, match="gamma must be positive"):
             fn(s, np.nan)
+
+
+def test_ulsif_fit_rejects_a_kernel_other_than_rbf():
+    s = unit_samples(np.random.default_rng(44), 6, 6, 1)
+    with pytest.raises(ValueError, match="takes the RBF kernel, got ink-spline-linear"):
+        fit_ulsif_like(s, KernelSpec(KernelKind.INK_SPLINE_LINEAR, 1), 0.1)
 
 
 @pytest.mark.parametrize("method", [Method.DRE_V, Method.ULSIF_LIKE])

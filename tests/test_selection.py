@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import sys
 
 import numpy as np
@@ -555,25 +556,32 @@ def test_cross_validate_on_1d_points_forms_the_ink_gram_only_for_the_refit(monke
 @pytest.mark.parametrize("method", [Method.DRE_VK_RBF, Method.ULSIF_LIKE])
 def test_cross_validate_20d_rbf_grams_are_not_factored(method, monkeypatch):
     """20-D RBF Grams are full rank, so no pivoted Cholesky of K is tried:
-    the only dpstrf calls are DRE-VK's one factor of V'' per fold. As a
-    positive control, the same spies on 1-D points count the low-rank
-    solver and its dpstrf of K once per (fold, sigma2); both Grams there
-    have rank far below the cut, and V'' has its closed-form factor."""
+    the solver never gets `low_rank`, and the only dpstrf calls are DRE-VK's
+    one factor of V'' per fold. As a positive control, the same spies on
+    1-D points count a solve with `low_rank` and its dpstrf of K once per
+    (fold, sigma2); both Grams there have rank far below the cut, and V''
+    has its closed-form factor."""
     k = 3
     counter = CallCounter()
     monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counter.wrap(
         scipy.linalg.lapack.dpstrf, lambda *a: "dpstrf"))
-    low_rank = {Method.ULSIF_LIKE: "solve_ridge_square_low_rank",
-                Method.DRE_VK_RBF: "solve_product_ridge_low_rank"}
-    for name in low_rank.values():
-        monkeypatch.setattr(estimators, name, counter.wrap(getattr(estimators, name),
-                                                           lambda *a, name=name: name))
+    name = {Method.ULSIF_LIKE: "solve_ridge_square_many",
+            Method.DRE_VK_RBF: "solve_product_ridge_many"}[method]
+    solver = getattr(estimators, name)
+    signature = inspect.signature(solver)
+
+    def spy(*args, **kwargs):
+        if signature.bind(*args, **kwargs).arguments.get("low_rank"):
+            counter.counts["low_rank"] = counter.counts.get("low_rank", 0) + 1
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, name, spy)
     plan = CvPlan(k=k, sigma2_grid=[2.0, 8.0])
     cross_validate(unit_samples(np.random.default_rng(65), 30, 24, 20), method, plan)
     assert counter.counts == ({} if method is Method.ULSIF_LIKE else {"dpstrf": k})
     counter.counts.clear()
     cross_validate(unit_samples(np.random.default_rng(65), 30, 24, 1), method, plan)
-    assert counter.counts == {"dpstrf": 2 * k, low_rank[method]: 2 * k}
+    assert counter.counts == {"dpstrf": 2 * k, "low_rank": 2 * k}
 
 
 def fold_blocks_inputs():

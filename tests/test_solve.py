@@ -9,7 +9,7 @@ from scipy.linalg import LinAlgWarning
 from vratio import solve
 from vratio.domain import DomainBox, ScaledSamples
 from vratio.estimators import dre_v_nonneg_values, fit_dre_v, fit_ulsif_like, ulsif_rhs, v_rhs
-from vratio.kernels import KernelKind, KernelSpec, cross_gram
+from vratio.kernels import InkKernel, KernelKind, KernelSpec, cross_gram
 from vratio import bench, domain
 from vratio.selection import default_gamma_grid, default_sigma2_grid
 from vratio.solve import (
@@ -22,10 +22,8 @@ from vratio.solve import (
     factor_v_matrix,
     pivoted_cholesky,
     solve_nonneg,
-    solve_product_ridge_low_rank,
     solve_product_ridge_many,
     solve_regularized,
-    solve_ridge_square_low_rank,
     solve_ridge_square_many,
 )
 from vratio.vmatrix import build_v_matrices, cross_v, min_kernel, trace_product
@@ -656,7 +654,7 @@ def low_rank_systems(s, sigma2):
 @pytest.mark.parametrize("n", [40, 160])
 def test_low_rank_solves_match_dense_on_1d_rbf_grams(n, monkeypatch):
     """At every default sigma2, every column passes the residual check against
-    the full K and agrees with the dense solver to 1e-7 relative; no
+    the full K and agrees with the dense path to 1e-7 relative; no
     tridiagonal reduction runs unless the rank is above the cut-off."""
     s = low_rank_cases()[n]
     low_rank = 0
@@ -667,8 +665,8 @@ def test_low_rank_solves_match_dense_on_1d_rbf_grams(n, monkeypatch):
         low_rank += not dense
         with monkeypatch.context() as m:
             calls = count_calls(m, scipy.linalg.lapack, "dsytrd")
-            X, errors = solve_ridge_square_low_rank(K, gammas, b)
-            Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv)
+            X, errors = solve_ridge_square_many(K, gammas, b, low_rank=True)
+            Y, errors_v = solve_product_ridge_many(factor, K, gammas_v, bv, low_rank=True)
         assert errors == errors_v == [None] * len(gammas)
         assert len(calls) == (2 if dense else 0), sigma2
         want, _ = solve_ridge_square_many(K, gammas, b)
@@ -688,8 +686,8 @@ def test_low_rank_rank_above_cut_off_takes_dense_path(monkeypatch):
     K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, 1e-3)  # K is near I
     assert pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * 40
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dsyevd")
-    X, errors = solve_ridge_square_low_rank(K, gammas, b)
-    Y, errors_v = solve_product_ridge_low_rank(factor, K, gammas_v, bv)
+    X, errors = solve_ridge_square_many(K, gammas, b, low_rank=True)
+    Y, errors_v = solve_product_ridge_many(factor, K, gammas_v, bv, low_rank=True)
     assert calls == ["dsytrd", "dsytrd"]  # one per solver, no eigendecomposition
     for got, (want, want_errors) in ((X, solve_ridge_square_many(K, gammas, b)),
                                      (Y, solve_product_ridge_many(factor, K, gammas_v, bv))):
@@ -704,10 +702,42 @@ def test_low_rank_gamma_0_takes_dense_path(monkeypatch):
     assert pivoted_cholesky(K).rank <= solve.LOW_RANK_MAX_FRAC * 40
     gammas[0] = 0.0
     calls = count_calls(monkeypatch, scipy.linalg.lapack, "dsytrd", "dsyevd")
-    X, errors = solve_ridge_square_low_rank(K, gammas, b)
+    X, errors = solve_ridge_square_many(K, gammas, b, low_rank=True)
     assert calls == ["dsytrd"]
     want, want_errors = solve_ridge_square_many(K, gammas, b)
     assert np.array_equal(X, want, equal_nan=True) and errors == want_errors
+
+
+def test_low_rank_k_refused_takes_the_wkw_basis(monkeypatch):
+    # the second default sigma2 on the model-1 sample at m = 50, seed 0: K's
+    # rank is above the cut and W'KW's is not, as in some CV folds at m = 50
+    num, den = bench.sample_model(bench.make_model(1), 50, 0)
+    s = domain.scale(num, den, domain.fit_domain_box(num, den))
+    K, _, _, factor, bv, gammas_v = low_rank_systems(s, default_sigma2_grid(s.pooled())[1])
+    assert pivoted_cholesky(K).rank > solve.LOW_RANK_MAX_FRAC * s.n
+    assert pivoted_cholesky(factor.congruence(K)).rank <= solve.LOW_RANK_MAX_FRAC * factor.rank
+    calls = []
+    for name in ("dpstrf", "dsyevd", "dsytrd"):
+        fn = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name, lambda a, *args, fn=fn, name=name, **kw: (
+            calls.append((name, a.shape[0])) or fn(a, *args, **kw)))
+    X, errors = solve_product_ridge_many(factor, K, gammas_v, bv, low_rank=True)
+    assert [name for name, _ in calls] == ["dpstrf", "dpstrf", "dsyevd"]
+    assert calls[:2] == [("dpstrf", s.n), ("dpstrf", factor.rank)]
+    want, want_errors = solve_product_ridge_many(factor, K, gammas_v, bv)
+    assert np.array_equal(X, want) and errors == want_errors == [None] * len(gammas_v)
+
+
+def test_operator_k_is_refused_where_it_cannot_be_solved():
+    # only the product solver's own paths take an InkKernel: its congruence
+    # and its residual products; a pivoted Cholesky or dsytrd of K cannot
+    x = np.random.default_rng(5).random(12)
+    ink, b = InkKernel(x, x), np.ones(12)
+    with pytest.raises(ValueError, match="K must be an array here, not an InkKernel"):
+        solve_ridge_square_many(ink, [0.1], b)
+    factor = factor_v_matrix(min_kernel(x[:, None], x[:, None]))
+    with pytest.raises(ValueError, match="K must be an array here, not an InkKernel"):
+        solve_product_ridge_many(factor, ink, [0.1], factor.matrix @ b, low_rank=True)
 
 
 def spoil_low_rank_basis(monkeypatch, below: float):
@@ -727,15 +757,15 @@ def spoil_low_rank_basis(monkeypatch, below: float):
 
 
 def test_low_rank_failed_columns_stay_failed(monkeypatch):
-    # the spoiled columns fail with their residual; no dense solver runs for them
+    # the spoiled columns fail with their residual; no dense path runs for them
     s = low_rank_cases()[160]
     K, b, gammas, factor, bv, gammas_v = low_rank_systems(s, default_sigma2_grid(s.pooled())[3])
-    for low, args, below in ((solve_ridge_square_low_rank, (K, gammas, b), 0.1),
-                             (solve_product_ridge_low_rank, (factor, K, gammas_v, bv), 1e-3)):
+    for low, args, below in ((solve_ridge_square_many, (K, gammas, b), 0.1),
+                             (solve_product_ridge_many, (factor, K, gammas_v, bv), 1e-3)):
         with monkeypatch.context() as m:
             spoil_low_rank_basis(m, below)
             calls = count_calls(m, scipy.linalg.lapack, "dsytrd")
-            _, errors = low(*args)
+            _, errors = low(*args, low_rank=True)
         failed = [err for err in errors if err is not None]
         assert 0 < len(failed) < len(gammas) and calls == []
         assert all(err.startswith("system singular to working precision: residual ")

@@ -42,9 +42,7 @@ from vratio.solve import (
     factor_v_matrix,
     pivoted_cholesky,
     solve_nonneg,
-    solve_product_ridge_low_rank,
     solve_product_ridge_many,
-    solve_ridge_square_low_rank,
     solve_ridge_square_many,
 )
 from vratio.vmatrix import MinKernel, cross_v, min_kernel
@@ -216,8 +214,8 @@ def test_ridge_square_is_near_the_solution(points, gammas, seed, sigma2):
     K = _gram(points, sigma2)
     n = K.shape[0]
     b = np.random.default_rng(seed).standard_normal(n)
-    for solve in (solve_ridge_square_many, solve_ridge_square_low_rank):
-        X, errors = solve(K, gammas, b)
+    for low_rank in (False, True):
+        X, errors = solve_ridge_square_many(K, gammas, b, low_rank=low_rank)
         for j, g in enumerate(gammas):
             assert_near_oracle((K, K), g, np.eye(n), b, X[:, j], n, errors[j])
 
@@ -230,8 +228,8 @@ def test_product_ridge_low_rank_is_near_the_solution(points, gammas, seed, sigma
     A = cross_v(points, points)
     K = _gram(points, sigma2)
     b = _range_rhs(A, seed)
-    X, errors = solve_product_ridge_low_rank(factor_v_matrix(min_kernel(points, points)), K,
-                                             gammas, b)
+    X, errors = solve_product_ridge_many(factor_v_matrix(min_kernel(points, points)), K,
+                                         gammas, b, low_rank=True)
     n = A.shape[0]
     for j, g in enumerate(gammas):
         assert_near_oracle((A, K), g, np.eye(n), b, X[:, j], n, errors[j])
@@ -256,9 +254,8 @@ def test_product_ridge_low_rank_examples_take_the_low_rank_path(monkeypatch):
     for points, sigma2 in ((np.array([[0.2]] * 3 + [[0.6]] * 3 + [[1.0]] * 2), 5.0),
                            (np.array([[0.0]] * 4 + [[0.7]] * 4), 0.05)):
         A = cross_v(points, points)
-        solve_product_ridge_low_rank(factor_v_matrix(min_kernel(points, points)),
-                                     _gram(points, sigma2),
-                                     [1e-3], _range_rhs(A, 0))
+        solve_product_ridge_many(factor_v_matrix(min_kernel(points, points)),
+                                 _gram(points, sigma2), [1e-3], _range_rhs(A, 0), low_rank=True)
     assert calls == ["dsyevd", "dsyevd"]
 
 
@@ -272,7 +269,7 @@ def test_ridge_square_examples_take_the_paths_named(monkeypatch):
             (np.array([[0.1]] * 3 + [[0.5]] * 3 + [[0.9]] * 2), 5.0, ["dsyevd"]),
             (np.linspace(0.0, 1.0, 8)[:, None], 0.05, ["dsytrd"])):
         calls.clear()
-        solve_ridge_square_low_rank(_gram(points, sigma2), [1e-12, 1e3], np.ones(8))
+        solve_ridge_square_many(_gram(points, sigma2), [1e-12, 1e3], np.ones(8), low_rank=True)
         assert calls == want
 
 

@@ -1,15 +1,17 @@
-"""Time the low-rank solvers against the dense ones, per rank fraction.
+"""Time the solvers' low-rank paths against their dense paths, per rank fraction.
 
 On n uniform 1-D points (n = 40, 80, 160 and 640 by default), each solver
 with a low-rank path in vratio.solve solves 15 gammas of the default grid,
 scaled as cross-validation scales them, in two ways: with LOW_RANK_MAX_FRAC
 set to 1, so that it solves from the factor, and set to 0, so that every
-column goes to the dense solver after the same pivoted Cholesky. The
-solvers are those of uLSIF (solve_ridge_square_low_rank) and DRE-VK-RBF
-(solve_product_ridge_low_rank) on RBF Grams, whose rank falls as sigma2
-grows, and DRE-VK-INK (solve_product_ridge_many with the InkKernel), whose
-W'KW has the rank the points give it. rank/n is the rank of the factored
-matrix over its order: K for RBF and W'KW for INK.
+column takes the dense path after the same pivoted Cholesky. The
+solvers are those of uLSIF (solve_ridge_square_many) and DRE-VK-RBF
+(solve_product_ridge_many) with low_rank=True on RBF Grams, whose rank
+falls as sigma2 grows, and DRE-VK-INK (solve_product_ridge_many with the
+InkKernel), whose W'KW has the rank the points give it. rank/n is the rank
+of the factored matrix over its order: K for RBF and W'KW for INK. With
+the cut at 0, the DRE-VK-RBF solve also refuses W'KW's factor and reduces
+W'KW.
 
 Prints one row per solve, the best of --repeat timings on one BLAS thread,
 and per solver and n the largest rank fraction at which the low-rank path
@@ -70,9 +72,10 @@ def cases(n: int):
         rank = solve.pivoted_cholesky(K).rank
         g_sq, g_v = grid * np.sum(K * K) / n, grid * trace_product(V, K) / n
         yield ("rbf", "ridge_square", sigma2, rank, n,
-               lambda K=K, g=g_sq: solve.solve_ridge_square_low_rank(K, g, b))
+               lambda K=K, g=g_sq: solve.solve_ridge_square_many(K, g, b, low_rank=True))
         yield ("rbf", "product", sigma2, rank, n,
-               lambda K=K, g=g_v: solve.solve_product_ridge_low_rank(factor, K, g, bv))
+               lambda K=K, g=g_v: solve.solve_product_ridge_many(factor, K, g, bv,
+                                                                 low_rank=True))
 
 
 def crossover(rows) -> tuple:
