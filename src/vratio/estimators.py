@@ -22,15 +22,11 @@ one gamma on all data. The fit_* functions build the matrices and call
 fit_system.
 
 Every V-matrix comes from vmatrix.v_matrix and every Gram from
-kernels.gram_matrix, which pick the form from the points: operators for
-1-D points (MinKernel, and InkKernel for INK), arrays otherwise. Everything
-downstream takes its path from that form alone and is given no points.
-DRE-V solves by solve.PsdPencilSolver, so alpha lies in the range of V'';
-uLSIF by solve.solve_ridge_square_many; DRE-VK by
-solve.solve_product_ridge_many in CV and by one LU in its refit. Each
-gamma's solution is checked by substitution and refined on its own
-path; a column that still fails is reported as failed, not solved again
-another way. README "Cost" has the paths and their costs.
+kernels.gram_matrix, which pick the form from the points; downstream the
+form alone picks the path, and nothing is given points. DRE-V solves by
+solve.PsdPencilSolver, so alpha lies in the range of V''; uLSIF by
+solve.solve_ridge_square_many; DRE-VK by solve.solve_product_ridge_many in
+CV and by one LU in its refit. README "Cost" has the paths and their costs.
 
 dre_v_nonneg_values minimizes the DRE-V objective under r >= 0 exactly
 (solve.solve_nonneg) and returns the values at the denominator points.

@@ -186,23 +186,22 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     passes the residual check of `solve`. SelectionError if every candidate
     fails.
 
-    The method's entry in estimators.SYSTEMS says what to build and how to
-    solve; nothing here tests the method. Its kernel picks one basis
-    function of two point sets (_basis). A V-matrix, INK or RBF entry
-    depends only on its pair of points, so each fold takes its training
-    matrices and its denominator holdout as vmatrix.block of the full-data
-    ones, equal entry for entry to the matrices of the fold's points, and
-    builds its numerator holdout from the points. Every fold solves the
-    whole gamma grid of every sigma2, so a column's batch, and with it its
-    bits, never depends on what an earlier fold failed. The one dimension
-    test passes solve_system `low_rank` for the RBF Grams of 1-D points.
+    Every method takes one fold path from its entry in estimators.SYSTEMS
+    and one basis function of two point sets (_basis); nothing here tests
+    the method. A V-matrix, INK or RBF entry depends only on its pair of
+    points, so each fold takes its training block (DRE-V: its V'') and
+    denominator holdout as vmatrix.block of the full-data basis, equal
+    entry for entry to the matrices of the fold's points, and builds its
+    numerator holdout from the points. RBF differs only in its sigma2 map,
+    exp(-D / 2 sigma2) of those three parts. Every fold solves the whole
+    gamma grid of every sigma2, so a column's bits never depend on what an
+    earlier fold failed. `low_rank` is set for the RBF Grams of 1-D points.
 
     The refit is fit_system on all data at the selected gamma (and sigma2)
     with the full-data matrices, so a draw's estimate depends on CV only
-    through the selection. The report's `values` are the estimate at its
-    centers from the refit's V'' (DRE-V) or Gram: estimate.predict of the
-    denominator points, without rebuilding either. README "Cost" has the
-    cost per draw, fold, (fold, sigma2) and gamma.
+    through the selection. The report's `values` are estimate.predict of
+    the denominator points, from the refit's V'' (DRE-V) or Gram. README
+    "Cost" has the cost per draw, fold, (fold, sigma2) and gamma.
     """
     system = SYSTEMS[method]
     num_folds, den_folds = make_folds(s.n, s.ell, plan.k, plan.seed)
@@ -218,12 +217,14 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     full_vm = build_v_matrices(s) if system.uses_v else None
     # the basis of the full data: V'', the INK Gram or the RBF distances D
     B = full_vm.v_dd if system.kernel is None else basis(s.x_prime, s.x_prime)
-    full_K = None if system.kernel is None or rbf else B  # a Gram that no sigma2 changes
+
+    # M as it is, or for RBF the Gram exp(-M / 2 s2) of its squared distances
+    def gram(M, s2, out=None):
+        return M if s2 is None else rbf_from_sqdist(M, s2, out=out)
+
     gammas = []
     for s2 in sigma2_values:
-        scale = 1.0
-        if plan.scale_gamma:
-            scale = system.scale(s, full_vm, rbf_from_sqdist(B, s2) if rbf else full_K)
+        scale = system.scale(s, full_vm, gram(B, s2)) if plan.scale_gamma else 1.0
         gammas.append(plan.gamma_grid * (scale if np.isfinite(scale) and scale > 0.0 else 1.0))
     # criterion sums over the folds, NaN once a fold fails the candidate, and
     # each failed candidate's first message by its (sigma2, gamma) indices
@@ -239,28 +240,23 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         sub = s.subset(num_train, train)
         vm = None if full_vm is None else VMatrices(block(full_vm.v_dd, train, train),
                                                     block(full_vm.v_dn, train, num_train))
-        K = None if full_K is None else block(B, train, train)
-        if rbf:
-            # rows: training points, denominator holdout, numerator holdout
-            dist = np.vstack([block(B, np.concatenate([train, den_hold]), train),
-                              basis(s.x[num_hold], sub.x_prime)])
-            gram = np.empty_like(dist)
         factor = system.factor(vm)
+        # the fold's parts of the basis: its training block (DRE-V's V'' is
+        # vm.v_dd) and its denominator and numerator holdouts
+        B_train = None if system.kernel is None else block(B, train, train)
+        B_den, B_num = block(B, den_hold, train), basis(s.x[num_hold], sub.x_prime)
         for i, s2 in enumerate(sigma2_values):
-            if rbf:
-                K = rbf_from_sqdist(dist, s2, out=gram)[:sub.n]
+            K, hold_den, hold_num = gram(B_train, s2), gram(B_den, s2), gram(B_num, s2)
             coef, errs = solve_system(method, sub, vm, factor, K, gammas[i], low_rank)
-            if rbf:
-                hold_den, hold_num = gram[sub.n:s.n], gram[s.n:]
-            else:  # built after the solve, which needs the most memory
-                hold_den, hold_num = block(B, den_hold, train), basis(s.x[num_hold], sub.x_prime)
             totals[i] += _criteria(coef, hold_den, hold_num, s.n / s.ell)
             for j, err in enumerate(errs):
                 if err is not None:
                     totals[i, j] = np.nan
                     errors.setdefault((i, j), err)
+            # drop this sigma2's Grams before the next sigma2 maps its own
+            K = hold_den = hold_num = coef = None
         # drop this fold's matrices and factor before the next fold builds its own
-        vm = factor = K = coef = hold_den = hold_num = dist = gram = None
+        vm = factor = B_train = B_den = B_num = None
 
     candidates = [
         Candidate(float(g), s2, float(totals[i, j]), errors.get((i, j)))
@@ -276,10 +272,9 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     # in grid order (sigma2 then gamma, both ascending)
     best = min(reversed(valid), key=lambda c: (c.criterion, -c.gamma))
 
-    if rbf:
-        full_K = rbf_from_sqdist(B, best.sigma2, out=B)
+    B = gram(B, best.sigma2, out=B)
     estimate = fit_system(method, s, best.gamma, kernel_spec_for(method, s.d, best.sigma2),
-                          full_vm, full_K)
+                          full_vm, None if system.kernel is None else B)
     return CvReport(
         method=method,
         candidates=candidates,
@@ -287,5 +282,5 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
         selected_sigma2=best.sigma2,
         estimate=estimate,
         failures=sum(1 for c in candidates if not c.ok),
-        values=(full_vm.v_dd if full_K is None else full_K) @ estimate.coef,
+        values=B @ estimate.coef,
     )

@@ -50,6 +50,12 @@ def _check_square(A, b: np.ndarray):
         raise ValueError(f"b has shape {b.shape}, expected ({A.shape[0]},)")
 
 
+def _check_symmetric(X: np.ndarray, name: str):
+    # the exact comparison first: it is cheaper and settles the usual case
+    if not (np.array_equal(X, X.T) or np.allclose(X, X.T, atol=1e-10 * (1.0 + np.abs(X).max()))):
+        raise ValueError(f"{name} must be symmetric")
+
+
 def _residual_bound(b: np.ndarray) -> float:
     return RESIDUAL_RTOL * (1.0 + np.linalg.norm(b))
 
@@ -503,23 +509,13 @@ _PENCIL_FAILURE = "pencil system inconsistent"
 
 
 class PsdPencilSolver:
-    """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD.
-
-    The pencil can be exactly singular (S may have zero rows), but the
-    right-hand sides arising here lie in the range of S. S is a symmetric
-    array or, for the V'' of 1-D points, a MinKernel with s = t, and
-    factor_v_matrix(S) chooses the factor S = W W' by that form, except
-    that a MinKernel whose smallest gap is below NEAR_TIE_GAP gets
-    pivoted_cholesky of its dense form, which equals the cross_v matrix of
-    the points entry for entry. A BrownianFactor solves by
-    _solve_grouped_pencil and returns the minimal-norm solution. Otherwise, with W'W = Q T Q' and W beta = b, the
-    solution is x = W Q z with the pentadiagonal (T T + c T) z = Q' beta.
-    Its part in the range of S is the
-    minimal-norm solution. Where dpstrf keeps a pivot of rounding size for
-    tied points (1.8e-8 for the points [[1e-6], [1e-6]]), x also carries a
-    null-space part of S up to dpstrf's tolerance; tied points have equal
-    basis functions, so no estimate sees it.
-    The factorisations are computed once and shared across values of c.
+    """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD and b in
+    the range of S, factored once for every c. S is a symmetric array
+    (ValueError otherwise) or, for the V'' of 1-D points, a MinKernel with
+    s = t; factor_v_matrix picks the factor S = W W' by that form, but a
+    MinKernel with a gap below NEAR_TIE_GAP gets pivoted_cholesky of its
+    dense form. The solution's part in the range of S is the minimal-norm
+    solution; README "Cost" has the paths.
     """
 
     def __init__(self, S):
@@ -527,10 +523,7 @@ class PsdPencilSolver:
             S = np.asarray(S, dtype=float)
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError("S must be square")
-            # the exact comparison first: it is cheaper and settles the usual case
-            if not (np.array_equal(S, S.T)
-                    or np.allclose(S, S.T, atol=1e-10 * (1.0 + np.abs(S).max()))):
-                raise ValueError("S must be symmetric")
+            _check_symmetric(S, "S")
         self._factor = factor_v_matrix(S)
         if (isinstance(self._factor, BrownianFactor)
                 and self._factor.gaps.min(initial=np.inf) < NEAR_TIE_GAP):
@@ -604,15 +597,17 @@ def solve_product_ridge_many(factor, K, gammas, b, low_rank=False) -> tuple[np.n
     the range of A.
 
     A K is similar to the symmetric S = W' K W (Golub & Van Loan, Matrix
-    Computations, 8.7): with W c = b, x = W (S + gamma I)^-1 c. Three
-    paths, each taken only when the one before is refused (README "Cost"):
-    with `low_rank`, for a BrownianFactor and an array K, _low_rank_basis
-    of K with Z = W'G; for a BrownianFactor, _low_rank_basis of S; one
+    Computations, 8.7): with W c = b, x = W (S + gamma I)^-1 c. Paths, each
+    taken when the one before is refused (README "Cost"): with `low_rank`,
+    _low_rank_basis of K with Z = W'G; for a BrownianFactor, that of S; one
     tridiagonal reduction S = Q T Q' and an O(n) solve of T + gamma I per
     gamma. Returns the n x G solutions and per column None or the failure
-    message of its residual check. ValueError for an InkKernel K with
-    `low_rank`.
+    message of its residual check. ValueError with `low_rank` for an
+    InkKernel K, or for a factor other than the closed-form BrownianFactor
+    of 1-D points.
     """
+    if low_rank and not isinstance(factor, BrownianFactor):
+        raise ValueError("low_rank takes the BrownianFactor of 1-D points")
     A = factor.matrix
     K, gammas, b = _ridge_inputs(K, gammas, b, array_only=low_rank)
     if K.shape != A.shape:
@@ -716,8 +711,7 @@ def solve_nonneg(A, b) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     _check_square(A, b)
-    if not np.allclose(A, A.T, atol=1e-10 * (1.0 + np.abs(A).max())):
-        raise ValueError("A must be symmetric")
+    _check_symmetric(A, "A")
     # imported by its only user, so that a run that never solves under x >= 0
     # does not load scipy.optimize (about 150 modules and 0.1 s)
     import scipy.optimize

@@ -1,22 +1,9 @@
 """V-matrices: Gram structure of indicator functions under the L2[0,1]^d inner product.
 
-The entry for a pair of points a, b in [0,1]^d is the volume of the sub-box
-where both step functions theta(x - a) and theta(x - b) are one:
-
-    prod_k [1 - max(a^k, b^k)]
-
-For 1-D points that entry is min(1 - a, 1 - b), the Brownian covariance of
-t = 1 - x, and min_kernel gives the matrix as a MinKernel operator, which
-applies it by a sort and cumulative sums without forming it. v_matrix is the
-one place that picks a V-matrix's form from its points: a MinKernel for 1-D
-points, the array of cross_v otherwise. build_v_matrices, the fits,
-cross-validation, the DRE-V estimate's predictions and l2_residual take
-their V-matrices from it. Downstream the form alone selects the 1-D paths:
-block takes its sub-matrices and trace_product its trace against a kernel
-Gram in either form (for a MinKernel and the kernels.InkKernel of its
-points in closed form), and solve.factor_v_matrix factors it by its form.
-MinKernel is the kernels.SemiseparableKernel of p(u) = u and q = 0. cross_v
-is the row-blocked product kernels._coordinate_product, as is the INK Gram.
+The entry of points a, b in [0,1]^d is the overlap volume
+prod_k [1 - max(a^k, b^k)]. v_matrix is the one place that picks a
+V-matrix's form: for 1-D points the MinKernel operator of min(1 - a, 1 - b),
+the array of cross_v otherwise. README "Cost" has the forms and their costs.
 """
 
 from __future__ import annotations

@@ -416,9 +416,11 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
         monkeypatch.setattr(scipy.linalg.lapack, name, counter.wrap(
             getattr(scipy.linalg.lapack, name), lambda *a, name=name: name))
 
+    # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
+    kinds = {(8, 16): "holdout", (16, 16): "train", (24, 24): "full"}
+
     def matrix_kind(rows, cols):
-        # fold sizes: training sets of 16 points, holdouts of 8, full data of 24
-        return {(8, 16): "holdout", (16, 16): "train", (24, 24): "full"}[(len(rows), len(cols))]
+        return kinds[(len(rows), len(cols))]
 
     # kernels.gram_matrix builds every Gram by one of these two, and an
     # InkKernel's dense() by cross_gram
@@ -439,11 +441,10 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
         if isinstance(V, InkKernel) else None))
     monkeypatch.setattr(selection, "cdist", counter.wrap(
         selection.cdist, lambda rows, cols, metric: ("dist", matrix_kind(rows, cols))))
-    # the exp of the RBF distances: full data, or one fold's training Gram and
-    # both holdouts (16 + 8 + 8 rows) in one buffer
+    # the exp of the RBF distances: full data, a fold's training block, or one
+    # of its two holdouts
     monkeypatch.setattr(selection, "rbf_from_sqdist", counter.wrap(
-        selection.rbf_from_sqdist,
-        lambda sq, sigma2: ("exp", {(24, 24): "full", (32, 16): "fold"}[sq.shape])))
+        selection.rbf_from_sqdist, lambda sq, sigma2: ("exp", kinds[sq.shape])))
     report = cross_validate(s, method, plan)
     assert report.failures == 0
 
@@ -504,10 +505,11 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
     elif rbf:
         # the squared distances of the full data serve every sigma2, fold and
         # the refit; those of the numerator holdout are computed per fold. One
-        # exp per sigma2 for the gamma scaling, per (fold, sigma2) and for the
-        # refit
-        want.update({("dist", "full"): 1, ("dist", "holdout"): k,
-                     ("exp", "full"): S + 1, ("exp", "fold"): k * S})
+        # exp of the full data per sigma2 for the gamma scaling and one for the
+        # refit, and per (fold, sigma2) one of the training block and one of
+        # each holdout
+        want.update({("dist", "full"): 1, ("dist", "holdout"): k, ("exp", "full"): S + 1,
+                     ("exp", "train"): k * S, ("exp", "holdout"): 2 * k * S})
     assert counter.counts == want
 
 
@@ -615,7 +617,8 @@ def test_fold_blocks_equal_per_fold_builds(method, case, monkeypatch):
     systems, holdouts = [], []
     system, criteria = estimators.SYSTEMS[method], selection._criteria
 
-    # RBF blocks are views of a buffer that the next sigma2 overwrites
+    # kept as they were when the fold used them, should a later sigma2 or fold
+    # write into a buffer it reuses
     def copy(a):
         return a if a is None or isinstance(a, (MinKernel, InkKernel)) else a.copy(order="K")
 

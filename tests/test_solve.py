@@ -846,3 +846,26 @@ def test_solve_nonneg_failed_check_names_residual_and_bound(monkeypatch):
     message = r"projected gradient: residual \S+ > " + re.escape(f"{bound:.3e}") + "$"
     with pytest.raises(SingularSystemError, match=message):
         solve_nonneg(np.diag([2.0, 3.0]), b)
+
+
+def test_low_rank_product_solve_refuses_an_array_factor():
+    # K's low-rank basis needs the closed-form factor's apply_t, which a
+    # pivoted Cholesky of d > 1 points lacks: refused before K is factored
+    x = np.random.default_rng(6).random((10, 2))
+    V, K = cross_v(x, x), cross_gram(KernelSpec(KernelKind.RBF, 2, 0.5), x, x)
+    factor = pivoted_cholesky(V)
+    with pytest.raises(ValueError, match="low_rank takes the BrownianFactor of 1-D points"):
+        solve_product_ridge_many(factor, K, [0.1], V @ np.ones(10), low_rank=True)
+
+
+def test_pencil_and_nonneg_solvers_share_one_symmetry_check():
+    # within np.allclose of its transpose, at atol 1e-10 (1 + max |X|), a
+    # matrix counts as symmetric
+    A = np.array([[2.0, 1.0], [1.0 + 1e-11, 2.0]])
+    PsdPencilSolver(A)
+    solve_nonneg(A, np.ones(2))
+    A[1, 0] = 1.0 + 1e-3
+    with pytest.raises(ValueError, match="S must be symmetric"):
+        PsdPencilSolver(A)
+    with pytest.raises(ValueError, match="A must be symmetric"):
+        solve_nonneg(A, np.ones(2))
