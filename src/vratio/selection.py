@@ -189,7 +189,7 @@ def cross_validate(s: ScaledSamples, method: Method, plan: CvPlan) -> CvReport:
     Every method takes one fold path from its entry in estimators.SYSTEMS
     and one basis function of two point sets (_basis); nothing here tests
     the method. A V-matrix, INK or RBF entry depends only on its pair of
-    points, so each fold takes its training block (DRE-V: its V'') and
+    points, so each fold takes its training block (for DRE-V, its V'') and
     denominator holdout as vmatrix.block of the full-data basis, equal
     entry for entry to the matrices of the fold's points, and builds its
     numerator holdout from the points. RBF differs only in its sigma2 map,
