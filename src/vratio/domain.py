@@ -143,7 +143,7 @@ def fit_domain_box(numerator: SampleSet, denominator: SampleSet, margin: float =
     """Fit the tightest box around the pooled data, widened by `margin` per side.
 
     A zero-range coordinate gets the fixed widening value +- 0.5 so the
-    affine scaling stays defined.
+    affine scaling stays defined. ValueError for a box of infinite width.
     """
     if numerator.d != denominator.d:
         raise DimensionMismatchError(
@@ -154,10 +154,16 @@ def fit_domain_box(numerator: SampleSet, denominator: SampleSet, margin: float =
     pooled = np.vstack([numerator.points, denominator.points])
     lo = pooled.min(axis=0)
     hi = pooled.max(axis=0)
-    rng = hi - lo
-    degenerate = rng == 0.0
-    lo = np.where(degenerate, lo - 0.5, lo - margin * rng)
-    hi = np.where(degenerate, hi + 0.5, hi + margin * rng)
+    # an overflow leaves a width that is not finite, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = hi - lo
+        degenerate = rng == 0.0
+        lo = np.where(degenerate, lo - 0.5, lo - margin * rng)
+        hi = np.where(degenerate, hi + 0.5, hi + margin * rng)
+        bad = np.flatnonzero(~np.isfinite(hi - lo))
+    if bad.size:
+        raise ValueError(f"coordinate {bad[0]}: the data's box, widened by the margin, has no "
+                         f"finite width ({lo[bad[0]]:g}, {hi[bad[0]]:g})")
     return DomainBox(lo, hi)
 
 

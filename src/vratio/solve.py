@@ -16,11 +16,11 @@ shifts:
 * PsdPencilSolver: (S S + c S) x = b for a PSD S, for DRE-V.
 
 factor_v_matrix picks the factor of V'' by its form: the closed-form
-BrownianFactor for the vmatrix.MinKernel of 1-D points, pivoted_cholesky
-(dpstrf) for an array. The first two solvers try a low-rank basis and the
-Woodbury inverse before one tridiagonal reduction (dsytrd) with banded
-solves (dpbsv). Each solver's docstring names its paths; README "Cost"
-gives their order and costs.
+BrownianFactor, with groups NEAR_TIE_GAP wide, for the vmatrix.MinKernel
+of 1-D points, pivoted_cholesky (dpstrf) for an array. The first two
+solvers try a low-rank basis and the Woodbury inverse before one
+tridiagonal reduction (dsytrd) with banded solves (dpbsv). Each solver's
+docstring names its paths; README "Cost" gives their order and costs.
 
 solve_regularized (one LU) and solve_nonneg (one Cholesky and one
 scipy.optimize.nnls call) check their solutions against the same bound.
@@ -207,7 +207,7 @@ def _square_bands(tri: Tridiagonal, G: int) -> np.ndarray:
     return np.repeat(band[:, None, :], G, axis=1)
 
 
-def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, refine_once: bool = False):
+def _multi_shift_solve(bands, reduce, expand, apply, b, what: str):
     """Solve apply(X) = b for G shifts from their reduced banded systems.
 
     `bands` (rows, G, r) holds the reduced systems in lower band storage,
@@ -222,24 +222,22 @@ def _multi_shift_solve(bands, reduce, expand, apply, b, what: str, refine_once: 
     factors, Y = _stacked_solve(bands, np.repeat(reduce(b[:, None]), bands.shape[1], axis=1))
     return _verified(expand(Y),
                      lambda R, bad: expand(_stacked_resolve(factors[:, bad], reduce(R))),
-                     apply, b, what, refine_once)
+                     apply, b, what)
 
 
-def _verified(X, correct, apply, b, what: str, refine_once: bool = False):
+def _verified(X, correct, apply, b, what: str):
     """Check the n x G solutions X of apply(X) = b column by column.
 
     Columns whose residual misses the bound are refined up to twice, X[:, bad]
-    += correct(R, bad) with R their residuals; with `refine_once`, every
-    column first takes one refinement step regardless of its residual.
-    Returns X and per column None or the failure message `what`.
+    += correct(R, bad) with R their residuals. Returns X and per column None
+    or the failure message `what`.
     """
     bound = _residual_bound(b)
-    last = 2 + refine_once
-    for step in range(last + 1):
+    for step in range(3):
         R = b[:, None] - apply(X)
         res_norms = np.linalg.norm(R, axis=0)
-        bad = (step < refine_once) | ~(res_norms <= bound)
-        if step == last or not bad.any():
+        bad = ~(res_norms <= bound)
+        if step == 2 or not bad.any():
             break
         X[:, bad] += correct(R[:, bad], bad)
     ok = np.isfinite(res_norms) & (res_norms <= bound) & np.all(np.isfinite(X), axis=0)
@@ -355,19 +353,21 @@ class BrownianFactor:
     """V'' = W W' in closed form for the overlap volumes of 1-D points.
 
     In 1-D, V''_ij = 1 - max(x_i, x_j) = min(t_i, t_j) with t = 1 - x, the
-    Brownian-motion covariance. Let u_1 < ... < u_r be the distinct positive
-    t, `gaps` h_k = u_k - u_{k-1} (u_0 = 0) and E the n x r indicator of the
-    points' groups by u. Then min(u_k, u_l) = sum_{j <= min(k, l)} h_j, so
-    W = E C diag(sqrt h) with C the r x r lower triangular matrix of ones,
-    and r is the rank of V''. Ties share a group and points at t = 0 (on the
-    box's upper face, zero rows of V'') belong to none, so neither needs a
-    special case. W is applied by cumulative sums and never formed.
+    Brownian-motion covariance. The sorted t fall into r groups, a new one
+    wherever t rises by more than NEAR_TIE_GAP, and those within it of 0
+    (on or next to the box's upper face) into none. With u_k the smallest t
+    of group k, `gaps` h_k = u_k - u_{k-1} (u_0 = 0) and E the n x r
+    indicator of the groups, min(u_k, u_l) = sum_{j <= min(k, l)} h_j, so
+    W = E C diag(sqrt h) with C the r x r lower triangular matrix of ones.
+    W W' is within a group's span of V'' entry by entry: NEAR_TIE_GAP for
+    a pair, 0 without near-ties. W is applied by cumulative sums and never
+    formed.
 
-    `matrix` is V'' itself, the MinKernel of t: its `order` sorts the points
-    by t, and its products, which the residual checks use, sum
+    `matrix` is the exact V'', the MinKernel of t: its `order` sorts the
+    points by t, and its products, which the residual checks use, sum
     min(t_i, t_j) x_j from the coordinates, not from the gaps. `group` holds
-    each point's group, -1 at t = 0, and `starts` are the positions in that
-    order where the groups begin.
+    each point's group, -1 on the face, and `starts` are the positions in
+    that order where the groups begin.
     """
 
     matrix: MinKernel
@@ -389,7 +389,7 @@ class BrownianFactor:
         return B[self.matrix.order[self.starts]]
 
     def on_points(self, Z: np.ndarray) -> np.ndarray:
-        """E Z for an r x G matrix Z: each point takes its group's row, 0 at t = 0."""
+        """E Z for an r x G matrix Z: each point takes its group's row, 0 on the face."""
         out = np.zeros((self.rank + 1, Z.shape[1]))
         out[1:] = Z
         return out[self.group + 1]
@@ -458,30 +458,35 @@ class BrownianFactor:
         return S.T  # equal to S for a symmetric K
 
 
+# Width w of the groups of BrownianFactor: sorted t = 1 - x at most w apart
+# share a group, and t at most w from 0 join the upper face. Merging a pair
+# moves an entry of V'' by at most w, a relative change w / RESIDUAL_RTOL
+# of the residual bound; the tridiagonal J has entries 1/h with h > w, and
+# a single difference over a gap h rounds by eps / h relative. The two
+# balance at w = sqrt(eps * RESIDUAL_RTOL) = 1.5e-12, where both are
+# 1.5e-4; rounded down. Exact groups fail DRE-V columns at gaps of 1e-14
+# and below.
+NEAR_TIE_GAP = 1e-12
+
+
 def _brownian_factor(V: MinKernel) -> BrownianFactor:
-    """The BrownianFactor of V''_ij = min(t_i, t_j), from V's sort of t."""
+    """The BrownianFactor of V''_ij = min(t_i, t_j), from V's sort of t,
+    with groups NEAR_TIE_GAP wide."""
     ts = V.t_sorted
-    new = ts > 0.0
-    new[1:] &= ts[1:] != ts[:-1]
+    new = ts > NEAR_TIE_GAP
+    new[1:] &= ts[1:] - ts[:-1] > NEAR_TIE_GAP
     starts = np.flatnonzero(new)
     group = np.empty(ts.size, dtype=np.intp)
     group[V.order] = np.cumsum(new) - 1
     return BrownianFactor(V, group, starts, np.diff(ts[starts], prepend=0.0))
 
 
-# Smallest gap h between the distinct t = 1 - x of 1-D points (and from 0) at
-# which DRE-V solves with the closed-form factor. Its tridiagonal J has
-# entries 1/h, and at gaps of 1e-11 and below most columns fail the residual
-# check, where pivoted_cholesky and tridiagonalize(W'W) keep passing.
-NEAR_TIE_GAP = 1e-9
-
-
 def factor_v_matrix(V):
     """W W' = V'' for an overlap-volume matrix V, by V's form.
 
     A MinKernel, the V'' of 1-D points with s = t = 1 - x, gets the
-    closed-form BrownianFactor in O(n log n) from its own sort of t. An
-    array gets pivoted_cholesky(V).
+    closed-form BrownianFactor in O(n log n) from its own sort of t, with
+    groups NEAR_TIE_GAP wide. An array gets pivoted_cholesky(V).
     """
     if isinstance(V, MinKernel):
         if not np.array_equal(V.s, V.t):
@@ -512,10 +517,9 @@ class PsdPencilSolver:
     """Reusable solver for (S @ S + c * S) x = b with S symmetric PSD and b in
     the range of S, factored once for every c. S is a symmetric array
     (ValueError otherwise) or, for the V'' of 1-D points, a MinKernel with
-    s = t; factor_v_matrix picks the factor S = W W' by that form, but a
-    MinKernel with a gap below NEAR_TIE_GAP gets pivoted_cholesky of its
-    dense form. The solution's part in the range of S is the minimal-norm
-    solution; README "Cost" has the paths.
+    s = t; factor_v_matrix picks the factor S = W W' by that form, and the
+    residual checks use S itself. The solution's part in the range of S is
+    the minimal-norm solution; README "Cost" has the paths.
     """
 
     def __init__(self, S):
@@ -524,14 +528,9 @@ class PsdPencilSolver:
             if S.ndim != 2 or S.shape[0] != S.shape[1]:
                 raise ValueError("S must be square")
             _check_symmetric(S, "S")
-        self._factor = factor_v_matrix(S)
-        if (isinstance(self._factor, BrownianFactor)
-                and self._factor.gaps.min(initial=np.inf) < NEAR_TIE_GAP):
-            self._factor = pivoted_cholesky(S.dense())
-        self._tri = None
-        if isinstance(self._factor, PivotedCholesky):
-            W = self._factor.L[:, : self._factor.rank]
-            self._tri = tridiagonalize(W.T @ W, overwrite=True)
+        f = self._factor = factor_v_matrix(S)
+        W = f.L[:, : f.rank] if isinstance(f, PivotedCholesky) else None
+        self._tri = None if W is None else tridiagonalize(W.T @ W, overwrite=True)
 
     def solve(self, cs, b) -> tuple[np.ndarray, list]:
         """Solve at every shift in `cs` at once.
@@ -560,19 +559,16 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
     """Solve (S S + c S) x = b for every c in `cs`, with S = factor.matrix
     the MinKernel of 1-D points and b in the range of S.
 
-    With S_u = min(u_k, u_l) on the groups, S = E S_u E' and N = E'E. For
-    b = E beta the minimal-norm solution is x = E y with
-    (N + c J) y = J N^-1 J beta, where J = S_u^-1 is tridiagonal,
-    J_kk = 1/h_k + 1/h_{k+1}, J_rr = 1/h_r and J_k,k+1 = -1/h_{k+1}
-    (Vandebril, Van Barel & Mastronardi, Matrix Computations and
-    Semiseparable Matrices, 2008): all c go into one stacked dpbsv call.
-    The double difference J N^-1 J beta loses about four digits that the
-    residual bound does not see, so every column takes one refinement step
-    against the dense residual before the usual two (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, ch. 12). Returns the n x G
-    solutions and per column None or the failure message.
+    With S_u = min(u_k, u_l) on the groups, S = E S_u E' and N = E'E. Its
+    inverse J = S_u^-1 is tridiagonal, J_kk = 1/h_k + 1/h_{k+1},
+    J_rr = 1/h_r and J_k,k+1 = -1/h_{k+1} (Vandebril, Van Barel &
+    Mastronardi, Matrix Computations and Semiseparable Matrices, 2008).
+    For b = E beta, S S + c S = E S_u (N + c J) S_u E', so r = S x = E w
+    with (N + c J) w = J beta, all c in one stacked dpbsv call, and the
+    minimal-norm x = E y with y = N^-1 J w. Both steps take single
+    differences. Returns the n x G solutions and per column None or the
+    failure message.
     """
-    cs = np.asarray(cs, dtype=float)
     inv_h = 1.0 / factor.gaps
     counts = factor.counts.astype(float)
     bands = np.zeros((2, cs.size, factor.rank))
@@ -585,9 +581,9 @@ def _solve_grouped_pencil(factor: BrownianFactor, cs, b):
         diffs[:-1] -= diffs[1:]
         return diffs
 
-    return _multi_shift_solve(bands, lambda B: apply_j(apply_j(factor.on_groups(B)) / counts[:, None]),
-                              factor.on_points, _pencil(factor.matrix, cs), b,
-                              _PENCIL_FAILURE, refine_once=True)
+    return _multi_shift_solve(bands, lambda B: apply_j(factor.on_groups(B)),
+                              lambda W: factor.on_points(apply_j(W) / counts[:, None]),
+                              _pencil(factor.matrix, cs), b, _PENCIL_FAILURE)
 
 
 def solve_product_ridge_many(factor, K, gammas, b, low_rank=False) -> tuple[np.ndarray, list]:

@@ -47,7 +47,7 @@ class MinKernel(SemiseparableKernel):
         return u
 
     def dense(self) -> np.ndarray:
-        """M as an m x n array."""
+        """M as an m x n array: the tests' oracle, which no solver forms."""
         return np.minimum.outer(self.s, self.t)
 
     def trace(self) -> float:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,19 @@ def test_fit_command_rejects_infinite_margin(tmp_path, capsys):
     paths = write_fit_inputs(tmp_path, "0.1\n0.3\n0.6\n", "0.2\n0.4\n0.5\n")
     code = main(["fit", *paths, "--folds", "2", "--margin", "inf"])
     assert_reported_error(capsys, code, "margin must be nonnegative and finite")
+
+
+@pytest.mark.parametrize("num,den,margin", [
+    ("1e308\n-1e308\n0\n", "0.5\n-1e308\n1\n", "0"),
+    ("0\n10\n5\n", "1\n2\n3\n", "1e308"),
+], ids=["range", "margin"])
+def test_fit_command_rejects_a_box_without_finite_width(tmp_path, capsys, num, den, margin):
+    # the overflow is reported by the error alone, with no RuntimeWarning
+    paths = write_fit_inputs(tmp_path, num, den)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fit", *paths, "--folds", "2", "--margin", margin])
+    assert_reported_error(capsys, code, "coordinate 0: the data's box")
 
 
 def test_fit_command_rejects_files_of_different_dimensions(tmp_path, capsys):

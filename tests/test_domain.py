@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,19 @@ def test_fit_domain_box_rejects_non_finite_margin(margin):
     s = SampleSet(np.array([[0.0], [1.0]]))
     with pytest.raises(ValueError, match="margin must be nonnegative and finite"):
         fit_domain_box(s, s, margin=margin)
+
+
+@pytest.mark.parametrize("points,margin", [
+    ([[1e308, 0.0], [-1e308, 1.0]], 0.0),  # the range overflows
+    ([[1.0, 0.0], [1.0, 10.0]], 1e308),    # the widened bounds overflow
+], ids=["range", "margin"])
+def test_fit_domain_box_rejects_a_box_without_finite_width(points, margin):
+    s = SampleSet(np.array(points))
+    coordinate = 0 if margin == 0.0 else 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"coordinate {coordinate}: .* no finite width"):
+            fit_domain_box(s, s, margin=margin)
 
 
 def test_scale_maps_into_unit_box():

@@ -515,10 +515,10 @@ def test_cross_validate_work_counts(method, d, monkeypatch):
 
 @pytest.mark.parametrize("method", [Method.DRE_V, Method.DRE_VK_INK, Method.DRE_VK_RBF])
 def test_cross_validate_on_distinct_1d_points_forms_no_v_matrix(method, monkeypatch):
-    """On 1-D points of which no two lie closer than NEAR_TIE_GAP, the path
-    of `vratio fit` (cross-validation, its refit and the estimate's
-    predictions) and l2_residual take every V-matrix product from the points:
-    no binding of cross_v in the package and no MinKernel.dense is called."""
+    """On 1-D points, here distinct, the path of `vratio fit`
+    (cross-validation, its refit and the estimate's predictions) and
+    l2_residual take every V-matrix product from the points: no binding of
+    cross_v in the package and no MinKernel.dense is called."""
     s = unit_samples(np.random.default_rng(66), 40, 30, 1)
     assert np.diff(np.sort(np.concatenate([[0.0], 1.0 - s.x_prime[:, 0]]))).min() > 1e-4
     counter = CallCounter()

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,14 +273,18 @@ def test_factor_v_matrix_chooses_by_dimension_and_gap():
     assert isinstance(PsdPencilSolver(V)._factor, BrownianFactor)
     x2 = rng.random((30, 2))
     assert isinstance(factor_v_matrix(cross_v(x2, x2)), PivotedCholesky)
-    # a near-tie below NEAR_TIE_GAP sends only the DRE-V pencil to pivoted_cholesky
+    # a near-tie within NEAR_TIE_GAP shares a group of the closed form, and a
+    # t = 1 - x that close to 0 joins the upper face; every column verifies
+    # against the exact V''
     near = x.copy()
     near[1] = near[0] + NEAR_TIE_GAP / 4
-    V = min_kernel(near, near)
-    assert isinstance(factor_v_matrix(V), BrownianFactor)
-    assert isinstance(PsdPencilSolver(V)._factor, PivotedCholesky)
-    near[:, 0] = [1.0 - NEAR_TIE_GAP / 4] + [0.5] * 29  # t = 1 - x close to 0
-    assert isinstance(PsdPencilSolver(min_kernel(near, near))._factor, PivotedCholesky)
+    faced = np.array([[1.0 - NEAR_TIE_GAP / 4]] + [[0.5]] * 29)
+    for pts, rank in ((near, 29), (faced, 1)):
+        solver = PsdPencilSolver(min_kernel(pts, pts))
+        assert isinstance(solver._factor, BrownianFactor) and solver._factor.rank == rank
+        S, b = dre_v_system(pts, rng.random((20, 1)))
+        _, errs = solver.solve(default_gamma_grid() * np.trace(S) / 30, b)
+        assert errs == [None] * default_gamma_grid().size
 
 
 def test_factor_v_matrix_rejects_a_min_kernel_that_is_not_v_dd():
@@ -305,9 +310,9 @@ def extended_reference_values(S, c, b):
 
 def test_closed_form_pencil_values_as_accurate_as_pivoted_path():
     # model-2 draws over the default gamma grid; both paths meet the residual
-    # bound, and at small c both sit at the floor eps * cond(S + cI). Without
-    # the mandatory refinement step the closed form misses the reference by
-    # about 1e-10 at large c, where the pivoted path reaches 1e-14.
+    # bound, and at small c both sit at the floor eps * cond(S + cI). The
+    # closed form's single differences keep it within about 1e-13 of the
+    # reference at large c, where the pivoted path reaches 1e-15.
     model = bench.make_model(2)
     errors = {True: [], False: []}
     for seed in range(4):
@@ -329,15 +334,20 @@ def test_closed_form_pencil_values_as_accurate_as_pivoted_path():
 
 @pytest.mark.parametrize("n", [160, 800])
 def test_closed_form_pencil_fails_no_more_near_tie_columns(n):
-    # pairs of points `gap` apart; below NEAR_TIE_GAP the pencil takes the
-    # pivoted path, above it the closed form must do as well
+    # pairs of points `gap` apart, or half the points in one chain of gaps
+    # NEAR_TIE_GAP / 2: the closed form merges what lies within NEAR_TIE_GAP
+    # and fails no column against the exact V'', where the pivoted path on
+    # the array V'' fails one at gap 1e-12 and n = 160
     samples = 4 if n == 160 else 1
-    for gap in (1e-6, 1e-8, 1e-10, 1e-12):
+    for gap in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16, "chain"):
         failed = {True: 0, False: 0}
         for k in range(samples):
             rng = np.random.default_rng([n, k])
             x = rng.random(n)
-            x[1::7] = np.minimum(x[:-1:7] + gap, 1.0)
+            if gap == "chain":
+                x[: n // 2] = np.minimum(x[0] + 0.5 * NEAR_TIE_GAP * np.arange(n // 2), 1.0)
+            else:
+                x[1::7] = np.minimum(x[:-1:7] + gap, 1.0)
             S, b = dre_v_system(x[:, None], rng.random((n, 1)))
             cs = default_gamma_grid() * np.trace(S) / n
             for closed_form in failed:
@@ -345,7 +355,27 @@ def test_closed_form_pencil_fails_no_more_near_tie_columns(n):
                                          else S)
                 _, errs = solver.solve(cs, b)
                 failed[closed_form] += sum(err is not None for err in errs)
+        assert failed[True] == 0, (gap, failed)
         assert failed[True] <= failed[False], gap
+
+
+def test_closed_form_pencil_at_near_ties_holds_no_n_by_n_array():
+    # every 7th of 3000 points 1e-12 from its neighbour: the pencil
+    # stays O(nG), where a dense V'' alone would be n / G times larger
+    n = 3000
+    rng = np.random.default_rng(32)
+    x = rng.random((n, 1))
+    x[1::7] = np.minimum(x[:-1:7] + 1e-12, 1.0)
+    cs = default_gamma_grid() * min_kernel(x, x).trace() / n
+    b = min_kernel(x, rng.random((n, 1))) @ np.ones(n)
+    tracemalloc.start()
+    try:
+        _, errs = PsdPencilSolver(min_kernel(x, x)).solve(cs, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errs == [None] * cs.size
+    assert peak <= 32 * n * cs.size * 8
 
 
 def test_dre_v_and_ulsif_fits_use_neither_eigh_nor_lu(monkeypatch):

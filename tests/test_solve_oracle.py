@@ -1,11 +1,11 @@
 """Property tests: every verified solve path against a dense oracle.
 
 Small point sets with ties, points on the box's upper face (zero rows of
-V'') and gaps around NEAR_TIE_GAP drive each solver. Each column a solver
-accepts must lie within the bound of `assert_near_oracle` of
-np.linalg.lstsq applied to the explicitly formed system, the minimal-norm
-solution for the singular pencil; a column it reports as failed is not
-checked. The nonnegative solve is checked against an enumeration of its
+V'') and gaps around NEAR_TIE_GAP, the width of the closed form's groups,
+drive each solver. Each column a solver accepts must lie within the bound
+of `assert_near_oracle` of np.linalg.lstsq applied to the explicitly
+formed system, the minimal-norm solution for the singular pencil; a column
+it reports as failed is not checked. The nonnegative solve is checked against an enumeration of its
 active sets. The oracle forms V'' with cross_v, so it also checks the
 solvers' residual products, which for 1-D points sum min(t_i, t_j) x_j by
 cumulative sums.
@@ -52,7 +52,7 @@ ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=1
 
 # a coordinate: a base value, optionally moved by a multiple of NEAR_TIE_GAP,
 # so that points tie, sit on the upper face or lie just either side of the
-# gap at which 1-D DRE-V leaves its closed form; or any value in [0, 1]
+# width of the closed form's groups; or any value in [0, 1]
 _near = st.builds(
     lambda base, mult, sign: float(np.clip(base + sign * mult * NEAR_TIE_GAP, 0.0, 1.0)),
     st.sampled_from([0.0, 0.3, 0.7, 1.0]),
@@ -146,7 +146,7 @@ def range_part(points, x):
 @ORACLE
 @given(point_sets(), gamma_lists, seeds)
 @example(np.array([[0.1], [0.4], [0.8]]), [1e-12, 1.0], 0)  # the closed form
-@example(np.array([[0.5], [0.5 + 0.5 * NEAR_TIE_GAP], [1.0]]), [1e-6], 1)  # the switch
+@example(np.array([[0.5], [0.5 + 0.5 * NEAR_TIE_GAP], [1.0]]), [1e-6], 1)  # a near-tie
 @example(np.array([[0.2], [0.2], [1.0], [0.6]]), [1e3], 2)  # ties and the face
 def test_pencil_is_near_the_minimal_norm_solution(points, cs, seed):
     """The closed form returns the minimal-norm solution itself. The pivoted
@@ -168,16 +168,17 @@ def test_pencil_is_near_the_minimal_norm_solution(points, cs, seed):
 
 
 def test_pencil_paths_are_the_ones_named():
-    """The examples above take the closed form, its switch to the pivoted
-    path, and the pivoted path itself when V'' is given as an array."""
-    def factor(pts, operator=True):
-        return type(PsdPencilSolver(min_kernel(pts, pts) if operator
-                                    else cross_v(pts, pts))._factor)
+    """The examples above take the closed form, with the near-tie in one
+    group, and the pivoted path when V'' is given as an array."""
+    def solver(pts, operator=True):
+        return PsdPencilSolver(min_kernel(pts, pts) if operator else cross_v(pts, pts))
 
     near = np.array([[0.5], [0.5 + 0.5 * NEAR_TIE_GAP], [1.0]])
-    assert factor(np.array([[0.1], [0.4], [0.8]])) is BrownianFactor
-    assert factor(near) is PivotedCholesky
-    assert factor(np.array([[0.1], [0.4], [0.8]]), operator=False) is PivotedCholesky
+    assert type(solver(np.array([[0.1], [0.4], [0.8]]))._factor) is BrownianFactor
+    closed = solver(near)
+    assert type(closed._factor) is BrownianFactor and closed._factor.rank == 1
+    assert closed.solve([1e-6], _range_rhs(cross_v(near, near), 1))[1] == [None]
+    assert type(solver(np.array([[0.1], [0.4], [0.8]]), operator=False)._factor) is PivotedCholesky
 
 
 # the INK-spline kernel, or the RBF kernel at a narrow or a wide sigma2 per
@@ -469,8 +470,8 @@ def test_nonneg_is_near_the_solution(points, gamma, seed):
 # folds, four gammas and two RBF widths per draw
 CV_PLAN = dict(k=3, gamma_grid=np.logspace(-5.0, 1.0, 4), sigma2_grid=[0.1, 2.0])
 CV_ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=25)
-# a near-tie below NEAR_TIE_GAP in every fold's training points: five copies
-# each of 0.3 and 0.3 + NEAR_TIE_GAP / 2 outlast any holdout of four
+# a near-tie within NEAR_TIE_GAP in every fold's training points: five
+# copies each of 0.3 and 0.3 + NEAR_TIE_GAP / 2 outlast any holdout of four
 NEAR_TIE_DEN = np.array([[0.3]] * 5 + [[0.3 + 0.5 * NEAR_TIE_GAP]] * 5 + [[1.0], [0.7]])
 NEAR_TIE_NUM = np.array([[0.3], [0.3], [0.5], [0.7], [1.0], [0.1], [0.9], [0.3], [0.6]])
 
@@ -596,19 +597,20 @@ def assert_cv_matches_dense_recompute(den, num, seed, monkeypatch):
 
 @CV_ORACLE
 @given(cv_samples(), seeds)
-@example((NEAR_TIE_DEN, NEAR_TIE_NUM), 0)  # the DRE-V folds take the dense fallback
+@example((NEAR_TIE_DEN, NEAR_TIE_NUM), 0)  # the DRE-V folds merge the near-tie
 def test_cross_validation_is_near_the_dense_recompute(samples, seed):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_cv_matches_dense_recompute(*samples, seed, monkeypatch)
 
 
-def test_cv_near_tie_example_takes_the_dense_fallback(monkeypatch):
-    """Every DRE-V fold of the example above factors the dense form of its
-    MinKernel V'', which the closed form leaves at a gap below NEAR_TIE_GAP."""
+def test_cv_near_tie_example_takes_the_closed_form(monkeypatch):
+    """Every DRE-V fold of the example above and its refit solve by the
+    closed form, with the near-tie in one group: they form no dense V'',
+    and every candidate verifies against the exact MinKernel."""
     calls = []
     dense = MinKernel.dense
     monkeypatch.setattr(MinKernel, "dense", lambda self: calls.append(self.shape) or dense(self))
     s = ScaledSamples(NEAR_TIE_DEN, NEAR_TIE_NUM, DomainBox(np.zeros(1), np.ones(1)))
-    cross_validate(s, Method.DRE_V, CvPlan(seed=0, **CV_PLAN))
-    # three folds of 8 training points and the refit on all 12
-    assert calls == [(8, 8)] * 3 + [(12, 12)]
+    report = cross_validate(s, Method.DRE_V, CvPlan(seed=0, **CV_PLAN))
+    assert calls == []
+    assert report.failures == 0
